@@ -14,7 +14,7 @@ from .grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                    summer_ndvi_mean)
 from .spectral import (FrequencySelection, NormalizationTable, amplitudes,
                        bin_energies, climate_distance, dft_coefficients,
-                       featurize, fit_normalization, project, reconstruct,
+                       fit_normalization, project, reconstruct,
                        select_frequencies, truncated_coefficients)
 from .blup import BlupModel, fit_blup, loo_rmse, predict_blup, select_lambda_loo
 from .neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .blup import BlupModel, predict_blup
-from .errors import DataError
+from .errors import DataError, read_json
 from .neural import AutoencoderModel, ClassifierModel, DenseNet
 from .spectral import (FrequencySelection, NormalizationTable, feature_dim,
                        load_feature_tables, project, save_feature_tables)
@@ -142,10 +142,7 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
     doc_path = path / "model.json"
     if not doc_path.exists():
         raise DataError(f"not a model bundle (no model.json): {path}")
-    try:
-        doc = json.loads(doc_path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"corrupt model metadata {doc_path}: {e}") from None
+    doc = read_json(doc_path, "model metadata")
     if doc.get("format") != "drycss-model" or doc.get("version") != MODEL_DOC_VERSION:
         raise DataError(
             f"unsupported model bundle format/version in {doc_path}: "

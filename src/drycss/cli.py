@@ -10,11 +10,11 @@
     drycss analogs --out ws        climate-analog matches per candidate
     drycss report --out ws         heatmaps, uplift and overlap summaries
 
-Each stage records itself in ws/manifest.json and refuses to run when
-its upstream artifacts are missing (exit 2) or its outputs exist
-without --force. Bad flags or config exit 1; numerical failures exit
-3. All numeric artifacts are byte-deterministic for a fixed seed; the
-manifest differs in timestamps only.
+Each stage records itself and its resolved options in ws/manifest.json
+and refuses to run when its upstream artifacts are missing (exit 2) or
+its outputs exist without --force. Bad flags or config exit 1;
+numerical failures exit 3. All numeric artifacts are byte-deterministic
+for a fixed seed; the manifest differs in timestamps only.
 """
 
 from __future__ import annotations
@@ -26,24 +26,26 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import synth
+from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, read_json
 from .grid import (GridSpec, TimeAxis, extract_series, load_cube, load_grids,
-                   load_ndvi, regrid_ndvi, save_cube, save_grids, save_ndvi)
+                   load_ndvi, pixel_series, regrid_ndvi, save_cube, save_grids,
+                   save_ndvi)
 from .neural import TrainParams
 from .opportunity import (CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
                           load_attribute_table, load_rules, opportunity_map,
                           uplift_report)
-from .pipeline import (Calibration, GridSettings, aggregate_metrics,
-                       category_means, ensemble_scores, fit_calibration,
-                       load_samples, map_agreement_iou, predict_map,
-                       ranking_overlap, run_training_grid, save_run_record,
-                       save_samples)
+from .pipeline import (BLOCK_ROWS, Calibration, GridSettings, aggregate_metrics,
+                       category_means, derive_seed, ensemble_scores,
+                       fit_calibration, load_samples, map_agreement_iou,
+                       predict_map, ranking_overlap, run_training_grid,
+                       save_run_record, save_samples)
 from .spectral import dft_coefficients, truncated_coefficients
 
 
@@ -66,10 +68,7 @@ def _load_manifest(out: Path) -> dict:
     path = out / "manifest.json"
     if not path.exists():
         return {"stages": {}}
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"corrupt manifest {path}: {e}") from None
+    return read_json(path, "manifest")
 
 
 def _record_stage(out: Path, stage: str, config: dict, artifacts: list[str]) -> None:
@@ -109,10 +108,28 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _int_list(text) -> tuple[int, ...]:
+    if isinstance(text, (list, tuple)):
+        return tuple(int(v) for v in text)
+    parts = [p.strip() for p in str(text).split(",") if p.strip()]
+    if not parts:
+        raise ValueError("empty list")
+    return tuple(int(p) for p in parts)
+
+
+def _shrinkage(value) -> str | float:
+    return value if value in ("auto", "loo") else float(value)
+
+
+# what each cast accepts, for the "bad value" error
+_EXPECTED = {int: "an integer", float: "a number",
+             _int_list: "comma-separated integers", _shrinkage: "auto, loo or a number"}
+
+
 def _cfg(args, config: dict, stage: str, name: str, default, cast=None,
          check=None, describe=""):
     """Flag value, else config[stage][name] or config[name], else default."""
-    value = getattr(args, name.replace("-", "_"), None)
+    value = getattr(args, name, None)
     if value is None:
         section = config.get(stage, {})
         if isinstance(section, dict) and name in section:
@@ -127,39 +144,11 @@ def _cfg(args, config: dict, stage: str, name: str, default, cast=None,
         try:
             value = cast(value)
         except (TypeError, ValueError):
-            raise UsageError(f"bad value for {stage}.{name}: {value!r}")
+            expected = f" (expected {_EXPECTED[cast]})" if cast in _EXPECTED else ""
+            raise UsageError(f"bad value for {stage}.{name}: {value!r}{expected}")
     if check is not None and not check(value):
         raise UsageError(f"{stage}.{name}={value!r} out of range ({describe})")
     return value
-
-
-def _jobs(args, config: dict, stage: str) -> int:
-    value = getattr(args, "jobs", None)
-    if value is None:
-        section = config.get(stage, {})
-        value = section.get("jobs") if isinstance(section, dict) else None
-        if value is None:
-            value = config.get("jobs")
-    if value is None:
-        value = os.environ.get("DRYCSS_JOBS")
-    if value is None:
-        return 1
-    try:
-        jobs = int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"jobs must be an integer, got {value!r}")
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {jobs}")
-    return jobs
-
-
-def _int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
 
 
 def write_pgm(path: Path, values: np.ndarray) -> None:
@@ -179,71 +168,49 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stages: each takes the workspace, its resolved options and --force, and
+# returns the artifacts it wrote; main records both in the manifest
 
 
-def cmd_synth(args, config) -> int:
-    out = Path(args.out)
+def cmd_synth(out: Path, opts: dict, force: bool) -> list[str]:
     out.mkdir(parents=True, exist_ok=True)
-    seed = _cfg(args, config, "synth", "seed", 0, int, lambda v: v >= 0, ">= 0")
-    grid_size = _cfg(args, config, "synth", "grid_size", 32, int,
-                     lambda v: v >= 8, ">= 8")
-    steps = _cfg(args, config, "synth", "steps", 2920, int, lambda v: v >= 16, ">= 16")
-    invalid_fraction = _cfg(args, config, "synth", "invalid_fraction", 0.0, float,
-                            lambda v: 0.0 <= v < 1.0, "in [0, 1)")
-    counts = _cfg(args, config, "synth", "counts", (101, 101, 14, 14), _int_list,
-                  lambda v: len(v) == 4 and all(c >= 1 for c in v),
-                  "four positive integers")
-    spacing = _cfg(args, config, "synth", "min_spacing_km", 9.0, float,
-                   lambda v: v >= 0, ">= 0")
-
     for target in (out / "cube", out / "ndvi", out / "truth", out / "samples.csv"):
-        _refuse_existing(target, args.force)
+        _refuse_existing(target, force)
 
-    spec = GridSpec(lat_min=20.0, lat_max=20.0 + 0.1 * (grid_size - 1),
-                    lon_min=40.0, lon_max=40.0 + 0.1 * (grid_size - 1),
-                    n_lat=grid_size, n_lon=grid_size)
-    time = TimeAxis(start="2020-01-01T00:00:00Z", step_hours=3.0, n_steps=steps)
+    n, seed, counts = opts["grid_size"], opts["seed"], opts["counts"]
+    spec = GridSpec(lat_min=20.0, lat_max=20.0 + 0.1 * (n - 1),
+                    lon_min=40.0, lon_max=40.0 + 0.1 * (n - 1), n_lat=n, n_lon=n)
+    time = TimeAxis(start="2020-01-01T00:00:00Z", step_hours=3.0,
+                    n_steps=opts["steps"])
     cube, suitability = synth.synth_cube(spec, time, seed=seed,
-                                         invalid_fraction=invalid_fraction)
+                                         invalid_fraction=opts["invalid_fraction"])
     raster, irrigated, degraded = synth.synth_ndvi(
-        spec, suitability, seed=synth_seed_child(seed, "ndvi"),
+        spec, suitability, seed=derive_seed(seed, "synth", "ndvi"),
         n_irrigated=counts[2] + 6, n_degraded=counts[3] + 6)
     summer = regrid_ndvi(raster, spec, years=synth.DEFAULT_NDVI_YEARS)
     samples = synth.sample_reference_sites(
         spec, suitability, summer, irrigated, degraded,
-        counts={"HiSuit-HiVeg": counts[0], "LoSuit-LoVeg": counts[1],
-                "LoSuit-HiVeg": counts[2], "HiSuit-LoVeg": counts[3]},
-        seed=synth_seed_child(seed, "sites"), min_spacing_km=spacing)
+        counts=dict(zip(synth.CATEGORIES, counts)),
+        seed=derive_seed(seed, "synth", "sites"),
+        min_spacing_km=opts["min_spacing_km"])
 
-    save_cube(cube, out / "cube", force=args.force)
-    save_ndvi(raster, out / "ndvi", force=args.force)
+    save_cube(cube, out / "cube", force=force)
+    save_ndvi(raster, out / "ndvi", force=force)
     save_grids(out / "truth", spec,
                {"suitability": suitability,
                 "irrigated": irrigated.astype(np.float64),
-                "degraded": degraded.astype(np.float64)}, force=args.force)
+                "degraded": degraded.astype(np.float64)}, force=force)
     save_samples(samples, out / "samples.csv")
-    _record_stage(out, "synth",
-                  {"seed": seed, "grid_size": grid_size, "steps": steps,
-                   "invalid_fraction": invalid_fraction, "counts": list(counts),
-                   "min_spacing_km": spacing},
-                  ["cube", "ndvi", "truth", "samples.csv"])
-    print(f"synth: {grid_size}x{grid_size} cube, {len(raster.observations)} NDVI "
+    print(f"synth: {n}x{n} cube, {len(raster.observations)} NDVI "
           f"observations, {len(samples)} samples -> {out}")
-    return 0
+    return ["cube", "ndvi", "truth", "samples.csv"]
 
 
-def synth_seed_child(seed: int, label: str) -> int:
-    from .pipeline import derive_seed
-    return derive_seed(seed, "synth", label)
-
-
-def cmd_features(args, config) -> int:
-    out = Path(args.out)
+def cmd_features(out: Path, opts: dict, force: bool) -> list[str]:
     cube_dir = _require(out / "cube", "climate cube", "synth")
     samples_path = _require(out / "samples.csv", "samples table", "synth")
     feat_dir = out / "features"
-    _refuse_existing(feat_dir / "coeffs.npy", args.force)
+    _refuse_existing(feat_dir / "coeffs.npy", force)
 
     cube = load_cube(cube_dir, mmap=True)
     samples = load_samples(samples_path)
@@ -257,71 +224,44 @@ def cmd_features(args, config) -> int:
     meta = {"n_samples": len(samples), "n_steps": cube.time.n_steps,
             "variables": list(cube.variables)}
     (feat_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    _record_stage(out, "features", {"n_samples": len(samples)},
-                  ["features/coeffs.npy", "features/meta.json"])
     print(f"features: {coeffs.shape[0]} samples x {coeffs.shape[1]} variables "
           f"x {coeffs.shape[2]} bins -> {feat_dir}")
-    return 0
+    return ["features/coeffs.npy", "features/meta.json"]
 
 
 def _read_features(out: Path):
     feat_dir = _require(out / "features", "feature cache", "features")
     coeffs = np.load(_require(feat_dir / "coeffs.npy", "feature cache", "features"))
-    meta = json.loads((feat_dir / "meta.json").read_text())
-    return coeffs, meta
+    return coeffs, read_json(feat_dir / "meta.json", "feature metadata")
 
 
-def cmd_train(args, config) -> int:
-    out = Path(args.out)
+def cmd_train(out: Path, opts: dict, force: bool) -> list[str]:
     coeffs, meta = _read_features(out)
     samples = load_samples(_require(out / "samples.csv", "samples table", "synth"))
     if len(samples) != coeffs.shape[0]:
         raise DataError(
             f"feature cache has {coeffs.shape[0]} rows for {len(samples)} samples; "
             "rerun `drycss features`")
-
-    blup_sizes = _cfg(args, config, "train", "blup_sizes", (2, 4, 8, 16, 32, 64),
-                      _int_list, lambda v: all(s >= 1 for s in v), "positive")
-    nn_sizes = _cfg(args, config, "train", "nn_sizes", (4, 8, 16, 32, 64),
-                    _int_list, lambda v: all(s >= 1 for s in v), "positive")
-    reps = _cfg(args, config, "train", "repetitions", 10, int, lambda v: v >= 1, ">= 1")
-    root_seed = _cfg(args, config, "train", "seed", 0, int, lambda v: v >= 0, ">= 0")
-    holdout = _cfg(args, config, "train", "holdout_fraction", 0.1, float,
-                   lambda v: 0.0 < v < 1.0, "in (0, 1)")
-    epochs = _cfg(args, config, "train", "epochs", 1000, int, lambda v: v >= 1, ">= 1")
-    lr = _cfg(args, config, "train", "learning_rate", 1e-3, float,
-              lambda v: v > 0, "> 0")
-    nn_bins = _cfg(args, config, "train", "nn_feature_bins", 4, int,
-                   lambda v: v >= 1, ">= 1")
-    blup_lambda = _cfg(args, config, "train", "blup_lambda", "auto")
-    if blup_lambda not in ("auto", "loo"):
-        try:
-            blup_lambda = float(blup_lambda)
-        except (TypeError, ValueError):
-            raise UsageError(
-                f"train.blup_lambda must be 'auto', 'loo', or a number: {blup_lambda!r}")
-        if blup_lambda <= 0:
-            raise UsageError("train.blup_lambda must be positive")
-    jobs = _jobs(args, config, "train")
-
     runs_dir = out / "runs"
-    _refuse_existing(runs_dir, args.force)
+    _refuse_existing(runs_dir, force)
 
     labels = np.array([s.label for s in samples])
     settings = GridSettings(
         variables=tuple(meta["variables"]), n_steps=int(meta["n_steps"]),
-        holdout_fraction=holdout, nn_feature_bins=nn_bins,
-        blup_lambda=blup_lambda,
-        train_params=TrainParams(learning_rate=lr, epochs=epochs))
+        holdout_fraction=opts["holdout_fraction"],
+        nn_feature_bins=opts["nn_feature_bins"], blup_lambda=opts["blup_lambda"],
+        train_params=TrainParams(learning_rate=opts["learning_rate"],
+                                 epochs=opts["epochs"]))
     runs, models = run_training_grid(
-        coeffs, labels, settings, blup_sizes=blup_sizes, nn_sizes=nn_sizes,
-        repetitions=reps, root_seed=root_seed, jobs=jobs)
+        coeffs, labels, settings, blup_sizes=opts["blup_sizes"],
+        nn_sizes=opts["nn_sizes"], repetitions=opts["repetitions"],
+        root_seed=opts["seed"], jobs=opts["jobs"])
 
     runs_dir.mkdir(parents=True, exist_ok=True)
     for run, model in zip(runs, models):
         run_dir = runs_dir / run.run_id
         if model is not None:
-            save_model_bundle(model, run_dir, force=args.force)
+            save_model_bundle(model, run_dir, force=force)
         else:
             run_dir.mkdir(parents=True, exist_ok=True)
         save_run_record(run, run_dir / "predictions.json")
@@ -336,15 +276,8 @@ def cmd_train(args, config) -> int:
                         for h in header])
 
     n_failed = sum(1 for r in runs if r.failed)
-    _record_stage(out, "train",
-                  {"blup_sizes": list(blup_sizes), "nn_sizes": list(nn_sizes),
-                   "repetitions": reps, "seed": root_seed,
-                   "holdout_fraction": holdout, "epochs": epochs,
-                   "learning_rate": lr, "nn_feature_bins": nn_bins,
-                   "blup_lambda": blup_lambda, "jobs": jobs},
-                  ["runs"])
     print(f"train: {len(runs)} runs ({n_failed} failed) -> {runs_dir}")
-    return 0
+    return ["runs"]
 
 
 def _sorted_run_dirs(runs_dir: Path) -> list[Path]:
@@ -373,31 +306,23 @@ def _load_models(runs_dir: Path):
     return models
 
 
-def cmd_predict(args, config) -> int:
-    out = Path(args.out)
+def cmd_predict(out: Path, opts: dict, force: bool) -> list[str]:
     cube = load_cube(_require(out / "cube", "climate cube", "synth"), mmap=True)
     models = _load_models(_require(out / "runs", "training runs", "train"))
-    jobs = _jobs(args, config, "predict")
-    block_rows = _cfg(args, config, "predict", "block_rows", 2, int,
-                      lambda v: v >= 1, ">= 1")
     css_dir = out / "maps" / "css"
-    _refuse_existing(css_dir, args.force)
+    _refuse_existing(css_dir, force)
 
-    maps = predict_map(models, cube, jobs=jobs, block_rows=block_rows)
-    save_grids(css_dir, cube.spec, maps, force=args.force)
-    _record_stage(out, "predict", {"jobs": jobs, "block_rows": block_rows,
-                                   "n_models": len(models)},
-                  [f"maps/css/{name}.f32" for name in sorted(maps)])
+    maps = predict_map(models, cube, jobs=opts["jobs"])
+    save_grids(css_dir, cube.spec, maps, force=force)
     print(f"predict: {len(models)} models -> {css_dir} ({', '.join(sorted(maps))})")
-    return 0
+    return [f"maps/css/{name}.f32" for name in sorted(maps)]
 
 
-def cmd_calibrate(args, config) -> int:
-    out = Path(args.out)
+def cmd_calibrate(out: Path, opts: dict, force: bool) -> list[str]:
     coeffs, _ = _read_features(out)
     samples = load_samples(_require(out / "samples.csv", "samples table", "synth"))
     models = _load_models(_require(out / "runs", "training runs", "train"))
-    _refuse_existing(out / "calibration.json", args.force)
+    _refuse_existing(out / "calibration.json", force)
 
     scores = ensemble_scores(models, coeffs)
     cal = fit_calibration(samples, scores["combined"])
@@ -413,38 +338,27 @@ def cmd_calibrate(args, config) -> int:
     doc = cal.to_dict()
     doc["category_means"] = category_means(samples, scores["combined"])
     (out / "calibration.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _record_stage(out, "calibrate",
-                  {"categories": sorted({s.category for s in samples})},
-                  ["calibration.json", "reclassification.csv"])
     print(f"calibrate: slope={cal.slope:.4f} intercept={cal.intercept:.4f} "
           f"r2={cal.r2:.3f} on {cal.n} samples")
-    return 0
+    return ["calibration.json", "reclassification.csv"]
 
 
-def cmd_opportunity(args, config) -> int:
-    out = Path(args.out)
+def cmd_opportunity(out: Path, opts: dict, force: bool) -> list[str]:
     spec, css_maps = load_grids(_require(out / "maps" / "css", "CSS maps", "predict"))
     raster = load_ndvi(_require(out / "ndvi", "NDVI stack", "synth"))
-    cal_doc = json.loads(_require(out / "calibration.json", "calibration",
-                                  "calibrate").read_text())
-    cal = Calibration.from_dict(cal_doc)
-
-    years = _cfg(args, config, "opportunity", "years", None, _int_list)
-    if years is None:
-        years = sorted({obs.year for obs in raster.observations})
+    cal = Calibration.from_dict(read_json(
+        _require(out / "calibration.json", "calibration", "calibrate"), "calibration"))
+    if opts["years"] is None:  # the manifest records the years actually used
+        opts["years"] = sorted({obs.year for obs in raster.observations})
     opp_dir = out / "maps" / "opportunity"
-    _refuse_existing(opp_dir, args.force)
+    _refuse_existing(opp_dir, force)
 
-    summer = regrid_ndvi(raster, spec, years=years)
+    summer = regrid_ndvi(raster, spec, years=opts["years"])
     opp = opportunity_map(css_maps["combined"], summer, cal)
-    save_grids(opp_dir, spec, {"opportunity": opp, "ndvi_summer": summer},
-               force=args.force)
-    _record_stage(out, "opportunity", {"years": list(years)},
-                  ["maps/opportunity/opportunity.f32",
-                   "maps/opportunity/ndvi_summer.f32"])
+    save_grids(opp_dir, spec, {"opportunity": opp, "ndvi_summer": summer}, force=force)
     n_pos = int(np.sum(np.isfinite(opp) & (opp > 0)))
     print(f"opportunity: {n_pos} pixels with positive opportunity -> {opp_dir}")
-    return 0
+    return ["maps/opportunity/opportunity.f32", "maps/opportunity/ndvi_summer.f32"]
 
 
 def _candidate_fieldnames(sites: list[CandidateSite]) -> list[str]:
@@ -490,63 +404,41 @@ def _read_candidates(path: Path) -> list[CandidateSite]:
     return sites
 
 
-def cmd_candidates(args, config) -> int:
-    out = Path(args.out)
+def cmd_candidates(out: Path, opts: dict, force: bool) -> list[str]:
     spec, opp_maps = load_grids(_require(out / "maps" / "opportunity",
                                          "opportunity map", "opportunity"))
     _, css_maps = load_grids(_require(out / "maps" / "css", "CSS maps", "predict"))
-    count = _cfg(args, config, "candidates", "count", 25, int, lambda v: v >= 1, ">= 1")
-    spacing = _cfg(args, config, "candidates", "min_spacing_km", 9.0, float,
-                   lambda v: v >= 0, ">= 0")
     path = out / "candidates.csv"
-    _refuse_existing(path, args.force)
+    _refuse_existing(path, force)
 
     sites = extract_candidates(opp_maps["opportunity"], spec,
                                css=css_maps["combined"],
                                ndvi=opp_maps["ndvi_summer"],
-                               count=count, min_spacing_km=spacing)
-
-    attributes_path = _cfg(args, config, "candidates", "attributes", None, str)
-    rules_path = _cfg(args, config, "candidates", "rules", None, str)
+                               count=opts["count"],
+                               min_spacing_km=opts["min_spacing_km"])
     filtered = None
-    if attributes_path:
-        join_key = _cfg(args, config, "candidates", "join", "site", str,
-                        lambda v: v in ("site", "coords"), "site or coords")
-        join_attributes(sites, load_attribute_table(attributes_path), key=join_key)
-    if attributes_path or rules_path:
-        rules = load_rules(rules_path) if rules_path else default_rules()
+    if opts["attributes"]:
+        join_attributes(sites, load_attribute_table(opts["attributes"]),
+                        key=opts["join"])
+    if opts["attributes"] or opts["rules"]:
+        rules = load_rules(opts["rules"]) if opts["rules"] else default_rules()
         filtered = filter_candidates(sites, rules)
 
     _write_candidates(path, sites)
-    _record_stage(out, "candidates",
-                  {"count": count, "min_spacing_km": spacing,
-                   "attributes": attributes_path, "rules": rules_path},
-                  ["candidates.csv"])
     if filtered is None:
         print(f"candidates: {len(sites)} sites (no attribute filtering) -> {path}")
     else:
         print(f"candidates: {len(sites)} sites, {len(filtered)} retained -> {path}")
-    return 0
+    return ["candidates.csv"]
 
 
-def cmd_analogs(args, config) -> int:
-    out = Path(args.out)
+def cmd_analogs(out: Path, opts: dict, force: bool) -> list[str]:
     cube = load_cube(_require(out / "cube", "climate cube", "synth"), mmap=True)
     _, opp_maps = load_grids(_require(out / "maps" / "opportunity",
                                       "opportunity map", "opportunity"))
     sites = _read_candidates(out / "candidates.csv")
-    channels = _cfg(args, config, "analogs", "channels", 32, int,
-                    lambda v: v >= 1, ">= 1")
-    max_dist = _cfg(args, config, "analogs", "max_climate_distance", None, float,
-                    lambda v: v > 0, "> 0")
-    percentile = _cfg(args, config, "analogs", "distance_percentile", 10.0, float,
-                      lambda v: 0.0 < v <= 100.0, "in (0, 100]")
-    margin = _cfg(args, config, "analogs", "ndvi_margin", 0.02, float,
-                  lambda v: v >= 0, ">= 0")
-    exclude_dir = _cfg(args, config, "analogs", "exclude", None, str)
-    exclude_name = _cfg(args, config, "analogs", "exclude_name", "exclusion", str)
-    dist_dir = out / "maps" / "analogs"
-    _refuse_existing(out / "analogs.csv", args.force)
+    channels = opts["channels"]
+    _refuse_existing(out / "analogs.csv", force)
 
     # only sites that survived filtering, or all if filtering never ran
     any_filtered = any(s.retained is not None for s in sites)
@@ -559,30 +451,20 @@ def cmd_analogs(args, config) -> int:
         raise UsageError(f"analogs.channels={channels} exceeds {max_chan} bins")
 
     exclusion = None
-    if exclude_dir:
-        espec, egrids = load_grids(Path(exclude_dir))
+    if opts["exclude"]:
+        espec, egrids = load_grids(Path(opts["exclude"]))
         if espec.shape != cube.spec.shape:
             raise DataError("exclusion grid shape does not match cube grid")
-        if exclude_name not in egrids:
-            raise DataError(f"exclusion grid {exclude_name!r} not in {exclude_dir}")
-        exclusion = egrids[exclude_name] > 0.5
+        if "exclusion" not in egrids:
+            raise DataError(f"no 'exclusion' grid in {opts['exclude']}")
+        exclusion = egrids["exclusion"] > 0.5
 
-    H, W = cube.spec.shape
-    t = cube.time.n_steps
-    vectors = np.full((H, W, len(cube.variables) * channels * 2), np.nan)
-    block = 2
-    for r0 in range(0, H, block):
-        r1 = min(r0 + block, H)
-        rows_mask = cube.mask[r0:r1]
-        flat = np.flatnonzero(rows_mask)
-        if flat.size == 0:
-            continue
-        rr, cc = flat // W, flat % W
-        series = np.empty((flat.size, len(cube.variables), t))
-        for vi, var in enumerate(cube.variables):
-            series[:, vi, :] = cube.values[var][:, r0 + rr, cc].T
-        coeffs = dft_coefficients(series)
-        vectors[r0 + rr, cc] = truncated_coefficients(coeffs, channels, mode="lowest")
+    vectors = np.full(cube.spec.shape + (len(cube.variables) * channels * 2,), np.nan)
+    for r0 in range(0, cube.spec.n_lat, BLOCK_ROWS):
+        rows, cols, series = pixel_series(cube, r0, r0 + BLOCK_ROWS)
+        if rows.size:
+            vectors[rows, cols] = truncated_coefficients(dft_coefficients(series),
+                                                         channels)
 
     ndvi = opp_maps["ndvi_summer"]
     results = []
@@ -590,9 +472,9 @@ def cmd_analogs(args, config) -> int:
     for site in targets:
         res, dist = find_analog(site, vectors, cube.spec, ndvi,
                                 exclusion=exclusion,
-                                max_climate_distance=max_dist,
-                                distance_percentile=percentile,
-                                ndvi_margin=margin)
+                                max_climate_distance=opts["max_climate_distance"],
+                                distance_percentile=opts["distance_percentile"],
+                                ndvi_margin=opts["ndvi_margin"])
         results.append(res)
         dist_grids[f"dist_site_{site.rank}"] = dist
 
@@ -615,27 +497,21 @@ def cmd_analogs(args, config) -> int:
             else:
                 w.writerow([row["site"], repr(site.lat), repr(site.lon),
                             "", "", "", "", "", "", "", row["note"]])
-    save_grids(dist_dir, cube.spec, dist_grids, force=args.force)
+    save_grids(out / "maps" / "analogs", cube.spec, dist_grids, force=force)
     uplift_doc = {"rows": list(report.rows),
                   "mean_of_ratios": report.mean_of_ratios,
                   "ratio_of_means": report.ratio_of_means,
                   "n_used": report.n_used, "n_skipped": report.n_skipped}
     (out / "uplift.json").write_text(json.dumps(uplift_doc, indent=2, sort_keys=True) + "\n")
-    _record_stage(out, "analogs",
-                  {"channels": channels, "max_climate_distance": max_dist,
-                   "distance_percentile": percentile, "ndvi_margin": margin,
-                   "exclude": exclude_dir},
-                  ["analogs.csv", "uplift.json", "maps/analogs"])
     print(f"analogs: {report.n_used} matches over {len(targets)} candidates; "
           f"mean of ratios {report.mean_of_ratios:.3f}, "
           f"ratio of means {report.ratio_of_means:.3f}")
-    return 0
+    return ["analogs.csv", "uplift.json", "maps/analogs"]
 
 
-def cmd_report(args, config) -> int:
-    out = Path(args.out)
+def cmd_report(out: Path, opts: dict, force: bool) -> list[str]:
     report_dir = out / "report"
-    _refuse_existing(report_dir, args.force)
+    _refuse_existing(report_dir, force)
     report_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
@@ -692,13 +568,121 @@ def cmd_report(args, config) -> int:
                         w.writerow([end, "+".join(combo), overlap[end][combo]])
             written.append("report/rankings.csv")
 
-    _record_stage(out, "report", {}, written)
     print(f"report: {len(written)} artifacts -> {report_dir}")
-    return 0
+    return written
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# stage options: each is declared once here and feeds both the flag with
+# its help text and config resolution
+
+
+class Opt(NamedTuple):
+    key: str                      # config key; the flag is --key with dashes
+    default: object               # None: unset, the stage decides
+    cast: Callable
+    help: str
+    check: tuple = (None, "")     # (predicate, the values it allows)
+    env: str | None = None        # consulted after config, before default
+
+
+def _at_least(lo):
+    return (lambda v: v >= lo, f"at least {lo}")
+
+
+_POSITIVE_LIST = (lambda v: all(s >= 1 for s in v), "positive")
+_JOBS = Opt("jobs", 1, int, "worker count", _at_least(1), env="DRYCSS_JOBS")
+
+STAGES: dict[str, tuple[Callable, str, list[Opt]]] = {
+    "synth": (cmd_synth, "generate a synthetic cube, NDVI stack, and samples", [
+        Opt("seed", 0, int, "synthesis seed", _at_least(0)),
+        Opt("grid_size", synth.DESK_GRID.n_lat, int, "nodes per grid side",
+            _at_least(8)),
+        Opt("steps", synth.DESK_TIME.n_steps, int, "3-hourly time steps",
+            _at_least(16)),
+        Opt("invalid_fraction", 0.0, float, "fraction of masked pixels",
+            (lambda v: 0.0 <= v < 1.0, "in [0, 1)")),
+        Opt("counts", tuple(synth.DEFAULT_COUNTS[c] for c in synth.CATEGORIES),
+            _int_list, "site counts " + ",".join(synth.CATEGORIES),
+            (lambda v: len(v) == 4 and all(c >= 1 for c in v),
+             "four positive integers")),
+        Opt("min_spacing_km", opportunity.DEFAULT_MIN_SPACING_KM, float,
+            "minimum site spacing", _at_least(0)),
+    ]),
+    "features": (cmd_features, "extract per-sample DFT coefficients", []),
+    "train": (cmd_train, "train the BLUP/NN model grid", [
+        Opt("blup_sizes", pipeline.DEFAULT_BLUP_SIZES, _int_list,
+            "retained bins per variable", _POSITIVE_LIST),
+        Opt("nn_sizes", pipeline.DEFAULT_NN_SIZES, _int_list,
+            "autoencoder latent sizes", _POSITIVE_LIST),
+        Opt("repetitions", pipeline.DEFAULT_REPETITIONS, int,
+            "holdout repetitions per cell", _at_least(1)),
+        Opt("seed", 0, int, "root seed", _at_least(0)),
+        Opt("holdout_fraction", pipeline.DEFAULT_HOLDOUT_FRACTION, float,
+            "validation share", (lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+        Opt("epochs", TrainParams.epochs, int, "network training epochs",
+            _at_least(1)),
+        Opt("learning_rate", TrainParams.learning_rate, float, "Adam learning rate",
+            (lambda v: v > 0, "> 0")),
+        Opt("nn_feature_bins", pipeline.DEFAULT_NN_FEATURE_BINS, int,
+            "retained bins per variable for networks", _at_least(1)),
+        Opt("blup_lambda", GridSettings.blup_lambda, _shrinkage,
+            "shrinkage: auto (= feature count), loo, or a number",
+            (lambda v: isinstance(v, str) or v > 0, "auto, loo or > 0")),
+        _JOBS,
+    ]),
+    "predict": (cmd_predict, "score every pixel into CSS maps", [_JOBS]),
+    "calibrate": (cmd_calibrate, "reclassification scores + NDVI calibration", []),
+    "opportunity": (cmd_opportunity, "calibrated CSS minus NDVI map", [
+        Opt("years", None, _int_list,
+            "NDVI years to average; every year in the stack when unset"),
+    ]),
+    "candidates": (cmd_candidates, "extract spaced opportunity peaks", [
+        Opt("count", opportunity.DEFAULT_CANDIDATE_COUNT, int,
+            "number of candidates", _at_least(1)),
+        Opt("min_spacing_km", opportunity.DEFAULT_MIN_SPACING_KM, float,
+            "great-circle spacing", _at_least(0)),
+        Opt("attributes", None, str, "CSV of site attributes to join"),
+        Opt("join", "site", str, "attribute join key, site or coords",
+            (lambda v: v in ("site", "coords"), "site or coords")),
+        Opt("rules", None, str,
+            "JSON rules file; the packaged accessibility rules when only "
+            "--attributes is given, no filtering when neither is"),
+    ]),
+    "analogs": (cmd_analogs, "match candidates to intact climate analogs", [
+        Opt("channels", 32, int, "lowest-frequency bins per variable",
+            _at_least(1)),
+        Opt("max_climate_distance", None, float,
+            "absolute distance cap; the percentile rule when unset",
+            (lambda v: v > 0, "> 0")),
+        Opt("distance_percentile", opportunity.DEFAULT_DISTANCE_PERCENTILE, float,
+            "percentile of the distance map used as cap",
+            (lambda v: 0.0 < v <= 100.0, "in (0, 100]")),
+        Opt("ndvi_margin", opportunity.DEFAULT_NDVI_MARGIN, float,
+            "required NDVI improvement", _at_least(0)),
+        Opt("exclude", None, str,
+            "grid directory whose 'exclusion' grid masks pixels out of the search"),
+    ]),
+    "report": (cmd_report, "render heatmaps and summary tables", []),
+}
+
+
+def _resolve(args, config: dict, stage: str) -> dict:
+    """Every option of a stage, resolved and checked."""
+    return {o.key: _cfg(args, config, stage, o.key,
+                        os.environ.get(o.env, o.default) if o.env else o.default,
+                        o.cast, *o.check)
+            for o in STAGES[stage][2]}
+
+
+def _help(o: Opt) -> str:
+    if o.default is None:
+        return o.help
+    shown = (",".join(map(str, o.default)) if isinstance(o.default, tuple)
+             else str(o.default))
+    if o.env:
+        shown = f"${o.env} or {shown}"
+    return f"{o.help} (default {shown})"
 
 
 def build_parser() -> _Parser:
@@ -708,93 +692,15 @@ def build_parser() -> _Parser:
                     "features, BLUP/NN ensembles, CSS and opportunity maps, "
                     "candidate sites, and climate analogs.")
     sub = parser.add_subparsers(dest="command", metavar="stage")
-
-    def add(name, func, help_text):
+    for name, (_, help_text, options) in STAGES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="workspace directory")
         p.add_argument("--config", default=None,
                        help="JSON config file; flags override it")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing stage outputs")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("synth", cmd_synth, "generate a synthetic cube, NDVI stack, and samples")
-    p.add_argument("--seed", type=int, default=None, help="synthesis seed (default 0)")
-    p.add_argument("--grid-size", type=int, default=None,
-                   help="nodes per grid side (default 32)")
-    p.add_argument("--steps", type=int, default=None,
-                   help="time steps, 3-hourly (default 2920 = one year)")
-    p.add_argument("--invalid-fraction", type=float, default=None,
-                   help="fraction of masked pixels (default 0)")
-    p.add_argument("--counts", default=None,
-                   help="site counts HiHi,LoLo,LoHi,HiLo (default 101,101,14,14)")
-    p.add_argument("--min-spacing-km", type=float, default=None,
-                   help="minimum site spacing (default 9)")
-
-    add("features", cmd_features, "extract per-sample DFT coefficients")
-
-    p = add("train", cmd_train, "train the BLUP/NN model grid")
-    p.add_argument("--blup-sizes", default=None,
-                   help="retained bins per variable (default 2,4,8,16,32,64)")
-    p.add_argument("--nn-sizes", default=None,
-                   help="autoencoder latent sizes (default 4,8,16,32,64)")
-    p.add_argument("--repetitions", type=int, default=None,
-                   help="holdout repetitions per cell (default 10)")
-    p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-    p.add_argument("--holdout-fraction", type=float, default=None,
-                   help="validation share (default 0.1)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="network training epochs (default 1000)")
-    p.add_argument("--learning-rate", type=float, default=None,
-                   help="Adam learning rate (default 1e-3)")
-    p.add_argument("--nn-feature-bins", type=int, default=None,
-                   help="retained bins per variable for networks (default 4)")
-    p.add_argument("--blup-lambda", default=None,
-                   help="shrinkage: auto (= feature count), loo, or a number")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default $DRYCSS_JOBS or 1)")
-
-    p = add("predict", cmd_predict, "score every pixel into CSS maps")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default $DRYCSS_JOBS or 1)")
-    p.add_argument("--block-rows", type=int, default=None,
-                   help="grid rows per work block (default 2)")
-
-    add("calibrate", cmd_calibrate, "reclassification scores + NDVI calibration")
-
-    p = add("opportunity", cmd_opportunity, "calibrated CSS minus NDVI map")
-    p.add_argument("--years", default=None,
-                   help="NDVI years to average (default: all in the stack)")
-
-    p = add("candidates", cmd_candidates, "extract spaced opportunity peaks")
-    p.add_argument("--count", type=int, default=None,
-                   help="number of candidates (default 25)")
-    p.add_argument("--min-spacing-km", type=float, default=None,
-                   help="great-circle spacing (default 9)")
-    p.add_argument("--attributes", default=None,
-                   help="CSV of site attributes to join (optional)")
-    p.add_argument("--join", default=None, choices=("site", "coords"),
-                   help="attribute join key (default site)")
-    p.add_argument("--rules", default=None,
-                   help="JSON rules file (default: packaged accessibility rules; "
-                        "filtering runs only when attributes or rules are given)")
-
-    p = add("analogs", cmd_analogs, "match candidates to intact climate analogs")
-    p.add_argument("--channels", type=int, default=None,
-                   help="lowest-frequency bins per variable (default 32)")
-    p.add_argument("--max-climate-distance", type=float, default=None,
-                   help="absolute distance cap (default: percentile rule)")
-    p.add_argument("--distance-percentile", type=float, default=None,
-                   help="percentile of the distance map used as cap (default 10)")
-    p.add_argument("--ndvi-margin", type=float, default=None,
-                   help="required NDVI improvement (default 0.02)")
-    p.add_argument("--exclude", default=None,
-                   help="grid directory holding an exclusion mask (optional)")
-    p.add_argument("--exclude-name", default=None,
-                   help="grid name inside --exclude (default exclusion)")
-
-    add("report", cmd_report, "render heatmaps and summary tables")
+        for o in options:
+            p.add_argument("--" + o.key.replace("_", "-"), default=None, help=_help(o))
     return parser
 
 
@@ -805,8 +711,11 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help()
             return 1
-        config = _load_config(args.config)
-        return args.func(args, config)
+        opts = _resolve(args, _load_config(args.config), args.command)
+        out = Path(args.out)
+        artifacts = STAGES[args.command][0](out, opts, args.force)
+        _record_stage(out, args.command, opts, artifacts)
+        return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
 
 class DataError(Exception):
     """Malformed, inconsistent, or missing input data.
@@ -8,6 +13,14 @@ class DataError(Exception):
     mismatches, out-of-bounds queries, masked-pixel access, and
     degenerate fits. CLI maps this to exit code 2.
     """
+
+
+def read_json(path: str | Path, what: str):
+    """Parse a JSON file; unreadable content raises DataError naming `what`."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"corrupt {what} {path}: {e}") from None
 
 
 class NumericalError(Exception):

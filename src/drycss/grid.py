@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json
 
 # ERA5-Land surface variable codes carried by a cube, in canonical order.
 VARIABLES = (
@@ -228,10 +228,7 @@ def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
     meta_path = path / "meta.json"
     if not meta_path.exists():
         raise DataError(f"not a cube directory (no meta.json): {path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"corrupt cube metadata {meta_path}: {e}") from None
+    meta = read_json(meta_path, "cube metadata")
     if meta.get("format") != "drycss-cube":
         raise DataError(f"{meta_path} is not cube metadata (format={meta.get('format')!r})")
     spec = GridSpec.from_dict(meta["grid"])
@@ -266,6 +263,22 @@ def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
             for var in variables:
                 values[var][:, invalid] = np.nan
     return ClimateCube(spec=spec, time=time, variables=variables, values=values, mask=mask)
+
+
+def pixel_series(cube: ClimateCube, r0: int, r1: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Valid pixels of grid rows r0..r1-1 as (rows, cols, series).
+
+    series is float64 [n_pixels, n_variables, n_steps] in row-major
+    pixel order; rows and cols index the full grid.
+    """
+    flat = np.flatnonzero(cube.mask[r0:r1])
+    W = cube.spec.n_lon
+    rows, cols = r0 + flat // W, flat % W
+    series = np.empty((flat.size, len(cube.variables), cube.time.n_steps))
+    for vi, var in enumerate(cube.variables):
+        series[:, vi, :] = cube.values[var][:, rows, cols].T
+    return rows, cols, series
 
 
 def extract_series(cube: ClimateCube, lat: float, lon: float
@@ -350,10 +363,7 @@ def load_ndvi(path: str | Path) -> NdviRaster:
     meta_path = path / "meta.json"
     if not meta_path.exists():
         raise DataError(f"not an NDVI directory (no meta.json): {path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"corrupt NDVI metadata {meta_path}: {e}") from None
+    meta = read_json(meta_path, "NDVI metadata")
     if meta.get("format") != "drycss-ndvi":
         raise DataError(f"{meta_path} is not NDVI metadata (format={meta.get('format')!r})")
     spec = GridSpec.from_dict(meta["grid"])
@@ -454,23 +464,9 @@ def block_regrid(values: np.ndarray, source: GridSpec, target: GridSpec) -> np.n
     return out.reshape(target.shape)
 
 
-def regrid_ndvi(raster: NdviRaster, target: GridSpec, years=None) -> np.ndarray:
-    """NDVI stack -> one grid on the target spec.
-
-    With years given, aggregates the growing-season mean of those
-    years first; otherwise the plain mean over every observation.
-    """
-    if years is not None:
-        grid = summer_ndvi_mean(raster, years)
-    else:
-        if not raster.observations:
-            raise DataError("NDVI stack has no observations")
-        stack = np.stack([o.values.astype(np.float64) for o in raster.observations])
-        count = np.sum(~np.isnan(stack), axis=0)
-        total = np.nansum(stack, axis=0)
-        grid = np.full(raster.spec.shape, np.nan)
-        np.divide(total, count, out=grid, where=count > 0)
-    return block_regrid(grid, raster.spec, target)
+def regrid_ndvi(raster: NdviRaster, target: GridSpec, years) -> np.ndarray:
+    """Growing-season mean NDVI of the given years, on the target spec."""
+    return block_regrid(summer_ndvi_mean(raster, years), raster.spec, target)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +501,7 @@ def load_grids(path: str | Path) -> tuple[GridSpec, dict[str, np.ndarray]]:
     meta_path = path / "meta.json"
     if not meta_path.exists():
         raise DataError(f"not a grid directory (no meta.json): {path}")
-    meta = json.loads(meta_path.read_text())
+    meta = read_json(meta_path, "grid metadata")
     if meta.get("format") != "drycss-grids":
         raise DataError(f"{meta_path} is not grid metadata (format={meta.get('format')!r})")
     spec = GridSpec.from_dict(meta["grid"])

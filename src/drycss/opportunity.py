@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json
 from .grid import GridSpec, great_circle_km
 from .pipeline import Calibration
 
@@ -232,11 +232,7 @@ def load_rules(path: str | Path) -> list[Rule]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"rules file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise DataError(f"corrupt rules file {path}: {e}") from None
-    return rules_from_doc(doc)
+    return rules_from_doc(read_json(path, "rules file"))
 
 
 def rules_from_doc(doc) -> list[Rule]:

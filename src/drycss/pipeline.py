@@ -27,8 +27,8 @@ import numpy as np
 
 from .blup import fit_blup, select_lambda_loo
 from .bundles import TrainedModel
-from .errors import DataError, NumericalError
-from .grid import ClimateCube
+from .errors import DataError, NumericalError, read_json
+from .grid import ClimateCube, pixel_series
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (FrequencySelection, dft_coefficients, fit_normalization,
                        project, select_frequencies)
@@ -41,6 +41,10 @@ DEFAULT_NN_SIZES = (4, 8, 16, 32, 64)
 DEFAULT_REPETITIONS = 10
 DEFAULT_HOLDOUT_FRACTION = 0.1
 DEFAULT_NN_FEATURE_BINS = 4
+
+# grid rows per map-scoring block; fixed so output bytes do not depend
+# on the worker count
+BLOCK_ROWS = 2
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -189,7 +193,7 @@ def load_run_record(path: str | Path) -> TrainingRun:
     path = Path(path)
     if not path.exists():
         raise DataError(f"run record not found: {path}")
-    doc = json.loads(path.read_text())
+    doc = read_json(path, "run record")
     scores = np.asarray(doc.get("scores", []), dtype=np.float64)
     return TrainingRun(
         kind=doc["kind"], size=int(doc["size"]), repetition=int(doc["repetition"]),
@@ -464,12 +468,12 @@ def fit_calibration(samples: list[LabeledSample], scores: np.ndarray,
 
 
 def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
-                jobs: int = 1, block_rows: int = 2) -> dict[str, np.ndarray]:
+                jobs: int = 1) -> dict[str, np.ndarray]:
     """Score every valid pixel with each model; returns per-kind mean
     maps plus "combined" (mean over models). Invalid pixels are NaN.
 
-    Work is split into fixed-height row blocks regardless of jobs, so
-    floating-point accumulation order and therefore output bytes do
+    Work is split into BLOCK_ROWS-high row blocks regardless of jobs,
+    so floating-point accumulation order and therefore output bytes do
     not depend on the worker count.
     """
     live = [m for m in models if m is not None]
@@ -490,32 +494,24 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
     kinds = sorted({m.kind for m in live})
     out = {kind: np.full((H, W), np.nan) for kind in kinds}
     out["combined"] = np.full((H, W), np.nan)
-    t = cube.time.n_steps
 
     def do_block(r0: int) -> None:
-        r1 = min(r0 + block_rows, H)
-        block_mask = cube.mask[r0:r1]
-        flat_valid = np.flatnonzero(block_mask)
-        if flat_valid.size == 0:
+        rows, cols, series = pixel_series(cube, r0, r0 + BLOCK_ROWS)
+        if rows.size == 0:
             return
-        rows = flat_valid // W
-        cols = flat_valid % W
-        series = np.empty((flat_valid.size, len(variables), t))
-        for vi, var in enumerate(variables):
-            series[:, vi, :] = cube.values[var][:, r0 + rows, cols].T
         coeffs = dft_coefficients(series)
-        kind_sums = {kind: np.zeros(flat_valid.size) for kind in kinds}
-        total = np.zeros(flat_valid.size)
+        kind_sums = {kind: np.zeros(rows.size) for kind in kinds}
+        total = np.zeros(rows.size)
         for m in live:
             s = m.score_coefficients(coeffs)
             kind_sums[m.kind] += s
             total += s
         n_by_kind = {kind: sum(1 for m in live if m.kind == kind) for kind in kinds}
         for kind in kinds:
-            out[kind][r0 + rows, cols] = kind_sums[kind] / n_by_kind[kind]
-        out["combined"][r0 + rows, cols] = total / len(live)
+            out[kind][rows, cols] = kind_sums[kind] / n_by_kind[kind]
+        out["combined"][rows, cols] = total / len(live)
 
-    starts = list(range(0, H, block_rows))
+    starts = list(range(0, H, BLOCK_ROWS))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             list(pool.map(do_block, starts))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json
 
 FEATURE_DOC_VERSION = 1
 
@@ -186,61 +186,25 @@ def project(coeffs: np.ndarray, selection: FrequencySelection,
     return out.reshape(lead + (len(selection.variables) * selection.k * 2,))
 
 
-def featurize(series: np.ndarray, selection: FrequencySelection,
-              norm: NormalizationTable) -> np.ndarray:
-    """Series [n_variables, n_steps] -> one feature vector."""
-    series = np.asarray(series)
-    if series.shape != (len(selection.variables), selection.n_steps):
-        raise ValueError(
-            f"series shape {series.shape} != "
-            f"({len(selection.variables)}, {selection.n_steps})")
-    return project(dft_coefficients(series), selection, norm)
-
-
 def feature_dim(selection: FrequencySelection) -> int:
     return len(selection.variables) * selection.k * 2
 
 
-def truncated_coefficients(coeffs: np.ndarray, n_channels: int = 32,
-                           mode: str = "lowest",
-                           selection: FrequencySelection | None = None,
-                           norm: NormalizationTable | None = None) -> np.ndarray:
+def truncated_coefficients(coeffs: np.ndarray, n_channels: int) -> np.ndarray:
     """Compact per-pixel climate vector for analog search.
 
-    coeffs is [..., n_variables, n_bins]. mode "lowest" keeps bins
-    0..n_channels-1; "ranked" keeps the first n_channels of a
-    FrequencySelection. Raw re/im parts by default; pass norm to
-    standardize (ranked mode only, tables align with the selection).
+    coeffs is [..., n_variables, n_bins]; keeps the raw re/im parts of
+    bins 0..n_channels-1, variable-major, (re, im) pairs.
     """
     coeffs = np.asarray(coeffs)
-    nv = coeffs.shape[-2]
-    if mode == "lowest":
-        if norm is not None:
-            raise ValueError("normalization requires mode='ranked' with its selection")
-        if not 1 <= n_channels <= coeffs.shape[-1]:
-            raise ValueError(f"n_channels={n_channels} outside [1, {coeffs.shape[-1]}]")
-        sel = coeffs[..., :n_channels]
-        re, im = sel.real, sel.imag
-    elif mode == "ranked":
-        if selection is None:
-            raise ValueError("mode='ranked' needs a FrequencySelection")
-        if n_channels > selection.k:
-            raise ValueError(f"n_channels={n_channels} exceeds selection k={selection.k}")
-        sub = selection.prefix(n_channels)
-        idx = sub.bins
-        lead = coeffs.shape[:-2]
-        sel = np.take_along_axis(coeffs, idx.reshape((1,) * len(lead) + idx.shape), axis=-1)
-        re, im = sel.real, sel.imag
-        if norm is not None:
-            re = (re - norm.mean_re[:, :n_channels]) / norm.std_re[:, :n_channels]
-            im = (im - norm.mean_im[:, :n_channels]) / norm.std_im[:, :n_channels]
-    else:
-        raise ValueError(f"unknown mode: {mode!r}")
+    if not 1 <= n_channels <= coeffs.shape[-1]:
+        raise ValueError(f"n_channels={n_channels} outside [1, {coeffs.shape[-1]}]")
+    sel = coeffs[..., :n_channels]
     lead = coeffs.shape[:-2]
-    out = np.empty(lead + (nv, n_channels, 2))
-    out[..., 0] = re
-    out[..., 1] = im
-    return out.reshape(lead + (nv * n_channels * 2,))
+    out = np.empty(lead + (coeffs.shape[-2], n_channels, 2))
+    out[..., 0] = sel.real
+    out[..., 1] = sel.imag
+    return out.reshape(lead + (coeffs.shape[-2] * n_channels * 2,))
 
 
 def climate_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -300,8 +264,4 @@ def load_feature_tables(path: str | Path) -> tuple[FrequencySelection, Normaliza
     path = Path(path)
     if not path.exists():
         raise DataError(f"feature tables not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"corrupt feature tables {path}: {e}") from None
-    return feature_tables_from_doc(doc)
+    return feature_tables_from_doc(read_json(path, "feature tables"))

@@ -1,13 +1,15 @@
 import csv
 import json
-from pathlib import Path
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import drycss.cli as cli
+from drycss import opportunity
 from drycss.errors import NumericalError
+from drycss.grid import GridSpec, load_grids, save_grids
 
 
 class TestPgm:
@@ -63,19 +65,36 @@ class TestConfigPlumbing:
                      lambda v: v >= 1, ">= 1")
 
     def test_jobs_resolution(self, monkeypatch):
+        def jobs(flag, config):
+            return cli._resolve(SimpleNamespace(jobs=flag), config, "train")["jobs"]
+
         monkeypatch.delenv("DRYCSS_JOBS", raising=False)
-        assert cli._jobs(SimpleNamespace(jobs=4), {}, "train") == 4
-        assert cli._jobs(SimpleNamespace(jobs=None),
-                         {"train": {"jobs": 2}}, "train") == 2
-        assert cli._jobs(SimpleNamespace(jobs=None), {"jobs": 3}, "train") == 3
+        assert jobs(4, {}) == 4
+        assert jobs(None, {"train": {"jobs": 2}}) == 2
+        assert jobs(None, {"jobs": 3}) == 3
+        assert jobs(None, {}) == 1
         monkeypatch.setenv("DRYCSS_JOBS", "5")
-        assert cli._jobs(SimpleNamespace(jobs=None), {}, "train") == 5
+        assert jobs(None, {}) == 5
         monkeypatch.setenv("DRYCSS_JOBS", "many")
         with pytest.raises(cli.UsageError, match="integer"):
-            cli._jobs(SimpleNamespace(jobs=None), {}, "train")
+            jobs(None, {})
         monkeypatch.setenv("DRYCSS_JOBS", "0")
         with pytest.raises(cli.UsageError, match="at least 1"):
-            cli._jobs(SimpleNamespace(jobs=None), {}, "train")
+            jobs(None, {})
+
+    def test_help_prints_each_default(self, capsys):
+        for stage, (_, _, options) in cli.STAGES.items():
+            with pytest.raises(SystemExit) as exc:
+                cli.main([stage, "--help"])
+            assert exc.value.code == 0
+            text = " ".join(capsys.readouterr().out.split())
+            for opt in options:
+                assert "--" + opt.key.replace("_", "-") in text
+                if opt.default is None:
+                    continue
+                shown = (",".join(str(v) for v in opt.default)
+                         if isinstance(opt.default, tuple) else str(opt.default))
+                assert f"{shown})" in text, (stage, opt.key)
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(cli.UsageError, match="not found"):
@@ -177,6 +196,12 @@ class TestChain:
         assert before == after
 
 
+def copy_workspace(workspace, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(workspace, ws)
+    return ws
+
+
 class TestExitCodes:
     def test_missing_input_is_2(self, tmp_path, capsys):
         code = cli.main(["features", "--out", str(tmp_path)])
@@ -219,6 +244,15 @@ class TestExitCodes:
                          "--config", str(tmp_path / "no.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("stage, rel", [("opportunity", "maps/css/meta.json"),
+                                            ("calibrate", "features/meta.json")])
+    def test_truncated_metadata_is_2(self, workspace, tmp_path, capsys, stage, rel):
+        ws = copy_workspace(workspace, tmp_path)
+        meta = ws / rel
+        meta.write_text(meta.read_text()[:20])
+        assert cli.main([stage, "--out", str(ws), "--force"]) == 2
+        assert "corrupt" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_stage_values(self, workspace, tmp_path):
@@ -240,6 +274,58 @@ class TestConfigFile:
         assert code == 0
         with open(workspace / "candidates.csv", newline="") as f:
             assert len(list(csv.DictReader(f))) == 2
+
+
+class TestDefaults:
+    def test_unflagged_run_records_library_defaults(self, workspace, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.delenv("DRYCSS_JOBS", raising=False)
+        ws = copy_workspace(workspace, tmp_path)
+        for stage in ("predict", "candidates", "analogs"):
+            assert cli.main([stage, "--out", str(ws), "--force"]) == 0
+        stages = json.loads((ws / "manifest.json").read_text())["stages"]
+        assert stages["predict"]["config"] == {"jobs": 1}
+        assert stages["candidates"]["config"] == {
+            "count": opportunity.DEFAULT_CANDIDATE_COUNT,
+            "min_spacing_km": opportunity.DEFAULT_MIN_SPACING_KM,
+            "attributes": None, "join": "site", "rules": None}
+        assert stages["analogs"]["config"] == {
+            "channels": 32, "max_climate_distance": None,
+            "distance_percentile": opportunity.DEFAULT_DISTANCE_PERCENTILE,
+            "ndvi_margin": opportunity.DEFAULT_NDVI_MARGIN, "exclude": None}
+
+
+class TestExclusion:
+    def analog_of(self, ws, site):
+        with open(ws / "analogs.csv", newline="") as f:
+            row = next(r for r in csv.DictReader(f) if r["site"] == str(site))
+        return row["analog_lat"], row["analog_lon"]
+
+    def test_excluded_pixel_moves_the_analog(self, workspace, tmp_path):
+        ws = copy_workspace(workspace, tmp_path)
+        assert cli.main(["candidates", "--out", str(ws), "--count", "5",
+                         "--force"]) == 0
+        assert cli.main(["analogs", "--out", str(ws), "--force"]) == 0
+        lat, lon = self.analog_of(ws, 1)
+        assert lat and lon, "site 1 has no unconstrained analog"
+
+        spec, _ = load_grids(ws / "maps" / "css")
+        mask = np.zeros(spec.shape)
+        mask[spec.nearest(float(lat), float(lon))] = 1.0
+        save_grids(tmp_path / "excl", spec, {"exclusion": mask})
+        assert cli.main(["analogs", "--out", str(ws), "--force",
+                         "--exclude", str(tmp_path / "excl")]) == 0
+        moved_lat, moved_lon = self.analog_of(ws, 1)
+        assert moved_lat and (moved_lat, moved_lon) != (lat, lon)
+
+    def test_mismatched_exclusion_grid_is_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        small = GridSpec(lat_min=20.0, lat_max=20.4, lon_min=40.0, lon_max=40.4,
+                         n_lat=5, n_lon=5)
+        save_grids(tmp_path / "excl", small, {"exclusion": np.ones(small.shape)})
+        assert cli.main(["analogs", "--out", str(ws), "--force",
+                         "--exclude", str(tmp_path / "excl")]) == 2
+        assert "does not match" in capsys.readouterr().err
 
 
 class TestFiltering:

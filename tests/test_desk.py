@@ -11,9 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from drycss.grid import pixel_series
 from drycss.opportunity import (extract_candidates, find_analog,
                                 opportunity_map, uplift_report)
-from drycss.pipeline import (ensemble_scores, fit_calibration,
+from drycss.pipeline import (BLOCK_ROWS, ensemble_scores, fit_calibration,
                              map_agreement_iou)
 from drycss.spectral import dft_coefficients, truncated_coefficients
 
@@ -22,22 +23,13 @@ ANALOG_CHANNELS = 32
 
 def pixel_vectors(run, channels):
     """Raw low-frequency coefficient vectors for every grid pixel."""
-    H, W = run.spec.shape
-    n_vars = len(run.cube.variables)
-    t = run.taxis.n_steps
-    vectors = np.full((H, W, n_vars * channels * 2), np.nan)
-    for r0 in range(0, H, 2):
-        r1 = min(r0 + 2, H)
-        flat = np.flatnonzero(run.cube.mask[r0:r1])
-        if flat.size == 0:
-            continue
-        rr, cc = flat // W, flat % W
-        series = np.empty((flat.size, n_vars, t))
-        for vi, var in enumerate(run.cube.variables):
-            series[:, vi, :] = run.cube.values[var][:, r0 + rr, cc].T
-        coeffs = dft_coefficients(series)
-        vectors[r0 + rr, cc] = truncated_coefficients(coeffs, channels,
-                                                      mode="lowest")
+    vectors = np.full(run.spec.shape + (len(run.cube.variables) * channels * 2,),
+                      np.nan)
+    for r0 in range(0, run.spec.n_lat, BLOCK_ROWS):
+        rows, cols, series = pixel_series(run.cube, r0, r0 + BLOCK_ROWS)
+        if rows.size:
+            vectors[rows, cols] = truncated_coefficients(dft_coefficients(series),
+                                                         channels)
     return vectors
 
 

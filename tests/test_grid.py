@@ -5,8 +5,8 @@ from drycss.errors import DataError
 from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                          TimeAxis, VARIABLES, block_regrid, extract_series,
                          great_circle_km, load_cube, load_grids, load_ndvi,
-                         regrid_ndvi, save_cube, save_grids, save_ndvi,
-                         summer_ndvi_mean)
+                         pixel_series, regrid_ndvi, save_cube, save_grids,
+                         save_ndvi, summer_ndvi_mean)
 
 SPEC = GridSpec(lat_min=10.0, lat_max=10.9, lon_min=30.0, lon_max=30.9,
                 n_lat=10, n_lon=10)
@@ -159,6 +159,20 @@ class TestExtractSeries:
         with pytest.raises(DataError, match="masked"):
             extract_series(cube, *cube.spec.node(3, 3))
 
+    def test_pixel_block_matches_extract_series(self):
+        cube = small_cube()
+        cube.values["tp"][2, 3, 1] = np.nan
+        cube = ClimateCube(spec=cube.spec, time=cube.time,
+                           variables=cube.variables, values=cube.values)
+        rows, cols, series = pixel_series(cube, 2, 4)
+        pixels = list(zip(rows.tolist(), cols.tolist()))
+        assert pixels == [(iy, ix) for iy in (2, 3) for ix in range(4)
+                          if (iy, ix) != (3, 1)]
+        assert series.dtype == np.float64
+        for (iy, ix), s in zip(pixels, series):
+            ref, _ = extract_series(cube, *cube.spec.node(iy, ix))
+            np.testing.assert_array_equal(s, ref)
+
 
 class TestNdvi:
     def make_raster(self, n_obs=4):
@@ -281,8 +295,6 @@ class TestRegrid:
         raster = NdviRaster(spec=spec, observations=[mk(100, 0.2), mk(30, 0.8)])
         np.testing.assert_allclose(regrid_ndvi(raster, spec, years=[2020]), 0.2,
                                    atol=1e-6)
-        # without years every observation counts
-        np.testing.assert_allclose(regrid_ndvi(raster, spec), 0.5, atol=1e-6)
 
 
 class TestNamedGrids:

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drycss.errors import DataError
-from drycss.spectral import (FrequencySelection, NormalizationTable,
-                             amplitudes, bin_energies, climate_distance,
-                             dft_coefficients, featurize, feature_dim,
+from drycss.spectral import (FrequencySelection, amplitudes, bin_energies,
+                             climate_distance, dft_coefficients, feature_dim,
                              fit_normalization, load_feature_tables, n_bins,
                              project, reconstruct, save_feature_tables,
                              select_frequencies, truncated_coefficients)
@@ -188,11 +187,6 @@ class TestFeatures:
         assert feats[s, base] == pytest.approx(re)
         assert feats[s, base + 1] == pytest.approx(im)
 
-    def test_featurize_matches_project(self):
-        series, coeffs, sel, norm = self.make(n_samples=4)
-        np.testing.assert_allclose(featurize(series[1], sel, norm),
-                                   project(coeffs, sel, norm)[1])
-
     def test_constant_feature_maps_to_zero(self):
         T = 16
         coeffs = np.zeros((6, 1, n_bins(T)), dtype=complex)
@@ -218,48 +212,22 @@ class TestFeatures:
             project(coeffs[:, :2, :], sel, norm)
         with pytest.raises(ValueError, match="bins"):
             project(coeffs[..., :-1], sel, norm)
-        with pytest.raises(ValueError, match="series shape"):
-            featurize(np.zeros((3, 7)), sel, norm)
 
 
 class TestTruncated:
     def test_lowest_mode_keeps_low_bins_raw(self):
         rng = np.random.default_rng(1)
         coeffs = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-        out = truncated_coefficients(coeffs, n_channels=3, mode="lowest")
+        out = truncated_coefficients(coeffs, n_channels=3)
         assert out.shape == (2 * 3 * 2,)
         view = out.reshape(2, 3, 2)
         np.testing.assert_allclose(view[..., 0], coeffs[:, :3].real)
         np.testing.assert_allclose(view[..., 1], coeffs[:, :3].imag)
 
-    def test_ranked_mode_follows_selection(self):
-        rng = np.random.default_rng(2)
-        series = rng.standard_normal((10, 2, 16))
-        coeffs = dft_coefficients(series)
-        sel = select_frequencies(coeffs, ("a", "b"), 5, 16)
-        norm = fit_normalization(coeffs, sel)
-        out = truncated_coefficients(coeffs, n_channels=2, mode="ranked",
-                                     selection=sel, norm=norm)
-        norm2 = NormalizationTable(mean_re=norm.mean_re[:, :2],
-                                   std_re=norm.std_re[:, :2],
-                                   mean_im=norm.mean_im[:, :2],
-                                   std_im=norm.std_im[:, :2])
-        ref = project(coeffs, sel.prefix(2), norm2)
-        view = out.reshape(10, 2, 2, 2)
-        refv = ref.reshape(10, 2, 2, 2)
-        np.testing.assert_allclose(view, refv)
-
     def test_mode_errors(self):
         coeffs = np.zeros((2, 5), dtype=complex)
-        with pytest.raises(ValueError, match="mode"):
-            truncated_coefficients(coeffs, mode="weird")
-        with pytest.raises(ValueError, match="ranked"):
-            truncated_coefficients(coeffs, n_channels=2, mode="lowest",
-                                   norm=object())
         with pytest.raises(ValueError, match="n_channels"):
-            truncated_coefficients(coeffs, n_channels=9, mode="lowest")
-        with pytest.raises(ValueError, match="FrequencySelection"):
-            truncated_coefficients(coeffs, n_channels=2, mode="ranked")
+            truncated_coefficients(coeffs, n_channels=9)
 
     def test_distance(self):
         assert climate_distance([0.0, 3.0], [4.0, 0.0]) == pytest.approx(5.0)
