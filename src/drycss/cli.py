@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -34,8 +35,7 @@ from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
 from .errors import DataError, NumericalError, read_json
 from .grid import (GridSpec, TimeAxis, extract_series, load_cube, load_grids,
-                   load_ndvi, pixel_series, regrid_ndvi, save_cube, save_grids,
-                   save_ndvi)
+                   load_ndvi, regrid_ndvi, save_cube, save_grids, save_ndvi)
 from .neural import TrainParams
 from .opportunity import (CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
@@ -80,6 +80,10 @@ def _record_stage(out: Path, stage: str, config: dict, artifacts: list[str]) -> 
     }
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _require(path: Path, what: str, producer: str) -> Path:
@@ -206,6 +210,11 @@ def cmd_synth(out: Path, opts: dict, force: bool) -> list[str]:
     return ["cube", "ndvi", "truth", "samples.csv"]
 
 
+# the files `features` reads, hashed into features/meta.json so that `train`
+# and `calibrate` can refuse a cache built from other inputs
+FEATURE_INPUTS = ("samples.csv", "cube/meta.json")
+
+
 def cmd_features(out: Path, opts: dict, force: bool) -> list[str]:
     cube_dir = _require(out / "cube", "climate cube", "synth")
     samples_path = _require(out / "samples.csv", "samples table", "synth")
@@ -222,7 +231,8 @@ def cmd_features(out: Path, opts: dict, force: bool) -> list[str]:
     feat_dir.mkdir(parents=True, exist_ok=True)
     np.save(feat_dir / "coeffs.npy", coeffs)
     meta = {"n_samples": len(samples), "n_steps": cube.time.n_steps,
-            "variables": list(cube.variables)}
+            "variables": list(cube.variables),
+            "inputs": {rel: _sha256(out / rel) for rel in FEATURE_INPUTS}}
     (feat_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"features: {coeffs.shape[0]} samples x {coeffs.shape[1]} variables "
           f"x {coeffs.shape[2]} bins -> {feat_dir}")
@@ -230,24 +240,39 @@ def cmd_features(out: Path, opts: dict, force: bool) -> list[str]:
 
 
 def _read_features(out: Path):
+    """The feature cache and its metadata, refused when it is stale: when
+    an input has changed since `features` hashed it, or the cache does
+    not match the samples table."""
     feat_dir = _require(out / "features", "feature cache", "features")
     coeffs = np.load(_require(feat_dir / "coeffs.npy", "feature cache", "features"))
-    return coeffs, read_json(feat_dir / "meta.json", "feature metadata")
-
-
-def cmd_train(out: Path, opts: dict, force: bool) -> list[str]:
-    coeffs, meta = _read_features(out)
-    samples = load_samples(_require(out / "samples.csv", "samples table", "synth"))
+    meta_path = feat_dir / "meta.json"
+    meta = read_json(meta_path, "feature metadata")
+    try:
+        variables, n_steps = tuple(meta["variables"]), int(meta["n_steps"])
+        inputs = {rel: meta["inputs"][rel] for rel in FEATURE_INPUTS}
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed feature metadata {meta_path}: bad or missing "
+                        f"{e}; rerun `drycss features`") from None
+    for rel, digest in inputs.items():
+        if _sha256(_require(out / rel, rel, "synth")) != digest:
+            raise DataError(f"feature cache is stale: {rel} changed since it was "
+                            "built; rerun `drycss features`")
+    samples = load_samples(out / "samples.csv")
     if len(samples) != coeffs.shape[0]:
         raise DataError(
             f"feature cache has {coeffs.shape[0]} rows for {len(samples)} samples; "
             "rerun `drycss features`")
+    return coeffs, variables, n_steps, samples
+
+
+def cmd_train(out: Path, opts: dict, force: bool) -> list[str]:
+    coeffs, variables, n_steps, samples = _read_features(out)
     runs_dir = out / "runs"
     _refuse_existing(runs_dir, force)
 
     labels = np.array([s.label for s in samples])
     settings = GridSettings(
-        variables=tuple(meta["variables"]), n_steps=int(meta["n_steps"]),
+        variables=variables, n_steps=n_steps,
         holdout_fraction=opts["holdout_fraction"],
         nn_feature_bins=opts["nn_feature_bins"], blup_lambda=opts["blup_lambda"],
         train_params=TrainParams(learning_rate=opts["learning_rate"],
@@ -319,8 +344,7 @@ def cmd_predict(out: Path, opts: dict, force: bool) -> list[str]:
 
 
 def cmd_calibrate(out: Path, opts: dict, force: bool) -> list[str]:
-    coeffs, _ = _read_features(out)
-    samples = load_samples(_require(out / "samples.csv", "samples table", "synth"))
+    coeffs, _, _, samples = _read_features(out)
     models = _load_models(_require(out / "runs", "training runs", "train"))
     _refuse_existing(out / "calibration.json", force)
 
@@ -459,12 +483,18 @@ def cmd_analogs(out: Path, opts: dict, force: bool) -> list[str]:
             raise DataError(f"no 'exclusion' grid in {opts['exclude']}")
         exclusion = egrids["exclusion"] > 0.5
 
+    # only bins 0..channels-1 are kept, so only those are computed, from the
+    # valid columns of time-major row blocks, with no per-pixel transpose
     vectors = np.full(cube.spec.shape + (len(cube.variables) * channels * 2,), np.nan)
     for r0 in range(0, cube.spec.n_lat, BLOCK_ROWS):
-        rows, cols, series = pixel_series(cube, r0, r0 + BLOCK_ROWS)
-        if rows.size:
-            vectors[rows, cols] = truncated_coefficients(dft_coefficients(series),
-                                                         channels)
+        valid = cube.mask[r0:r0 + BLOCK_ROWS]
+        coeffs = np.empty((int(valid.sum()), len(cube.variables), channels),
+                          dtype=np.complex128)
+        for vi, var in enumerate(cube.variables):
+            block = cube.values[var][:, r0:r0 + BLOCK_ROWS, :]
+            block = block.reshape(cube.time.n_steps, -1).compress(valid.ravel(), axis=1)
+            coeffs[:, vi] = dft_coefficients(block.T, n_bins=channels)
+        vectors[r0:r0 + BLOCK_ROWS][valid] = truncated_coefficients(coeffs, channels)
 
     ndvi = opp_maps["ndvi_summer"]
     results = []

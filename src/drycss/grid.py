@@ -152,6 +152,28 @@ class TimeAxis:
             raise DataError(f"time axis missing field {e}") from None
 
 
+def _entry(meta: dict, key: str, meta_path: Path):
+    if key not in meta:
+        raise DataError(f"{meta_path} has no {key!r} entry")
+    return meta[key]
+
+
+def _read_meta(path: Path, fmt: str, what: str) -> tuple[Path, dict, GridSpec]:
+    """meta.json of a cube, NDVI or grid directory, and its grid spec.
+
+    A missing or corrupt file, another format, or a missing grid entry
+    raise DataError naming the file.
+    """
+    meta_path = path / "meta.json"
+    if not meta_path.exists():
+        raise DataError(f"no {what} metadata (meta.json) in {path}")
+    meta = read_json(meta_path, f"{what} metadata")
+    found = meta.get("format") if isinstance(meta, dict) else None
+    if found != fmt:
+        raise DataError(f"{meta_path} is not {what} metadata (format={found!r})")
+    return meta_path, meta, GridSpec.from_dict(_entry(meta, "grid", meta_path))
+
+
 # ---------------------------------------------------------------------------
 # climate cubes
 
@@ -225,14 +247,8 @@ def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
     values in some variables.
     """
     path = Path(path)
-    meta_path = path / "meta.json"
-    if not meta_path.exists():
-        raise DataError(f"not a cube directory (no meta.json): {path}")
-    meta = read_json(meta_path, "cube metadata")
-    if meta.get("format") != "drycss-cube":
-        raise DataError(f"{meta_path} is not cube metadata (format={meta.get('format')!r})")
-    spec = GridSpec.from_dict(meta["grid"])
-    time = TimeAxis.from_dict(meta["time"])
+    meta_path, meta, spec = _read_meta(path, "drycss-cube", "cube")
+    time = TimeAxis.from_dict(_entry(meta, "time", meta_path))
     variables = tuple(meta.get("variables") or ())
     if not variables:
         raise DataError(f"cube {path} declares no variables")
@@ -360,13 +376,7 @@ def save_ndvi(raster: NdviRaster, path: str | Path, force: bool = False) -> None
 
 def load_ndvi(path: str | Path) -> NdviRaster:
     path = Path(path)
-    meta_path = path / "meta.json"
-    if not meta_path.exists():
-        raise DataError(f"not an NDVI directory (no meta.json): {path}")
-    meta = read_json(meta_path, "NDVI metadata")
-    if meta.get("format") != "drycss-ndvi":
-        raise DataError(f"{meta_path} is not NDVI metadata (format={meta.get('format')!r})")
-    spec = GridSpec.from_dict(meta["grid"])
+    _, meta, spec = _read_meta(path, "drycss-ndvi", "NDVI")
     n = spec.n_lat * spec.n_lon
     observations = []
     for year, doy in meta.get("observations", []):
@@ -498,13 +508,7 @@ def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray],
 
 def load_grids(path: str | Path) -> tuple[GridSpec, dict[str, np.ndarray]]:
     path = Path(path)
-    meta_path = path / "meta.json"
-    if not meta_path.exists():
-        raise DataError(f"not a grid directory (no meta.json): {path}")
-    meta = read_json(meta_path, "grid metadata")
-    if meta.get("format") != "drycss-grids":
-        raise DataError(f"{meta_path} is not grid metadata (format={meta.get('format')!r})")
-    spec = GridSpec.from_dict(meta["grid"])
+    _, meta, spec = _read_meta(path, "drycss-grids", "grid")
     n = spec.n_lat * spec.n_lon
     grids = {}
     for name in meta.get("names", []):

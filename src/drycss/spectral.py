@@ -13,6 +13,7 @@ of the selected bins, variable-major, in ranking order.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,18 +25,45 @@ from .errors import DataError, read_json
 FEATURE_DOC_VERSION = 1
 
 
-def dft_coefficients(series: np.ndarray) -> np.ndarray:
+def dft_coefficients(series: np.ndarray, n_bins: int | None = None) -> np.ndarray:
     """One-sided DFT with 1/T scaling along the last axis.
 
     series must be real and finite; returns complex128 with
-    floor(T/2)+1 bins. Coefficient 0 is the mean of the series.
+    floor(T/2)+1 bins, or only bins 0..n_bins-1 when n_bins is given.
+    Coefficient 0 is the mean of the series. The full spectrum comes
+    from the FFT; a prefix of it from one real matmul against a cached
+    cos/-sin basis, O(T * n_bins) per series, which takes the transpose
+    of a time-major [T, n] block as it is, with no reordering.
     """
     x = np.asarray(series, dtype=np.float64)
-    if x.shape[-1] < 2:
+    T = x.shape[-1]
+    if T < 2:
         raise ValueError("series must have at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    return np.fft.rfft(x, axis=-1) / x.shape[-1]
+    if n_bins is None:
+        return np.fft.rfft(x, axis=-1) / T
+    if not 1 <= n_bins <= T // 2 + 1:
+        raise ValueError(f"n_bins={n_bins} outside [1, {T // 2 + 1}]")
+    parts = x @ _dft_basis(T, n_bins)
+    return (parts[..., :n_bins] + 1j * parts[..., n_bins:]) / T
+
+
+@functools.lru_cache(maxsize=4)
+def _dft_basis(n_steps: int, n_bins: int) -> np.ndarray:
+    """Read-only [n_steps, 2*n_bins] basis: cos columns, then -sin columns.
+
+    The phase of bin b at step t is 2*pi*((b*t) mod T)/T; reducing the
+    integer product first keeps full precision for large b*t.
+    """
+    phase = np.outer(np.arange(n_steps), np.arange(n_bins)) % n_steps
+    phase = phase * (2.0 * np.pi / n_steps)
+    basis = np.empty((n_steps, 2 * n_bins))
+    np.cos(phase, out=basis[:, :n_bins])
+    np.sin(phase, out=basis[:, n_bins:])
+    np.negative(basis[:, n_bins:], out=basis[:, n_bins:])
+    basis.setflags(write=False)
+    return basis
 
 
 def n_bins(n_steps: int) -> int:

@@ -1,15 +1,22 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import drycss
 import drycss.cli as cli
 from drycss import opportunity
 from drycss.errors import NumericalError
-from drycss.grid import GridSpec, load_grids, save_grids
+from drycss.grid import GridSpec, load_cube, load_grids, save_grids
+from drycss.opportunity import find_analog
+from test_desk import pixel_vectors
 
 
 class TestPgm:
@@ -226,6 +233,14 @@ class TestExitCodes:
             cli.main(["--help"])
         assert exc.value.code == 0
 
+    def test_module_entry_point(self):
+        src = str(Path(drycss.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "drycss", "--help"],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "usage: drycss" in done.stdout and "analogs" in done.stdout
+
     def test_numerical_failure_is_3(self, tmp_path, monkeypatch, capsys):
         ws = tmp_path / "ws"
         assert cli.main(["synth", "--out", str(ws)] + SYNTH_FLAGS) == 0
@@ -252,6 +267,63 @@ class TestExitCodes:
         meta.write_text(meta.read_text()[:20])
         assert cli.main([stage, "--out", str(ws), "--force"]) == 2
         assert "corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage, rel, key",
+                             [("opportunity", "maps/css/meta.json", "grid"),
+                              ("train", "features/meta.json", "variables")])
+    def test_metadata_without_entry_is_2(self, workspace, tmp_path, capsys,
+                                         stage, rel, key):
+        ws = copy_workspace(workspace, tmp_path)
+        meta = json.loads((ws / rel).read_text())
+        del meta[key]
+        (ws / rel).write_text(json.dumps(meta))
+        argv = [stage, "--out", str(ws), "--force"]
+        assert cli.main(argv + (TRAIN_FLAGS if stage == "train" else [])) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_stale_feature_cache_is_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        other_seed = SYNTH_FLAGS[:-1] + ["4"]
+        assert cli.main(["synth", "--out", str(ws), "--force"] + other_seed) == 0
+        for stage in ("train", "calibrate"):
+            argv = [stage, "--out", str(ws), "--force"]
+            assert cli.main(argv + (TRAIN_FLAGS if stage == "train" else [])) == 2
+            err = capsys.readouterr().err
+            assert "samples.csv changed" in err and "rerun `drycss features`" in err
+        assert cli.main(["features", "--out", str(ws), "--force"]) == 0
+        assert cli.main(["train", "--out", str(ws), "--force"] + TRAIN_FLAGS) == 0
+
+
+class TestAnalogVectors:
+    def test_rows_match_search_on_fft_vectors(self, tmp_path):
+        """analogs computes only the low bins it keeps; the oracle takes
+        them from the full FFT of every valid pixel of a masked grid."""
+        ws = tmp_path / "ws"
+        for stage, *tail in (["synth", *SYNTH_FLAGS, "--invalid-fraction", "0.15"],
+                             ["features"], ["train", *TRAIN_FLAGS], ["predict"],
+                             ["calibrate"], ["opportunity"],
+                             ["candidates", "--count", "5"], ["analogs"]):
+            assert cli.main([stage, "--out", str(ws)] + tail) == 0, stage
+        cube = load_cube(ws / "cube", mmap=True)
+        assert not cube.mask.all()
+        vectors = pixel_vectors(SimpleNamespace(spec=cube.spec, cube=cube), 32)
+        _, opp = load_grids(ws / "maps" / "opportunity")
+        sites = cli._read_candidates(ws / "candidates.csv")
+        with open(ws / "analogs.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [int(r["site"]) for r in rows] == [s.rank for s in sites]
+        n_matched = 0
+        for site, row in zip(sites, rows):
+            res, _ = find_analog(site, vectors, cube.spec, opp["ndvi_summer"])
+            if not hasattr(res, "analog_ndvi"):
+                assert row["analog_lat"] == ""
+                continue
+            n_matched += 1
+            node = cube.spec.nearest(float(row["analog_lat"]), float(row["analog_lon"]))
+            assert node == (res.iy, res.ix)
+            assert float(row["climate_distance"]) == pytest.approx(
+                res.climate_distance, rel=1e-9)
+        assert n_matched >= 1
 
 
 class TestConfigFile:

@@ -69,6 +69,37 @@ class TestDft:
         np.testing.assert_allclose(reconstruct(c, T, bins=[0, 2]), x, atol=1e-12)
 
 
+class TestLowBins:
+    """dft_coefficients(x, n_bins=k): bins 0..k-1 from a direct basis."""
+
+    @pytest.mark.parametrize("T", [7, 8, 33, 64])
+    def test_matches_naive_and_fft_prefix(self, T):
+        x = np.random.default_rng(T).standard_normal((3, T))
+        for k in (1, n_bins(T)):
+            low = dft_coefficients(x, n_bins=k)
+            assert low.shape == (3, k)
+            for row, series in zip(low, x):
+                np.testing.assert_allclose(row, naive_dft(series)[:k], rtol=1e-12)
+            np.testing.assert_allclose(low, dft_coefficients(x)[:, :k], rtol=1e-12)
+
+    def test_transposed_time_major_block(self):
+        block = np.random.default_rng(5).standard_normal((250, 6)).astype(np.float32)
+        np.testing.assert_allclose(dft_coefficients(block.T, n_bins=9),
+                                   dft_coefficients(block.T)[:, :9], rtol=1e-12)
+
+    def test_bin_zero_is_mean(self):
+        x = np.random.default_rng(6).standard_normal(101)
+        assert dft_coefficients(x, n_bins=1)[0] == pytest.approx(x.mean(), rel=1e-12)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            dft_coefficients(np.array([1.0, np.nan, 2.0, 3.0]), n_bins=2)
+        with pytest.raises(ValueError, match="n_bins"):
+            dft_coefficients(np.ones(8), n_bins=6)
+        with pytest.raises(ValueError, match="n_bins"):
+            dft_coefficients(np.ones(8), n_bins=0)
+
+
 class TestAmplitudes:
     def test_recovers_planted_sinusoid(self):
         T = 48
