@@ -9,9 +9,10 @@ One directory per trained model:
       features.json   versioned frequency selection + normalization
 
 Network weight layout is section-major (encoder, decoder, classifier);
-within a section the trainable parameters come first in canonical
-layer order, then the batch-norm running statistics. Lengths are
-recorded in model.json so a truncated or padded file fails loudly.
+each section is its net's `theta` (the trainable parameters in
+canonical layer order) followed by its `state` (the batch-norm running
+statistics). Lengths are recorded in model.json so a truncated or
+padded file fails loudly.
 """
 
 from __future__ import annotations
@@ -76,14 +77,6 @@ class TrainedModel:
         return self.score_features(project(coeffs, self.selection, self.norm))
 
 
-def _net_arrays(net: DenseNet) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    return net.params(), net.state_arrays()
-
-
-def _flat_len(arrays: list[np.ndarray]) -> int:
-    return int(sum(a.size for a in arrays))
-
-
 def save_model_bundle(model: TrainedModel, path: str | Path,
                       force: bool = False) -> None:
     path = Path(path)
@@ -110,31 +103,16 @@ def save_model_bundle(model: TrainedModel, path: str | Path,
         for name, net in (("encoder", model.autoencoder.encoder),
                           ("decoder", model.autoencoder.decoder),
                           ("classifier", model.classifier.net)):
-            params, state = _net_arrays(net)
             sections.append({"name": name, "topology": net.topology(),
-                             "n_params": _flat_len(params),
-                             "n_state": _flat_len(state)})
-            chunks.extend(params)
-            chunks.extend(state)
+                             "n_params": net.theta.size, "n_state": net.state.size})
+            chunks += [net.theta, net.state]
         doc["latent_dim"] = model.autoencoder.latent_dim
         doc["sections"] = sections
 
-    flat = (np.concatenate([c.ravel() for c in chunks])
-            if chunks else np.empty(0))
+    flat = np.concatenate(chunks)
     (path / "model.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     flat.astype(_FLOAT32).tofile(path / "weights.f32")
     save_feature_tables(path / "features.json", model.selection, model.norm)
-
-
-def _fill_net(net: DenseNet, flat: np.ndarray, pos: int,
-              n_params: int, n_state: int) -> int:
-    params, state = _net_arrays(net)
-    if _flat_len(params) != n_params or _flat_len(state) != n_state:
-        raise DataError("model bundle topology does not match its weight counts")
-    for arr in params + state:
-        arr.flat[:] = flat[pos:pos + arr.size]
-        pos += arr.size
-    return pos
 
 
 def load_model_bundle(path: str | Path) -> TrainedModel:
@@ -143,10 +121,12 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
     if not doc_path.exists():
         raise DataError(f"not a model bundle (no model.json): {path}")
     doc = read_json(doc_path, "model metadata")
-    if doc.get("format") != "drycss-model" or doc.get("version") != MODEL_DOC_VERSION:
+    found = ((doc.get("format"), doc.get("version")) if isinstance(doc, dict)
+             else (None, None))
+    if found != ("drycss-model", MODEL_DOC_VERSION):
         raise DataError(
             f"unsupported model bundle format/version in {doc_path}: "
-            f"{doc.get('format')!r} v{doc.get('version')!r}")
+            f"{found[0]!r} v{found[1]!r}")
     weights_path = path / "weights.f32"
     if not weights_path.exists():
         raise DataError(f"model bundle missing weights.f32: {path}")
@@ -154,17 +134,19 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
     selection, norm = load_feature_tables(path / "features.json")
 
     kind = doc.get("kind")
-    if kind == "blup":
-        n = int(doc["n_weights"])
-        if flat.size != n:
-            raise DataError(
-                f"weights.f32 holds {flat.size} values, model declares {n}")
-        model = TrainedModel(
-            kind="blup", size=int(doc["size"]), repetition=int(doc["repetition"]),
-            seed=int(doc["seed"]), selection=selection, norm=norm,
-            blup=BlupModel(effects=flat, intercept=float(doc["intercept"]),
-                           lam=float(doc["lambda"])))
-    elif kind == "nn":
+    if kind not in ("blup", "nn"):
+        raise DataError(f"unknown model kind in {doc_path}: {kind!r}")
+    try:
+        fields = dict(kind=kind, size=int(doc["size"]), repetition=int(doc["repetition"]),
+                      seed=int(doc["seed"]), selection=selection, norm=norm)
+        if kind == "blup":
+            n = int(doc["n_weights"])
+            if flat.size != n:
+                raise DataError(
+                    f"weights.f32 holds {flat.size} values, model declares {n}")
+            return TrainedModel(**fields, blup=BlupModel(
+                effects=flat, intercept=float(doc["intercept"]),
+                lam=float(doc["lambda"])))
         sections = {s["name"]: s for s in doc.get("sections", [])}
         for name in ("encoder", "decoder", "classifier"):
             if name not in sections:
@@ -177,16 +159,15 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
         pos = 0
         for name in ("encoder", "decoder", "classifier"):
             s = sections[name]
-            net = DenseNet.from_topology(s["topology"])
-            pos = _fill_net(net, flat, pos, int(s["n_params"]), int(s["n_state"]))
-            nets[name] = net
-        model = TrainedModel(
-            kind="nn", size=int(doc["size"]), repetition=int(doc["repetition"]),
-            seed=int(doc["seed"]), selection=selection, norm=norm,
-            autoencoder=AutoencoderModel(encoder=nets["encoder"],
-                                         decoder=nets["decoder"],
-                                         latent_dim=int(doc["latent_dim"])),
-            classifier=ClassifierModel(net=nets["classifier"]))
-    else:
-        raise DataError(f"unknown model kind in {doc_path}: {kind!r}")
-    return model
+            net = nets[name] = DenseNet.from_topology(s["topology"])
+            if (net.theta.size, net.state.size) != (s["n_params"], s["n_state"]):
+                raise DataError("model bundle topology does not match its weight counts")
+            for vec in (net.theta, net.state):
+                vec[:] = flat[pos:pos + vec.size]
+                pos += vec.size
+        return TrainedModel(
+            **fields, classifier=ClassifierModel(net=nets["classifier"]),
+            autoencoder=AutoencoderModel(encoder=nets["encoder"], decoder=nets["decoder"],
+                                         latent_dim=int(doc["latent_dim"])))
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed model metadata {doc_path}: bad or missing {e}") from None

@@ -34,8 +34,8 @@ import numpy as np
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
 from .errors import DataError, NumericalError, read_json
-from .grid import (GridSpec, TimeAxis, extract_series, load_cube, load_grids,
-                   load_ndvi, regrid_ndvi, save_cube, save_grids, save_ndvi)
+from .grid import (GridSpec, TimeAxis, load_cube, load_grids, load_ndvi,
+                   regrid_ndvi, save_cube, save_grids, save_ndvi)
 from .neural import TrainParams
 from .opportunity import (CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
@@ -45,7 +45,7 @@ from .pipeline import (BLOCK_ROWS, Calibration, GridSettings, aggregate_metrics,
                        category_means, derive_seed, ensemble_scores,
                        fit_calibration, load_samples, map_agreement_iou,
                        predict_map, ranking_overlap, run_training_grid,
-                       save_run_record, save_samples)
+                       sample_coefficients, save_run_record, save_samples)
 from .spectral import dft_coefficients, truncated_coefficients
 
 
@@ -210,9 +210,23 @@ def cmd_synth(out: Path, opts: dict, force: bool) -> list[str]:
     return ["cube", "ndvi", "truth", "samples.csv"]
 
 
-# the files `features` reads, hashed into features/meta.json so that `train`
-# and `calibrate` can refuse a cache built from other inputs
-FEATURE_INPUTS = ("samples.csv", "cube/meta.json")
+# the files a stage reads, each with the stage that writes it, hashed into
+# its outputs (features/meta.json, runs/inputs.json) so that later stages
+# can refuse outputs built from other inputs
+FEATURE_INPUTS = {"samples.csv": "synth", "cube/meta.json": "synth"}
+TRAIN_INPUTS = {"features/meta.json": "features"}
+
+
+def _refuse_stale(out: Path, recorded, inputs: dict, what: str,
+                  stage: str) -> None:
+    """Refuse `what` unless `recorded` holds the current sha256 of each of
+    its `inputs`; `stage` is the one that rebuilds it."""
+    for rel, producer in inputs.items():
+        digest = _sha256(_require(out / rel, rel, producer))
+        if not isinstance(recorded, dict) or recorded.get(rel) != digest:
+            raise DataError(f"stale {what}: {rel} changed since the last `drycss "
+                            f"{stage}`, or that run recorded no hash of it; "
+                            f"rerun `drycss {stage}`")
 
 
 def cmd_features(out: Path, opts: dict, force: bool) -> list[str]:
@@ -223,11 +237,7 @@ def cmd_features(out: Path, opts: dict, force: bool) -> list[str]:
 
     cube = load_cube(cube_dir, mmap=True)
     samples = load_samples(samples_path)
-    coeffs = np.empty((len(samples), len(cube.variables),
-                       cube.time.n_steps // 2 + 1), dtype=np.complex128)
-    for i, s in enumerate(samples):
-        series, _ = extract_series(cube, s.lat, s.lon)
-        coeffs[i] = dft_coefficients(series)
+    coeffs = sample_coefficients(cube, samples)
     feat_dir.mkdir(parents=True, exist_ok=True)
     np.save(feat_dir / "coeffs.npy", coeffs)
     meta = {"n_samples": len(samples), "n_steps": cube.time.n_steps,
@@ -249,14 +259,10 @@ def _read_features(out: Path):
     meta = read_json(meta_path, "feature metadata")
     try:
         variables, n_steps = tuple(meta["variables"]), int(meta["n_steps"])
-        inputs = {rel: meta["inputs"][rel] for rel in FEATURE_INPUTS}
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed feature metadata {meta_path}: bad or missing "
                         f"{e}; rerun `drycss features`") from None
-    for rel, digest in inputs.items():
-        if _sha256(_require(out / rel, rel, "synth")) != digest:
-            raise DataError(f"feature cache is stale: {rel} changed since it was "
-                            "built; rerun `drycss features`")
+    _refuse_stale(out, meta.get("inputs"), FEATURE_INPUTS, "feature cache", "features")
     samples = load_samples(out / "samples.csv")
     if len(samples) != coeffs.shape[0]:
         raise DataError(
@@ -283,6 +289,8 @@ def cmd_train(out: Path, opts: dict, force: bool) -> list[str]:
         root_seed=opts["seed"], jobs=opts["jobs"])
 
     runs_dir.mkdir(parents=True, exist_ok=True)
+    inputs = {rel: _sha256(out / rel) for rel in TRAIN_INPUTS}
+    (runs_dir / "inputs.json").write_text(json.dumps(inputs, indent=2, sort_keys=True) + "\n")
     for run, model in zip(runs, models):
         run_dir = runs_dir / run.run_id
         if model is not None:
@@ -321,7 +329,13 @@ def _sorted_run_dirs(runs_dir: Path) -> list[Path]:
     return [p for _, p in sorted(dirs)]
 
 
-def _load_models(runs_dir: Path):
+def _load_models(out: Path):
+    """The model bundles under runs/, refused when they were trained on
+    another feature cache than the current one."""
+    runs_dir = _require(out / "runs", "training runs", "train")
+    inputs_path = runs_dir / "inputs.json"
+    recorded = read_json(inputs_path, "training inputs") if inputs_path.exists() else {}
+    _refuse_stale(out, recorded, TRAIN_INPUTS, "model bundles", "train")
     models = []
     for run_dir in _sorted_run_dirs(runs_dir):
         if (run_dir / "model.json").exists():
@@ -333,7 +347,7 @@ def _load_models(runs_dir: Path):
 
 def cmd_predict(out: Path, opts: dict, force: bool) -> list[str]:
     cube = load_cube(_require(out / "cube", "climate cube", "synth"), mmap=True)
-    models = _load_models(_require(out / "runs", "training runs", "train"))
+    models = _load_models(out)
     css_dir = out / "maps" / "css"
     _refuse_existing(css_dir, force)
 
@@ -345,7 +359,7 @@ def cmd_predict(out: Path, opts: dict, force: bool) -> list[str]:
 
 def cmd_calibrate(out: Path, opts: dict, force: bool) -> list[str]:
     coeffs, _, _, samples = _read_features(out)
-    models = _load_models(_require(out / "runs", "training runs", "train"))
+    models = _load_models(out)
     _refuse_existing(out / "calibration.json", force)
 
     scores = ensemble_scores(models, coeffs)

@@ -211,12 +211,16 @@ class ClimateCube:
 
 
 def compute_valid_mask(values: dict[str, np.ndarray], variables) -> np.ndarray:
-    """True where no variable has NaN at any time step."""
-    invalid = None
+    """True where no variable has NaN at any time step; an infinity raises
+    DataError naming its variable. One full scan per variable: only the
+    invalid pixels are searched for infinities."""
+    mask = True
     for var in variables:
-        bad = np.isnan(values[var]).any(axis=0)
-        invalid = bad if invalid is None else (invalid | bad)
-    return ~invalid
+        finite = np.isfinite(values[var]).all(axis=0)
+        if np.isinf(values[var][:, ~finite]).any():
+            raise DataError(f"variable {var} contains infinite values")
+        mask = mask & finite
+    return mask
 
 
 def save_cube(cube: ClimateCube, path: str | Path, force: bool = False) -> None:
@@ -267,10 +271,7 @@ def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
         if arr.size != n:
             raise DataError(
                 f"variable {var}: file holds {arr.size} values, grid expects {n}")
-        arr = arr.reshape(shape)
-        if np.isinf(arr).any():
-            raise DataError(f"variable {var} contains infinite values")
-        values[var] = arr
+        values[var] = arr.reshape(shape)
 
     mask = compute_valid_mask(values, variables)
     if not mmap:

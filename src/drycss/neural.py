@@ -24,6 +24,8 @@ from .errors import NumericalError
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -65,12 +67,9 @@ class DenseLayer:
             self.beta = np.zeros(n_out)
             self.run_mean = np.zeros(n_out)
             self.run_var = np.ones(n_out)
-
-    # trainable parameters in canonical order
-    def params(self) -> list[np.ndarray]:
-        if self.batch_norm:
-            return [self.W, self.b, self.gamma, self.beta]
-        return [self.W, self.b]
+        # trainable parameters in canonical order; batch-norm running statistics
+        self.param_names = ("W", "b", "gamma", "beta") if batch_norm else ("W", "b")
+        self.state_names = ("run_mean", "run_var") if batch_norm else ()
 
     def forward(self, x: np.ndarray, training: bool, frozen_bn: bool = False):
         z = x @ self.W + self.b
@@ -79,8 +78,9 @@ class DenseLayer:
             if training and not frozen_bn:
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
-                self.run_mean = (1.0 - _BN_MOMENTUM) * self.run_mean + _BN_MOMENTUM * mu
-                self.run_var = (1.0 - _BN_MOMENTUM) * self.run_var + _BN_MOMENTUM * var
+                # in place: the statistics are views into the net's state
+                self.run_mean[:] = (1.0 - _BN_MOMENTUM) * self.run_mean + _BN_MOMENTUM * mu
+                self.run_var[:] = (1.0 - _BN_MOMENTUM) * self.run_var + _BN_MOMENTUM * var
             else:
                 mu = self.run_mean
                 var = self.run_var
@@ -116,28 +116,34 @@ class DenseLayer:
             dz = du
         grads["W"] = cache["x"].T @ dz
         grads["b"] = np.sum(dz, axis=0)
-        dx = dz @ self.W.T
-        glist = [grads["W"], grads["b"]]
-        if self.batch_norm:
-            glist += [grads["gamma"], grads["beta"]]
-        return dx, glist
+        return dz @ self.W.T, [grads[name] for name in self.param_names]
+
+
+def _pack(layers: list[DenseLayer], names: str) -> np.ndarray:
+    """Copy the arrays each layer lists under `names` into one float64
+    vector, in layer order, and rebind them as views into it."""
+    arrays = [(layer, name) for layer in layers for name in getattr(layer, names)]
+    flat = np.concatenate([getattr(l, n).ravel() for l, n in arrays] or [np.empty(0)])
+    pos = 0
+    for layer, name in arrays:
+        a = getattr(layer, name)
+        setattr(layer, name, flat[pos:pos + a.size].reshape(a.shape))
+        pos += a.size
+    return flat
 
 
 class DenseNet:
-    """A stack of DenseLayers with flat parameter access."""
+    """A stack of DenseLayers whose arrays are views into two flat vectors:
+    `theta`, the trainable parameters in canonical layer order, and
+    `state`, the batch-norm running statistics. Building a DenseNet
+    moves its layers' arrays into its own vectors."""
 
     def __init__(self, layers: list[DenseLayer]):
         if not layers:
             raise ValueError("network needs at least one layer")
         self.layers = layers
-
-    @property
-    def n_in(self) -> int:
-        return self.layers[0].n_in
-
-    @property
-    def n_out(self) -> int:
-        return self.layers[-1].n_out
+        self.theta = _pack(layers, "param_names")
+        self.state = _pack(layers, "state_names")
 
     def forward(self, x: np.ndarray, training: bool = False,
                 frozen_bn: bool = False, want_cache: bool = False):
@@ -148,27 +154,13 @@ class DenseNet:
                 caches.append(cache)
         return (x, caches) if want_cache else x
 
-    def backward(self, dout: np.ndarray, caches: list[dict]):
+    def backward(self, dout: np.ndarray, caches: list[dict]) -> np.ndarray:
+        """Gradient of the loss in `theta`'s layout."""
         grads: list[list[np.ndarray]] = [None] * len(self.layers)
         dx = dout
         for i in range(len(self.layers) - 1, -1, -1):
-            dx, glist = self.layers[i].backward(dx, caches[i])
-            grads[i] = glist
-        return [g for glist in grads for g in glist]
-
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params()]
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        pos = 0
-        for p in self.params():
-            p.flat[:] = flat[pos:pos + p.size]
-            pos += p.size
-        if pos != flat.size:
-            raise ValueError(f"flat vector has {flat.size} entries, network needs {pos}")
+            dx, grads[i] = self.layers[i].backward(dx, caches[i])
+        return np.concatenate([g.ravel() for glist in grads for g in glist])
 
     def topology(self) -> list[dict]:
         return [{"n_in": l.n_in, "n_out": l.n_out, "activation": l.activation,
@@ -178,14 +170,6 @@ class DenseNet:
     def from_topology(cls, topo: list[dict]) -> "DenseNet":
         return cls([DenseLayer(t["n_in"], t["n_out"], t["activation"],
                                t["batch_norm"]) for t in topo])
-
-    # running BN statistics, serialized alongside the weights
-    def state_arrays(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            if layer.batch_norm:
-                out += [layer.run_mean, layer.run_var]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +188,32 @@ def _loss_and_grad(pred: np.ndarray, target: np.ndarray, kind: str):
 
 
 class Adam:
-    """Adam with the standard bias correction (beta1 0.9, beta2 0.999)."""
+    """Adam (beta1 0.9, beta2 0.999, eps 1e-8) with the standard bias
+    correction, updating the flat parameter vector `theta` in place."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
+    def __init__(self, theta: np.ndarray, lr: float):
+        self.theta = theta
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        # scratch vectors: temporaries of theta's size would be fresh
+        # allocations every step, whose page faults cost more than the math
+        self._s, self._u = np.empty_like(theta), np.empty_like(theta)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """theta -= lr * (m / c1) / (sqrt(v / c2) + eps)"""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        b1, b2 = _ADAM_BETAS
+        m, v, s, u = self.m, self.v, self._s, self._u
+        m *= b1
+        m += np.multiply(grad, 1.0 - b1, out=s)
+        v *= b2
+        v += np.multiply(np.multiply(grad, 1.0 - b2, out=s), grad, out=s)
+        np.sqrt(np.divide(v, 1.0 - b2 ** self.t, out=s), out=s)
+        s += _ADAM_EPS
+        np.multiply(np.divide(m, 1.0 - b1 ** self.t, out=u), self.lr, out=u)
+        self.theta -= np.divide(u, s, out=u)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +273,7 @@ def _train_net(net: DenseNet, X: np.ndarray, Y: np.ndarray, params: TrainParams,
                rng: np.random.Generator, loss: str, augment=None) -> list[float]:
     n = X.shape[0]
     bs = min(params.batch_size, n)
-    adam = Adam(net.params(), params.learning_rate)
+    adam = Adam(net.theta, params.learning_rate)
     trajectory = []
     for epoch in range(params.epochs):
         order = rng.permutation(n)
@@ -301,8 +289,7 @@ def _train_net(net: DenseNet, X: np.ndarray, Y: np.ndarray, params: TrainParams,
             if not np.isfinite(lval):
                 raise NumericalError("training diverged", epoch=epoch,
                                      learning_rate=params.learning_rate, loss=loss)
-            grads = net.backward(dpred, caches)
-            adam.step(grads)
+            adam.step(net.backward(dpred, caches))
             total += lval
             batches += 1
         trajectory.append(total / batches)
@@ -413,6 +400,7 @@ def gradient_check(net: DenseNet, X: np.ndarray, Y: np.ndarray,
                    loss: str = "mse", step: float = 1e-3) -> GradCheckResult:
     """Backprop gradients vs central finite differences, all parameters.
 
+    Each probe perturbs one entry of `theta` in place and restores it.
     Batch norm runs frozen (running statistics) so the loss is a fixed
     differentiable function of the weights. Parameters whose +-step
     evaluations land on different ReLU activation patterns are excluded:
@@ -429,21 +417,19 @@ def gradient_check(net: DenseNet, X: np.ndarray, Y: np.ndarray,
 
     pred, caches = net.forward(X, training=True, frozen_bn=True, want_cache=True)
     _, dpred = _loss_and_grad(pred, Y, loss)
-    analytic = np.concatenate([g.ravel() for g in net.backward(dpred, caches)])
+    analytic = net.backward(dpred, caches)
 
-    theta = net.get_flat()
+    theta = net.theta
     max_rel = 0.0
     n_checked = 0
     n_excluded = 0
-    work = theta.copy()
     for i in range(theta.size):
-        work[i] = theta[i] + step
-        net.set_flat(work)
+        orig = theta[i]
+        theta[i] = orig + step
         lp, sig_p = eval_loss()
-        work[i] = theta[i] - step
-        net.set_flat(work)
+        theta[i] = orig - step
         lm, sig_m = eval_loss()
-        work[i] = theta[i]
+        theta[i] = orig
         if sig_p != sig_m:
             n_excluded += 1
             continue
@@ -453,6 +439,5 @@ def gradient_check(net: DenseNet, X: np.ndarray, Y: np.ndarray,
         rel = err if denom < 1e-10 else err / denom
         max_rel = max(max_rel, rel)
         n_checked += 1
-    net.set_flat(theta)
     return GradCheckResult(max_rel_error=max_rel, n_checked=n_checked,
                           n_excluded=n_excluded)

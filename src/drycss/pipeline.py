@@ -28,7 +28,7 @@ import numpy as np
 from .blup import fit_blup, select_lambda_loo
 from .bundles import TrainedModel
 from .errors import DataError, NumericalError, read_json
-from .grid import ClimateCube, pixel_series
+from .grid import ClimateCube, extract_series, pixel_series
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (FrequencySelection, dft_coefficients, fit_normalization,
                        project, select_frequencies)
@@ -96,6 +96,17 @@ def load_samples(path: str | Path) -> list[LabeledSample]:
     if not samples:
         raise DataError(f"samples file is empty: {path}")
     return samples
+
+
+def sample_coefficients(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray:
+    """DFT coefficients of each sample's pixel series,
+    [n_samples, n_variables, n_steps // 2 + 1] complex128."""
+    coeffs = np.empty((len(samples), len(cube.variables), cube.time.n_steps // 2 + 1),
+                      dtype=np.complex128)
+    for i, s in enumerate(samples):
+        series, _ = extract_series(cube, s.lat, s.lon)
+        coeffs[i] = dft_coefficients(series)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +205,17 @@ def load_run_record(path: str | Path) -> TrainingRun:
     if not path.exists():
         raise DataError(f"run record not found: {path}")
     doc = read_json(path, "run record")
-    scores = np.asarray(doc.get("scores", []), dtype=np.float64)
-    return TrainingRun(
-        kind=doc["kind"], size=int(doc["size"]), repetition=int(doc["repetition"]),
-        seed=int(doc["seed"]), train_ids=[int(i) for i in doc.get("train_ids", [])],
-        val_ids=[int(i) for i in doc.get("val_ids", [])],
-        scores=scores if scores.size else None,
-        metrics=dict(doc.get("metrics", {})), failed=bool(doc.get("failed", False)),
-        error=doc.get("error", ""))
+    try:
+        scores = np.asarray(doc.get("scores", []), dtype=np.float64)
+        return TrainingRun(
+            kind=doc["kind"], size=int(doc["size"]), repetition=int(doc["repetition"]),
+            seed=int(doc["seed"]), train_ids=[int(i) for i in doc.get("train_ids", [])],
+            val_ids=[int(i) for i in doc.get("val_ids", [])],
+            scores=scores if scores.size else None,
+            metrics=dict(doc.get("metrics", {})), failed=bool(doc.get("failed", False)),
+            error=doc.get("error", ""))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed run record {path}: bad or missing {e}") from None
 
 
 @dataclass

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from drycss import synth
-from drycss.grid import GridSpec, TimeAxis, extract_series, regrid_ndvi
+from drycss.grid import GridSpec, TimeAxis, regrid_ndvi
 from drycss.neural import TrainParams
 from drycss.pipeline import (GridSettings, derive_seed, predict_map,
-                             run_training_grid)
-from drycss.spectral import dft_coefficients
+                             run_training_grid, sample_coefficients)
 
 # epochs for the desk run; quality saturates well before the package
 # default and the end-to-end budget is tight
@@ -61,11 +60,7 @@ def build_pipeline(n_side, n_steps, counts, epochs, blup_sizes, nn_sizes,
         spec, suit, summer, irrigated, degraded, counts=counts,
         seed=derive_seed(seed, "synth", "sites"))
 
-    coeffs = np.empty((len(samples), len(cube.variables), n_steps // 2 + 1),
-                      dtype=np.complex128)
-    for i, s in enumerate(samples):
-        series, _ = extract_series(cube, s.lat, s.lon)
-        coeffs[i] = dft_coefficients(series)
+    coeffs = sample_coefficients(cube, samples)
     labels = np.array([s.label for s in samples])
 
     settings = GridSettings(variables=cube.variables, n_steps=n_steps,

@@ -150,6 +150,9 @@ class TestCorruption:
                                                   "version": 1}))
         with pytest.raises(DataError, match="format"):
             load_model_bundle(p)
+        (p / "model.json").write_text("[1, 2]")
+        with pytest.raises(DataError, match="format"):
+            load_model_bundle(p)
         with pytest.raises(DataError, match="model.json"):
             load_model_bundle(tmp_path / "missing")
 
@@ -162,3 +165,14 @@ class TestCorruption:
         (p / "model.json").write_text(json.dumps(doc))
         with pytest.raises(DataError, match="classifier"):
             load_model_bundle(p)
+
+    def test_topology_must_match_weight_counts(self, fitted, tmp_path):
+        _, _, nn = fitted
+        p = self.save(nn, tmp_path)
+        doc = json.loads((p / "model.json").read_text())
+        clf = next(s for s in doc["sections"] if s["name"] == "classifier")
+        clf["topology"][0]["batch_norm"] = False  # drops gamma and beta
+        (p / "model.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="topology does not match"):
+            load_model_bundle(p)
+

@@ -293,6 +293,35 @@ class TestExitCodes:
         assert cli.main(["features", "--out", str(ws), "--force"]) == 0
         assert cli.main(["train", "--out", str(ws), "--force"] + TRAIN_FLAGS) == 0
 
+    def test_stale_model_bundles_are_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        other_seed = SYNTH_FLAGS[:-1] + ["4"]
+        assert cli.main(["synth", "--out", str(ws), "--force"] + other_seed) == 0
+        assert cli.main(["features", "--out", str(ws), "--force"]) == 0
+        for stage in ("predict", "calibrate"):
+            assert cli.main([stage, "--out", str(ws), "--force"]) == 2
+            err = capsys.readouterr().err
+            assert "features/meta.json changed" in err and "rerun `drycss train`" in err
+        (ws / "runs" / "inputs.json").unlink()  # bundles trained before hashes
+        assert cli.main(["predict", "--out", str(ws), "--force"]) == 2
+        err = capsys.readouterr().err
+        assert "recorded no hash" in err and "rerun `drycss train`" in err
+        assert cli.main(["train", "--out", str(ws), "--force"] + TRAIN_FLAGS) == 0
+        for stage in ("predict", "calibrate"):
+            assert cli.main([stage, "--out", str(ws), "--force"]) == 0
+
+    @pytest.mark.parametrize("drop", ["size", "n_params", "topology"])
+    def test_malformed_model_metadata_is_2(self, workspace, tmp_path, capsys, drop):
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "runs" / "nn_4_0" / "model.json"
+        doc = json.loads(path.read_text())
+        del (doc if drop == "size" else doc["sections"][0])[drop]
+        path.write_text(json.dumps(doc))
+        for stage in ("predict", "calibrate"):
+            assert cli.main([stage, "--out", str(ws), "--force"]) == 2
+            err = capsys.readouterr().err
+            assert "malformed model metadata" in err and repr(drop) in err
+
 
 class TestAnalogVectors:
     def test_rows_match_search_on_fft_vectors(self, tmp_path):

@@ -119,6 +119,28 @@ class TestCubeIO:
         save_cube(cube, tmp_path / "c")
         with pytest.raises(DataError, match="sp"):
             load_cube(tmp_path / "c")
+        # also beside a NaN of the same pixel, and memory-mapped
+        cube.values["sp"][1, 0, 0] = np.nan
+        save_cube(cube, tmp_path / "c", force=True)
+        with pytest.raises(DataError, match="sp contains infinite"):
+            load_cube(tmp_path / "c", mmap=True)
+        with pytest.raises(DataError, match="sp contains infinite"):
+            ClimateCube(spec=cube.spec, time=cube.time, variables=cube.variables,
+                        values=cube.values)
+
+    def test_mask_matches_nan_scan_of_every_variable(self, tmp_path):
+        cube = small_cube()
+        rng = np.random.default_rng(0)
+        for v in VARIABLES[:5]:
+            t, iy, ix = (rng.integers(0, n, 3) for n in cube.values[v].shape)
+            cube.values[v][t, iy, ix] = np.nan
+        save_cube(cube, tmp_path / "c")
+        expect = ~np.any([np.isnan(cube.values[v]).any(axis=0) for v in VARIABLES],
+                         axis=0)
+        assert 0 < expect.sum() < expect.size
+        for mmap in (False, True):
+            np.testing.assert_array_equal(load_cube(tmp_path / "c", mmap=mmap).mask,
+                                          expect)
 
     def test_missing_variable_file(self, tmp_path):
         save_cube(small_cube(), tmp_path / "c")

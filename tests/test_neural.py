@@ -59,25 +59,63 @@ class TestArchitecture:
 
 
 class TestDenseNet:
-    def test_flat_round_trip(self):
-        net = build_classifier(5, np.random.default_rng(1))
-        flat = net.get_flat()
-        net.set_flat(np.zeros_like(flat))
-        assert np.all(net.get_flat() == 0.0)
-        net.set_flat(flat)
-        np.testing.assert_array_equal(net.get_flat(), flat)
-        with pytest.raises(ValueError, match="flat vector"):
-            net.set_flat(flat[:-1])
+    def test_layer_arrays_are_views_into_theta_and_state(self):
+        net, _ = build_autoencoder(16, 2, np.random.default_rng(1))
+        params = [getattr(l, n) for l in net.layers for n in l.param_names]
+        state = [getattr(l, n) for l in net.layers for n in l.state_names]
+        assert net.layers[0].param_names == ("W", "b", "gamma", "beta")
+        assert all(np.shares_memory(a, net.theta) for a in params)
+        assert all(np.shares_memory(a, net.state) for a in state)
+        # canonical layout: layer by layer, W, b (gamma, beta); then
+        # run_mean, run_var of each batch-norm layer
+        np.testing.assert_array_equal(
+            net.theta, np.concatenate([a.ravel() for a in params]))
+        np.testing.assert_array_equal(
+            net.state, np.concatenate([a.ravel() for a in state]))
+        assert net.state.size == 2 * sum(l.n_out for l in net.layers if l.batch_norm)
+
+        x = np.random.default_rng(2).standard_normal((4, 16))
+        before = net.forward(x)
+        net.theta[-1] += 1.0  # the output layer's last bias
+        after = net.forward(x)
+        np.testing.assert_allclose(after[:, -1], before[:, -1] + 1.0)
+        np.testing.assert_array_equal(after[:, :-1], before[:, :-1])
+        net.state[:] = 0.0  # zero running variance: eps alone scales z
+        assert not np.allclose(net.forward(x), after)
+
+    def test_training_updates_running_stats_in_place(self):
+        rng = np.random.default_rng(3)
+        net = build_classifier(4, rng)
+        state = net.state
+        x = rng.standard_normal((8, 4))
+        z = x @ net.layers[0].W + net.layers[0].b
+        net.forward(x, training=True)
+        assert net.state is state
+        assert np.shares_memory(net.layers[0].run_mean, state)
+        np.testing.assert_allclose(net.layers[0].run_mean, 0.1 * z.mean(axis=0))
+        np.testing.assert_allclose(net.layers[0].run_var, 0.9 + 0.1 * z.var(axis=0))
+
+    def test_split_repacks_trained_values(self):
+        rng = np.random.default_rng(4)
+        net, n_enc = build_autoencoder(16, 4, rng)
+        net.theta[:] = rng.standard_normal(net.theta.size)
+        net.state[:] = rng.uniform(0.5, 2.0, net.state.size)
+        theta, state = net.theta.copy(), net.state.copy()
+        x = rng.standard_normal((5, 16))
+        whole = net.forward(x)
+        enc, dec = DenseNet(net.layers[:n_enc]), DenseNet(net.layers[n_enc:])
+        np.testing.assert_array_equal(np.concatenate([enc.theta, dec.theta]), theta)
+        np.testing.assert_array_equal(np.concatenate([enc.state, dec.state]), state)
+        assert all(np.shares_memory(l.W, enc.theta) for l in enc.layers)
+        assert all(np.shares_memory(l.W, dec.theta) for l in dec.layers)
+        np.testing.assert_array_equal(dec.forward(enc.forward(x)), whole)
 
     def test_topology_round_trip(self):
         net = build_classifier(5, np.random.default_rng(1))
         clone = DenseNet.from_topology(net.topology())
         assert clone.topology() == net.topology()
-        clone.set_flat(net.get_flat())
-        for layer in clone.layers:
-            if layer.batch_norm:
-                layer.run_mean[:] = 0.0
-                layer.run_var[:] = 1.0
+        assert (clone.theta.size, clone.state.size) == (net.theta.size, net.state.size)
+        clone.theta[:] = net.theta
         x = np.random.default_rng(2).standard_normal((4, 5))
         np.testing.assert_allclose(clone.forward(x), net.forward(x))
 
@@ -90,29 +128,36 @@ class TestDenseNet:
 
 class TestAdam:
     def test_first_step_matches_hand_formula(self):
-        p = np.array([1.0, 2.0])
-        g = np.array([0.5, -1.0])
-        opt = Adam([p], lr=0.1)
-        opt.step([g.copy()])
+        theta = np.array([1.0, 2.0, -3.0])
+        g = np.array([0.5, -1.0, 2.0])
+        opt = Adam(theta, lr=0.1)
+        opt.step(g.copy())
         # after bias correction the first step is lr * g / (|g| + eps)
-        expect = np.array([1.0, 2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(p, expect, rtol=1e-12)
+        expect = np.array([1.0, 2.0, -3.0]) - 0.1 * g / (np.abs(g) + 1e-8)
+        np.testing.assert_allclose(theta, expect, rtol=1e-12)
+        assert opt.theta is theta
 
     def test_two_steps_match_recurrence(self):
         rng = np.random.default_rng(3)
-        p = rng.standard_normal(4)
-        ref = p.copy()
-        g1, g2 = rng.standard_normal(4), rng.standard_normal(4)
-        opt = Adam([p], lr=0.05)
-        opt.step([g1.copy()])
-        opt.step([g2.copy()])
-        m = v = np.zeros(4)
+        theta = rng.standard_normal(7)
+        ref = theta.copy()
+        g1, g2 = rng.standard_normal(7), rng.standard_normal(7)
+        opt = Adam(theta, lr=0.05)
+        opt.step(g1.copy())
+        opt.step(g2.copy())
+        m = v = np.zeros(7)
         for t, g in ((1, g1), (2, g2)):
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             ref = ref - 0.05 * (m / (1 - 0.9 ** t)) / (
                 np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-        np.testing.assert_allclose(p, ref, rtol=1e-12)
+        np.testing.assert_allclose(theta, ref, rtol=1e-12)
+
+    def test_steps_a_network_through_its_views(self):
+        net = build_classifier(3, np.random.default_rng(5))
+        W0 = net.layers[0].W.copy()
+        Adam(net.theta, lr=0.01).step(np.ones(net.theta.size))
+        np.testing.assert_allclose(net.layers[0].W, W0 - 0.01, rtol=1e-6)
 
 
 class TestAutoencoder:
@@ -131,8 +176,9 @@ class TestAutoencoder:
         a = train_autoencoder(X, 4, 2, p, seed=7)
         b = train_autoencoder(X, 4, 2, p, seed=7)
         assert a.trajectory == b.trajectory
-        np.testing.assert_array_equal(a.encoder.get_flat(), b.encoder.get_flat())
-        np.testing.assert_array_equal(a.decoder.get_flat(), b.decoder.get_flat())
+        np.testing.assert_array_equal(a.encoder.theta, b.encoder.theta)
+        np.testing.assert_array_equal(a.decoder.theta, b.decoder.theta)
+        np.testing.assert_array_equal(a.encoder.state, b.encoder.state)
         c = train_autoencoder(X, 4, 2, p, seed=8)
         assert c.trajectory != a.trajectory
 
@@ -257,11 +303,16 @@ class TestGradients:
 
     def test_restores_weights(self):
         rng = np.random.default_rng(16)
-        net = DenseNet([DenseLayer(3, 2, "linear", batch_norm=False, rng=rng)])
-        before = net.get_flat().copy()
+        net = DenseNet([DenseLayer(3, 4, "relu", batch_norm=True, rng=rng),
+                        DenseLayer(4, 2, "linear", batch_norm=False, rng=rng)])
+        net.state[:] = rng.uniform(0.5, 2.0, net.state.size)
+        theta, before, state = net.theta, net.theta.copy(), net.state.copy()
         gradient_check(net, rng.standard_normal((4, 3)),
                        rng.standard_normal((4, 2)))
-        np.testing.assert_array_equal(net.get_flat(), before)
+        assert net.theta is theta
+        np.testing.assert_array_equal(net.theta, before)
+        np.testing.assert_array_equal(net.state, state)
+        assert np.shares_memory(net.layers[0].W, net.theta)
 
 
 class TestParams:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,15 @@ class TestRunRecords:
         assert back.metrics == {"val_rmse": 0.5}
         with pytest.raises(DataError, match="not found"):
             load_run_record(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("doc", [{"size": 8, "repetition": 0, "seed": 1},
+                                     {"kind": "nn", "size": "x", "repetition": 0,
+                                      "seed": 1},
+                                     ["not", "an", "object"]])
+    def test_malformed_record_is_data_error(self, tmp_path, doc):
+        (tmp_path / "r.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed run record"):
+            load_run_record(tmp_path / "r.json")
 
 
 class TestGridEnumeration:
