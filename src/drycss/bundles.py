@@ -17,14 +17,13 @@ padded file fails loudly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .blup import BlupModel, predict_blup
-from .errors import DataError, read_json
+from .errors import DataError, read_json, write_json
 from .neural import AutoencoderModel, ClassifierModel, DenseNet
 from .spectral import (FrequencySelection, NormalizationTable, feature_dim,
                        load_feature_tables, project, save_feature_tables)
@@ -110,7 +109,7 @@ def save_model_bundle(model: TrainedModel, path: str | Path,
         doc["sections"] = sections
 
     flat = np.concatenate(chunks)
-    (path / "model.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path / "model.json", doc)
     flat.astype(_FLOAT32).tofile(path / "weights.f32")
     save_feature_tables(path / "features.json", model.selection, model.norm)
 

@@ -10,20 +10,34 @@
     drycss analogs --out ws        climate-analog matches per candidate
     drycss report --out ws         heatmaps, uplift and overlap summaries
 
-Each stage records itself and its resolved options in ws/manifest.json
-and refuses to run when its upstream artifacts are missing (exit 2) or
-its outputs exist without --force. Bad flags or config exit 1;
-numerical failures exit 3. All numeric artifacts are byte-deterministic
-for a fixed seed; the manifest differs in timestamps only.
+`STAGES` declares each stage once: its options, the workspace paths it
+reads (`needs`, each with the stage that writes it) and the paths it
+writes (`makes`). From that table `main` runs every stage the same way:
+
+1. every need must exist (exit 2, "run `drycss <producer>` first");
+2. every stage upstream of it, taken in table order, must have recorded
+   in ws/manifest.json the current stamp of each of its own needs, or
+   the first that did not is named (exit 2, "rerun `drycss <stage>`");
+3. existing outputs are refused without --force (exit 2), and with it
+   output directories are cleared;
+4. the stage runs;
+5. its options, outputs and the stamps of its needs go into the manifest.
+
+A stamp is the sha256 of a file, or of a directory's meta.json, which
+holds a digest of the directory's data. Only `synth` is a source stage,
+so a hand-supplied cube, NDVI stack or samples table needs no record.
+Bad flags or config exit 1; numerical failures exit 3. All numeric
+artifacts are byte-deterministic for a fixed seed; the manifest differs
+in timestamps only.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,9 +47,10 @@ import numpy as np
 
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
-from .errors import DataError, NumericalError, read_json
-from .grid import (GridSpec, TimeAxis, load_cube, load_grids, load_ndvi,
-                   regrid_ndvi, save_cube, save_grids, save_ndvi)
+from .errors import DataError, NumericalError, read_json, write_json
+from .grid import (GridSpec, TimeAxis, content_digest, load_cube, load_grids,
+                   load_ndvi, regrid_ndvi, save_cube, save_grids, save_ndvi,
+                   sha256_file)
 from .neural import TrainParams
 from .opportunity import (CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
@@ -60,41 +75,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _stamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _stamp_file(out: Path, rel: str) -> Path:
+    path = out / rel
+    return path / "meta.json" if path.is_dir() else path
 
 
-def _load_manifest(out: Path) -> dict:
-    path = out / "manifest.json"
+def _stamp(out: Path, rel: str, producer: str) -> str:
+    """sha256 of the workspace file rel, or of its meta.json when rel is a
+    directory; the meta.json must parse, so a corrupt one is reported as
+    corrupt rather than as changed."""
+    path = _stamp_file(out, rel)
     if not path.exists():
-        return {"stages": {}}
-    return read_json(path, "manifest")
+        raise DataError(f"{rel} not found: {path} (run `drycss {producer}` first)")
+    if path.name == "meta.json":
+        read_json(path, f"{rel} metadata")
+    return sha256_file(path)
 
 
-def _record_stage(out: Path, stage: str, config: dict, artifacts: list[str]) -> None:
-    manifest = _load_manifest(out)
-    manifest.setdefault("stages", {})[stage] = {
-        "completed_utc": _stamp(),
-        "config": config,
-        "artifacts": sorted(artifacts),
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _require(path: Path, what: str, producer: str) -> Path:
-    if not path.exists():
-        raise DataError(f"{what} not found: {path} (run `drycss {producer}` first)")
-    return path
-
-
-def _refuse_existing(path: Path, force: bool) -> None:
-    if path.exists() and not force:
-        raise DataError(f"output already exists: {path} (rerun with --force)")
+def _check_upstream(out: Path, stage: str, records: dict) -> None:
+    """Refuse to run `stage` unless each stage upstream of it recorded the
+    current stamp of each of its needs. Upstream stages are checked in
+    STAGES order, upstream first, so the refusal names the first stage to
+    rerun."""
+    upstream = {stage}
+    for name in reversed(STAGES):  # each producer comes before its consumers
+        if name in upstream:
+            upstream.update(STAGES[name].needs.values())
+    for name, row in STAGES.items():
+        if name == stage or name not in upstream:
+            continue
+        recorded = (records.get(name) or {}).get("inputs") or {}
+        for rel, producer in row.needs.items():
+            if recorded.get(rel) != _stamp(out, rel, producer):
+                changed = _stamp_file(out, rel).relative_to(out)
+                raise DataError(
+                    f"stale {', '.join(row.makes)}: {changed} changed since the last "
+                    f"`drycss {name}`, or that run recorded no hash of it; "
+                    f"rerun `drycss {name}`")
 
 
 def _load_config(path: str | None) -> dict:
@@ -130,31 +147,6 @@ _EXPECTED = {int: "an integer", float: "a number",
              _int_list: "comma-separated integers", _shrinkage: "auto, loo or a number"}
 
 
-def _cfg(args, config: dict, stage: str, name: str, default, cast=None,
-         check=None, describe=""):
-    """Flag value, else config[stage][name] or config[name], else default."""
-    value = getattr(args, name, None)
-    if value is None:
-        section = config.get(stage, {})
-        if isinstance(section, dict) and name in section:
-            value = section[name]
-        elif name in config:
-            value = config[name]
-        else:
-            value = default
-    if value is None:
-        return None
-    if cast is not None:
-        try:
-            value = cast(value)
-        except (TypeError, ValueError):
-            expected = f" (expected {_EXPECTED[cast]})" if cast in _EXPECTED else ""
-            raise UsageError(f"bad value for {stage}.{name}: {value!r}{expected}")
-    if check is not None and not check(value):
-        raise UsageError(f"{stage}.{name}={value!r} out of range ({describe})")
-    return value
-
-
 def write_pgm(path: Path, values: np.ndarray) -> None:
     """8-bit P5 grayscale; full range maps min->0, max->255, NaN -> 0."""
     v = np.asarray(values, dtype=np.float64)
@@ -172,15 +164,11 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stages: each takes the workspace, its resolved options and --force, and
-# returns the artifacts it wrote; main records both in the manifest
+# stages: each takes the workspace and its resolved options; main has
+# checked its inputs, and refused or cleared its outputs, before it runs
 
 
-def cmd_synth(out: Path, opts: dict, force: bool) -> list[str]:
-    out.mkdir(parents=True, exist_ok=True)
-    for target in (out / "cube", out / "ndvi", out / "truth", out / "samples.csv"):
-        _refuse_existing(target, force)
-
+def cmd_synth(out: Path, opts: dict) -> None:
     n, seed, counts = opts["grid_size"], opts["seed"], opts["counts"]
     spec = GridSpec(lat_min=20.0, lat_max=20.0 + 0.1 * (n - 1),
                     lon_min=40.0, lon_max=40.0 + 0.1 * (n - 1), n_lat=n, n_lon=n)
@@ -198,63 +186,37 @@ def cmd_synth(out: Path, opts: dict, force: bool) -> list[str]:
         seed=derive_seed(seed, "synth", "sites"),
         min_spacing_km=opts["min_spacing_km"])
 
-    save_cube(cube, out / "cube", force=force)
-    save_ndvi(raster, out / "ndvi", force=force)
+    save_cube(cube, out / "cube")
+    save_ndvi(raster, out / "ndvi")
     save_grids(out / "truth", spec,
                {"suitability": suitability,
                 "irrigated": irrigated.astype(np.float64),
-                "degraded": degraded.astype(np.float64)}, force=force)
+                "degraded": degraded.astype(np.float64)})
     save_samples(samples, out / "samples.csv")
     print(f"synth: {n}x{n} cube, {len(raster.observations)} NDVI "
           f"observations, {len(samples)} samples -> {out}")
-    return ["cube", "ndvi", "truth", "samples.csv"]
 
 
-# the files a stage reads, each with the stage that writes it, hashed into
-# its outputs (features/meta.json, runs/inputs.json) so that later stages
-# can refuse outputs built from other inputs
-FEATURE_INPUTS = {"samples.csv": "synth", "cube/meta.json": "synth"}
-TRAIN_INPUTS = {"features/meta.json": "features"}
-
-
-def _refuse_stale(out: Path, recorded, inputs: dict, what: str,
-                  stage: str) -> None:
-    """Refuse `what` unless `recorded` holds the current sha256 of each of
-    its `inputs`; `stage` is the one that rebuilds it."""
-    for rel, producer in inputs.items():
-        digest = _sha256(_require(out / rel, rel, producer))
-        if not isinstance(recorded, dict) or recorded.get(rel) != digest:
-            raise DataError(f"stale {what}: {rel} changed since the last `drycss "
-                            f"{stage}`, or that run recorded no hash of it; "
-                            f"rerun `drycss {stage}`")
-
-
-def cmd_features(out: Path, opts: dict, force: bool) -> list[str]:
-    cube_dir = _require(out / "cube", "climate cube", "synth")
-    samples_path = _require(out / "samples.csv", "samples table", "synth")
-    feat_dir = out / "features"
-    _refuse_existing(feat_dir / "coeffs.npy", force)
-
-    cube = load_cube(cube_dir, mmap=True)
-    samples = load_samples(samples_path)
+def cmd_features(out: Path, opts: dict) -> None:
+    cube = load_cube(out / "cube", mmap=True)
+    samples = load_samples(out / "samples.csv")
     coeffs = sample_coefficients(cube, samples)
-    feat_dir.mkdir(parents=True, exist_ok=True)
+    feat_dir = out / "features"
+    feat_dir.mkdir()
     np.save(feat_dir / "coeffs.npy", coeffs)
-    meta = {"n_samples": len(samples), "n_steps": cube.time.n_steps,
-            "variables": list(cube.variables),
-            "inputs": {rel: _sha256(out / rel) for rel in FEATURE_INPUTS}}
-    (feat_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(feat_dir / "meta.json",
+               {"n_samples": len(samples), "n_steps": cube.time.n_steps,
+                "variables": list(cube.variables),
+                "digest": content_digest(feat_dir, ["coeffs.npy"])})
     print(f"features: {coeffs.shape[0]} samples x {coeffs.shape[1]} variables "
           f"x {coeffs.shape[2]} bins -> {feat_dir}")
-    return ["features/coeffs.npy", "features/meta.json"]
 
 
 def _read_features(out: Path):
-    """The feature cache and its metadata, refused when it is stale: when
-    an input has changed since `features` hashed it, or the cache does
-    not match the samples table."""
-    feat_dir = _require(out / "features", "feature cache", "features")
-    coeffs = np.load(_require(feat_dir / "coeffs.npy", "feature cache", "features"))
+    """The feature cache and its metadata, refused when it does not match
+    the samples table."""
+    feat_dir = out / "features"
+    coeffs = np.load(feat_dir / "coeffs.npy")
     meta_path = feat_dir / "meta.json"
     meta = read_json(meta_path, "feature metadata")
     try:
@@ -262,7 +224,6 @@ def _read_features(out: Path):
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed feature metadata {meta_path}: bad or missing "
                         f"{e}; rerun `drycss features`") from None
-    _refuse_stale(out, meta.get("inputs"), FEATURE_INPUTS, "feature cache", "features")
     samples = load_samples(out / "samples.csv")
     if len(samples) != coeffs.shape[0]:
         raise DataError(
@@ -271,11 +232,8 @@ def _read_features(out: Path):
     return coeffs, variables, n_steps, samples
 
 
-def cmd_train(out: Path, opts: dict, force: bool) -> list[str]:
+def cmd_train(out: Path, opts: dict) -> None:
     coeffs, variables, n_steps, samples = _read_features(out)
-    runs_dir = out / "runs"
-    _refuse_existing(runs_dir, force)
-
     labels = np.array([s.label for s in samples])
     settings = GridSettings(
         variables=variables, n_steps=n_steps,
@@ -288,13 +246,11 @@ def cmd_train(out: Path, opts: dict, force: bool) -> list[str]:
         nn_sizes=opts["nn_sizes"], repetitions=opts["repetitions"],
         root_seed=opts["seed"], jobs=opts["jobs"])
 
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    inputs = {rel: _sha256(out / rel) for rel in TRAIN_INPUTS}
-    (runs_dir / "inputs.json").write_text(json.dumps(inputs, indent=2, sort_keys=True) + "\n")
+    runs_dir = out / "runs"
     for run, model in zip(runs, models):
         run_dir = runs_dir / run.run_id
         if model is not None:
-            save_model_bundle(model, run_dir, force=force)
+            save_model_bundle(model, run_dir)
         else:
             run_dir.mkdir(parents=True, exist_ok=True)
         save_run_record(run, run_dir / "predictions.json")
@@ -307,10 +263,11 @@ def cmd_train(out: Path, opts: dict, force: bool) -> list[str]:
         for row in rows:
             w.writerow([row[h] if isinstance(row[h], (str, int)) else repr(row[h])
                         for h in header])
+    write_json(runs_dir / "meta.json", {"digest": content_digest(runs_dir, sorted(
+        p.relative_to(runs_dir).as_posix() for p in runs_dir.rglob("*") if p.is_file()))})
 
     n_failed = sum(1 for r in runs if r.failed)
     print(f"train: {len(runs)} runs ({n_failed} failed) -> {runs_dir}")
-    return ["runs"]
 
 
 def _sorted_run_dirs(runs_dir: Path) -> list[Path]:
@@ -330,12 +287,8 @@ def _sorted_run_dirs(runs_dir: Path) -> list[Path]:
 
 
 def _load_models(out: Path):
-    """The model bundles under runs/, refused when they were trained on
-    another feature cache than the current one."""
-    runs_dir = _require(out / "runs", "training runs", "train")
-    inputs_path = runs_dir / "inputs.json"
-    recorded = read_json(inputs_path, "training inputs") if inputs_path.exists() else {}
-    _refuse_stale(out, recorded, TRAIN_INPUTS, "model bundles", "train")
+    """The model bundles under runs/, in canonical grid order."""
+    runs_dir = out / "runs"
     models = []
     for run_dir in _sorted_run_dirs(runs_dir):
         if (run_dir / "model.json").exists():
@@ -345,23 +298,18 @@ def _load_models(out: Path):
     return models
 
 
-def cmd_predict(out: Path, opts: dict, force: bool) -> list[str]:
-    cube = load_cube(_require(out / "cube", "climate cube", "synth"), mmap=True)
+def cmd_predict(out: Path, opts: dict) -> None:
+    cube = load_cube(out / "cube", mmap=True)
     models = _load_models(out)
     css_dir = out / "maps" / "css"
-    _refuse_existing(css_dir, force)
-
     maps = predict_map(models, cube, jobs=opts["jobs"])
-    save_grids(css_dir, cube.spec, maps, force=force)
+    save_grids(css_dir, cube.spec, maps)
     print(f"predict: {len(models)} models -> {css_dir} ({', '.join(sorted(maps))})")
-    return [f"maps/css/{name}.f32" for name in sorted(maps)]
 
 
-def cmd_calibrate(out: Path, opts: dict, force: bool) -> list[str]:
+def cmd_calibrate(out: Path, opts: dict) -> None:
     coeffs, _, _, samples = _read_features(out)
     models = _load_models(out)
-    _refuse_existing(out / "calibration.json", force)
-
     scores = ensemble_scores(models, coeffs)
     cal = fit_calibration(samples, scores["combined"])
 
@@ -375,28 +323,23 @@ def cmd_calibrate(out: Path, opts: dict, force: bool) -> list[str]:
                        + [repr(float(scores[n][i])) for n in names])
     doc = cal.to_dict()
     doc["category_means"] = category_means(samples, scores["combined"])
-    (out / "calibration.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(out / "calibration.json", doc)
     print(f"calibrate: slope={cal.slope:.4f} intercept={cal.intercept:.4f} "
           f"r2={cal.r2:.3f} on {cal.n} samples")
-    return ["calibration.json", "reclassification.csv"]
 
 
-def cmd_opportunity(out: Path, opts: dict, force: bool) -> list[str]:
-    spec, css_maps = load_grids(_require(out / "maps" / "css", "CSS maps", "predict"))
-    raster = load_ndvi(_require(out / "ndvi", "NDVI stack", "synth"))
-    cal = Calibration.from_dict(read_json(
-        _require(out / "calibration.json", "calibration", "calibrate"), "calibration"))
+def cmd_opportunity(out: Path, opts: dict) -> None:
+    spec, css_maps = load_grids(out / "maps" / "css")
+    raster = load_ndvi(out / "ndvi")
+    cal = Calibration.from_dict(read_json(out / "calibration.json", "calibration"))
     if opts["years"] is None:  # the manifest records the years actually used
         opts["years"] = sorted({obs.year for obs in raster.observations})
     opp_dir = out / "maps" / "opportunity"
-    _refuse_existing(opp_dir, force)
-
     summer = regrid_ndvi(raster, spec, years=opts["years"])
     opp = opportunity_map(css_maps["combined"], summer, cal)
-    save_grids(opp_dir, spec, {"opportunity": opp, "ndvi_summer": summer}, force=force)
+    save_grids(opp_dir, spec, {"opportunity": opp, "ndvi_summer": summer})
     n_pos = int(np.sum(np.isfinite(opp) & (opp > 0)))
     print(f"opportunity: {n_pos} pixels with positive opportunity -> {opp_dir}")
-    return ["maps/opportunity/opportunity.f32", "maps/opportunity/ndvi_summer.f32"]
 
 
 def _candidate_fieldnames(sites: list[CandidateSite]) -> list[str]:
@@ -421,9 +364,6 @@ def _write_candidates(path: Path, sites: list[CandidateSite]) -> None:
 
 
 def _read_candidates(path: Path) -> list[CandidateSite]:
-    if not path.exists():
-        raise DataError(f"candidates table not found: {path} "
-                        "(run `drycss candidates` first)")
     sites = []
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
@@ -442,13 +382,10 @@ def _read_candidates(path: Path) -> list[CandidateSite]:
     return sites
 
 
-def cmd_candidates(out: Path, opts: dict, force: bool) -> list[str]:
-    spec, opp_maps = load_grids(_require(out / "maps" / "opportunity",
-                                         "opportunity map", "opportunity"))
-    _, css_maps = load_grids(_require(out / "maps" / "css", "CSS maps", "predict"))
+def cmd_candidates(out: Path, opts: dict) -> None:
+    spec, opp_maps = load_grids(out / "maps" / "opportunity")
+    _, css_maps = load_grids(out / "maps" / "css")
     path = out / "candidates.csv"
-    _refuse_existing(path, force)
-
     sites = extract_candidates(opp_maps["opportunity"], spec,
                                css=css_maps["combined"],
                                ndvi=opp_maps["ndvi_summer"],
@@ -467,16 +404,13 @@ def cmd_candidates(out: Path, opts: dict, force: bool) -> list[str]:
         print(f"candidates: {len(sites)} sites (no attribute filtering) -> {path}")
     else:
         print(f"candidates: {len(sites)} sites, {len(filtered)} retained -> {path}")
-    return ["candidates.csv"]
 
 
-def cmd_analogs(out: Path, opts: dict, force: bool) -> list[str]:
-    cube = load_cube(_require(out / "cube", "climate cube", "synth"), mmap=True)
-    _, opp_maps = load_grids(_require(out / "maps" / "opportunity",
-                                      "opportunity map", "opportunity"))
+def cmd_analogs(out: Path, opts: dict) -> None:
+    cube = load_cube(out / "cube", mmap=True)
+    _, opp_maps = load_grids(out / "maps" / "opportunity")
     sites = _read_candidates(out / "candidates.csv")
     channels = opts["channels"]
-    _refuse_existing(out / "analogs.csv", force)
 
     # only sites that survived filtering, or all if filtering never ran
     any_filtered = any(s.retained is not None for s in sites)
@@ -541,52 +475,42 @@ def cmd_analogs(out: Path, opts: dict, force: bool) -> list[str]:
             else:
                 w.writerow([row["site"], repr(site.lat), repr(site.lon),
                             "", "", "", "", "", "", "", row["note"]])
-    save_grids(out / "maps" / "analogs", cube.spec, dist_grids, force=force)
-    uplift_doc = {"rows": list(report.rows),
-                  "mean_of_ratios": report.mean_of_ratios,
-                  "ratio_of_means": report.ratio_of_means,
-                  "n_used": report.n_used, "n_skipped": report.n_skipped}
-    (out / "uplift.json").write_text(json.dumps(uplift_doc, indent=2, sort_keys=True) + "\n")
+    save_grids(out / "maps" / "analogs", cube.spec, dist_grids)
+    write_json(out / "uplift.json",
+               {"rows": list(report.rows), "mean_of_ratios": report.mean_of_ratios,
+                "ratio_of_means": report.ratio_of_means,
+                "n_used": report.n_used, "n_skipped": report.n_skipped})
     print(f"analogs: {report.n_used} matches over {len(targets)} candidates; "
           f"mean of ratios {report.mean_of_ratios:.3f}, "
           f"ratio of means {report.ratio_of_means:.3f}")
-    return ["analogs.csv", "uplift.json", "maps/analogs"]
 
 
-def cmd_report(out: Path, opts: dict, force: bool) -> list[str]:
+def cmd_report(out: Path, opts: dict) -> None:
     report_dir = out / "report"
-    _refuse_existing(report_dir, force)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    report_dir.mkdir()
 
-    _, css_maps = load_grids(_require(out / "maps" / "css", "CSS maps", "predict"))
+    _, css_maps = load_grids(out / "maps" / "css")
     for name, grid in sorted(css_maps.items()):
         write_pgm(report_dir / f"css_{name}.pgm", grid)
-        written.append(f"report/css_{name}.pgm")
     if "blup" in css_maps and "nn" in css_maps:
         iou = map_agreement_iou(css_maps["blup"], css_maps["nn"])
-        (report_dir / "iou.json").write_text(
-            json.dumps({"blup_vs_nn_iou_at_0.5": iou}, indent=2, sort_keys=True) + "\n")
-        written.append("report/iou.json")
+        write_json(report_dir / "iou.json", {"blup_vs_nn_iou_at_0.5": iou})
 
     opp_dir = out / "maps" / "opportunity"
     if opp_dir.exists():
         _, opp_maps = load_grids(opp_dir)
         for name, grid in sorted(opp_maps.items()):
             write_pgm(report_dir / f"{name}.pgm", grid)
-            written.append(f"report/{name}.pgm")
 
     analog_dir = out / "maps" / "analogs"
     if analog_dir.exists():
         _, dist_maps = load_grids(analog_dir)
         for name, grid in sorted(dist_maps.items()):
             write_pgm(report_dir / f"{name}.pgm", grid)
-            written.append(f"report/{name}.pgm")
 
     metrics_path = out / "runs" / "metrics.csv"
     if metrics_path.exists():
         (report_dir / "metrics.csv").write_text(metrics_path.read_text())
-        written.append("report/metrics.csv")
 
     recls_path = out / "reclassification.csv"
     if recls_path.exists():
@@ -610,15 +534,14 @@ def cmd_report(out: Path, opts: dict, force: bool) -> list[str]:
                 for end in ("top", "bottom"):
                     for combo in sorted(overlap[end]):
                         w.writerow([end, "+".join(combo), overlap[end][combo]])
-            written.append("report/rankings.csv")
 
-    print(f"report: {len(written)} artifacts -> {report_dir}")
-    return written
+    print(f"report: {len(list(report_dir.iterdir()))} artifacts -> {report_dir}")
 
 
 # ---------------------------------------------------------------------------
-# stage options: each is declared once here and feeds both the flag with
-# its help text and config resolution
+# the stage table: each option is declared once here and feeds both the
+# flag with its help text and config resolution; needs and makes are the
+# stage graph that main checks
 
 
 class Opt(NamedTuple):
@@ -637,8 +560,17 @@ def _at_least(lo):
 _POSITIVE_LIST = (lambda v: all(s >= 1 for s in v), "positive")
 _JOBS = Opt("jobs", 1, int, "worker count", _at_least(1), env="DRYCSS_JOBS")
 
-STAGES: dict[str, tuple[Callable, str, list[Opt]]] = {
-    "synth": (cmd_synth, "generate a synthetic cube, NDVI stack, and samples", [
+
+class Stage(NamedTuple):
+    run: Callable                 # (workspace, resolved options) -> None
+    help: str
+    options: list[Opt]
+    needs: dict[str, str]         # workspace path read -> the stage that makes it
+    makes: tuple[str, ...]        # workspace paths written
+
+
+STAGES: dict[str, Stage] = {
+    "synth": Stage(cmd_synth, "generate a synthetic cube, NDVI stack, and samples", [
         Opt("seed", 0, int, "synthesis seed", _at_least(0)),
         Opt("grid_size", synth.DESK_GRID.n_lat, int, "nodes per grid side",
             _at_least(8)),
@@ -652,9 +584,10 @@ STAGES: dict[str, tuple[Callable, str, list[Opt]]] = {
              "four positive integers")),
         Opt("min_spacing_km", opportunity.DEFAULT_MIN_SPACING_KM, float,
             "minimum site spacing", _at_least(0)),
-    ]),
-    "features": (cmd_features, "extract per-sample DFT coefficients", []),
-    "train": (cmd_train, "train the BLUP/NN model grid", [
+    ], {}, ("cube", "ndvi", "truth", "samples.csv")),
+    "features": Stage(cmd_features, "extract per-sample DFT coefficients", [],
+                      {"samples.csv": "synth", "cube": "synth"}, ("features",)),
+    "train": Stage(cmd_train, "train the BLUP/NN model grid", [
         Opt("blup_sizes", pipeline.DEFAULT_BLUP_SIZES, _int_list,
             "retained bins per variable", _POSITIVE_LIST),
         Opt("nn_sizes", pipeline.DEFAULT_NN_SIZES, _int_list,
@@ -674,14 +607,18 @@ STAGES: dict[str, tuple[Callable, str, list[Opt]]] = {
             "shrinkage: auto (= feature count), loo, or a number",
             (lambda v: isinstance(v, str) or v > 0, "auto, loo or > 0")),
         _JOBS,
-    ]),
-    "predict": (cmd_predict, "score every pixel into CSS maps", [_JOBS]),
-    "calibrate": (cmd_calibrate, "reclassification scores + NDVI calibration", []),
-    "opportunity": (cmd_opportunity, "calibrated CSS minus NDVI map", [
+    ], {"features": "features", "samples.csv": "synth"}, ("runs",)),
+    "predict": Stage(cmd_predict, "score every pixel into CSS maps", [_JOBS],
+                     {"cube": "synth", "runs": "train"}, ("maps/css",)),
+    "calibrate": Stage(cmd_calibrate, "reclassification scores + NDVI calibration", [],
+                       {"features": "features", "runs": "train", "samples.csv": "synth"},
+                       ("calibration.json", "reclassification.csv")),
+    "opportunity": Stage(cmd_opportunity, "calibrated CSS minus NDVI map", [
         Opt("years", None, _int_list,
             "NDVI years to average; every year in the stack when unset"),
-    ]),
-    "candidates": (cmd_candidates, "extract spaced opportunity peaks", [
+    ], {"maps/css": "predict", "ndvi": "synth", "calibration.json": "calibrate"},
+        ("maps/opportunity",)),
+    "candidates": Stage(cmd_candidates, "extract spaced opportunity peaks", [
         Opt("count", opportunity.DEFAULT_CANDIDATE_COUNT, int,
             "number of candidates", _at_least(1)),
         Opt("min_spacing_km", opportunity.DEFAULT_MIN_SPACING_KM, float,
@@ -692,8 +629,8 @@ STAGES: dict[str, tuple[Callable, str, list[Opt]]] = {
         Opt("rules", None, str,
             "JSON rules file; the packaged accessibility rules when only "
             "--attributes is given, no filtering when neither is"),
-    ]),
-    "analogs": (cmd_analogs, "match candidates to intact climate analogs", [
+    ], {"maps/opportunity": "opportunity", "maps/css": "predict"}, ("candidates.csv",)),
+    "analogs": Stage(cmd_analogs, "match candidates to intact climate analogs", [
         Opt("channels", 32, int, "lowest-frequency bins per variable",
             _at_least(1)),
         Opt("max_climate_distance", None, float,
@@ -706,17 +643,42 @@ STAGES: dict[str, tuple[Callable, str, list[Opt]]] = {
             "required NDVI improvement", _at_least(0)),
         Opt("exclude", None, str,
             "grid directory whose 'exclusion' grid masks pixels out of the search"),
-    ]),
-    "report": (cmd_report, "render heatmaps and summary tables", []),
+    ], {"cube": "synth", "maps/opportunity": "opportunity", "candidates.csv": "candidates"},
+        ("analogs.csv", "uplift.json", "maps/analogs")),
+    # report also reads maps/opportunity, maps/analogs, runs/metrics.csv
+    # and reclassification.csv when they exist
+    "report": Stage(cmd_report, "render heatmaps and summary tables", [],
+                    {"maps/css": "predict"}, ("report",)),
 }
 
 
 def _resolve(args, config: dict, stage: str) -> dict:
-    """Every option of a stage, resolved and checked."""
-    return {o.key: _cfg(args, config, stage, o.key,
-                        os.environ.get(o.env, o.default) if o.env else o.default,
-                        o.cast, *o.check)
-            for o in STAGES[stage][2]}
+    """Every option of a stage, resolved and checked: the flag, else
+    config[stage][key] or config[key], else the option's environment
+    variable, else its default."""
+    section = config.get(stage)
+    section = section if isinstance(section, dict) else {}
+    opts = {}
+    for o in STAGES[stage].options:
+        value = getattr(args, o.key, None)
+        if value is None:
+            if o.key in section:
+                value = section[o.key]
+            elif o.key in config:
+                value = config[o.key]
+            else:
+                value = os.environ.get(o.env, o.default) if o.env else o.default
+        if value is not None:
+            try:
+                value = o.cast(value)
+            except (TypeError, ValueError):
+                expected = f" (expected {_EXPECTED[o.cast]})" if o.cast in _EXPECTED else ""
+                raise UsageError(f"bad value for {stage}.{o.key}: {value!r}{expected}")
+            check, allowed = o.check
+            if check is not None and not check(value):
+                raise UsageError(f"{stage}.{o.key}={value!r} out of range ({allowed})")
+        opts[o.key] = value
+    return opts
 
 
 def _help(o: Opt) -> str:
@@ -736,14 +698,14 @@ def build_parser() -> _Parser:
                     "features, BLUP/NN ensembles, CSS and opportunity maps, "
                     "candidate sites, and climate analogs.")
     sub = parser.add_subparsers(dest="command", metavar="stage")
-    for name, (_, help_text, options) in STAGES.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
         p.add_argument("--out", required=True, help="workspace directory")
         p.add_argument("--config", default=None,
                        help="JSON config file; flags override it")
         p.add_argument("--force", action="store_true",
-                       help="overwrite existing stage outputs")
-        for o in options:
+                       help="replace existing stage outputs")
+        for o in stage.options:
             p.add_argument("--" + o.key.replace("_", "-"), default=None, help=_help(o))
     return parser
 
@@ -755,10 +717,24 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help()
             return 1
+        stage = STAGES[args.command]
         opts = _resolve(args, _load_config(args.config), args.command)
         out = Path(args.out)
-        artifacts = STAGES[args.command][0](out, opts, args.force)
-        _record_stage(out, args.command, opts, artifacts)
+        inputs = {rel: _stamp(out, rel, producer) for rel, producer in stage.needs.items()}
+        manifest_path = out / "manifest.json"
+        manifest = read_json(manifest_path, "manifest") if manifest_path.exists() else {}
+        records = manifest.setdefault("stages", {})
+        _check_upstream(out, args.command, records)
+        for path in (out / rel for rel in stage.makes):
+            if path.exists() and not args.force:
+                raise DataError(f"output already exists: {path} (rerun with --force)")
+            if path.is_dir():  # --force: no file of an earlier run survives
+                shutil.rmtree(path)
+        stage.run(out, opts)
+        records[args.command] = {
+            "completed_utc": datetime.now(timezone.utc).isoformat(),
+            "config": opts, "artifacts": sorted(stage.makes), "inputs": inputs}
+        write_json(manifest_path, manifest)
         return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,6 +23,12 @@ def read_json(path: str | Path, what: str):
         raise DataError(f"corrupt {what} {path}: {e}") from None
 
 
+def write_json(path: str | Path, doc) -> None:
+    """Write doc as indented JSON with sorted keys, as every drycss JSON
+    file is written."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 class NumericalError(Exception):
     """A numerical routine failed or diverged.
 

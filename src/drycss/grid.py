@@ -3,14 +3,17 @@
 On-disk cube layout (one directory per cube):
 
     cube/
-      meta.json     grid spec, time axis, variable codes
+      meta.json     grid spec, time axis, variable codes, digest
       <var>.f32     little-endian float32, [time, lat, lon] row-major
 
 NDVI stacks use the same idea, one grid per observation:
 
     ndvi/
-      meta.json     grid spec plus the observation list
+      meta.json     grid spec, observation list, digest
       <year>_<doy>.f32
+
+The digest (`content_digest` of the data files) makes meta.json change
+whenever the data does, so it can stand for the whole directory.
 
 The no-data sentinel is quiet NaN everywhere. A pixel is invalid when
 any variable contains NaN at any time step there; on load every
@@ -22,14 +25,14 @@ naming the offending variable.
 
 from __future__ import annotations
 
-import json
+import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_json
+from .errors import DataError, read_json, write_json
 
 # ERA5-Land surface variable codes carried by a cube, in canonical order.
 VARIABLES = (
@@ -174,6 +177,49 @@ def _read_meta(path: Path, fmt: str, what: str) -> tuple[Path, dict, GridSpec]:
     return meta_path, meta, GridSpec.from_dict(_entry(meta, "grid", meta_path))
 
 
+def sha256_file(path: str | Path) -> str:
+    """sha256 of a file, read in 1 MiB chunks so memory stays flat."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def content_digest(path: Path, names) -> str:
+    """Digest of the named files under path: the sha256 of their
+    `sha256sum` listing, in the given order."""
+    listing = "".join(f"{sha256_file(path / name)}  {name}\n" for name in names)
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+def _save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray],
+              force: bool) -> None:
+    """Write each array as little-endian float32 <name>.f32, then meta.json
+    with the digest of those files; refuses an existing directory unless
+    force."""
+    path = Path(path)
+    if (path / "meta.json").exists() and not force:
+        raise DataError(f"directory already exists: {path} (use force to overwrite)")
+    path.mkdir(parents=True, exist_ok=True)
+    for name, values in arrays.items():
+        np.ascontiguousarray(values, dtype=_FLOAT32).tofile(path / f"{name}.f32")
+    meta.update(version=1, digest=content_digest(path, [f"{n}.f32" for n in arrays]))
+    write_json(path / "meta.json", meta)
+
+
+def _read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndarray:
+    """path/<name>.f32 as a float32 array of the given shape; a missing or
+    wrong-sized file raises DataError naming it."""
+    f = path / f"{name}.f32"
+    if not f.exists():
+        raise DataError(f"{path} is missing data file {f.name}")
+    arr = np.memmap(f, dtype=_FLOAT32, mode="r") if mmap else np.fromfile(f, dtype=_FLOAT32)
+    if arr.size != np.prod(shape):
+        raise DataError(f"{f}: file holds {arr.size} values, grid expects {np.prod(shape)}")
+    return arr.reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # climate cubes
 
@@ -225,21 +271,9 @@ def compute_valid_mask(values: dict[str, np.ndarray], variables) -> np.ndarray:
 
 def save_cube(cube: ClimateCube, path: str | Path, force: bool = False) -> None:
     """Write a cube directory; refuses to overwrite unless force."""
-    path = Path(path)
-    if (path / "meta.json").exists() and not force:
-        raise DataError(f"cube directory already exists: {path} (use force to overwrite)")
-    path.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "format": "drycss-cube",
-        "version": 1,
-        "grid": cube.spec.to_dict(),
-        "time": cube.time.to_dict(),
-        "variables": list(cube.variables),
-    }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for var in cube.variables:
-        arr = np.ascontiguousarray(cube.values[var], dtype=_FLOAT32)
-        arr.tofile(path / f"{var}.f32")
+    _save_dir(path, {"format": "drycss-cube", "grid": cube.spec.to_dict(),
+                     "time": cube.time.to_dict(), "variables": list(cube.variables)},
+              {var: cube.values[var] for var in cube.variables}, force)
 
 
 def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
@@ -257,21 +291,8 @@ def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
     if not variables:
         raise DataError(f"cube {path} declares no variables")
 
-    n = time.n_steps * spec.n_lat * spec.n_lon
-    shape = (time.n_steps, spec.n_lat, spec.n_lon)
-    values: dict[str, np.ndarray] = {}
-    for var in variables:
-        f = path / f"{var}.f32"
-        if not f.exists():
-            raise DataError(f"cube {path} missing data file for variable {var}")
-        if mmap:
-            arr = np.memmap(f, dtype=_FLOAT32, mode="r")
-        else:
-            arr = np.fromfile(f, dtype=_FLOAT32)
-        if arr.size != n:
-            raise DataError(
-                f"variable {var}: file holds {arr.size} values, grid expects {n}")
-        values[var] = arr.reshape(shape)
+    values = {var: _read_f32(path, var, (time.n_steps,) + spec.shape, mmap)
+              for var in variables}
 
     mask = compute_valid_mask(values, variables)
     if not mmap:
@@ -359,36 +380,17 @@ class NdviRaster:
 
 
 def save_ndvi(raster: NdviRaster, path: str | Path, force: bool = False) -> None:
-    path = Path(path)
-    if (path / "meta.json").exists() and not force:
-        raise DataError(f"NDVI directory already exists: {path} (use force to overwrite)")
-    path.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "format": "drycss-ndvi",
-        "version": 1,
-        "grid": raster.spec.to_dict(),
-        "observations": [[obs.year, obs.doy] for obs in raster.observations],
-    }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for obs in raster.observations:
-        arr = np.ascontiguousarray(obs.values, dtype=_FLOAT32)
-        arr.tofile(path / f"{obs.year}_{obs.doy}.f32")
+    _save_dir(path, {"format": "drycss-ndvi", "grid": raster.spec.to_dict(),
+                     "observations": [[o.year, o.doy] for o in raster.observations]},
+              {f"{o.year}_{o.doy}": o.values for o in raster.observations}, force)
 
 
 def load_ndvi(path: str | Path) -> NdviRaster:
     path = Path(path)
     _, meta, spec = _read_meta(path, "drycss-ndvi", "NDVI")
-    n = spec.n_lat * spec.n_lon
-    observations = []
-    for year, doy in meta.get("observations", []):
-        f = path / f"{year}_{doy}.f32"
-        if not f.exists():
-            raise DataError(f"NDVI stack {path} missing observation file {year}_{doy}.f32")
-        arr = np.fromfile(f, dtype=_FLOAT32)
-        if arr.size != n:
-            raise DataError(
-                f"NDVI observation {year}_{doy}: file holds {arr.size} values, grid expects {n}")
-        observations.append(NdviObservation(int(year), int(doy), arr.reshape(spec.shape)))
+    observations = [NdviObservation(int(year), int(doy),
+                                    _read_f32(path, f"{year}_{doy}", spec.shape))
+                    for year, doy in meta.get("observations", [])]
     observations.sort(key=lambda o: (o.year, o.doy))
     return NdviRaster(spec=spec, observations=observations)
 
@@ -487,37 +489,21 @@ def regrid_ndvi(raster: NdviRaster, target: GridSpec, years) -> np.ndarray:
 def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray],
                force: bool = False) -> None:
     """Write named 2-D float32 grids sharing one grid spec."""
-    path = Path(path)
-    if (path / "meta.json").exists() and not force:
-        raise DataError(f"grid directory already exists: {path} (use force to overwrite)")
-    path.mkdir(parents=True, exist_ok=True)
     for name in grids:
         if not re.fullmatch(r"[A-Za-z0-9_.-]+", name):
             raise DataError(f"bad grid name: {name!r}")
         if grids[name].shape != spec.shape:
             raise DataError(f"grid {name} shape {grids[name].shape} != {spec.shape}")
-    meta = {
-        "format": "drycss-grids",
-        "version": 1,
-        "grid": spec.to_dict(),
-        "names": sorted(grids),
-    }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    for name in sorted(grids):
-        np.ascontiguousarray(grids[name], dtype=_FLOAT32).tofile(path / f"{name}.f32")
+    _save_dir(path, {"format": "drycss-grids", "grid": spec.to_dict(),
+                     "names": sorted(grids)},
+              {name: grids[name] for name in sorted(grids)}, force)
 
 
 def load_grids(path: str | Path) -> tuple[GridSpec, dict[str, np.ndarray]]:
     path = Path(path)
     _, meta, spec = _read_meta(path, "drycss-grids", "grid")
-    n = spec.n_lat * spec.n_lon
-    grids = {}
-    for name in meta.get("names", []):
-        arr = np.fromfile(path / f"{name}.f32", dtype=_FLOAT32)
-        if arr.size != n:
-            raise DataError(f"grid {name}: file holds {arr.size} values, expected {n}")
-        grids[name] = arr.reshape(spec.shape)
-    return spec, grids
+    return spec, {name: _read_f32(path, name, spec.shape)
+                  for name in meta.get("names", [])}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ import numpy as np
 
 from .blup import fit_blup, select_lambda_loo
 from .bundles import TrainedModel
-from .errors import DataError, NumericalError, read_json
+from .errors import DataError, NumericalError, read_json, write_json
 from .grid import ClimateCube, extract_series, pixel_series
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (FrequencySelection, dft_coefficients, fit_normalization,
@@ -197,7 +196,7 @@ def save_run_record(run: TrainingRun, path: str | Path) -> None:
         "metrics": {k: float(v) for k, v in run.metrics.items()},
         "failed": run.failed, "error": run.error,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_run_record(path: str | Path) -> TrainingRun:
@@ -400,18 +399,20 @@ def out_of_fold_scores(runs: list[TrainingRun], n_samples: int) -> np.ndarray:
 
 def ensemble_scores(models: list[TrainedModel | None], coeffs: np.ndarray
                     ) -> dict[str, np.ndarray]:
-    """Mean score per kind plus the all-model "combined" mean."""
+    """Mean score per kind plus the all-model "combined" mean. Each is
+    summed from zero in model order, so a map pixel (predict_map) and a
+    sample scored here get the same arithmetic."""
     live = [m for m in models if m is not None]
     if not live:
         raise DataError("no trained models to ensemble")
-    by_kind: dict[str, list[np.ndarray]] = {}
-    everything = []
+    sums = {kind: np.zeros(coeffs.shape[0]) for kind in sorted({m.kind for m in live})}
+    total = np.zeros(coeffs.shape[0])
     for model in live:
         s = model.score_coefficients(coeffs)
-        by_kind.setdefault(model.kind, []).append(s)
-        everything.append(s)
-    out = {kind: np.mean(rows, axis=0) for kind, rows in by_kind.items()}
-    out["combined"] = np.mean(everything, axis=0)
+        sums[model.kind] += s
+        total += s
+    out = {kind: sums[kind] / sum(m.kind == kind for m in live) for kind in sums}
+    out["combined"] = total / len(live)
     return out
 
 
@@ -513,17 +514,8 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
         rows, cols, series = pixel_series(cube, r0, r0 + BLOCK_ROWS)
         if rows.size == 0:
             return
-        coeffs = dft_coefficients(series)
-        kind_sums = {kind: np.zeros(rows.size) for kind in kinds}
-        total = np.zeros(rows.size)
-        for m in live:
-            s = m.score_coefficients(coeffs)
-            kind_sums[m.kind] += s
-            total += s
-        n_by_kind = {kind: sum(1 for m in live if m.kind == kind) for kind in kinds}
-        for kind in kinds:
-            out[kind][rows, cols] = kind_sums[kind] / n_by_kind[kind]
-        out["combined"][rows, cols] = total / len(live)
+        for name, scores in ensemble_scores(live, dft_coefficients(series)).items():
+            out[name][rows, cols] = scores
 
     starts = list(range(0, H, BLOCK_ROWS))
     if jobs > 1:

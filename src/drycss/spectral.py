@@ -14,13 +14,12 @@ of the selected bins, variable-major, in ranking order.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_json
+from .errors import DataError, read_json, write_json
 
 FEATURE_DOC_VERSION = 1
 
@@ -285,7 +284,7 @@ def feature_tables_from_doc(doc: dict) -> tuple[FrequencySelection, Normalizatio
 def save_feature_tables(path: str | Path, selection: FrequencySelection,
                         norm: NormalizationTable) -> None:
     doc = feature_tables_to_doc(selection, norm)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
 
 
 def load_feature_tables(path: str | Path) -> tuple[FrequencySelection, NormalizationTable]:

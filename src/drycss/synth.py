@@ -20,8 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
+from .grid import (SUMMER_DOY, ClimateCube, GridSpec, NdviObservation, NdviRaster,
                    TimeAxis, VARIABLES, great_circle_km)
+from .opportunity import DEFAULT_MIN_SPACING_KM
+from .pipeline import CSS_THRESHOLD, VEG_THRESHOLD, LabeledSample
 
 YEAR_HOURS = 8760.0
 DAY_HOURS = 24.0
@@ -188,7 +190,7 @@ def synth_ndvi(spec: GridSpec, suitability: np.ndarray, seed: int = 0,
     for year in years:
         for doy in sorted(SUMMER_DOYS + OFF_SEASON_DOYS):
             v = base_fine + 0.01 * rng.standard_normal(fine.shape)
-            if not (SUMMER_DOY_LO <= doy <= SUMMER_DOY_HI):
+            if not (SUMMER_DOY[0] <= doy <= SUMMER_DOY[1]):
                 v = v + OFF_SEASON_BOOST
             speckle = rng.random(fine.shape) < 0.01
             v = np.clip(v, -0.05, 0.95)
@@ -197,8 +199,6 @@ def synth_ndvi(spec: GridSpec, suitability: np.ndarray, seed: int = 0,
     raster = NdviRaster(spec=fine, observations=observations)
     return raster, irrigated, degraded
 
-
-SUMMER_DOY_LO, SUMMER_DOY_HI = 80, 256
 
 CATEGORIES = ("HiSuit-HiVeg", "LoSuit-LoVeg", "LoSuit-HiVeg", "HiSuit-LoVeg")
 DEFAULT_COUNTS = {"HiSuit-HiVeg": 101, "LoSuit-LoVeg": 101,
@@ -209,9 +209,9 @@ def sample_reference_sites(spec: GridSpec, suitability: np.ndarray,
                            summer_ndvi: np.ndarray,
                            irrigated: np.ndarray, degraded: np.ndarray,
                            counts: dict[str, int] | None = None,
-                           seed: int = 0, veg_threshold: float = 0.15,
-                           css_threshold: float = 0.5,
-                           min_spacing_km: float = 9.0):
+                           seed: int = 0, veg_threshold: float = VEG_THRESHOLD,
+                           css_threshold: float = CSS_THRESHOLD,
+                           min_spacing_km: float = DEFAULT_MIN_SPACING_KM):
     """Draw labelled reference sites of all four categories.
 
     Sites are picked pixel-disjoint with pairwise spacing of at least
@@ -219,8 +219,6 @@ def sample_reference_sites(spec: GridSpec, suitability: np.ndarray,
     categories). Label is 1 for the HiSuit categories. Raises when a
     category cannot reach its count.
     """
-    from .pipeline import LabeledSample
-
     counts = dict(DEFAULT_COUNTS if counts is None else counts)
     rng = np.random.default_rng(seed)
     valid = np.isfinite(suitability) & np.isfinite(summer_ndvi)

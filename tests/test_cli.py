@@ -55,21 +55,21 @@ class TestConfigPlumbing:
             cli._int_list("")
 
     def test_cfg_precedence(self):
-        args = SimpleNamespace(count=7)
+        def count(flag, config):
+            return cli._resolve(SimpleNamespace(count=flag), config, "candidates")["count"]
+
         config = {"candidates": {"count": 3}, "count": 2}
-        assert cli._cfg(args, config, "candidates", "count", 1, int) == 7
-        args.count = None
-        assert cli._cfg(args, config, "candidates", "count", 1, int) == 3
-        assert cli._cfg(args, {"count": 2}, "candidates", "count", 1, int) == 2
-        assert cli._cfg(args, {}, "candidates", "count", 1, int) == 1
+        assert count(7, config) == 7
+        assert count(None, config) == 3
+        assert count(None, {"count": 2}) == 2
+        assert count(None, {}) == opportunity.DEFAULT_CANDIDATE_COUNT
 
     def test_cfg_cast_and_check(self):
         args = SimpleNamespace(count=None)
         with pytest.raises(cli.UsageError, match="bad value"):
-            cli._cfg(args, {"count": "soon"}, "s", "count", 1, int)
+            cli._resolve(args, {"count": "soon"}, "candidates")
         with pytest.raises(cli.UsageError, match="out of range"):
-            cli._cfg(args, {"count": 0}, "s", "count", 1, int,
-                     lambda v: v >= 1, ">= 1")
+            cli._resolve(args, {"count": 0}, "candidates")
 
     def test_jobs_resolution(self, monkeypatch):
         def jobs(flag, config):
@@ -90,12 +90,12 @@ class TestConfigPlumbing:
             jobs(None, {})
 
     def test_help_prints_each_default(self, capsys):
-        for stage, (_, _, options) in cli.STAGES.items():
+        for stage, row in cli.STAGES.items():
             with pytest.raises(SystemExit) as exc:
                 cli.main([stage, "--help"])
             assert exc.value.code == 0
             text = " ".join(capsys.readouterr().out.split())
-            for opt in options:
+            for opt in row.options:
                 assert "--" + opt.key.replace("_", "-") in text
                 if opt.default is None:
                     continue
@@ -209,6 +209,81 @@ def copy_workspace(workspace, tmp_path):
     return ws
 
 
+def run(ws, stage, *tail):
+    return cli.main([stage, "--out", str(ws), "--force", *tail])
+
+
+class TestStageGraph:
+    def test_table_is_an_upstream_first_graph(self):
+        """Every need is made by its named producer, and every producer
+        comes before its consumers in STAGES, so the graph is acyclic and
+        table order is upstream first."""
+        order = list(cli.STAGES)
+        for name, row in cli.STAGES.items():
+            for rel, producer in row.needs.items():
+                assert rel in cli.STAGES[producer].makes, (name, rel, producer)
+                assert order.index(producer) < order.index(name), (name, producer)
+        assert [n for n, row in cli.STAGES.items() if not row.needs] == ["synth"]
+
+    def test_cube_swap_refuses_downstream(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        samples = (ws / "samples.csv").read_bytes()
+        assert run(ws, "synth", *SYNTH_FLAGS[:-1], "4") == 0
+        for stage in ("predict", "analogs"):
+            assert run(ws, stage) == 2
+            assert "rerun `drycss features`" in capsys.readouterr().err
+        (ws / "samples.csv").write_bytes(samples)  # only the cube differs now
+        assert run(ws, "predict") == 2
+        err = capsys.readouterr().err
+        assert "cube/meta.json changed" in err and "rerun `drycss features`" in err
+
+    def test_calibration_from_other_models_is_refused(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        assert run(ws, "train", *TRAIN_FLAGS, "--seed", "1") == 0
+        assert run(ws, "predict") == 0
+        assert run(ws, "opportunity") == 2
+        err = capsys.readouterr().err
+        assert "runs/meta.json changed" in err and "rerun `drycss calibrate`" in err
+
+    def test_changed_candidates_input_is_refused(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        assert run(ws, "opportunity", "--years", "2020") == 0
+        assert run(ws, "analogs") == 2
+        err = capsys.readouterr().err
+        assert "maps/opportunity/meta.json changed" in err
+        assert "rerun `drycss candidates`" in err
+
+    def test_identical_rewrite_keeps_downstream_current(self, workspace, tmp_path):
+        ws = copy_workspace(workspace, tmp_path)
+        assert run(ws, "predict") == 0
+        for stage in ("analogs", "opportunity", "candidates", "analogs"):
+            assert run(ws, stage) == 0, stage
+
+    def test_force_clears_output_directories(self, workspace, tmp_path):
+        ws = copy_workspace(workspace, tmp_path)
+        assert run(ws, "train", "--blup-sizes", "2", "--nn-sizes", "8",
+                   "--repetitions", "1", "--epochs", "5") == 0
+        assert sorted(p.name for p in (ws / "runs").iterdir() if p.is_dir()) == \
+            ["blup_2_0", "nn_8_0"]
+
+    def test_hand_supplied_inputs_need_no_record(self, workspace, tmp_path):
+        ws = tmp_path / "ws"
+        for rel in ("cube", "ndvi"):
+            shutil.copytree(workspace / rel, ws / rel)
+        shutil.copy(workspace / "samples.csv", ws / "samples.csv")
+        assert run(ws, "features") == 0
+        assert run(ws, "train", *TRAIN_FLAGS) == 0
+
+    def test_missing_upstream_record_is_refused(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        manifest = json.loads((ws / "manifest.json").read_text())
+        del manifest["stages"]["train"]
+        (ws / "manifest.json").write_text(json.dumps(manifest))
+        assert run(ws, "predict") == 2
+        err = capsys.readouterr().err
+        assert "recorded no hash" in err and "rerun `drycss train`" in err
+
+
 class TestExitCodes:
     def test_missing_input_is_2(self, tmp_path, capsys):
         code = cli.main(["features", "--out", str(tmp_path)])
@@ -302,7 +377,9 @@ class TestExitCodes:
             assert cli.main([stage, "--out", str(ws), "--force"]) == 2
             err = capsys.readouterr().err
             assert "features/meta.json changed" in err and "rerun `drycss train`" in err
-        (ws / "runs" / "inputs.json").unlink()  # bundles trained before hashes
+        manifest = json.loads((ws / "manifest.json").read_text())
+        del manifest["stages"]["train"]["inputs"]  # bundles trained before hashes
+        (ws / "manifest.json").write_text(json.dumps(manifest))
         assert cli.main(["predict", "--out", str(ws), "--force"]) == 2
         err = capsys.readouterr().err
         assert "recorded no hash" in err and "rerun `drycss train`" in err

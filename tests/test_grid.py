@@ -1,12 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from drycss.errors import DataError
 from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                          TimeAxis, VARIABLES, block_regrid, extract_series,
-                         great_circle_km, load_cube, load_grids, load_ndvi,
-                         pixel_series, regrid_ndvi, save_cube, save_grids,
-                         save_ndvi, summer_ndvi_mean)
+                         content_digest, great_circle_km, load_cube, load_grids,
+                         load_ndvi, pixel_series, regrid_ndvi, save_cube,
+                         save_grids, save_ndvi, sha256_file, summer_ndvi_mean)
 
 SPEC = GridSpec(lat_min=10.0, lat_max=10.9, lon_min=30.0, lon_max=30.9,
                 n_lat=10, n_lon=10)
@@ -338,6 +341,30 @@ class TestNamedGrids:
         save_cube(small_cube(), tmp_path / "c")
         with pytest.raises(DataError, match="format"):
             load_grids(tmp_path / "c")
+
+
+class TestDigest:
+    def test_chunked_sha256_matches_whole_file(self, tmp_path):
+        data = np.random.default_rng(0).bytes((1 << 20) * 2 + 17)  # spans chunks
+        (tmp_path / "f").write_bytes(data)
+        assert sha256_file(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+
+    def test_digest_is_sha256_of_sha256sum_listing(self, tmp_path):
+        (tmp_path / "a").write_bytes(b"one")
+        (tmp_path / "b").write_bytes(b"two")
+        listing = "".join(f"{hashlib.sha256(d).hexdigest()}  {n}\n"
+                          for n, d in (("a", b"one"), ("b", b"two")))
+        assert content_digest(tmp_path, ["a", "b"]) == \
+            hashlib.sha256(listing.encode()).hexdigest()
+
+    def test_meta_digest_follows_the_data(self, tmp_path):
+        def digest(cube):
+            save_cube(cube, tmp_path / "c", force=True)
+            return json.loads((tmp_path / "c" / "meta.json").read_text())["digest"]
+
+        first = digest(small_cube(seed=0))
+        assert digest(small_cube(seed=0)) == first
+        assert digest(small_cube(seed=1)) != first
 
 
 class TestGreatCircle:
