@@ -5,14 +5,15 @@ One directory per trained model:
     <run>/
       model.json      kind, size, repetition, seed, solver scalars,
                       and (for networks) per-section topologies
-    weights.f32       all weights, little-endian float32, flat
+      weights.f32     all weights, little-endian float32, flat
       features.json   versioned frequency selection + normalization
 
-Network weight layout is section-major (encoder, decoder, classifier);
-each section is its net's `theta` (the trainable parameters in
-canonical layer order) followed by its `state` (the batch-norm running
+Network weight layout is section-major, encoder then classifier; each
+section is its net's `theta` (the trainable parameters in canonical
+layer order) followed by its `state` (the batch-norm running
 statistics). Lengths are recorded in model.json so a truncated or
-padded file fails loudly.
+padded file fails loudly. Version 1 bundles, which also held the
+decoder that scoring never uses, are refused.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .neural import AutoencoderModel, ClassifierModel, DenseNet
 from .spectral import (FrequencySelection, NormalizationTable, feature_dim,
                        load_feature_tables, project, save_feature_tables)
 
-MODEL_DOC_VERSION = 1
+MODEL_DOC_VERSION = 2
+_SECTIONS = ("encoder", "classifier")
 
 _FLOAT32 = np.dtype("<f4")
 
@@ -99,9 +101,7 @@ def save_model_bundle(model: TrainedModel, path: str | Path,
         chunks.append(model.blup.effects)
     else:
         sections = []
-        for name, net in (("encoder", model.autoencoder.encoder),
-                          ("decoder", model.autoencoder.decoder),
-                          ("classifier", model.classifier.net)):
+        for name, net in zip(_SECTIONS, (model.autoencoder.encoder, model.classifier.net)):
             sections.append({"name": name, "topology": net.topology(),
                              "n_params": net.theta.size, "n_state": net.state.size})
             chunks += [net.theta, net.state]
@@ -147,7 +147,7 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
                 effects=flat, intercept=float(doc["intercept"]),
                 lam=float(doc["lambda"])))
         sections = {s["name"]: s for s in doc.get("sections", [])}
-        for name in ("encoder", "decoder", "classifier"):
+        for name in _SECTIONS:
             if name not in sections:
                 raise DataError(f"model bundle missing section {name}: {path}")
         total = sum(s["n_params"] + s["n_state"] for s in sections.values())
@@ -156,7 +156,7 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
                 f"weights.f32 holds {flat.size} values, sections declare {total}")
         nets = {}
         pos = 0
-        for name in ("encoder", "decoder", "classifier"):
+        for name in _SECTIONS:
             s = sections[name]
             net = nets[name] = DenseNet.from_topology(s["topology"])
             if (net.theta.size, net.state.size) != (s["n_params"], s["n_state"]):
@@ -166,7 +166,7 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
                 pos += vec.size
         return TrainedModel(
             **fields, classifier=ClassifierModel(net=nets["classifier"]),
-            autoencoder=AutoencoderModel(encoder=nets["encoder"], decoder=nets["decoder"],
+            autoencoder=AutoencoderModel(encoder=nets["encoder"],
                                          latent_dim=int(doc["latent_dim"])))
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed model metadata {doc_path}: bad or missing {e}") from None

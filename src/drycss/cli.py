@@ -19,7 +19,7 @@ writes (`makes`). From that table `main` runs every stage the same way:
    in ws/manifest.json the current stamp of each of its own needs, or
    the first that did not is named (exit 2, "rerun `drycss <stage>`");
 3. existing outputs are refused without --force (exit 2), and with it
-   output directories are cleared;
+   removed, and the stage's manifest record dropped, before it runs;
 4. the stage runs;
 5. its options, outputs and the stamps of its needs go into the manifest.
 
@@ -48,9 +48,9 @@ import numpy as np
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
 from .errors import DataError, NumericalError, read_json, write_json
-from .grid import (GridSpec, TimeAxis, content_digest, load_cube, load_grids,
-                   load_ndvi, regrid_ndvi, save_cube, save_grids, save_ndvi,
-                   sha256_file)
+from .grid import (GridSpec, TimeAxis, block_columns, content_digest, load_cube,
+                   load_grids, load_ndvi, regrid_ndvi, save_cube, save_grids,
+                   save_ndvi, sha256_file)
 from .neural import TrainParams
 from .opportunity import (CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
@@ -431,17 +431,14 @@ def cmd_analogs(out: Path, opts: dict) -> None:
             raise DataError(f"no 'exclusion' grid in {opts['exclude']}")
         exclusion = egrids["exclusion"] > 0.5
 
-    # only bins 0..channels-1 are kept, so only those are computed, from the
-    # valid columns of time-major row blocks, with no per-pixel transpose
+    # only bins 0..channels-1 are kept, so only those are computed
     vectors = np.full(cube.spec.shape + (len(cube.variables) * channels * 2,), np.nan)
     for r0 in range(0, cube.spec.n_lat, BLOCK_ROWS):
-        valid = cube.mask[r0:r0 + BLOCK_ROWS]
+        valid, columns = block_columns(cube, r0, r0 + BLOCK_ROWS)
         coeffs = np.empty((int(valid.sum()), len(cube.variables), channels),
                           dtype=np.complex128)
-        for vi, var in enumerate(cube.variables):
-            block = cube.values[var][:, r0:r0 + BLOCK_ROWS, :]
-            block = block.reshape(cube.time.n_steps, -1).compress(valid.ravel(), axis=1)
-            coeffs[:, vi] = dft_coefficients(block.T, n_bins=channels)
+        for vi, col in enumerate(columns):
+            coeffs[:, vi] = dft_coefficients(col.T, n_bins=channels)
         vectors[r0:r0 + BLOCK_ROWS][valid] = truncated_coefficients(coeffs, channels)
 
     ndvi = opp_maps["ndvi_summer"]
@@ -728,8 +725,12 @@ def main(argv=None) -> int:
         for path in (out / rel for rel in stage.makes):
             if path.exists() and not args.force:
                 raise DataError(f"output already exists: {path} (rerun with --force)")
-            if path.is_dir():  # --force: no file of an earlier run survives
+            if path.is_dir():  # --force: nothing of an earlier run survives
                 shutil.rmtree(path)
+            elif path.exists():
+                path.unlink()
+        if records.pop(args.command, None) is not None:  # nor its record
+            write_json(manifest_path, manifest)
         stage.run(out, opts)
         records[args.command] = {
             "completed_utc": datetime.now(timezone.utc).isoformat(),

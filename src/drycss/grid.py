@@ -16,11 +16,11 @@ The digest (`content_digest` of the data files) makes meta.json change
 whenever the data does, so it can stand for the whole directory.
 
 The no-data sentinel is quiet NaN everywhere. A pixel is invalid when
-any variable contains NaN at any time step there; on load every
-variable is NaN-filled at invalid pixels so the in-memory invariant
-"masked pixels are NaN in all variables, unmasked pixels contain no
-NaN" always holds. Infinities are never legal and fail the load,
-naming the offending variable.
+any variable contains NaN at any time step there. A load into memory
+NaN-fills every variable at invalid pixels; a memory-mapped load does
+not, so there only the mask says which pixels are valid (as in
+`block_columns`, the row-block reader of map-wide stages). Infinities
+are never legal and fail the load, naming the offending variable.
 """
 
 from __future__ import annotations
@@ -303,20 +303,15 @@ def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
     return ClimateCube(spec=spec, time=time, variables=variables, values=values, mask=mask)
 
 
-def pixel_series(cube: ClimateCube, r0: int, r1: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Valid pixels of grid rows r0..r1-1 as (rows, cols, series).
-
-    series is float64 [n_pixels, n_variables, n_steps] in row-major
-    pixel order; rows and cols index the full grid.
-    """
-    flat = np.flatnonzero(cube.mask[r0:r1])
-    W = cube.spec.n_lon
-    rows, cols = r0 + flat // W, flat % W
-    series = np.empty((flat.size, len(cube.variables), cube.time.n_steps))
-    for vi, var in enumerate(cube.variables):
-        series[:, vi, :] = cube.values[var][:, rows, cols].T
-    return rows, cols, series
+def block_columns(cube: ClimateCube, r0: int, r1: int):
+    """Valid pixels of grid rows r0..r1-1, read time-major, as (valid,
+    columns): valid is the block's mask, and columns yields per variable,
+    in cube order, the float32 [n_steps, n_valid] series of the valid
+    pixels in row-major order. Only the mask decides which pixels come
+    back, and one variable is copied at a time."""
+    valid = cube.mask[r0:r1]
+    return valid, (cube.values[var][:, r0:r1, :].reshape(cube.time.n_steps, -1)
+                   .compress(valid.ravel(), axis=1) for var in cube.variables)
 
 
 def extract_series(cube: ClimateCube, lat: float, lon: float

@@ -310,8 +310,8 @@ def _block_dropout_augment(n_variables: int, block: int, params: TrainParams):
 @dataclass
 class AutoencoderModel:
     encoder: DenseNet
-    decoder: DenseNet
     latent_dim: int
+    decoder: DenseNet | None = None  # not kept in bundles; scoring uses the encoder
     trajectory: list[float] = field(repr=False, default_factory=list)
     final_loss: float = float("nan")
 

@@ -27,7 +27,7 @@ import numpy as np
 from .blup import fit_blup, select_lambda_loo
 from .bundles import TrainedModel
 from .errors import DataError, NumericalError, read_json, write_json
-from .grid import ClimateCube, extract_series, pixel_series
+from .grid import ClimateCube, block_columns, extract_series
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (FrequencySelection, dft_coefficients, fit_normalization,
                        project, select_frequencies)
@@ -511,11 +511,13 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
     out["combined"] = np.full((H, W), np.nan)
 
     def do_block(r0: int) -> None:
-        rows, cols, series = pixel_series(cube, r0, r0 + BLOCK_ROWS)
-        if rows.size == 0:
-            return
-        for name, scores in ensemble_scores(live, dft_coefficients(series)).items():
-            out[name][rows, cols] = scores
+        valid, columns = block_columns(cube, r0, r0 + BLOCK_ROWS)
+        coeffs = np.empty((int(valid.sum()), len(variables), cube.time.n_steps // 2 + 1),
+                          dtype=np.complex128)
+        for vi, col in enumerate(columns):
+            coeffs[:, vi] = dft_coefficients(col.T)
+        for name, scores in ensemble_scores(live, coeffs).items():
+            out[name][r0:r0 + BLOCK_ROWS][valid] = scores
 
     starts = list(range(0, H, BLOCK_ROWS))
     if jobs > 1:

@@ -72,3 +72,16 @@ def pairwise_min_km(lats, lons) -> float:
             d = 2 * 6371.0 * np.arcsin(np.sqrt(a))
             best = min(best, d)
     return best
+
+
+def pixel_series(cube, r0: int, r1: int):
+    """Valid pixels of grid rows r0..r1-1 as (rows, cols, series), by a
+    two-index gather: series is float64 [n_pixels, n_variables, n_steps]
+    in row-major pixel order; rows and cols index the full grid."""
+    flat = np.flatnonzero(cube.mask[r0:r1])
+    W = cube.spec.n_lon
+    rows, cols = r0 + flat // W, flat % W
+    series = np.empty((flat.size, len(cube.variables), cube.time.n_steps))
+    for vi, var in enumerate(cube.variables):
+        series[:, vi, :] = cube.values[var][:, rows, cols].T
+    return rows, cols, series

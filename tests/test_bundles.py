@@ -111,6 +111,17 @@ class TestNnBundle:
         np.testing.assert_allclose(dst.run_var, src.run_var, rtol=1e-6)
         assert not np.allclose(dst.run_mean, 0.0)  # training moved the stats
 
+    def test_bundle_holds_encoder_and_classifier_only(self, fitted, tmp_path):
+        _, _, nn = fitted
+        save_model_bundle(nn, tmp_path / "m")
+        doc = json.loads((tmp_path / "m" / "model.json").read_text())
+        assert doc["version"] == 2
+        assert [s["name"] for s in doc["sections"]] == ["encoder", "classifier"]
+        nets = (nn.autoencoder.encoder, nn.classifier.net)
+        assert (tmp_path / "m" / "weights.f32").stat().st_size == \
+            4 * sum(net.theta.size + net.state.size for net in nets)
+        assert load_model_bundle(tmp_path / "m").autoencoder.decoder is None
+
     def test_second_save_is_byte_identical(self, fitted, tmp_path):
         _, _, nn = fitted
         save_model_bundle(nn, tmp_path / "a")

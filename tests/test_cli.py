@@ -266,6 +266,14 @@ class TestStageGraph:
         assert sorted(p.name for p in (ws / "runs").iterdir() if p.is_dir()) == \
             ["blup_2_0", "nn_8_0"]
 
+    def test_failed_force_run_leaves_no_outputs_or_record(self, workspace, tmp_path):
+        ws = copy_workspace(workspace, tmp_path)
+        assert run(ws, "analogs", "--channels", "9999") == 1
+        for rel in cli.STAGES["analogs"].makes:
+            assert not (ws / rel).exists(), rel
+        assert "analogs" not in json.loads((ws / "manifest.json").read_text())["stages"]
+        assert cli.main(["analogs", "--out", str(ws)]) == 0
+
     def test_hand_supplied_inputs_need_no_record(self, workspace, tmp_path):
         ws = tmp_path / "ws"
         for rel in ("cube", "ndvi"):
@@ -386,6 +394,15 @@ class TestExitCodes:
         assert cli.main(["train", "--out", str(ws), "--force"] + TRAIN_FLAGS) == 0
         for stage in ("predict", "calibrate"):
             assert cli.main([stage, "--out", str(ws), "--force"]) == 0
+
+    def test_version_1_model_bundle_is_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "runs" / "nn_4_0" / "model.json"
+        doc = json.loads(path.read_text())
+        doc["version"] = 1  # the layout that also held the decoder
+        path.write_text(json.dumps(doc))
+        assert cli.main(["predict", "--out", str(ws), "--force"]) == 2
+        assert "unsupported model bundle format/version" in capsys.readouterr().err
 
     @pytest.mark.parametrize("drop", ["size", "n_params", "topology"])
     def test_malformed_model_metadata_is_2(self, workspace, tmp_path, capsys, drop):

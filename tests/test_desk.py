@@ -11,12 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from drycss.grid import pixel_series
 from drycss.opportunity import (extract_candidates, find_analog,
                                 opportunity_map, uplift_report)
 from drycss.pipeline import (BLOCK_ROWS, ensemble_scores, fit_calibration,
                              map_agreement_iou)
 from drycss.spectral import dft_coefficients, truncated_coefficients
+from helpers import pixel_series
 
 ANALOG_CHANNELS = 32
 

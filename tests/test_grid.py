@@ -6,10 +6,11 @@ import pytest
 
 from drycss.errors import DataError
 from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
-                         TimeAxis, VARIABLES, block_regrid, extract_series,
-                         content_digest, great_circle_km, load_cube, load_grids,
-                         load_ndvi, pixel_series, regrid_ndvi, save_cube,
-                         save_grids, save_ndvi, sha256_file, summer_ndvi_mean)
+                         TimeAxis, VARIABLES, block_columns, block_regrid,
+                         content_digest, extract_series, great_circle_km,
+                         load_cube, load_grids, load_ndvi, regrid_ndvi,
+                         save_cube, save_grids, save_ndvi, sha256_file,
+                         summer_ndvi_mean)
 
 SPEC = GridSpec(lat_min=10.0, lat_max=10.9, lon_min=30.0, lon_max=30.9,
                 n_lat=10, n_lon=10)
@@ -184,19 +185,28 @@ class TestExtractSeries:
         with pytest.raises(DataError, match="masked"):
             extract_series(cube, *cube.spec.node(3, 3))
 
-    def test_pixel_block_matches_extract_series(self):
+    def test_block_columns_match_extract_series(self, tmp_path):
+        """Memory-mapped loads keep the raw values of invalid pixels, so
+        only the mask may decide which columns the reader returns."""
         cube = small_cube()
-        cube.values["tp"][2, 3, 1] = np.nan
-        cube = ClimateCube(spec=cube.spec, time=cube.time,
-                           variables=cube.variables, values=cube.values)
-        rows, cols, series = pixel_series(cube, 2, 4)
-        pixels = list(zip(rows.tolist(), cols.tolist()))
-        assert pixels == [(iy, ix) for iy in (2, 3) for ix in range(4)
-                          if (iy, ix) != (3, 1)]
-        assert series.dtype == np.float64
-        for (iy, ix), s in zip(pixels, series):
-            ref, _ = extract_series(cube, *cube.spec.node(iy, ix))
-            np.testing.assert_array_equal(s, ref)
+        cube.values["tp"][2, 3, 1] = np.nan  # pixel (3, 1): finite elsewhere
+        cube.values["t2m"][:, 2, 2] = np.nan
+        save_cube(cube, tmp_path / "c")
+        cube = load_cube(tmp_path / "c", mmap=True)
+        assert np.isfinite(cube.values["d2m"][:, 3, 1]).all()
+        for r0, r1, rows in ((2, 4, (2, 3)), (3, 5, (3,))):
+            valid, columns = block_columns(cube, r0, r1)
+            np.testing.assert_array_equal(valid, cube.mask[r0:r1])
+            pixels = [(iy, ix) for iy in rows for ix in range(4)
+                      if (iy, ix) not in ((3, 1), (2, 2))]
+            columns = list(columns)
+            assert len(columns) == len(cube.variables)
+            for vi, col in enumerate(columns):
+                assert col.dtype == np.float32
+                assert col.shape == (cube.time.n_steps, len(pixels))
+                for j, (iy, ix) in enumerate(pixels):
+                    ref, _ = extract_series(cube, *cube.spec.node(iy, ix))
+                    np.testing.assert_array_equal(col[:, j], ref[vi])
 
 
 class TestNdvi:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from drycss.errors import DataError
-from drycss.grid import GridSpec, TimeAxis, VARIABLES, extract_series
+from drycss.grid import (GridSpec, TimeAxis, VARIABLES, extract_series,
+                         load_cube, save_cube)
 from drycss.neural import TrainParams
-from drycss.pipeline import (CALIBRATION_CATEGORIES, Calibration, GridSettings,
-                             LabeledSample, aggregate_metrics, category_means,
+from drycss.pipeline import (BLOCK_ROWS, CALIBRATION_CATEGORIES, Calibration,
+                             GridSettings, LabeledSample, aggregate_metrics,
+                             category_means,
                              compute_run_metrics, derive_seed, ensemble_scores,
                              enumerate_grid, fit_calibration, holdout_split,
                              load_run_record, load_samples, map_agreement_iou,
@@ -16,6 +18,7 @@ from drycss.pipeline import (CALIBRATION_CATEGORIES, Calibration, GridSettings,
                              save_run_record, save_samples, train_one_run)
 from drycss.spectral import dft_coefficients
 from drycss.synth import synth_cube
+from helpers import pixel_series
 
 
 class TestSeeds:
@@ -392,6 +395,33 @@ class TestPredictMap:
         b = predict_map(models, cube, jobs=4)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memory_mapped_map_matches_pixel_gather_bytes(self, setup, tmp_path, jobs):
+        """The time-major block reader gives the bytes of the two-index
+        gather it replaced, on a memory-mapped cube whose invalid pixels
+        keep finite values in one variable, and with a last block of one
+        row."""
+        _, models = setup
+        spec = GridSpec(lat_min=0.0, lat_max=0.8, lon_min=10.0, lon_max=10.7,
+                        n_lat=9, n_lon=8)
+        taxis = TimeAxis(start="2020-01-01T00:00:00Z", step_hours=3.0, n_steps=64)
+        cube, _ = synth_cube(spec, taxis, seed=5, invalid_fraction=0.2)
+        cube.values["d2m"][:, ~cube.mask] = 1.0
+        save_cube(cube, tmp_path / "c")
+        cube = load_cube(tmp_path / "c", mmap=True)
+        assert (~cube.mask).sum() == 14
+        maps = predict_map(models, cube, jobs=jobs)
+        ref = {name: np.full(spec.shape, np.nan) for name in maps}
+        for r0 in range(0, spec.n_lat, BLOCK_ROWS):
+            rows, cols, series = pixel_series(cube, r0, r0 + BLOCK_ROWS)
+            if rows.size:
+                for name, scores in ensemble_scores(models,
+                                                    dft_coefficients(series)).items():
+                    ref[name][rows, cols] = scores
+        assert set(maps) == set(ref)
+        for name in maps:
+            assert maps[name].tobytes() == ref[name].tobytes(), name
 
     def test_lineage_checks(self, setup):
         cube, models = setup
