@@ -13,9 +13,8 @@ from .grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                    regrid_ndvi, save_cube, save_grids, save_ndvi,
                    summer_ndvi_mean)
 from .spectral import (FrequencySelection, NormalizationTable, amplitudes,
-                       bin_energies, climate_distance, dft_coefficients,
-                       fit_normalization, project, reconstruct,
-                       select_frequencies, truncated_coefficients)
+                       bin_energies, dft_coefficients, fit_normalization,
+                       project, select_frequencies, truncated_coefficients)
 from .blup import BlupModel, fit_blup, loo_rmse, predict_blup, select_lambda_loo
 from .neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
                      gradient_check, train_autoencoder, train_classifier)

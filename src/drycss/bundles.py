@@ -1,19 +1,24 @@
 """On-disk model bundles.
 
-One directory per trained model:
+One directory per trained model, all three files written and read here:
 
     <run>/
-      model.json      kind, size, repetition, seed, solver scalars,
-                      and (for networks) per-section topologies
+      model.json      format, version, kind, size, repetition, seed,
+                      solver scalars and (for networks) per-section
+                      topologies
       weights.f32     all weights, little-endian float32, flat
-      features.json   versioned frequency selection + normalization
+      features.json   the frequency selection and its normalization:
+                      version, variables, k, n_steps, bins [V, k] and
+                      mean_re, std_re, mean_im, std_im, each [V, k]
 
 Network weight layout is section-major, encoder then classifier; each
 section is its net's `theta` (the trainable parameters in canonical
 layer order) followed by its `state` (the batch-norm running
 statistics). Lengths are recorded in model.json so a truncated or
 padded file fails loudly. Version 1 bundles, which also held the
-decoder that scoring never uses, are refused.
+decoder that scoring never uses, are refused. A load checks every bin
+against n_steps and every normalization table against [V, k], so a
+hand-edited features.json fails here rather than in scoring.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ import numpy as np
 from .blup import BlupModel, predict_blup
 from .errors import DataError, read_json, write_json
 from .neural import AutoencoderModel, ClassifierModel, DenseNet
-from .spectral import (FrequencySelection, NormalizationTable, feature_dim,
-                       load_feature_tables, project, save_feature_tables)
+from .spectral import FrequencySelection, NormalizationTable, feature_dim, n_bins, project
 
 MODEL_DOC_VERSION = 2
+FEATURE_DOC_VERSION = 1
 _SECTIONS = ("encoder", "classifier")
+_NORM_TABLES = ("mean_re", "std_re", "mean_im", "std_im")
 
 _FLOAT32 = np.dtype("<f4")
 
@@ -78,11 +84,12 @@ class TrainedModel:
         return self.score_features(project(coeffs, self.selection, self.norm))
 
 
-def save_model_bundle(model: TrainedModel, path: str | Path,
-                      force: bool = False) -> None:
+def save_model_bundle(model: TrainedModel, path: str | Path) -> None:
+    """Write model.json, weights.f32 and features.json; an existing
+    bundle is refused."""
     path = Path(path)
-    if (path / "model.json").exists() and not force:
-        raise DataError(f"model bundle already exists: {path} (use force to overwrite)")
+    if (path / "model.json").exists():
+        raise DataError(f"model bundle already exists: {path}")
     path.mkdir(parents=True, exist_ok=True)
 
     doc = {
@@ -111,7 +118,11 @@ def save_model_bundle(model: TrainedModel, path: str | Path,
     flat = np.concatenate(chunks)
     write_json(path / "model.json", doc)
     flat.astype(_FLOAT32).tofile(path / "weights.f32")
-    save_feature_tables(path / "features.json", model.selection, model.norm)
+    sel = model.selection
+    write_json(path / "features.json", {
+        "version": FEATURE_DOC_VERSION, "variables": list(sel.variables), "k": sel.k,
+        "n_steps": sel.n_steps, "bins": sel.bins.tolist(),
+        **{name: getattr(model.norm, name).tolist() for name in _NORM_TABLES}})
 
 
 def load_model_bundle(path: str | Path) -> TrainedModel:
@@ -129,13 +140,30 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
     weights_path = path / "weights.f32"
     if not weights_path.exists():
         raise DataError(f"model bundle missing weights.f32: {path}")
+    feat_path = path / "features.json"
+    if not feat_path.exists():
+        raise DataError(f"model bundle missing features.json: {path}")
     flat = np.fromfile(weights_path, dtype=_FLOAT32).astype(np.float64)
-    selection, norm = load_feature_tables(path / "features.json")
+    feat = read_json(feat_path, "feature tables")
 
     kind = doc.get("kind")
     if kind not in ("blup", "nn"):
         raise DataError(f"unknown model kind in {doc_path}: {kind!r}")
     try:
+        if feat["version"] != FEATURE_DOC_VERSION:
+            raise DataError(f"unsupported feature table version {feat['version']!r} in {path}")
+        selection = FrequencySelection(
+            variables=tuple(feat["variables"]), k=int(feat["k"]),
+            bins=np.asarray(feat["bins"], dtype=np.int64), n_steps=int(feat["n_steps"]))
+        limit = n_bins(selection.n_steps)
+        if not np.all((selection.bins >= 0) & (selection.bins < limit)):
+            raise DataError(f"{feat_path}: a bin lies outside [0, {limit})")
+        tables = {name: np.asarray(feat[name], dtype=np.float64) for name in _NORM_TABLES}
+        for name, table in tables.items():
+            if table.shape != selection.bins.shape:
+                raise DataError(f"{feat_path}: {name} is shaped {table.shape}, "
+                                f"not {selection.bins.shape} like the bins")
+        norm = NormalizationTable(**tables)
         fields = dict(kind=kind, size=int(doc["size"]), repetition=int(doc["repetition"]),
                       seed=int(doc["seed"]), selection=selection, norm=norm)
         if kind == "blup":
@@ -169,4 +197,4 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
             autoencoder=AutoencoderModel(encoder=nets["encoder"],
                                          latent_dim=int(doc["latent_dim"])))
     except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"malformed model metadata {doc_path}: bad or missing {e}") from None
+        raise DataError(f"malformed model metadata in {path}: bad or missing {e}") from None

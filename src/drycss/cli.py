@@ -198,7 +198,7 @@ def cmd_synth(out: Path, opts: dict) -> None:
 
 
 def cmd_features(out: Path, opts: dict) -> None:
-    cube = load_cube(out / "cube", mmap=True)
+    cube = load_cube(out / "cube")
     samples = load_samples(out / "samples.csv")
     coeffs = sample_coefficients(cube, samples)
     feat_dir = out / "features"
@@ -213,10 +213,10 @@ def cmd_features(out: Path, opts: dict) -> None:
 
 
 def _read_features(out: Path):
-    """The feature cache and its metadata, refused when it does not match
-    the samples table."""
+    """The feature cache and its metadata, refused when the cache is
+    unreadable or not the complex [samples, variables, n_steps//2+1]
+    array that the metadata and the samples table call for."""
     feat_dir = out / "features"
-    coeffs = np.load(feat_dir / "coeffs.npy")
     meta_path = feat_dir / "meta.json"
     meta = read_json(meta_path, "feature metadata")
     try:
@@ -225,15 +225,27 @@ def _read_features(out: Path):
         raise DataError(f"malformed feature metadata {meta_path}: bad or missing "
                         f"{e}; rerun `drycss features`") from None
     samples = load_samples(out / "samples.csv")
-    if len(samples) != coeffs.shape[0]:
-        raise DataError(
-            f"feature cache has {coeffs.shape[0]} rows for {len(samples)} samples; "
-            "rerun `drycss features`")
+    path = feat_dir / "coeffs.npy"
+    try:
+        coeffs = np.load(path)
+    except (EOFError, ValueError) as e:
+        raise DataError(f"unreadable feature cache {path}: {e}; rerun `drycss features`") from None
+    expected = (len(samples), len(variables), n_steps // 2 + 1)  # samples, variables, bins
+    if coeffs.shape != expected or coeffs.dtype != np.complex128:
+        raise DataError(f"feature cache {path} holds {coeffs.dtype} {list(coeffs.shape)}, not "
+                        f"complex128 {list(expected)}; rerun `drycss features`")
     return coeffs, variables, n_steps, samples
 
 
 def cmd_train(out: Path, opts: dict) -> None:
     coeffs, variables, n_steps, samples = _read_features(out)
+    n_bins, n_inputs = n_steps // 2 + 1, len(variables) * opts["nn_feature_bins"] * 2
+    for key, value, limit, what in (
+            ("blup_sizes", max(opts["blup_sizes"]), n_bins, "bins per variable"),
+            ("nn_feature_bins", opts["nn_feature_bins"], n_bins, "bins per variable"),
+            ("nn_sizes", max(opts["nn_sizes"]), n_inputs, "network input features")):
+        if value > limit:
+            raise UsageError(f"train.{key}={value} exceeds {limit} {what}")
     labels = np.array([s.label for s in samples])
     settings = GridSettings(
         variables=variables, n_steps=n_steps,
@@ -263,43 +275,35 @@ def cmd_train(out: Path, opts: dict) -> None:
         for row in rows:
             w.writerow([row[h] if isinstance(row[h], (str, int)) else repr(row[h])
                         for h in header])
-    write_json(runs_dir / "meta.json", {"digest": content_digest(runs_dir, sorted(
-        p.relative_to(runs_dir).as_posix() for p in runs_dir.rglob("*") if p.is_file()))})
+    write_json(runs_dir / "meta.json", {
+        "models": [run.run_id for run, model in zip(runs, models) if model is not None],
+        "digest": content_digest(runs_dir, sorted(
+            p.relative_to(runs_dir).as_posix() for p in runs_dir.rglob("*") if p.is_file()))})
 
     n_failed = sum(1 for r in runs if r.failed)
     print(f"train: {len(runs)} runs ({n_failed} failed) -> {runs_dir}")
 
 
-def _sorted_run_dirs(runs_dir: Path) -> list[Path]:
-    dirs = []
-    for p in runs_dir.iterdir():
-        if not p.is_dir():
-            continue
-        parts = p.name.rsplit("_", 2)
-        if len(parts) != 3:
-            continue
-        kind, size, rep = parts
-        try:
-            dirs.append(((0 if kind == "blup" else 1, int(size), int(rep)), p))
-        except ValueError:
-            continue
-    return [p for _, p in sorted(dirs)]
-
-
 def _load_models(out: Path):
-    """The model bundles under runs/, in canonical grid order."""
+    """The model bundles that runs/meta.json lists, in grid order; a
+    listed bundle that is missing is a DataError."""
     runs_dir = out / "runs"
-    models = []
-    for run_dir in _sorted_run_dirs(runs_dir):
-        if (run_dir / "model.json").exists():
-            models.append(load_model_bundle(run_dir))
-    if not models:
-        raise DataError(f"no model bundles under {runs_dir} (run `drycss train` first)")
-    return models
+    meta_path = runs_dir / "meta.json"
+    meta = read_json(meta_path, "runs metadata")
+    ids = meta.get("models") if isinstance(meta, dict) else None
+    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+        raise DataError(f"{meta_path} has no list of models; rerun `drycss train`")
+    if not ids:
+        raise DataError(f"no model bundles under {runs_dir}: every training run failed")
+    for run_id in ids:
+        if not (runs_dir / run_id).is_dir():
+            raise DataError(f"model bundle {runs_dir / run_id} listed in {meta_path} "
+                            "is missing; rerun `drycss train`")
+    return [load_model_bundle(runs_dir / run_id) for run_id in ids]
 
 
 def cmd_predict(out: Path, opts: dict) -> None:
-    cube = load_cube(out / "cube", mmap=True)
+    cube = load_cube(out / "cube")
     models = _load_models(out)
     css_dir = out / "maps" / "css"
     maps = predict_map(models, cube, jobs=opts["jobs"])
@@ -331,7 +335,12 @@ def cmd_calibrate(out: Path, opts: dict) -> None:
 def cmd_opportunity(out: Path, opts: dict) -> None:
     spec, css_maps = load_grids(out / "maps" / "css")
     raster = load_ndvi(out / "ndvi")
-    cal = Calibration.from_dict(read_json(out / "calibration.json", "calibration"))
+    cal_path = out / "calibration.json"
+    cal_doc = read_json(cal_path, "calibration")
+    try:
+        cal = Calibration.from_dict(cal_doc)
+    except DataError as e:
+        raise DataError(f"{e} in {cal_path}; rerun `drycss calibrate`") from None
     if opts["years"] is None:  # the manifest records the years actually used
         opts["years"] = sorted({obs.year for obs in raster.observations})
     opp_dir = out / "maps" / "opportunity"
@@ -369,14 +378,18 @@ def _read_candidates(path: Path) -> list[CandidateSite]:
         for row in csv.DictReader(f):
             attrs = {k[5:]: v for k, v in row.items() if k.startswith("attr_") and v}
             retained = row.get("retained", "")
-            sites.append(CandidateSite(
-                rank=int(row["rank"]), lat=float(row["lat"]), lon=float(row["lon"]),
-                iy=int(row["iy"]), ix=int(row["ix"]),
-                opportunity=float(row["opportunity"]), css=float(row["css"]),
-                ndvi=float(row["ndvi"]),
-                attributes=attrs,
-                retained=None if retained == "" else retained == "True",
-                missing_attributes=row.get("missing_attributes") == "True"))
+            try:
+                sites.append(CandidateSite(
+                    rank=int(row["rank"]), lat=float(row["lat"]), lon=float(row["lon"]),
+                    iy=int(row["iy"]), ix=int(row["ix"]),
+                    opportunity=float(row["opportunity"]), css=float(row["css"]),
+                    ndvi=float(row["ndvi"]),
+                    attributes=attrs,
+                    retained=None if retained == "" else retained == "True",
+                    missing_attributes=row.get("missing_attributes") == "True"))
+            except (KeyError, TypeError, ValueError) as e:
+                raise DataError(f"malformed candidates row in {path}: bad or missing "
+                                f"{e}") from None
     if not sites:
         raise DataError(f"candidates table is empty: {path}")
     return sites
@@ -407,7 +420,7 @@ def cmd_candidates(out: Path, opts: dict) -> None:
 
 
 def cmd_analogs(out: Path, opts: dict) -> None:
-    cube = load_cube(out / "cube", mmap=True)
+    cube = load_cube(out / "cube")
     _, opp_maps = load_grids(out / "maps" / "opportunity")
     sites = _read_candidates(out / "candidates.csv")
     channels = opts["channels"]
@@ -417,6 +430,11 @@ def cmd_analogs(out: Path, opts: dict) -> None:
     targets = [s for s in sites if s.retained] if any_filtered else sites
     if not targets:
         raise DataError("no retained candidates to match; relax the rules")
+    for s in targets:
+        if not (0 <= s.iy < cube.spec.n_lat and 0 <= s.ix < cube.spec.n_lon):
+            raise DataError(f"candidate {s.rank} in {out / 'candidates.csv'} lies at node "
+                            f"({s.iy}, {s.ix}), outside the {cube.spec.n_lat}x"
+                            f"{cube.spec.n_lon} grid")
 
     max_chan = cube.time.n_steps // 2 + 1
     if channels > max_chan:
@@ -554,7 +572,7 @@ def _at_least(lo):
     return (lambda v: v >= lo, f"at least {lo}")
 
 
-_POSITIVE_LIST = (lambda v: all(s >= 1 for s in v), "positive")
+_DISTINCT_SIZES = (lambda v: min(v) >= 1 and len(set(v)) == len(v), "positive, distinct")
 _JOBS = Opt("jobs", 1, int, "worker count", _at_least(1), env="DRYCSS_JOBS")
 
 
@@ -586,9 +604,9 @@ STAGES: dict[str, Stage] = {
                       {"samples.csv": "synth", "cube": "synth"}, ("features",)),
     "train": Stage(cmd_train, "train the BLUP/NN model grid", [
         Opt("blup_sizes", pipeline.DEFAULT_BLUP_SIZES, _int_list,
-            "retained bins per variable", _POSITIVE_LIST),
+            "retained bins per variable", _DISTINCT_SIZES),
         Opt("nn_sizes", pipeline.DEFAULT_NN_SIZES, _int_list,
-            "autoencoder latent sizes", _POSITIVE_LIST),
+            "autoencoder latent sizes", _DISTINCT_SIZES),
         Opt("repetitions", pipeline.DEFAULT_REPETITIONS, int,
             "holdout repetitions per cell", _at_least(1)),
         Opt("seed", 0, int, "root seed", _at_least(0)),

@@ -15,12 +15,16 @@ NDVI stacks use the same idea, one grid per observation:
 The digest (`content_digest` of the data files) makes meta.json change
 whenever the data does, so it can stand for the whole directory.
 
+Writers refuse a directory that already holds a meta.json; `drycss
+--force` clears a stage's outputs before the stage writes them.
+
 The no-data sentinel is quiet NaN everywhere. A pixel is invalid when
-any variable contains NaN at any time step there. A load into memory
-NaN-fills every variable at invalid pixels; a memory-mapped load does
-not, so there only the mask says which pixels are valid (as in
-`block_columns`, the row-block reader of map-wide stages). Infinities
-are never legal and fail the load, naming the offending variable.
+any variable contains NaN at any time step there. `load_cube` always
+memory-maps the variable files read-only and computes the validity
+mask; the values at invalid pixels stay as stored, so only the mask
+says which pixels are valid (as in `block_columns`, the row-block
+reader of map-wide stages). Infinities are never legal and fail the
+load, naming the offending variable.
 """
 
 from __future__ import annotations
@@ -193,14 +197,12 @@ def content_digest(path: Path, names) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
-def _save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray],
-              force: bool) -> None:
+def _save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write each array as little-endian float32 <name>.f32, then meta.json
-    with the digest of those files; refuses an existing directory unless
-    force."""
+    with the digest of those files; refuses an existing directory."""
     path = Path(path)
-    if (path / "meta.json").exists() and not force:
-        raise DataError(f"directory already exists: {path} (use force to overwrite)")
+    if (path / "meta.json").exists():
+        raise DataError(f"directory already exists: {path}")
     path.mkdir(parents=True, exist_ok=True)
     for name, values in arrays.items():
         np.ascontiguousarray(values, dtype=_FLOAT32).tofile(path / f"{name}.f32")
@@ -269,20 +271,19 @@ def compute_valid_mask(values: dict[str, np.ndarray], variables) -> np.ndarray:
     return mask
 
 
-def save_cube(cube: ClimateCube, path: str | Path, force: bool = False) -> None:
-    """Write a cube directory; refuses to overwrite unless force."""
+def save_cube(cube: ClimateCube, path: str | Path) -> None:
+    """Write a cube directory; refuses to overwrite one."""
     _save_dir(path, {"format": "drycss-cube", "grid": cube.spec.to_dict(),
                      "time": cube.time.to_dict(), "variables": list(cube.variables)},
-              {var: cube.values[var] for var in cube.variables}, force)
+              {var: cube.values[var] for var in cube.variables})
 
 
-def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
-    """Read a cube directory written by save_cube.
+def load_cube(path: str | Path) -> ClimateCube:
+    """Read a cube directory written by save_cube, memory-mapped read-only.
 
-    With mmap=True arrays are memory-mapped read-only and NOT
-    NaN-normalized in place; the mask is still computed and
-    authoritative. Invalid pixels of an mmap'd cube may hold partial
-    values in some variables.
+    The mask is computed from the data and is authoritative: an invalid
+    pixel keeps its stored values, which may be finite in some
+    variables.
     """
     path = Path(path)
     meta_path, meta, spec = _read_meta(path, "drycss-cube", "cube")
@@ -291,16 +292,9 @@ def load_cube(path: str | Path, mmap: bool = False) -> ClimateCube:
     if not variables:
         raise DataError(f"cube {path} declares no variables")
 
-    values = {var: _read_f32(path, var, (time.n_steps,) + spec.shape, mmap)
-              for var in variables}
-
-    mask = compute_valid_mask(values, variables)
-    if not mmap:
-        invalid = ~mask
-        if invalid.any():
-            for var in variables:
-                values[var][:, invalid] = np.nan
-    return ClimateCube(spec=spec, time=time, variables=variables, values=values, mask=mask)
+    shape = (time.n_steps,) + spec.shape
+    return ClimateCube(spec=spec, time=time, variables=variables,  # computes the mask
+                       values={var: _read_f32(path, var, shape, mmap=True) for var in variables})
 
 
 def block_columns(cube: ClimateCube, r0: int, r1: int):
@@ -374,10 +368,10 @@ class NdviRaster:
                 raise DataError(f"NDVI observation {obs.year}_{obs.doy} contains infinities")
 
 
-def save_ndvi(raster: NdviRaster, path: str | Path, force: bool = False) -> None:
+def save_ndvi(raster: NdviRaster, path: str | Path) -> None:
     _save_dir(path, {"format": "drycss-ndvi", "grid": raster.spec.to_dict(),
                      "observations": [[o.year, o.doy] for o in raster.observations]},
-              {f"{o.year}_{o.doy}": o.values for o in raster.observations}, force)
+              {f"{o.year}_{o.doy}": o.values for o in raster.observations})
 
 
 def load_ndvi(path: str | Path) -> NdviRaster:
@@ -481,8 +475,7 @@ def regrid_ndvi(raster: NdviRaster, target: GridSpec, years) -> np.ndarray:
 # named single grids (CSS maps, opportunity maps, distance maps)
 
 
-def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray],
-               force: bool = False) -> None:
+def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray]) -> None:
     """Write named 2-D float32 grids sharing one grid spec."""
     for name in grids:
         if not re.fullmatch(r"[A-Za-z0-9_.-]+", name):
@@ -491,7 +484,7 @@ def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray],
             raise DataError(f"grid {name} shape {grids[name].shape} != {spec.shape}")
     _save_dir(path, {"format": "drycss-grids", "grid": spec.to_dict(),
                      "names": sorted(grids)},
-              {name: grids[name] for name in sorted(grids)}, force)
+              {name: grids[name] for name in sorted(grids)})
 
 
 def load_grids(path: str | Path) -> tuple[GridSpec, dict[str, np.ndarray]]:

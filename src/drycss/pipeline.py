@@ -29,8 +29,7 @@ from .bundles import TrainedModel
 from .errors import DataError, NumericalError, read_json, write_json
 from .grid import ClimateCube, block_columns, extract_series
 from .neural import TrainParams, train_autoencoder, train_classifier
-from .spectral import (FrequencySelection, dft_coefficients, fit_normalization,
-                       project, select_frequencies)
+from .spectral import dft_coefficients, fit_normalization, project, select_frequencies
 
 VEG_THRESHOLD = 0.15
 CSS_THRESHOLD = 0.5
@@ -450,8 +449,8 @@ class Calibration:
         try:
             return cls(slope=float(d["slope"]), intercept=float(d["intercept"]),
                        r2=float(d["r2"]), n=int(d["n"]))
-        except KeyError as e:
-            raise DataError(f"calibration missing field {e}") from None
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"malformed calibration: bad or missing {e}") from None
 
 
 def fit_calibration(samples: list[LabeledSample], scores: np.ndarray,

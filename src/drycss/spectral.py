@@ -9,19 +9,18 @@ interior bins the order coincides with amplitude ranking.
 
 Feature vectors interleave the standardized real and imaginary parts
 of the selected bins, variable-major, in ranking order.
+
+This module holds the transforms only; a model bundle's features.json,
+which stores a selection and its normalization, belongs to
+`drycss.bundles`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .errors import DataError, read_json, write_json
-
-FEATURE_DOC_VERSION = 1
 
 
 def dft_coefficients(series: np.ndarray, n_bins: int | None = None) -> np.ndarray:
@@ -98,17 +97,6 @@ def bin_energies(coeffs: np.ndarray, n_steps: int) -> np.ndarray:
     return (coeffs.real ** 2 + coeffs.imag ** 2) * _multiplicity(n_steps)
 
 
-def reconstruct(coeffs: np.ndarray, n_steps: int,
-                bins=None) -> np.ndarray:
-    """Inverse of dft_coefficients, optionally keeping only some bins."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if bins is not None:
-        keep = np.zeros(c.shape[-1], dtype=bool)
-        keep[list(bins)] = True
-        c = np.where(keep, c, 0.0)
-    return np.fft.irfft(c * n_steps, n=n_steps, axis=-1)
-
-
 @dataclass(frozen=True)
 class FrequencySelection:
     """Per-variable retained bin indices, in ranking order."""
@@ -122,12 +110,6 @@ class FrequencySelection:
         if self.bins.shape != (len(self.variables), self.k):
             raise ValueError(f"bins shape {self.bins.shape} != "
                              f"({len(self.variables)}, {self.k})")
-
-    def prefix(self, k: int) -> "FrequencySelection":
-        if not 1 <= k <= self.k:
-            raise ValueError(f"prefix size {k} outside [1, {self.k}]")
-        return FrequencySelection(self.variables, k, self.bins[:, :k].copy(),
-                                  self.n_steps)
 
 
 @dataclass(frozen=True)
@@ -232,63 +214,3 @@ def truncated_coefficients(coeffs: np.ndarray, n_channels: int) -> np.ndarray:
     out[..., 0] = sel.real
     out[..., 1] = sel.imag
     return out.reshape(lead + (coeffs.shape[-2] * n_channels * 2,))
-
-
-def climate_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two climate vectors of equal length."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"climate vectors differ in shape: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def feature_tables_to_doc(selection: FrequencySelection,
-                          norm: NormalizationTable) -> dict:
-    return {
-        "version": FEATURE_DOC_VERSION,
-        "variables": list(selection.variables),
-        "k": selection.k,
-        "n_steps": selection.n_steps,
-        "bins": selection.bins.tolist(),
-        "mean_re": norm.mean_re.tolist(),
-        "std_re": norm.std_re.tolist(),
-        "mean_im": norm.mean_im.tolist(),
-        "std_im": norm.std_im.tolist(),
-    }
-
-
-def feature_tables_from_doc(doc: dict) -> tuple[FrequencySelection, NormalizationTable]:
-    version = doc.get("version")
-    if version != FEATURE_DOC_VERSION:
-        raise DataError(f"unsupported feature table version: {version!r}")
-    try:
-        selection = FrequencySelection(
-            variables=tuple(doc["variables"]), k=int(doc["k"]),
-            bins=np.asarray(doc["bins"], dtype=np.int64),
-            n_steps=int(doc["n_steps"]))
-        norm = NormalizationTable(
-            mean_re=np.asarray(doc["mean_re"], dtype=np.float64),
-            std_re=np.asarray(doc["std_re"], dtype=np.float64),
-            mean_im=np.asarray(doc["mean_im"], dtype=np.float64),
-            std_im=np.asarray(doc["std_im"], dtype=np.float64))
-    except (KeyError, ValueError) as e:
-        raise DataError(f"malformed feature tables: {e}") from None
-    return selection, norm
-
-
-def save_feature_tables(path: str | Path, selection: FrequencySelection,
-                        norm: NormalizationTable) -> None:
-    doc = feature_tables_to_doc(selection, norm)
-    write_json(path, doc)
-
-
-def load_feature_tables(path: str | Path) -> tuple[FrequencySelection, NormalizationTable]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"feature tables not found: {path}")
-    return feature_tables_from_doc(read_json(path, "feature tables"))

@@ -86,7 +86,6 @@ class TestBlupBundle:
         save_model_bundle(blup, tmp_path / "m")
         with pytest.raises(DataError, match="exists"):
             save_model_bundle(blup, tmp_path / "m")
-        save_model_bundle(blup, tmp_path / "m", force=True)
 
 
 class TestNnBundle:
@@ -187,3 +186,71 @@ class TestCorruption:
         with pytest.raises(DataError, match="topology does not match"):
             load_model_bundle(p)
 
+
+
+class TestFeatureTables:
+    """features.json, the bundle's frequency selection and normalization."""
+
+    def save(self, model, tmp_path):
+        save_model_bundle(model, tmp_path / "m")
+        return tmp_path / "m" / "features.json"
+
+    def edit(self, path, **changes):
+        doc = json.loads(path.read_text())
+        doc.update(changes)
+        path.write_text(json.dumps(doc))
+
+    def test_round_trip(self, fitted, tmp_path):
+        coeffs, blup, _ = fitted
+        self.save(blup, tmp_path)
+        doc = json.loads((tmp_path / "m" / "features.json").read_text())
+        assert sorted(doc) == ["bins", "k", "mean_im", "mean_re", "n_steps",
+                               "std_im", "std_re", "variables", "version"]
+        assert doc["version"] == 1
+        back = load_model_bundle(tmp_path / "m")
+        sel, sel2 = blup.selection, back.selection
+        assert (sel2.variables, sel2.k, sel2.n_steps) == (sel.variables, sel.k, sel.n_steps)
+        np.testing.assert_array_equal(sel2.bins, sel.bins)
+        np.testing.assert_array_equal(back.norm.std_im, blup.norm.std_im)
+        np.testing.assert_array_equal(project(coeffs, sel2, back.norm),
+                                      project(coeffs, sel, blup.norm))
+
+    def test_rejects_unknown_version(self, fitted, tmp_path):
+        path = self.save(fitted[1], tmp_path)
+        self.edit(path, version=99)
+        with pytest.raises(DataError, match="feature table version"):
+            load_model_bundle(path.parent)
+
+    def test_rejects_damage(self, fitted, tmp_path):
+        path = self.save(fitted[1], tmp_path)
+        path.write_text("{not json")
+        with pytest.raises(DataError, match="corrupt"):
+            load_model_bundle(path.parent)
+        path.write_text(json.dumps({"version": 1, "variables": ["a"]}))
+        with pytest.raises(DataError, match="malformed"):
+            load_model_bundle(path.parent)
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError, match="malformed"):
+            load_model_bundle(path.parent)
+        path.unlink()
+        with pytest.raises(DataError, match="features.json"):
+            load_model_bundle(path.parent)
+
+    @pytest.mark.parametrize("bad", [9999, 9, -1])
+    def test_bins_lie_in_the_spectrum(self, fitted, tmp_path, bad):
+        """16 steps give bins 0..8."""
+        _, blup, _ = fitted
+        path = self.save(blup, tmp_path)
+        bins = blup.selection.bins.tolist()
+        bins[1][2] = bad
+        self.edit(path, bins=bins)
+        with pytest.raises(DataError, match=r"outside \[0, 9\)"):
+            load_model_bundle(path.parent)
+
+    @pytest.mark.parametrize("table", ["mean_re", "std_re", "mean_im", "std_im"])
+    def test_tables_are_shaped_like_the_bins(self, fitted, tmp_path, table):
+        _, _, nn = fitted
+        path = self.save(nn, tmp_path)
+        self.edit(path, **{table: getattr(nn.norm, table)[:, :1].tolist()})  # [V, 1]
+        with pytest.raises(DataError, match=f"{table} is shaped \\(2, 1\\)"):
+            load_model_bundle(path.parent)

@@ -417,6 +417,101 @@ class TestExitCodes:
             assert "malformed model metadata" in err and repr(drop) in err
 
 
+class TestWorkspaceTables:
+    """Each stage table a user may edit by hand, and the model list in
+    runs/meta.json, fail as exit 2 naming the file, never as a traceback;
+    train refuses impossible sizes with exit 1 before any run starts."""
+
+    def test_runs_meta_lists_the_models_in_grid_order(self, workspace):
+        meta = json.loads((workspace / "runs" / "meta.json").read_text())
+        assert meta["models"] == ["blup_2_0", "nn_4_0"]
+
+    def test_missing_listed_bundle_is_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        shutil.rmtree(ws / "runs" / "nn_4_0")
+        for stage in ("predict", "calibrate"):
+            assert run(ws, stage) == 2
+            err = capsys.readouterr().err
+            assert "nn_4_0" in err and "listed in" in err and "rerun `drycss train`" in err
+
+    def test_runs_meta_without_model_list_is_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        meta = json.loads((ws / "runs" / "meta.json").read_text())
+        del meta["models"]
+        (ws / "runs" / "meta.json").write_text(json.dumps(meta))
+        assert run(ws, "predict") == 2
+        assert "no list of models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--blup-sizes", "4,4"], "train.blup_sizes=(4, 4) out of range (positive, distinct)"),
+        (["--nn-sizes", "4,8,4"], "train.nn_sizes=(4, 8, 4) out of range"),
+        (["--blup-sizes", "2,40"], "train.blup_sizes=40 exceeds 33 bins per variable"),
+        (["--nn-feature-bins", "40"], "train.nn_feature_bins=40 exceeds 33 bins per variable"),
+        (["--nn-sizes", "500"], "train.nn_sizes=500 exceeds 184 network input features"),
+    ], ids=["duplicate-blup", "duplicate-nn", "blup-above-spectrum",
+            "feature-bins-above-spectrum", "latent-above-inputs"])
+    def test_train_checks_sizes_before_any_run(self, workspace, tmp_path, capsys,
+                                                flags, message):
+        """64 steps give 33 bins; 23 variables x 4 bins x (re, im) give 184
+        network inputs."""
+        ws = copy_workspace(workspace, tmp_path)
+        shutil.rmtree(ws / "runs")
+        assert cli.main(["train", "--out", str(ws), *TRAIN_FLAGS, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not (ws / "runs").exists()  # no run started
+
+    @staticmethod
+    def edit_candidates(ws, change):
+        path = ws / "candidates.csv"
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        for row in rows:
+            change(row)
+        with open(path, "w", newline="") as f:
+            w = csv.DictWriter(f, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+
+    @pytest.mark.parametrize("change", [
+        lambda row: row.update(score=row.pop("css")),  # renamed column
+        lambda row: row.update(lat="north"),
+        lambda row: row.update(iy="12"),  # the grid has rows 0..11
+    ], ids=["renamed-column", "not-a-number", "outside-grid"])
+    def test_damaged_candidates_table_is_2(self, workspace, tmp_path, capsys, change):
+        ws = copy_workspace(workspace, tmp_path)
+        self.edit_candidates(ws, change)
+        assert run(ws, "analogs") == 2
+        assert "candidates.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        lambda doc: json.dumps(dict(doc, slope="abc")),
+        lambda doc: json.dumps([doc["slope"], doc["intercept"]]),
+    ], ids=["slope-not-a-number", "json-list"])
+    def test_damaged_calibration_is_2(self, workspace, tmp_path, capsys, text):
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "calibration.json"
+        path.write_text(text(json.loads(path.read_text())))
+        assert run(ws, "opportunity") == 2
+        err = capsys.readouterr().err
+        assert "malformed calibration" in err and "calibration.json" in err
+
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.write_bytes(path.read_bytes()[:-16]),
+        lambda path: path.write_bytes(b""),
+        lambda path: np.save(path, np.load(path)[:, :5]),
+        lambda path: np.save(path, np.load(path).astype(np.complex64)),
+        lambda path: np.save(path, np.load(path).real),
+    ], ids=["truncated", "empty", "wrong-shape", "complex64", "real"])
+    def test_damaged_feature_cache_is_2(self, workspace, tmp_path, capsys, damage):
+        ws = copy_workspace(workspace, tmp_path)
+        damage(ws / "features" / "coeffs.npy")
+        for stage in ("calibrate", "train"):  # train --force removes runs/
+            argv = TRAIN_FLAGS if stage == "train" else []
+            assert run(ws, stage, *argv) == 2
+            err = capsys.readouterr().err
+            assert "coeffs.npy" in err and "rerun `drycss features`" in err
+
+
 class TestAnalogVectors:
     def test_rows_match_search_on_fft_vectors(self, tmp_path):
         """analogs computes only the low bins it keeps; the oracle takes
@@ -427,7 +522,7 @@ class TestAnalogVectors:
                              ["calibrate"], ["opportunity"],
                              ["candidates", "--count", "5"], ["analogs"]):
             assert cli.main([stage, "--out", str(ws)] + tail) == 0, stage
-        cube = load_cube(ws / "cube", mmap=True)
+        cube = load_cube(ws / "cube")
         assert not cube.mask.all()
         vectors = pixel_vectors(SimpleNamespace(spec=cube.spec, cube=cube), 32)
         _, opp = load_grids(ws / "maps" / "opportunity")

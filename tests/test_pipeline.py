@@ -409,7 +409,7 @@ class TestPredictMap:
         cube, _ = synth_cube(spec, taxis, seed=5, invalid_fraction=0.2)
         cube.values["d2m"][:, ~cube.mask] = 1.0
         save_cube(cube, tmp_path / "c")
-        cube = load_cube(tmp_path / "c", mmap=True)
+        cube = load_cube(tmp_path / "c")
         assert (~cube.mask).sum() == 14
         maps = predict_map(models, cube, jobs=jobs)
         ref = {name: np.full(spec.shape, np.nan) for name in maps}

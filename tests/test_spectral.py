@@ -1,18 +1,12 @@
-import itertools
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drycss.errors import DataError
-from drycss.spectral import (FrequencySelection, amplitudes, bin_energies,
-                             climate_distance, dft_coefficients, feature_dim,
-                             fit_normalization, load_feature_tables, n_bins,
-                             project, reconstruct, save_feature_tables,
-                             select_frequencies, truncated_coefficients)
-from helpers import brute_force_best_bins, naive_dft
+from drycss.spectral import (amplitudes, bin_energies, dft_coefficients, feature_dim,
+                             fit_normalization, n_bins, project, select_frequencies,
+                             truncated_coefficients)
+from helpers import brute_force_best_bins, naive_dft, reconstruct_subset
 
 
 class TestDft:
@@ -54,19 +48,21 @@ class TestDft:
             dft_coefficients(np.array([1.0, np.nan, 2.0]))
 
     def test_reconstruct_inverts(self):
+        """The oracle's inverse transform, over every bin, gives the series
+        back: dft_coefficients and the selection oracle share a scaling."""
         rng = np.random.default_rng(4)
         for T in (6, 9):
             x = rng.standard_normal(T)
-            np.testing.assert_allclose(reconstruct(dft_coefficients(x), T), x,
-                                       atol=1e-12)
+            back = reconstruct_subset(dft_coefficients(x), T, range(T // 2 + 1))
+            np.testing.assert_allclose(back, x, atol=1e-12)
 
     def test_reconstruct_subset_keeps_only_listed_bins(self):
         T = 12
         t = np.arange(T)
         x = 3.0 + 2.0 * np.cos(2 * np.pi * 2 * t / T)
         c = dft_coefficients(x)
-        np.testing.assert_allclose(reconstruct(c, T, bins=[0]), 3.0, atol=1e-12)
-        np.testing.assert_allclose(reconstruct(c, T, bins=[0, 2]), x, atol=1e-12)
+        np.testing.assert_allclose(reconstruct_subset(c, T, [0]), 3.0, atol=1e-12)
+        np.testing.assert_allclose(reconstruct_subset(c, T, [0, 2]), x, atol=1e-12)
 
 
 class TestLowBins:
@@ -159,7 +155,6 @@ class TestSelection:
         for k in (1, 4, 9):
             sub = select_frequencies(coeffs, ("a", "b"), k, 32)
             np.testing.assert_array_equal(sub.bins, full.bins[:, :k])
-            np.testing.assert_array_equal(sub.bins, full.prefix(k).bins)
 
     def test_ranks_by_mean_energy_across_samples(self):
         T = 16
@@ -181,13 +176,6 @@ class TestSelection:
             select_frequencies(coeffs, ("a", "b"), 2, 20)
         with pytest.raises(ValueError, match="no samples"):
             select_frequencies(np.zeros((0, 2, 9), complex), ("a", "b"), 2, 16)
-
-    def test_prefix_bounds(self):
-        sel = FrequencySelection(("v",), 3, np.array([[0, 1, 2]]), 8)
-        with pytest.raises(ValueError):
-            sel.prefix(0)
-        with pytest.raises(ValueError):
-            sel.prefix(4)
 
 
 class TestFeatures:
@@ -260,44 +248,6 @@ class TestTruncated:
         with pytest.raises(ValueError, match="n_channels"):
             truncated_coefficients(coeffs, n_channels=9)
 
-    def test_distance(self):
-        assert climate_distance([0.0, 3.0], [4.0, 0.0]) == pytest.approx(5.0)
-        with pytest.raises(ValueError, match="shape"):
-            climate_distance(np.zeros(3), np.zeros(4))
-
-
-class TestTableIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        coeffs = dft_coefficients(rng.standard_normal((8, 2, 16)))
-        sel = select_frequencies(coeffs, ("a", "b"), 4, 16)
-        norm = fit_normalization(coeffs, sel)
-        save_feature_tables(tmp_path / "t.json", sel, norm)
-        sel2, norm2 = load_feature_tables(tmp_path / "t.json")
-        assert (sel2.variables, sel2.k, sel2.n_steps) == \
-            (sel.variables, sel.k, sel.n_steps)
-        np.testing.assert_array_equal(sel2.bins, sel.bins)
-        np.testing.assert_allclose(norm2.std_im, norm.std_im)
-        np.testing.assert_allclose(project(coeffs, sel2, norm2),
-                                   project(coeffs, sel, norm))
-
-    def test_rejects_unknown_version(self, tmp_path):
-        p = tmp_path / "t.json"
-        p.write_text(json.dumps({"version": 99}))
-        with pytest.raises(DataError, match="version"):
-            load_feature_tables(p)
-
-    def test_rejects_damage(self, tmp_path):
-        p = tmp_path / "t.json"
-        p.write_text("{not json")
-        with pytest.raises(DataError, match="corrupt"):
-            load_feature_tables(p)
-        p.write_text(json.dumps({"version": 1, "variables": ["a"]}))
-        with pytest.raises(DataError, match="malformed"):
-            load_feature_tables(p)
-        with pytest.raises(DataError, match="not found"):
-            load_feature_tables(tmp_path / "missing.json")
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 2 ** 31 - 1))
@@ -312,5 +262,6 @@ def test_parseval_property(n_steps, seed):
 @given(st.integers(2, 24), st.integers(0, 2 ** 31 - 1))
 def test_reconstruction_property(n_steps, seed):
     x = np.random.default_rng(seed).standard_normal(n_steps)
-    np.testing.assert_allclose(reconstruct(dft_coefficients(x), n_steps), x,
+    np.testing.assert_allclose(reconstruct_subset(dft_coefficients(x), n_steps,
+                                                  range(n_steps // 2 + 1)), x,
                                atol=1e-10)
