@@ -95,9 +95,31 @@ class TestCubeIO:
         with pytest.raises(DataError, match="already exists"):
             save_cube(cube, tmp_path / "c")
 
+    def test_nan_pixel_masks_and_normalizes_all_variables(self, tmp_path):
+        """Loads no longer overwrite stored values; one bad step of one
+        variable masks the pixel, and through the mask every variable's
+        reader treats that pixel as missing."""
+        cube = small_cube()
+        cube.values["t2m"][3, 1, 2] = np.nan  # one bad step in one variable
+        save_cube(cube, tmp_path / "c")
+        back = load_cube(tmp_path / "c")
+        assert not back.mask[1, 2]
+        assert back.mask.sum() == 15
+        for v in VARIABLES:
+            assert np.isfinite(back.values[v][:, back.mask]).all()
+        valid, columns = block_columns(back, 1, 2)
+        assert valid.tolist() == [[True, True, False, True]]
+        columns = list(columns)
+        assert len(columns) == len(VARIABLES)
+        for col in columns:
+            assert col.shape == (back.time.n_steps, 3)
+            assert np.isfinite(col).all()
+        with pytest.raises(DataError, match="masked"):
+            extract_series(back, *back.spec.node(1, 2))
+
     def test_mmap_mode_skips_normalization_but_masks(self, tmp_path):
-        """Every load is memory-mapped and read-only; one bad step of one
-        variable masks the pixel, and the stored values stay as they are."""
+        """Every load is memory-mapped and read-only; the mask marks the
+        bad pixel, and the stored values stay as they are."""
         cube = small_cube()
         cube.values["t2m"][3, 1, 2] = np.nan
         save_cube(cube, tmp_path / "c")
@@ -105,9 +127,6 @@ class TestCubeIO:
         assert isinstance(back.values["t2m"], np.memmap)
         assert not back.values["t2m"].flags.writeable
         assert not back.mask[1, 2]
-        assert back.mask.sum() == 15
-        for v in VARIABLES:
-            assert np.isfinite(back.values[v][:, back.mask]).all()
         # other variables keep their raw values at the masked pixel
         np.testing.assert_array_equal(back.values["d2m"][:, 1, 2],
                                       cube.values["d2m"][:, 1, 2])
