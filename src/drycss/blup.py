@@ -126,9 +126,8 @@ def loo_rmse(X: np.ndarray, y: np.ndarray, lam: float) -> float:
     return float(np.sqrt(np.mean(resid ** 2)))
 
 
-def select_lambda_loo(X: np.ndarray, y: np.ndarray,
-                      grid=LOO_GRID) -> tuple[float, dict[float, float]]:
-    """Pick lambda from a multiplicative grid by LOO RMSE.
+def select_lambda_loo(X: np.ndarray, y: np.ndarray) -> tuple[float, dict[float, float]]:
+    """Pick lambda from the multiplicative LOO_GRID by LOO RMSE.
 
     Grid entries are multiples of the feature count. Returns the best
     lambda and the full {lambda: rmse} table; ties go to the smaller
@@ -137,7 +136,7 @@ def select_lambda_loo(X: np.ndarray, y: np.ndarray,
     X, y = _validate_xy(X, y)
     p = X.shape[1]
     table = {}
-    for mult in grid:
+    for mult in LOO_GRID:
         lam = mult * p
         table[lam] = loo_rmse(X, y, lam)
     best = min(sorted(table), key=lambda l: table[l])

@@ -16,9 +16,11 @@ section is its net's `theta` (the trainable parameters in canonical
 layer order) followed by its `state` (the batch-norm running
 statistics). Lengths are recorded in model.json so a truncated or
 padded file fails loudly. Version 1 bundles, which also held the
-decoder that scoring never uses, are refused. A load checks every bin
-against n_steps and every normalization table against [V, k], so a
-hand-edited features.json fails here rather than in scoring.
+decoder that scoring never uses, are refused. A load checks that every
+bin is an integer below n_bins(n_steps), every normalization table is
+[V, k], and the weights take the V * k * 2 features the tables make (a
+network's layers chaining from there), so a hand-edited bundle fails
+here rather than in scoring.
 """
 
 from __future__ import annotations
@@ -152,9 +154,11 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
     try:
         if feat["version"] != FEATURE_DOC_VERSION:
             raise DataError(f"unsupported feature table version {feat['version']!r} in {path}")
-        selection = FrequencySelection(
-            variables=tuple(feat["variables"]), k=int(feat["k"]),
-            bins=np.asarray(feat["bins"], dtype=np.int64), n_steps=int(feat["n_steps"]))
+        bins = np.asarray(feat["bins"])
+        if bins.dtype.kind != "i":
+            raise DataError(f"{feat_path}: bins must be JSON integers, not {bins.dtype}")
+        selection = FrequencySelection(variables=tuple(feat["variables"]), k=int(feat["k"]),
+                                       bins=bins, n_steps=int(feat["n_steps"]))
         limit = n_bins(selection.n_steps)
         if not np.all((selection.bins >= 0) & (selection.bins < limit)):
             raise DataError(f"{feat_path}: a bin lies outside [0, {limit})")
@@ -164,6 +168,7 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
                 raise DataError(f"{feat_path}: {name} is shaped {table.shape}, "
                                 f"not {selection.bins.shape} like the bins")
         norm = NormalizationTable(**tables)
+        width = feature_dim(selection)
         fields = dict(kind=kind, size=int(doc["size"]), repetition=int(doc["repetition"]),
                       seed=int(doc["seed"]), selection=selection, norm=norm)
         if kind == "blup":
@@ -171,6 +176,9 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
             if flat.size != n:
                 raise DataError(
                     f"weights.f32 holds {flat.size} values, model declares {n}")
+            if n != width:
+                raise DataError(f"{doc_path} declares {n} weights, but {feat_path} "
+                                f"makes {width} features")
             return TrainedModel(**fields, blup=BlupModel(
                 effects=flat, intercept=float(doc["intercept"]),
                 lam=float(doc["lambda"])))
@@ -192,6 +200,10 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
             for vec in (net.theta, net.state):
                 vec[:] = flat[pos:pos + vec.size]
                 pos += vec.size
+        layers = nets["encoder"].layers + nets["classifier"].layers
+        if [l.n_in for l in layers] != [width] + [l.n_out for l in layers[:-1]]:
+            raise DataError(f"the layer widths in {doc_path} do not chain from the "
+                            f"{width} features that {feat_path} makes")
         return TrainedModel(
             **fields, classifier=ClassifierModel(net=nets["classifier"]),
             autoencoder=AutoencoderModel(encoder=nets["encoder"],

@@ -11,17 +11,19 @@
     drycss report --out ws         heatmaps, uplift and overlap summaries
 
 `STAGES` declares each stage once: its options, the workspace paths it
-reads (`needs`, each with the stage that writes it) and the paths it
-writes (`makes`). From that table `main` runs every stage the same way:
+reads (`needs`, and `reads` used only when present, each with the stage
+that writes it) and the paths it writes (`makes`). From that table
+`main` runs every stage the same way:
 
 1. every need must exist (exit 2, "run `drycss <producer>` first");
-2. every stage upstream of it, taken in table order, must have recorded
-   in ws/manifest.json the current stamp of each of its own needs, or
-   the first that did not is named (exit 2, "rerun `drycss <stage>`");
+2. every stage upstream of it (the producers of its needs and reads, and
+   theirs), taken in table order, must have recorded in ws/manifest.json
+   the current stamp of each of its own needs, or the first that did not
+   is named (exit 2, "rerun `drycss <stage>`");
 3. existing outputs are refused without --force (exit 2), and with it
    removed, and the stage's manifest record dropped, before it runs;
 4. the stage runs;
-5. its options, outputs and the stamps of its needs go into the manifest.
+5. its options, outputs and the stamps of its inputs go into the manifest.
 
 A stamp is the sha256 of a file, or of a directory's meta.json, which
 holds a digest of the directory's data. Only `synth` is a source stage,
@@ -34,7 +36,6 @@ in timestamps only.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shutil
@@ -47,12 +48,12 @@ import numpy as np
 
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
-from .errors import DataError, NumericalError, read_json, write_json
+from .errors import DataError, NumericalError, read_json, read_table, write_json, write_table
 from .grid import (GridSpec, TimeAxis, block_columns, content_digest, load_cube,
                    load_grids, load_ndvi, regrid_ndvi, save_cube, save_grids,
                    save_ndvi, sha256_file)
 from .neural import TrainParams
-from .opportunity import (CandidateSite, default_rules, extract_candidates,
+from .opportunity import (AnalogMatch, CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
                           load_attribute_table, load_rules, opportunity_map,
                           uplift_report)
@@ -92,17 +93,17 @@ def _stamp(out: Path, rel: str, producer: str) -> str:
     return sha256_file(path)
 
 
-def _check_upstream(out: Path, stage: str, records: dict) -> None:
-    """Refuse to run `stage` unless each stage upstream of it recorded the
-    current stamp of each of its needs. Upstream stages are checked in
-    STAGES order, upstream first, so the refusal names the first stage to
-    rerun."""
-    upstream = {stage}
+def _check_upstream(out: Path, producers, records: dict) -> None:
+    """Refuse to run a stage unless each producer of its inputs, and each
+    stage upstream of them, recorded the current stamp of each of its
+    needs. Upstream stages are checked in STAGES order, upstream first,
+    so the refusal names the first stage to rerun."""
+    upstream = set(producers)
     for name in reversed(STAGES):  # each producer comes before its consumers
         if name in upstream:
             upstream.update(STAGES[name].needs.values())
     for name, row in STAGES.items():
-        if name == stage or name not in upstream:
+        if name not in upstream:
             continue
         recorded = (records.get(name) or {}).get("inputs") or {}
         for rel, producer in row.needs.items():
@@ -268,13 +269,7 @@ def cmd_train(out: Path, opts: dict) -> None:
         save_run_record(run, run_dir / "predictions.json")
 
     rows = aggregate_metrics(runs)
-    with open(runs_dir / "metrics.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        header = list(rows[0].keys())
-        w.writerow(header)
-        for row in rows:
-            w.writerow([row[h] if isinstance(row[h], (str, int)) else repr(row[h])
-                        for h in header])
+    write_table(runs_dir / "metrics.csv", list(rows[0]), (row.values() for row in rows))
     write_json(runs_dir / "meta.json", {
         "models": [run.run_id for run, model in zip(runs, models) if model is not None],
         "digest": content_digest(runs_dir, sorted(
@@ -317,14 +312,11 @@ def cmd_calibrate(out: Path, opts: dict) -> None:
     scores = ensemble_scores(models, coeffs)
     cal = fit_calibration(samples, scores["combined"])
 
-    with open(out / "reclassification.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        names = sorted(k for k in scores if k != "combined") + ["combined"]
-        w.writerow(["site_id", "category", "label", "ndvi"]
-                   + [f"score_{n}" for n in names])
-        for i, s in enumerate(samples):
-            w.writerow([s.site_id, s.category, repr(s.label), repr(s.ndvi)]
-                       + [repr(float(scores[n][i])) for n in names])
+    names = sorted(k for k in scores if k != "combined") + ["combined"]
+    write_table(out / "reclassification.csv",
+                ["site_id", "category", "label", "ndvi"] + [f"score_{n}" for n in names],
+                ([s.site_id, s.category, s.label, s.ndvi] + [scores[n][i] for n in names]
+                 for i, s in enumerate(samples)))
     doc = cal.to_dict()
     doc["category_means"] = category_means(samples, scores["combined"])
     write_json(out / "calibration.json", doc)
@@ -351,45 +343,23 @@ def cmd_opportunity(out: Path, opts: dict) -> None:
     print(f"opportunity: {n_pos} pixels with positive opportunity -> {opp_dir}")
 
 
-def _candidate_fieldnames(sites: list[CandidateSite]) -> list[str]:
-    attr_keys = sorted({k for s in sites for k in s.attributes})
-    return (["rank", "lat", "lon", "iy", "ix", "opportunity", "css", "ndvi",
-             "retained", "missing_attributes"] + [f"attr_{k}" for k in attr_keys])
-
-
 def _write_candidates(path: Path, sites: list[CandidateSite]) -> None:
-    fields = _candidate_fieldnames(sites)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(fields)
-        for s in sites:
-            row = [s.rank, repr(s.lat), repr(s.lon), s.iy, s.ix,
-                   repr(s.opportunity), repr(s.css), repr(s.ndvi),
-                   "" if s.retained is None else str(s.retained),
-                   str(s.missing_attributes)]
-            for fname in fields[10:]:
-                row.append(s.attributes.get(fname[5:], ""))
-            w.writerow(row)
+    keys = sorted({k for s in sites for k in s.attributes})
+    write_table(path, ["rank", "lat", "lon", "iy", "ix", "opportunity", "css", "ndvi",
+                       "retained", "missing_attributes"] + [f"attr_{k}" for k in keys],
+                ([s.rank, s.lat, s.lon, s.iy, s.ix, s.opportunity, s.css, s.ndvi,
+                  s.retained, s.missing_attributes] + [s.attributes.get(k) for k in keys]
+                 for s in sites))
 
 
 def _read_candidates(path: Path) -> list[CandidateSite]:
-    sites = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            attrs = {k[5:]: v for k, v in row.items() if k.startswith("attr_") and v}
-            retained = row.get("retained", "")
-            try:
-                sites.append(CandidateSite(
-                    rank=int(row["rank"]), lat=float(row["lat"]), lon=float(row["lon"]),
-                    iy=int(row["iy"]), ix=int(row["ix"]),
-                    opportunity=float(row["opportunity"]), css=float(row["css"]),
-                    ndvi=float(row["ndvi"]),
-                    attributes=attrs,
-                    retained=None if retained == "" else retained == "True",
-                    missing_attributes=row.get("missing_attributes") == "True"))
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"malformed candidates row in {path}: bad or missing "
-                                f"{e}") from None
+    sites = read_table(path, "candidates table", lambda r: CandidateSite(
+        rank=int(r["rank"]), lat=float(r["lat"]), lon=float(r["lon"]),
+        iy=int(r["iy"]), ix=int(r["ix"]), opportunity=float(r["opportunity"]),
+        css=float(r["css"]), ndvi=float(r["ndvi"]),
+        attributes={k[5:]: v for k, v in r.items() if str(k).startswith("attr_") and v},
+        retained=None if r.get("retained", "") == "" else r["retained"] == "True",
+        missing_attributes=r.get("missing_attributes") == "True"))
     if not sites:
         raise DataError(f"candidates table is empty: {path}")
     return sites
@@ -471,25 +441,16 @@ def cmd_analogs(out: Path, opts: dict) -> None:
         results.append(res)
         dist_grids[f"dist_site_{site.rank}"] = dist
 
-    report = uplift_report(results)
-    with open(out / "analogs.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["site", "candidate_lat", "candidate_lon", "analog_lat",
-                    "analog_lon", "climate_distance", "spatial_km",
-                    "candidate_ndvi", "analog_ndvi", "ratio", "note"])
-        by_rank = {s.rank: s for s in targets}
-        for res, row in zip(results, report.rows):
-            site = by_rank[row["site"]]
-            if hasattr(res, "analog_ndvi"):
-                w.writerow([row["site"], repr(site.lat), repr(site.lon),
-                            repr(res.lat), repr(res.lon),
-                            repr(res.climate_distance), repr(res.spatial_km),
-                            repr(res.candidate_ndvi), repr(res.analog_ndvi),
-                            "" if row["ratio"] is None else repr(row["ratio"]),
-                            row["note"]])
-            else:
-                w.writerow([row["site"], repr(site.lat), repr(site.lon),
-                            "", "", "", "", "", "", "", row["note"]])
+    report = uplift_report(results)  # rows in target order, like results
+    write_table(out / "analogs.csv",
+                ["site", "candidate_lat", "candidate_lon", "analog_lat", "analog_lon",
+                 "climate_distance", "spatial_km", "candidate_ndvi", "analog_ndvi",
+                 "ratio", "note"],
+                ([s.rank, s.lat, s.lon]
+                 + ([m.lat, m.lon, m.climate_distance, m.spatial_km, m.candidate_ndvi,
+                     m.analog_ndvi] if isinstance(m, AnalogMatch) else [None] * 6)
+                 + [row["ratio"], row["note"]]
+                 for s, m, row in zip(targets, results, report.rows)))
     save_grids(out / "maps" / "analogs", cube.spec, dist_grids)
     write_json(out / "uplift.json",
                {"rows": list(report.rows), "mean_of_ratios": report.mean_of_ratios,
@@ -511,17 +472,10 @@ def cmd_report(out: Path, opts: dict) -> None:
         iou = map_agreement_iou(css_maps["blup"], css_maps["nn"])
         write_json(report_dir / "iou.json", {"blup_vs_nn_iou_at_0.5": iou})
 
-    opp_dir = out / "maps" / "opportunity"
-    if opp_dir.exists():
-        _, opp_maps = load_grids(opp_dir)
-        for name, grid in sorted(opp_maps.items()):
-            write_pgm(report_dir / f"{name}.pgm", grid)
-
-    analog_dir = out / "maps" / "analogs"
-    if analog_dir.exists():
-        _, dist_maps = load_grids(analog_dir)
-        for name, grid in sorted(dist_maps.items()):
-            write_pgm(report_dir / f"{name}.pgm", grid)
+    for maps_dir in (out / "maps" / "opportunity", out / "maps" / "analogs"):
+        if maps_dir.exists():
+            for name, grid in sorted(load_grids(maps_dir)[1].items()):
+                write_pgm(report_dir / f"{name}.pgm", grid)
 
     metrics_path = out / "runs" / "metrics.csv"
     if metrics_path.exists():
@@ -529,26 +483,19 @@ def cmd_report(out: Path, opts: dict) -> None:
 
     recls_path = out / "reclassification.csv"
     if recls_path.exists():
-        samples = load_samples(out / "samples.csv")
-        with open(recls_path, newline="") as f:
-            rows = list(csv.DictReader(f))
-        vegetated = [r for r, s in zip(rows, samples)
-                     if s.category == "HiSuit-HiVeg"]
+        # per row: its category, site id, and NDVI and scores by ranking name
+        rows = read_table(recls_path, "reclassification table", lambda r: (
+            r["category"], int(r["site_id"]),
+            {str(k).removeprefix("score_"): float(v) for k, v in r.items()
+             if k == "ndvi" or str(k).startswith("score_")}))
+        vegetated = [(i, values) for cat, i, values in rows if cat == "HiSuit-HiVeg"]
         if len(vegetated) >= 2:
-            n = min(20, len(vegetated))
-            ids = [int(r["site_id"]) for r in vegetated]
-            rankings = {"ndvi": {i: float(r["ndvi"]) for i, r in zip(ids, vegetated)}}
-            for name in ("blup", "nn", "combined"):
-                col = f"score_{name}"
-                if col in vegetated[0]:
-                    rankings[name] = {i: float(r[col]) for i, r in zip(ids, vegetated)}
-            overlap = ranking_overlap(rankings, n=n)
-            with open(report_dir / "rankings.csv", "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow(["end", "subset", "count"])
-                for end in ("top", "bottom"):
-                    for combo in sorted(overlap[end]):
-                        w.writerow([end, "+".join(combo), overlap[end][combo]])
+            rankings = {name: {i: values[name] for i, values in vegetated}
+                        for name in vegetated[0][1]}
+            overlap = ranking_overlap(rankings, n=min(20, len(vegetated)))
+            write_table(report_dir / "rankings.csv", ["end", "subset", "count"],
+                        ([end, "+".join(combo), overlap[end][combo]]
+                         for end in ("top", "bottom") for combo in sorted(overlap[end])))
 
     print(f"report: {len(list(report_dir.iterdir()))} artifacts -> {report_dir}")
 
@@ -582,6 +529,7 @@ class Stage(NamedTuple):
     options: list[Opt]
     needs: dict[str, str]         # workspace path read -> the stage that makes it
     makes: tuple[str, ...]        # workspace paths written
+    reads: dict[str, str] = {}    # like needs, but read only when present
 
 
 STAGES: dict[str, Stage] = {
@@ -660,10 +608,10 @@ STAGES: dict[str, Stage] = {
             "grid directory whose 'exclusion' grid masks pixels out of the search"),
     ], {"cube": "synth", "maps/opportunity": "opportunity", "candidates.csv": "candidates"},
         ("analogs.csv", "uplift.json", "maps/analogs")),
-    # report also reads maps/opportunity, maps/analogs, runs/metrics.csv
-    # and reclassification.csv when they exist
     "report": Stage(cmd_report, "render heatmaps and summary tables", [],
-                    {"maps/css": "predict"}, ("report",)),
+                    {"maps/css": "predict"}, ("report",),
+                    {"maps/opportunity": "opportunity", "maps/analogs": "analogs",
+                     "runs/metrics.csv": "train", "reclassification.csv": "calibrate"}),
 }
 
 
@@ -735,11 +683,13 @@ def main(argv=None) -> int:
         stage = STAGES[args.command]
         opts = _resolve(args, _load_config(args.config), args.command)
         out = Path(args.out)
-        inputs = {rel: _stamp(out, rel, producer) for rel, producer in stage.needs.items()}
+        producers = {**stage.needs, **{rel: producer for rel, producer in stage.reads.items()
+                                       if (out / rel).exists()}}
+        inputs = {rel: _stamp(out, rel, producer) for rel, producer in producers.items()}
         manifest_path = out / "manifest.json"
         manifest = read_json(manifest_path, "manifest") if manifest_path.exists() else {}
         records = manifest.setdefault("stages", {})
-        _check_upstream(out, args.command, records)
+        _check_upstream(out, producers.values(), records)
         for path in (out / rel for rel in stage.makes):
             if path.exists() and not args.force:
                 raise DataError(f"output already exists: {path} (rerun with --force)")

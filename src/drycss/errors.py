@@ -1,7 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types, and the two on-disk table formats of a workspace.
+
+Every JSON file drycss writes goes through `write_json` and is read back
+through `read_json`; every CSV table through `write_table` and
+`read_table`. A table cell holds a float as its repr, so it reads back
+bit-exactly, None as an empty cell, and anything else as its str.
+Unreadable content raises DataError naming the file.
+"""
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -27,6 +35,41 @@ def write_json(path: str | Path, doc) -> None:
     """Write doc as indented JSON with sorted keys, as every drycss JSON
     file is written."""
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):  # np.float64 too; bool is not a float
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def write_table(path: str | Path, header, rows) -> None:
+    """Write a CSV table: the header, then one line per row of cells."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_table(path: str | Path, what: str, make=dict) -> list:
+    """make(row) for each row of a CSV table, as a {column: text} dict.
+
+    A missing file, a missing header, or a row that make rejects with
+    KeyError, TypeError or ValueError raise DataError naming the file.
+    Whether an empty table is allowed is the caller's to decide.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{what} not found: {path}")
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        try:
+            if not reader.fieldnames:
+                raise DataError(f"{what} has no header: {path}")
+            return [make(row) for row in reader]
+        except (KeyError, TypeError, ValueError, csv.Error) as e:
+            raise DataError(f"malformed {what} {path}, line {reader.line_num}: "
+                            f"bad or missing {e}") from None
 
 
 class NumericalError(Exception):

@@ -118,14 +118,9 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        try:
-            return cls(
-                lat_min=float(d["lat_min"]), lat_max=float(d["lat_max"]),
-                lon_min=float(d["lon_min"]), lon_max=float(d["lon_max"]),
-                n_lat=int(d["n_lat"]), n_lon=int(d["n_lon"]),
-            )
-        except KeyError as e:
-            raise DataError(f"grid spec missing field {e}") from None
+        return cls(lat_min=float(d["lat_min"]), lat_max=float(d["lat_max"]),
+                   lon_min=float(d["lon_min"]), lon_max=float(d["lon_max"]),
+                   n_lat=int(d["n_lat"]), n_lon=int(d["n_lon"]))
 
 
 @dataclass(frozen=True)
@@ -152,24 +147,26 @@ class TimeAxis:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TimeAxis":
-        try:
-            return cls(start=str(d["start"]), step_hours=float(d["step_hours"]),
-                       n_steps=int(d["n_steps"]))
-        except KeyError as e:
-            raise DataError(f"time axis missing field {e}") from None
+        return cls(start=str(d["start"]), step_hours=float(d["step_hours"]),
+                   n_steps=int(d["n_steps"]))
 
 
-def _entry(meta: dict, key: str, meta_path: Path):
+def _entry(meta: dict, key: str, meta_path: Path, parse):
+    """parse(meta[key]); a missing entry, or one that parse rejects with
+    KeyError, TypeError or ValueError, raises DataError naming the file."""
     if key not in meta:
         raise DataError(f"{meta_path} has no {key!r} entry")
-    return meta[key]
+    try:
+        return parse(meta[key])
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed {key!r} entry in {meta_path}: bad or missing {e}") from None
 
 
 def _read_meta(path: Path, fmt: str, what: str) -> tuple[Path, dict, GridSpec]:
     """meta.json of a cube, NDVI or grid directory, and its grid spec.
 
-    A missing or corrupt file, another format, or a missing grid entry
-    raise DataError naming the file.
+    A missing or corrupt file, another format, or a missing or malformed
+    grid entry raise DataError naming the file.
     """
     meta_path = path / "meta.json"
     if not meta_path.exists():
@@ -178,7 +175,7 @@ def _read_meta(path: Path, fmt: str, what: str) -> tuple[Path, dict, GridSpec]:
     found = meta.get("format") if isinstance(meta, dict) else None
     if found != fmt:
         raise DataError(f"{meta_path} is not {what} metadata (format={found!r})")
-    return meta_path, meta, GridSpec.from_dict(_entry(meta, "grid", meta_path))
+    return meta_path, meta, _entry(meta, "grid", meta_path, GridSpec.from_dict)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -193,20 +190,28 @@ def sha256_file(path: str | Path) -> str:
 def content_digest(path: Path, names) -> str:
     """Digest of the named files under path: the sha256 of their
     `sha256sum` listing, in the given order."""
-    listing = "".join(f"{sha256_file(path / name)}  {name}\n" for name in names)
-    return hashlib.sha256(listing.encode()).hexdigest()
+    return _listing_digest((name, sha256_file(path / name)) for name in names)
+
+
+def _listing_digest(hashes) -> str:
+    """sha256 of the `sha256sum` listing of (file name, sha256) pairs."""
+    return hashlib.sha256("".join(f"{h}  {name}\n" for name, h in hashes).encode()).hexdigest()
 
 
 def _save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write each array as little-endian float32 <name>.f32, then meta.json
-    with the digest of those files; refuses an existing directory."""
+    with the digest of those files, hashed from the buffers written rather
+    than read back; refuses an existing directory."""
     path = Path(path)
     if (path / "meta.json").exists():
         raise DataError(f"directory already exists: {path}")
     path.mkdir(parents=True, exist_ok=True)
+    hashes = []
     for name, values in arrays.items():
-        np.ascontiguousarray(values, dtype=_FLOAT32).tofile(path / f"{name}.f32")
-    meta.update(version=1, digest=content_digest(path, [f"{n}.f32" for n in arrays]))
+        data = np.ascontiguousarray(values, dtype=_FLOAT32)
+        data.tofile(path / f"{name}.f32")
+        hashes.append((f"{name}.f32", hashlib.sha256(data).hexdigest()))
+    meta.update(version=1, digest=_listing_digest(hashes))
     write_json(path / "meta.json", meta)
 
 
@@ -287,8 +292,8 @@ def load_cube(path: str | Path) -> ClimateCube:
     """
     path = Path(path)
     meta_path, meta, spec = _read_meta(path, "drycss-cube", "cube")
-    time = TimeAxis.from_dict(_entry(meta, "time", meta_path))
-    variables = tuple(meta.get("variables") or ())
+    time = _entry(meta, "time", meta_path, TimeAxis.from_dict)
+    variables = _entry(meta, "variables", meta_path, tuple)
     if not variables:
         raise DataError(f"cube {path} declares no variables")
 
@@ -376,10 +381,11 @@ def save_ndvi(raster: NdviRaster, path: str | Path) -> None:
 
 def load_ndvi(path: str | Path) -> NdviRaster:
     path = Path(path)
-    _, meta, spec = _read_meta(path, "drycss-ndvi", "NDVI")
-    observations = [NdviObservation(int(year), int(doy),
-                                    _read_f32(path, f"{year}_{doy}", spec.shape))
-                    for year, doy in meta.get("observations", [])]
+    meta_path, meta, spec = _read_meta(path, "drycss-ndvi", "NDVI")
+    dates = _entry(meta, "observations", meta_path,
+                   lambda obs: [(int(year), int(doy)) for year, doy in obs])
+    observations = [NdviObservation(year, doy, _read_f32(path, f"{year}_{doy}", spec.shape))
+                    for year, doy in dates]
     observations.sort(key=lambda o: (o.year, o.doy))
     return NdviRaster(spec=spec, observations=observations)
 
@@ -388,16 +394,15 @@ def load_ndvi(path: str | Path) -> NdviRaster:
 SUMMER_DOY = (80, 256)
 
 
-def summer_ndvi_mean(raster: NdviRaster, years, window: tuple[int, int] = SUMMER_DOY
-                     ) -> np.ndarray:
-    """Pixelwise mean NDVI over in-window observations of given years.
+def summer_ndvi_mean(raster: NdviRaster, years) -> np.ndarray:
+    """Pixelwise mean NDVI over the SUMMER_DOY observations of given years.
 
     NaN observations are skipped per pixel; a pixel with no valid
     in-window sample is NaN. A requested year with zero in-window
     observations is an error naming that year.
     """
     years = list(years)
-    lo, hi = window
+    lo, hi = SUMMER_DOY
     picked: list[np.ndarray] = []
     per_year = {y: 0 for y in years}
     for obs in raster.observations:

@@ -71,11 +71,11 @@ class DenseLayer:
         self.param_names = ("W", "b", "gamma", "beta") if batch_norm else ("W", "b")
         self.state_names = ("run_mean", "run_var") if batch_norm else ()
 
-    def forward(self, x: np.ndarray, training: bool, frozen_bn: bool = False):
+    def forward(self, x: np.ndarray, training: bool):
         z = x @ self.W + self.b
         cache = {"x": x, "z": z}
         if self.batch_norm:
-            if training and not frozen_bn:
+            if training:
                 mu = z.mean(axis=0)
                 var = z.var(axis=0)
                 # in place: the statistics are views into the net's state
@@ -87,8 +87,7 @@ class DenseLayer:
             inv = 1.0 / np.sqrt(var + _BN_EPS)
             zh = (z - mu) * inv
             u = self.gamma * zh + self.beta
-            cache.update(mu=mu, var=var, inv=inv, zh=zh,
-                         batch_stats=training and not frozen_bn)
+            cache.update(mu=mu, var=var, inv=inv, zh=zh, batch_stats=training)
         else:
             u = z
         cache["u"] = u
@@ -145,11 +144,10 @@ class DenseNet:
         self.theta = _pack(layers, "param_names")
         self.state = _pack(layers, "state_names")
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                frozen_bn: bool = False, want_cache: bool = False):
+    def forward(self, x: np.ndarray, training: bool = False, want_cache: bool = False):
         caches = [] if want_cache else None
         for layer in self.layers:
-            x, cache = layer.forward(x, training=training, frozen_bn=frozen_bn)
+            x, cache = layer.forward(x, training=training)
             if want_cache:
                 caches.append(cache)
         return (x, caches) if want_cache else x
@@ -254,11 +252,10 @@ def build_autoencoder(n_features: int, latent_dim: int,
 CLASSIFIER_HIDDEN = (64, 32)
 
 
-def build_classifier(latent_dim: int, rng: np.random.Generator,
-                     hidden=CLASSIFIER_HIDDEN) -> DenseNet:
+def build_classifier(latent_dim: int, rng: np.random.Generator) -> DenseNet:
     layers = []
     prev = latent_dim
-    for w in hidden:
+    for w in CLASSIFIER_HIDDEN:
         layers.append(DenseLayer(prev, w, "relu", batch_norm=True, rng=rng))
         prev = w
     layers.append(DenseLayer(prev, 1, "linear", batch_norm=False, rng=rng))
@@ -401,21 +398,22 @@ def gradient_check(net: DenseNet, X: np.ndarray, Y: np.ndarray,
     """Backprop gradients vs central finite differences, all parameters.
 
     Each probe perturbs one entry of `theta` in place and restores it.
-    Batch norm runs frozen (running statistics) so the loss is a fixed
-    differentiable function of the weights. Parameters whose +-step
-    evaluations land on different ReLU activation patterns are excluded:
-    finite differences are invalid across the kink. With continuous
-    random inputs exclusions are rare and counted in the result.
+    The net runs in evaluation mode, so batch norm uses its running
+    statistics and the loss is a fixed differentiable function of the
+    weights. Parameters whose +-step evaluations land on different ReLU
+    activation patterns are excluded: finite differences are invalid
+    across the kink. With continuous random inputs exclusions are rare
+    and counted in the result.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
 
     def eval_loss():
-        pred, caches = net.forward(X, training=True, frozen_bn=True, want_cache=True)
+        pred, caches = net.forward(X, want_cache=True)
         lval, _ = _loss_and_grad(pred, Y, loss)
         return lval, _relu_signature(net, caches)
 
-    pred, caches = net.forward(X, training=True, frozen_bn=True, want_cache=True)
+    pred, caches = net.forward(X, want_cache=True)
     _, dpred = _loss_and_grad(pred, Y, loss)
     analytic = net.backward(dpred, caches)
 

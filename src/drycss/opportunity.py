@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_json
+from .errors import DataError, read_json, read_table
 from .grid import GridSpec, great_circle_km
 from .pipeline import Calibration
 
@@ -29,6 +29,7 @@ DEFAULT_CANDIDATE_COUNT = 25
 DEFAULT_MIN_SPACING_KM = 9.0
 DEFAULT_DISTANCE_PERCENTILE = 10.0
 DEFAULT_NDVI_MARGIN = 0.02
+COORD_TOLERANCE_DEG = 0.05  # the farthest a coords-joined attribute row may lie
 
 
 def opportunity_map(css: np.ndarray, ndvi: np.ndarray,
@@ -120,27 +121,19 @@ def extract_candidates(opportunity: np.ndarray, spec: GridSpec,
 
 def load_attribute_table(path: str | Path) -> list[dict[str, str]]:
     """CSV table of site attributes; headers become attribute names."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"attribute table not found: {path}")
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if not reader.fieldnames:
-            raise DataError(f"attribute table has no header: {path}")
-        rows = [dict(r) for r in reader]
-    return rows
+    return read_table(path, "attribute table")
 
 
 def join_attributes(sites: list[CandidateSite], rows: list[dict[str, str]],
-                    key: str = "site", coord_tolerance_deg: float = 0.05,
-                    lat_key: str = "lat", lon_key: str = "lon") -> None:
+                    key: str = "site") -> None:
     """Attach attribute rows to candidates, in place.
 
     With key="site" rows join on the candidate rank; with key="coords"
-    a row joins the nearest candidate within coord_tolerance_deg
-    (chebyshev in degrees, DMS strings accepted). Two rows landing on
-    one candidate is an error; a row matching no candidate is skipped
-    with a warning. An empty table leaves every site unannotated.
+    a row joins the candidate nearest its lat and lon columns within
+    COORD_TOLERANCE_DEG (chebyshev in degrees, DMS strings accepted).
+    Two rows landing on one candidate is an error; a row matching no
+    candidate is skipped with a warning. An empty table leaves every
+    site unannotated.
     """
     if key not in ("site", "coords"):
         raise DataError(f"unknown join key: {key!r}")
@@ -160,19 +153,19 @@ def join_attributes(sites: list[CandidateSite], rows: list[dict[str, str]],
                 continue
         elif key == "coords":
             try:
-                lat = parse_coordinate(row[lat_key])
-                lon = parse_coordinate(row[lon_key])
+                lat = parse_coordinate(row["lat"])
+                lon = parse_coordinate(row["lon"])
             except KeyError as e:
                 raise DataError(f"attribute row {li}: missing coordinate column {e}") from None
             best, best_d = None, None
             for s in sites:
                 d = max(abs(s.lat - lat), abs(s.lon - lon))
-                if d <= coord_tolerance_deg and (best_d is None or d < best_d):
+                if d <= COORD_TOLERANCE_DEG and (best_d is None or d < best_d):
                     best, best_d = s, d
             if best is None:
                 warnings.warn(
                     f"attribute row {li}: no candidate within "
-                    f"{coord_tolerance_deg} deg of ({lat:.4f}, {lon:.4f}); row skipped")
+                    f"{COORD_TOLERANCE_DEG} deg of ({lat:.4f}, {lon:.4f}); row skipped")
                 continue
             site = best
         if site.rank in claimed:
@@ -181,7 +174,7 @@ def join_attributes(sites: list[CandidateSite], rows: list[dict[str, str]],
                 f"candidate {site.rank}")
         claimed[site.rank] = li
         site.attributes = {k: v for k, v in row.items()
-                           if k not in ("site", lat_key, lon_key) and k is not None}
+                           if k not in ("site", "lat", "lon") and k is not None}
 
 
 # ---------------------------------------------------------------------------

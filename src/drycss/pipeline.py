@@ -14,11 +14,10 @@ only compute; the parent writes everything in canonical grid order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import multiprocessing
@@ -26,7 +25,7 @@ import numpy as np
 
 from .blup import fit_blup, select_lambda_loo
 from .bundles import TrainedModel
-from .errors import DataError, NumericalError, read_json, write_json
+from .errors import DataError, NumericalError, read_json, read_table, write_json, write_table
 from .grid import ClimateCube, block_columns, extract_series
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import dft_coefficients, fit_normalization, project, select_frequencies
@@ -68,31 +67,17 @@ class LabeledSample:
 
 
 def save_samples(samples: list[LabeledSample], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["site_id", "lat", "lon", "iy", "ix", "category", "label", "ndvi"])
-        for s in samples:
-            w.writerow([s.site_id, repr(s.lat), repr(s.lon), s.iy, s.ix,
-                        s.category, repr(s.label), repr(s.ndvi)])
+    """One row per sample, the columns in field order."""
+    write_table(path, [f.name for f in fields(LabeledSample)], map(astuple, samples))
 
 
 def load_samples(path: str | Path) -> list[LabeledSample]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"samples file not found: {path}")
-    samples = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            try:
-                samples.append(LabeledSample(
-                    site_id=int(row["site_id"]), lat=float(row["lat"]),
-                    lon=float(row["lon"]), iy=int(row["iy"]), ix=int(row["ix"]),
-                    category=row["category"], label=float(row["label"]),
-                    ndvi=float(row["ndvi"])))
-            except (KeyError, ValueError) as e:
-                raise DataError(f"malformed samples row in {path}: {e}") from None
+    samples = read_table(path, "samples table", lambda r: LabeledSample(
+        site_id=int(r["site_id"]), lat=float(r["lat"]), lon=float(r["lon"]),
+        iy=int(r["iy"]), ix=int(r["ix"]), category=r["category"],
+        label=float(r["label"]), ndvi=float(r["ndvi"])))
     if not samples:
-        raise DataError(f"samples file is empty: {path}")
+        raise DataError(f"samples table is empty: {path}")
     return samples
 
 
@@ -238,9 +223,10 @@ def train_one_run(coeffs: np.ndarray, labels: np.ndarray, kind: str, size: int,
     train_idx, val_idx = holdout_split(n, settings.holdout_fraction, split_rng)
 
     k = size if kind == "blup" else settings.nn_feature_bins
-    selection = select_frequencies(coeffs[train_idx], settings.variables, k,
-                                   settings.n_steps)
-    norm = fit_normalization(coeffs[train_idx], selection)
+    train = coeffs[train_idx]  # one copy of the training rows serves both fits
+    selection = select_frequencies(train, settings.variables, k, settings.n_steps)
+    norm = fit_normalization(train, selection)
+    del train
     X = project(coeffs, selection, norm)
     y = np.asarray(labels, dtype=np.float64)
 
@@ -453,13 +439,12 @@ class Calibration:
             raise DataError(f"malformed calibration: bad or missing {e}") from None
 
 
-def fit_calibration(samples: list[LabeledSample], scores: np.ndarray,
-                    categories=CALIBRATION_CATEGORIES) -> Calibration:
-    """Least squares NDVI-on-score line over the given categories."""
-    idx = [i for i, s in enumerate(samples) if s.category in categories]
+def fit_calibration(samples: list[LabeledSample], scores: np.ndarray) -> Calibration:
+    """Least squares NDVI-on-score line over CALIBRATION_CATEGORIES."""
+    idx = [i for i, s in enumerate(samples) if s.category in CALIBRATION_CATEGORIES]
     if len(idx) < 2:
         raise DataError(
-            f"calibration needs at least 2 samples in categories {categories}, "
+            f"calibration needs at least 2 samples in categories {CALIBRATION_CATEGORIES}, "
             f"got {len(idx)}")
     x = np.asarray(scores, dtype=np.float64)[idx]
     y = np.array([samples[i].ndvi for i in idx], dtype=np.float64)
@@ -518,13 +503,8 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
         for name, scores in ensemble_scores(live, coeffs).items():
             out[name][r0:r0 + BLOCK_ROWS][valid] = scores
 
-    starts = list(range(0, H, BLOCK_ROWS))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(do_block, starts))
-    else:
-        for r0 in starts:
-            do_block(r0)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(do_block, range(0, H, BLOCK_ROWS)))
     return out
 
 
@@ -532,9 +512,8 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
 # agreement statistics
 
 
-def map_agreement_iou(a: np.ndarray, b: np.ndarray,
-                      threshold: float = CSS_THRESHOLD) -> float:
-    """IoU of the suitable regions (score >= threshold) of two maps.
+def map_agreement_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """IoU of the suitable regions (score >= CSS_THRESHOLD) of two maps.
 
     Pixels non-finite in either map are ignored; an empty union gives
     the NaN sentinel.
@@ -544,8 +523,8 @@ def map_agreement_iou(a: np.ndarray, b: np.ndarray,
     if a.shape != b.shape:
         raise DataError(f"maps are misaligned: {a.shape} vs {b.shape}")
     valid = np.isfinite(a) & np.isfinite(b)
-    A = (a >= threshold) & valid
-    B = (b >= threshold) & valid
+    A = (a >= CSS_THRESHOLD) & valid
+    B = (b >= CSS_THRESHOLD) & valid
     union = int(np.sum(A | B))
     if union == 0:
         return float("nan")

@@ -17,6 +17,8 @@ window violation shows up in tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import DataError
@@ -64,13 +66,12 @@ DESK_GRID = GridSpec(lat_min=20.0, lat_max=23.1, lon_min=40.0, lon_max=43.1,
 DESK_TIME = TimeAxis(start="2020-01-01T00:00:00Z", step_hours=3.0, n_steps=2920)
 
 
-def _smooth_field(rng: np.random.Generator, shape: tuple[int, int],
-                  n_modes: int = 6) -> np.ndarray:
-    """Random smooth field min-max scaled to [0, 1]."""
+def _smooth_field(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Random smooth field of six cosine modes, min-max scaled to [0, 1]."""
     u = np.linspace(0.0, 1.0, shape[0])[:, None]
     v = np.linspace(0.0, 1.0, shape[1])[None, :]
     f = np.zeros(shape)
-    for _ in range(n_modes):
+    for _ in range(6):
         fy, fx = rng.uniform(0.4, 2.4, size=2)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         amp = rng.uniform(0.4, 1.0)
@@ -138,18 +139,11 @@ OFF_SEASON_DOYS = (40, 300)
 OFF_SEASON_BOOST = 0.18
 
 
-def _refined_grid(spec: GridSpec, factor: int) -> GridSpec:
-    return GridSpec(lat_min=spec.lat_min, lat_max=spec.lat_max,
-                    lon_min=spec.lon_min, lon_max=spec.lon_max,
-                    n_lat=factor * (spec.n_lat - 1) + 1,
-                    n_lon=factor * (spec.n_lon - 1) + 1)
-
-
 def synth_ndvi(spec: GridSpec, suitability: np.ndarray, seed: int = 0,
-               years=DEFAULT_NDVI_YEARS, refine: int = 2,
                n_irrigated: int = 20, n_degraded: int = 20,
                ) -> tuple[NdviRaster, np.ndarray, np.ndarray]:
-    """NDVI stack on a refine-times finer grid, with planted anomalies.
+    """NDVI stack over DEFAULT_NDVI_YEARS on a twice-finer grid, with
+    planted anomalies.
 
     Returns (raster, irrigated_mask, degraded_mask); masks live on the
     coarse cube grid. Irrigated pixels sit at suitability [0.30, 0.48]
@@ -180,14 +174,14 @@ def synth_ndvi(spec: GridSpec, suitability: np.ndarray, seed: int = 0,
     base[irrigated] = rng.uniform(0.28, 0.42, size=int(irrigated.sum()))
     base[degraded] = rng.uniform(0.02, 0.06, size=int(degraded.sum()))
 
-    fine = _refined_grid(spec, refine)
+    fine = replace(spec, n_lat=2 * spec.n_lat - 1, n_lon=2 * spec.n_lon - 1)  # same extent
     # nearest coarse node per fine node
     iy = np.clip(np.floor((fine.lats - spec.lat_min) / spec.dlat + 0.5), 0, spec.n_lat - 1).astype(int)
     ix = np.clip(np.floor((fine.lons - spec.lon_min) / spec.dlon + 0.5), 0, spec.n_lon - 1).astype(int)
     base_fine = base[np.ix_(iy, ix)]
 
     observations = []
-    for year in years:
+    for year in DEFAULT_NDVI_YEARS:
         for doy in sorted(SUMMER_DOYS + OFF_SEASON_DOYS):
             v = base_fine + 0.01 * rng.standard_normal(fine.shape)
             if not (SUMMER_DOY[0] <= doy <= SUMMER_DOY[1]):
@@ -209,9 +203,7 @@ def sample_reference_sites(spec: GridSpec, suitability: np.ndarray,
                            summer_ndvi: np.ndarray,
                            irrigated: np.ndarray, degraded: np.ndarray,
                            counts: dict[str, int] | None = None,
-                           seed: int = 0, veg_threshold: float = VEG_THRESHOLD,
-                           css_threshold: float = CSS_THRESHOLD,
-                           min_spacing_km: float = DEFAULT_MIN_SPACING_KM):
+                           seed: int = 0, min_spacing_km: float = DEFAULT_MIN_SPACING_KM):
     """Draw labelled reference sites of all four categories.
 
     Sites are picked pixel-disjoint with pairwise spacing of at least
@@ -223,8 +215,8 @@ def sample_reference_sites(spec: GridSpec, suitability: np.ndarray,
     rng = np.random.default_rng(seed)
     valid = np.isfinite(suitability) & np.isfinite(summer_ndvi)
     natural = valid & ~irrigated & ~degraded
-    hi = suitability > css_threshold
-    veg = summer_ndvi >= veg_threshold
+    hi = suitability > CSS_THRESHOLD
+    veg = summer_ndvi >= VEG_THRESHOLD
     eligible = {
         "HiSuit-HiVeg": natural & hi & veg,
         "LoSuit-LoVeg": natural & ~hi & ~veg,

@@ -13,8 +13,10 @@ import pytest
 import drycss
 import drycss.cli as cli
 from drycss import opportunity
+from drycss.bundles import load_model_bundle, save_model_bundle
 from drycss.errors import NumericalError
 from drycss.grid import GridSpec, load_cube, load_grids, save_grids
+from drycss.neural import ClassifierModel, build_classifier
 from drycss.opportunity import find_analog
 from test_desk import pixel_vectors
 
@@ -215,13 +217,14 @@ def run(ws, stage, *tail):
 
 class TestStageGraph:
     def test_table_is_an_upstream_first_graph(self):
-        """Every need is made by its named producer, and every producer
-        comes before its consumers in STAGES, so the graph is acyclic and
-        table order is upstream first."""
+        """Every need and optional read is made by its named producer, and
+        every producer comes before its consumers in STAGES, so the graph is
+        acyclic and table order is upstream first."""
         order = list(cli.STAGES)
         for name, row in cli.STAGES.items():
-            for rel, producer in row.needs.items():
-                assert rel in cli.STAGES[producer].makes, (name, rel, producer)
+            for rel, producer in {**row.needs, **row.reads}.items():
+                made = cli.STAGES[producer].makes  # runs/metrics.csv is under runs
+                assert any(rel == m or rel.startswith(m + "/") for m in made), (name, rel)
                 assert order.index(producer) < order.index(name), (name, producer)
         assert [n for n, row in cli.STAGES.items() if not row.needs] == ["synth"]
 
@@ -281,6 +284,30 @@ class TestStageGraph:
         shutil.copy(workspace / "samples.csv", ws / "samples.csv")
         assert run(ws, "features") == 0
         assert run(ws, "train", *TRAIN_FLAGS) == 0
+
+    def test_report_refuses_stale_optional_inputs(self, workspace, tmp_path, capsys):
+        """New CSS maps beside the opportunity maps and reclassification
+        scores of the old models: report names the first stage to rerun."""
+        ws = copy_workspace(workspace, tmp_path)
+        assert run(ws, "train", *TRAIN_FLAGS, "--seed", "5") == 0
+        assert run(ws, "predict") == 0
+        assert run(ws, "report") == 2
+        err = capsys.readouterr().err
+        assert "runs/meta.json changed" in err and "rerun `drycss calibrate`" in err
+
+    def test_report_after_predict_stamps_what_it_found(self, workspace, tmp_path):
+        ws = copy_workspace(workspace, tmp_path)
+        manifest = json.loads((ws / "manifest.json").read_text())
+        for stage in ("calibrate", "opportunity", "candidates", "analogs", "report"):
+            del manifest["stages"][stage]
+            for rel in cli.STAGES[stage].makes:
+                (shutil.rmtree if (ws / rel).is_dir() else os.remove)(ws / rel)
+        (ws / "manifest.json").write_text(json.dumps(manifest))
+        assert run(ws, "report") == 0
+        manifest = json.loads((ws / "manifest.json").read_text())
+        assert sorted(manifest["stages"]["report"]["inputs"]) == ["maps/css",
+                                                                 "runs/metrics.csv"]
+        assert not (ws / "report" / "rankings.csv").exists()
 
     def test_missing_upstream_record_is_refused(self, workspace, tmp_path, capsys):
         ws = copy_workspace(workspace, tmp_path)
@@ -404,6 +431,53 @@ class TestExitCodes:
         assert cli.main(["predict", "--out", str(ws), "--force"]) == 2
         assert "unsupported model bundle format/version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, rel, change", [
+        ("features", "cube/meta.json", lambda m: m["grid"].update(n_lat="abc")),
+        ("features", "cube/meta.json", lambda m: m.update(time=[1, 2])),
+        ("opportunity", "ndvi/meta.json", lambda m: m["observations"][0].pop()),
+    ], ids=["grid-not-a-number", "time-a-list", "observation-without-doy"])
+    def test_malformed_directory_metadata_is_2(self, workspace, tmp_path, capsys,
+                                               stage, rel, change):
+        ws = copy_workspace(workspace, tmp_path)
+        meta = json.loads((ws / rel).read_text())
+        change(meta)
+        (ws / rel).write_text(json.dumps(meta))
+        assert run(ws, stage) == 2
+        err = capsys.readouterr().err
+        assert "malformed" in err and rel in err
+
+    @staticmethod
+    def cut_to_one_bin(doc):
+        doc.update({key: [row[:1] for row in doc[key]] for key in
+                    ("bins", "mean_re", "std_re", "mean_im", "std_im")}, k=1)
+
+    @pytest.mark.parametrize("run_id, change, message", [
+        ("blup_2_0", cut_to_one_bin, "declares 92 weights, but"),
+        ("nn_4_0", cut_to_one_bin, "do not chain from the 46 features"),
+        ("nn_4_0", lambda doc: doc["bins"][0].__setitem__(0, doc["bins"][0][0] + 0.9),
+         "bins must be JSON integers"),
+    ], ids=["blup-weights", "encoder-width", "fractional-bin"])
+    def test_bundle_disagreeing_with_its_feature_tables_is_2(
+            self, workspace, tmp_path, capsys, run_id, change, message):
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "runs" / run_id / "features.json"
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        for stage in ("predict", "calibrate"):
+            assert run(ws, stage) == 2
+            assert message in capsys.readouterr().err
+
+    def test_classifier_not_taking_the_codes_is_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        bundle = ws / "runs" / "nn_4_0"
+        model = load_model_bundle(bundle)
+        model.classifier = ClassifierModel(build_classifier(5, np.random.default_rng(0)))
+        shutil.rmtree(bundle)
+        save_model_bundle(model, bundle)
+        assert run(ws, "predict") == 2
+        assert "do not chain" in capsys.readouterr().err
+
     @pytest.mark.parametrize("drop", ["size", "n_params", "topology"])
     def test_malformed_model_metadata_is_2(self, workspace, tmp_path, capsys, drop):
         ws = copy_workspace(workspace, tmp_path)
@@ -482,6 +556,19 @@ class TestWorkspaceTables:
         self.edit_candidates(ws, change)
         assert run(ws, "analogs") == 2
         assert "candidates.csv" in capsys.readouterr().err
+
+    def test_damaged_reclassification_table_is_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "reclassification.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if ",HiSuit-HiVeg," in line)
+        cells = lines[i].split(",")
+        cells[3] = "green"  # the ndvi column
+        lines[i] = ",".join(cells)
+        path.write_text("".join(lines))
+        assert run(ws, "report") == 2
+        err = capsys.readouterr().err
+        assert "malformed reclassification table" in err and "reclassification.csv" in err
 
     @pytest.mark.parametrize("text", [
         lambda doc: json.dumps(dict(doc, slope="abc")),

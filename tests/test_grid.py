@@ -388,6 +388,23 @@ class TestDigest:
         assert digest(small_cube(seed=0), "b") == first
         assert digest(small_cube(seed=1), "c") != first
 
+    def test_saved_digest_is_content_digest_of_the_written_files(self, tmp_path):
+        """The digest is hashed from the buffers written; it must be the one
+        a read-back of the files gives, float64 grids included."""
+        cube = small_cube(seed=2)
+        save_cube(cube, tmp_path / "cube")
+        save_ndvi(TestNdvi().make_raster(), tmp_path / "ndvi")
+        grids = {"b": np.linspace(0.0, 1.0, 100).reshape(SPEC.shape).T / 3.0,  # not C-ordered
+                 "a": np.full(SPEC.shape, np.pi)}
+        assert grids["a"].dtype == np.float64
+        save_grids(tmp_path / "grids", SPEC, grids)
+        for name, files in (("cube", [f"{v}.f32" for v in cube.variables]),
+                            ("ndvi", ["2020_100.f32", "2020_140.f32",
+                                      "2021_100.f32", "2021_140.f32"]),
+                            ("grids", ["a.f32", "b.f32"])):
+            meta = json.loads((tmp_path / name / "meta.json").read_text())
+            assert meta["digest"] == content_digest(tmp_path / name, files), name
+
 
 class TestGreatCircle:
     def test_zero_distance(self):

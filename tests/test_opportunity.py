@@ -150,8 +150,7 @@ class TestJoinAttributes:
     def test_coordinate_join_respects_tolerance(self):
         sites = make_sites(1)
         with pytest.warns(UserWarning, match="row skipped"):
-            join_attributes(sites, [{"lat": "21.0", "lon": "40.0"}],
-                            key="coords", coord_tolerance_deg=0.05)
+            join_attributes(sites, [{"lat": "21.0", "lon": "40.0"}], key="coords")
         assert sites[0].attributes == {}
 
     def test_coordinate_join_missing_column(self):

@@ -87,6 +87,10 @@ class TestSampleIO:
         save_samples(samples, tmp_path / "s.csv")
         back = load_samples(tmp_path / "s.csv")
         assert back == samples  # repr round-trips floats bit-exactly
+        as_numpy = [LabeledSample(**{k: np.float64(v) if isinstance(v, float) else v
+                                     for k, v in vars(s).items()}) for s in samples]
+        save_samples(as_numpy, tmp_path / "n.csv")  # np.float64 cells: same bytes
+        assert (tmp_path / "n.csv").read_bytes() == (tmp_path / "s.csv").read_bytes()
 
     def test_errors(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -441,7 +445,7 @@ class TestAgreement:
         # suitable sets {p0, p1} and {p0, p2}: intersection 1, union 3
         a = np.array([[0.9, 0.9], [0.1, 0.1]])
         b = np.array([[0.9, 0.1], [0.9, 0.1]])
-        assert map_agreement_iou(a, b, threshold=0.5) == pytest.approx(1 / 3)
+        assert map_agreement_iou(a, b) == pytest.approx(1 / 3)
 
     def test_identical_maps_give_one(self):
         a = np.random.default_rng(0).uniform(0, 1, (5, 5))
