@@ -24,7 +24,7 @@ from .pipeline import (Calibration, GridSettings, LabeledSample, TrainingRun,
                        fit_calibration, holdout_split, map_agreement_iou,
                        out_of_fold_scores, pearson_r, predict_map,
                        ranking_overlap, rmse, run_training_grid,
-                       sample_coefficients)
+                       sample_coefficients, sample_series)
 from .opportunity import (AnalogMatch, CandidateSite, NoAnalog, Rule,
                           UpliftReport, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,

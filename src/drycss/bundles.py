@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .blup import BlupModel, predict_blup
-from .errors import DataError, read_json, write_json
+from .errors import DataError, json_int, read_json, write_json
 from .neural import AutoencoderModel, ClassifierModel, DenseNet
 from .spectral import FrequencySelection, NormalizationTable, feature_dim, n_bins, project
 
@@ -127,6 +127,10 @@ def save_model_bundle(model: TrainedModel, path: str | Path) -> None:
         **{name: getattr(model.norm, name).tolist() for name in _NORM_TABLES}})
 
 
+def _count(doc: dict, key: str, file: Path) -> int:
+    return json_int(doc[key], f"{key} in {file.name}")
+
+
 def load_model_bundle(path: str | Path) -> TrainedModel:
     path = Path(path)
     doc_path = path / "model.json"
@@ -157,8 +161,9 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
         bins = np.asarray(feat["bins"])
         if bins.dtype.kind != "i":
             raise DataError(f"{feat_path}: bins must be JSON integers, not {bins.dtype}")
-        selection = FrequencySelection(variables=tuple(feat["variables"]), k=int(feat["k"]),
-                                       bins=bins, n_steps=int(feat["n_steps"]))
+        selection = FrequencySelection(
+            variables=tuple(feat["variables"]), k=_count(feat, "k", feat_path), bins=bins,
+            n_steps=_count(feat, "n_steps", feat_path))
         limit = n_bins(selection.n_steps)
         if not np.all((selection.bins >= 0) & (selection.bins < limit)):
             raise DataError(f"{feat_path}: a bin lies outside [0, {limit})")
@@ -169,10 +174,11 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
                                 f"not {selection.bins.shape} like the bins")
         norm = NormalizationTable(**tables)
         width = feature_dim(selection)
-        fields = dict(kind=kind, size=int(doc["size"]), repetition=int(doc["repetition"]),
-                      seed=int(doc["seed"]), selection=selection, norm=norm)
+        fields = dict(kind=kind, selection=selection, norm=norm,
+                      **{key: _count(doc, key, doc_path)
+                         for key in ("size", "repetition", "seed")})
         if kind == "blup":
-            n = int(doc["n_weights"])
+            n = _count(doc, "n_weights", doc_path)
             if flat.size != n:
                 raise DataError(
                     f"weights.f32 holds {flat.size} values, model declares {n}")
@@ -186,7 +192,8 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
         for name in _SECTIONS:
             if name not in sections:
                 raise DataError(f"model bundle missing section {name}: {path}")
-        total = sum(s["n_params"] + s["n_state"] for s in sections.values())
+        total = sum(_count(s, key, doc_path) for s in sections.values()
+                    for key in ("n_params", "n_state"))
         if flat.size != total:
             raise DataError(
                 f"weights.f32 holds {flat.size} values, sections declare {total}")
@@ -207,6 +214,6 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
         return TrainedModel(
             **fields, classifier=ClassifierModel(net=nets["classifier"]),
             autoencoder=AutoencoderModel(encoder=nets["encoder"],
-                                         latent_dim=int(doc["latent_dim"])))
+                                         latent_dim=_count(doc, "latent_dim", doc_path)))
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed model metadata in {path}: bad or missing {e}") from None

@@ -48,10 +48,11 @@ import numpy as np
 
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
-from .errors import DataError, NumericalError, read_json, read_table, write_json, write_table
+from .errors import (DataError, NumericalError, json_int, read_json, read_table, write_json,
+                     write_table)
 from .grid import (GridSpec, TimeAxis, block_columns, content_digest, load_cube,
                    load_grids, load_ndvi, regrid_ndvi, save_cube, save_grids,
-                   save_ndvi, sha256_file)
+                   save_ndvi, save_npy, sha256_file)
 from .neural import TrainParams
 from .opportunity import (AnalogMatch, CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
@@ -61,7 +62,7 @@ from .pipeline import (BLOCK_ROWS, Calibration, GridSettings, aggregate_metrics,
                        category_means, derive_seed, ensemble_scores,
                        fit_calibration, load_samples, map_agreement_iou,
                        predict_map, ranking_overlap, run_training_grid,
-                       sample_coefficients, save_run_record, save_samples)
+                       sample_coefficients, sample_series, save_run_record, save_samples)
 from .spectral import dft_coefficients, truncated_coefficients
 
 
@@ -201,14 +202,16 @@ def cmd_synth(out: Path, opts: dict) -> None:
 def cmd_features(out: Path, opts: dict) -> None:
     cube = load_cube(out / "cube")
     samples = load_samples(out / "samples.csv")
-    coeffs = sample_coefficients(cube, samples)
+    series = sample_series(cube, samples)
+    n_steps, variables = cube.time.n_steps, list(cube.variables)
+    del cube  # unmapped first, so its pages and the spectra are never resident together
+    coeffs = sample_coefficients(series)
     feat_dir = out / "features"
     feat_dir.mkdir()
-    np.save(feat_dir / "coeffs.npy", coeffs)
+    digest = save_npy(feat_dir, "coeffs.npy", coeffs)
     write_json(feat_dir / "meta.json",
-               {"n_samples": len(samples), "n_steps": cube.time.n_steps,
-                "variables": list(cube.variables),
-                "digest": content_digest(feat_dir, ["coeffs.npy"])})
+               {"n_samples": len(samples), "n_steps": n_steps,
+                "variables": variables, "digest": digest})
     print(f"features: {coeffs.shape[0]} samples x {coeffs.shape[1]} variables "
           f"x {coeffs.shape[2]} bins -> {feat_dir}")
 
@@ -221,7 +224,8 @@ def _read_features(out: Path):
     meta_path = feat_dir / "meta.json"
     meta = read_json(meta_path, "feature metadata")
     try:
-        variables, n_steps = tuple(meta["variables"]), int(meta["n_steps"])
+        variables = tuple(meta["variables"])
+        n_steps = json_int(meta["n_steps"], "n_steps")
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed feature metadata {meta_path}: bad or missing "
                         f"{e}; rerun `drycss features`") from None

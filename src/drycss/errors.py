@@ -31,6 +31,15 @@ def read_json(path: str | Path, what: str):
         raise DataError(f"corrupt {what} {path}: {e}") from None
 
 
+def json_int(value, name: str) -> int:
+    """A count read from JSON. Anything but a JSON integer (64.9, 64.0,
+    "64", true) is a ValueError naming it, never truncated; the caller's
+    handler names the file."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name}: {value!r} is not an integer")
+    return value
+
+
 def write_json(path: str | Path, doc) -> None:
     """Write doc as indented JSON with sorted keys, as every drycss JSON
     file is written."""

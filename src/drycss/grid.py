@@ -30,13 +30,14 @@ load, naming the offending variable.
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, read_json, write_json
+from .errors import DataError, json_int, read_json, write_json
 
 # ERA5-Land surface variable codes carried by a cube, in canonical order.
 VARIABLES = (
@@ -120,7 +121,7 @@ class GridSpec:
     def from_dict(cls, d: dict) -> "GridSpec":
         return cls(lat_min=float(d["lat_min"]), lat_max=float(d["lat_max"]),
                    lon_min=float(d["lon_min"]), lon_max=float(d["lon_max"]),
-                   n_lat=int(d["n_lat"]), n_lon=int(d["n_lon"]))
+                   n_lat=json_int(d["n_lat"], "n_lat"), n_lon=json_int(d["n_lon"], "n_lon"))
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ class TimeAxis:
     @classmethod
     def from_dict(cls, d: dict) -> "TimeAxis":
         return cls(start=str(d["start"]), step_hours=float(d["step_hours"]),
-                   n_steps=int(d["n_steps"]))
+                   n_steps=json_int(d["n_steps"], "n_steps"))
 
 
 def _entry(meta: dict, key: str, meta_path: Path, parse):
@@ -213,6 +214,22 @@ def _save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> No
         hashes.append((f"{name}.f32", hashlib.sha256(data).hexdigest()))
     meta.update(version=1, digest=_listing_digest(hashes))
     write_json(path / "meta.json", meta)
+
+
+def save_npy(path: Path, name: str, array: np.ndarray) -> str:
+    """Write the array as path/<name> in the .npy format (the bytes
+    np.save writes); returns content_digest(path, [name]), hashed from
+    the header and the array in memory rather than read back."""
+    array = np.ascontiguousarray(array)
+    header = io.BytesIO()
+    npy = np.lib.format
+    npy.write_array_header_1_0(header, npy.header_data_from_array_1_0(array))
+    sha256 = hashlib.sha256(header.getvalue())
+    sha256.update(array)
+    with open(path / name, "wb") as f:
+        f.write(header.getvalue())
+        array.tofile(f)
+    return _listing_digest([(name, sha256.hexdigest())])
 
 
 def _read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndarray:
@@ -383,7 +400,8 @@ def load_ndvi(path: str | Path) -> NdviRaster:
     path = Path(path)
     meta_path, meta, spec = _read_meta(path, "drycss-ndvi", "NDVI")
     dates = _entry(meta, "observations", meta_path,
-                   lambda obs: [(int(year), int(doy)) for year, doy in obs])
+                   lambda obs: [(json_int(year, "year"), json_int(doy, "doy"))
+                                for year, doy in obs])
     observations = [NdviObservation(year, doy, _read_f32(path, f"{year}_{doy}", spec.shape))
                     for year, doy in dates]
     observations.sort(key=lambda o: (o.year, o.doy))

@@ -4,7 +4,10 @@ A "run" is one (model kind, model size, repetition) cell: draw a
 randomized 90/10 holdout, fit frequency selection and normalization on
 the training split only, train the model, score every sample, record
 train/val RMSE and Pearson r. The ensemble score of a pixel or sample
-is the unweighted mean over trained models.
+is the unweighted mean over trained models. One EnsembleScorer computes
+it for both: map pixels from their series (the BLUP models as one
+kernel per variable, the networks from only the bins they read),
+samples from their spectra, with one shared finish.
 
 Every random draw flows from one root seed through a documented
 derivation: seed = low 63 bits of sha256(repr((root, part, ...))).
@@ -14,6 +17,7 @@ only compute; the parent writes everything in canonical grid order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -28,7 +32,8 @@ from .bundles import TrainedModel
 from .errors import DataError, NumericalError, read_json, read_table, write_json, write_table
 from .grid import ClimateCube, block_columns, extract_series
 from .neural import TrainParams, train_autoencoder, train_classifier
-from .spectral import dft_coefficients, fit_normalization, project, select_frequencies
+from .spectral import (dft_basis, dft_coefficients, fit_normalization, project,
+                       select_frequencies, standardize)
 
 VEG_THRESHOLD = 0.15
 CSS_THRESHOLD = 0.5
@@ -81,14 +86,24 @@ def load_samples(path: str | Path) -> list[LabeledSample]:
     return samples
 
 
-def sample_coefficients(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray:
-    """DFT coefficients of each sample's pixel series,
-    [n_samples, n_variables, n_steps // 2 + 1] complex128."""
-    coeffs = np.empty((len(samples), len(cube.variables), cube.time.n_steps // 2 + 1),
-                      dtype=np.complex128)
+def sample_series(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray:
+    """Each sample's pixel series, [n_samples, n_variables, n_steps]
+    float32: the cube's own values, a quarter of the size of their
+    spectra, so a caller can drop the cube before taking them."""
+    series = np.empty((len(samples), len(cube.variables), cube.time.n_steps),
+                      dtype=np.float32)
     for i, s in enumerate(samples):
-        series, _ = extract_series(cube, s.lat, s.lon)
-        coeffs[i] = dft_coefficients(series)
+        series[i], _ = extract_series(cube, s.lat, s.lon)
+    return series
+
+
+def sample_coefficients(series: np.ndarray) -> np.ndarray:
+    """DFT coefficients of sample series [n_samples, n_variables,
+    n_steps], [n_samples, n_variables, n_steps // 2 + 1] complex128, one
+    sample at a time."""
+    coeffs = np.empty(series.shape[:-1] + (series.shape[-1] // 2 + 1,), dtype=np.complex128)
+    for i, x in enumerate(series):
+        coeffs[i] = dft_coefficients(x)
     return coeffs
 
 
@@ -382,23 +397,129 @@ def out_of_fold_scores(runs: list[TrainingRun], n_samples: int) -> np.ndarray:
 # reclassification and calibration
 
 
+class EnsembleScorer:
+    """The live models of an ensemble, reduced to what scoring reads, so
+    that a map pixel and a sample are scored with one arithmetic.
+
+    BLUP half: a BLUP model scores intercept + sum(effects * (part -
+    mean) / std) over the real and imaginary parts of its bins, which is
+    linear in the spectrum. Summed over the BLUP models that is `const`
+    plus the dot of the spectrum with one complex weight table
+    [n_variables, n_bins] (real weights on real parts, imaginary on
+    imaginary), and so, in the time domain, `const` plus one length-T
+    kernel per variable dotted with its series; the kernels are one
+    inverse real FFT of the table. The imaginary parts of bin 0 and of
+    the even-T Nyquist bin are identically 0 and get weight 0, so their
+    floored 1e-12 std adds nothing.
+
+    Network half: per variable, the sorted union of the bins the
+    networks read; each network gathers its bins from the union
+    coefficients and standardizes them as `project` does.
+
+    Two front ends, `from_spectrum` and `from_series`, feed one finish.
+    """
+
+    def __init__(self, models: list[TrainedModel | None]):
+        self.models = [m for m in models if m is not None]
+        if not self.models:
+            raise DataError("no trained models to ensemble")
+        first = self.models[0]
+        variables, T = first.selection.variables, first.selection.n_steps
+        for m in self.models:
+            if (m.selection.variables, m.selection.n_steps) != (variables, T):
+                raise DataError(f"model {m.model_id} was fit on other variables or time "
+                                f"steps than model {first.model_id}")
+        V = len(variables)
+        self.kinds = sorted({m.kind for m in self.models})
+        self.const = 0.0
+        self.weights = np.zeros((V, T // 2 + 1), dtype=np.complex128)
+        for m in self.models:
+            if m.kind == "blup":
+                effects = m.blup.effects.reshape(V, m.selection.k, 2)
+                w_re = effects[..., 0] / m.norm.std_re
+                w_im = effects[..., 1] / m.norm.std_im
+                self.const += (m.blup.intercept - np.sum(w_re * m.norm.mean_re)
+                               - np.sum(w_im * m.norm.mean_im))
+                np.add.at(self.weights, (np.arange(V)[:, None], m.selection.bins),
+                          w_re + 1j * w_im)
+        self.weights.imag[:, 0] = 0.0
+        if T % 2 == 0:
+            self.weights.imag[:, -1] = 0.0
+
+        self.nets = [m for m in self.models if m.kind == "nn"]
+        self.unions = [np.unique([b for m in self.nets for b in m.selection.bins[v]])
+                       .astype(np.intp) for v in range(V)]
+        starts = np.cumsum([0] + [u.size for u in self.unions])
+        self.gathers = [np.stack([starts[v] + np.searchsorted(u, m.selection.bins[v])
+                                  for v, u in enumerate(self.unions)]) for m in self.nets]
+        self.n_steps = T
+
+    @functools.cached_property
+    def time_rows(self) -> list[np.ndarray]:
+        """Per variable, rows [1 + 2U, T]: T times the BLUP kernel, then
+        the cos/-sin basis of the union's U bins. The inverse FFT is
+        unscaled ("forward" puts the 1/T on the forward side), and the
+        interior bins are halved because irfft counts each of them twice."""
+        T = self.n_steps
+        table = self.weights.copy()
+        table[:, 1:(T + 1) // 2] /= 2.0
+        kernels = np.fft.irfft(table, n=T, axis=-1, norm="forward")
+        return [np.vstack([kernel, dft_basis(T, tuple(union)).T])
+                for kernel, union in zip(kernels, self.unions)]
+
+    def from_spectrum(self, coeffs: np.ndarray) -> dict[str, np.ndarray]:
+        """Scores of coefficient blocks [n, n_variables, n_bins]: the dot
+        with the weight table, plus a gather of the union bins."""
+        coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
+        if coeffs.ndim != 3 or coeffs.shape[1:] != self.weights.shape:
+            raise ValueError(f"coefficients shaped {coeffs.shape}, models expect "
+                             f"[n, {self.weights.shape[0]}, {self.weights.shape[1]}]")
+        # (re, im) pairs side by side: one dot per variable
+        parts, table = coeffs.view(np.float64), self.weights.view(np.float64)
+        blup = self.const
+        for v, weights in enumerate(table):
+            blup = blup + parts[:, v] @ weights
+        union = np.concatenate([coeffs[:, v, u] for v, u in enumerate(self.unions)], axis=1)
+        return self._finish(blup, union)
+
+    def from_series(self, columns) -> dict[str, np.ndarray]:
+        """Scores of the series that `columns` yields per variable, in
+        model variable order, each time-major [n_steps, n] (the
+        `grid.block_columns` layout): one matmul per variable of
+        [kernel | cos/-sin of the union bins] and the series, divided by
+        T."""
+        blup, union = self.const, []
+        for col, rows in zip(columns, self.time_rows, strict=True):
+            if not np.all(np.isfinite(col)):
+                raise ValueError("series contains non-finite values")
+            parts = rows @ np.ascontiguousarray(col, dtype=np.float64) / self.n_steps
+            u = (rows.shape[0] - 1) // 2
+            blup = blup + parts[0]
+            union.append((parts[1:1 + u] + 1j * parts[1 + u:]).T)
+        return self._finish(blup, np.concatenate(union, axis=1))
+
+    def _finish(self, blup: np.ndarray, union: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-kind means and the all-model "combined" mean, from the BLUP
+        sum and the union coefficients [n, union bins over variables];
+        network scores are added in model order."""
+        sums = {"blup": blup, "nn": 0.0}
+        total = blup
+        for m, gather in zip(self.nets, self.gathers):
+            s = m.score_features(standardize(union[:, gather], m.norm))
+            sums["nn"] = sums["nn"] + s
+            total = total + s
+        out = {kind: sums[kind] / sum(m.kind == kind for m in self.models)
+               for kind in self.kinds}
+        out["combined"] = total / len(self.models)
+        return out
+
+
 def ensemble_scores(models: list[TrainedModel | None], coeffs: np.ndarray
                     ) -> dict[str, np.ndarray]:
-    """Mean score per kind plus the all-model "combined" mean. Each is
-    summed from zero in model order, so a map pixel (predict_map) and a
-    sample scored here get the same arithmetic."""
-    live = [m for m in models if m is not None]
-    if not live:
-        raise DataError("no trained models to ensemble")
-    sums = {kind: np.zeros(coeffs.shape[0]) for kind in sorted({m.kind for m in live})}
-    total = np.zeros(coeffs.shape[0])
-    for model in live:
-        s = model.score_coefficients(coeffs)
-        sums[model.kind] += s
-        total += s
-    out = {kind: sums[kind] / sum(m.kind == kind for m in live) for kind in sums}
-    out["combined"] = total / len(live)
-    return out
+    """Mean score per kind plus the all-model "combined" mean of
+    coefficient blocks [n, n_variables, n_bins], with the arithmetic
+    `predict_map` uses (see EnsembleScorer)."""
+    return EnsembleScorer(models).from_spectrum(coeffs)
 
 
 def category_means(samples: list[LabeledSample], scores: np.ndarray
@@ -471,6 +592,11 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
     """Score every valid pixel with each model; returns per-kind mean
     maps plus "combined" (mean over models). Invalid pixels are NaN.
 
+    Scoring reads the series, not their spectra: per row block and
+    variable, one matmul of the time-major columns against the
+    ensemble's BLUP kernel and the networks' union bins
+    (EnsembleScorer.from_series).
+
     Work is split into BLOCK_ROWS-high row blocks regardless of jobs,
     so floating-point accumulation order and therefore output bytes do
     not depend on the worker count.
@@ -489,18 +615,13 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
                 f"model {m.model_id} expects {m.selection.n_steps} time steps, "
                 f"cube has {cube.time.n_steps}")
 
+    scorer = EnsembleScorer(live)
     H, W = cube.spec.shape
-    kinds = sorted({m.kind for m in live})
-    out = {kind: np.full((H, W), np.nan) for kind in kinds}
-    out["combined"] = np.full((H, W), np.nan)
+    out = {name: np.full((H, W), np.nan) for name in scorer.kinds + ["combined"]}
 
     def do_block(r0: int) -> None:
         valid, columns = block_columns(cube, r0, r0 + BLOCK_ROWS)
-        coeffs = np.empty((int(valid.sum()), len(variables), cube.time.n_steps // 2 + 1),
-                          dtype=np.complex128)
-        for vi, col in enumerate(columns):
-            coeffs[:, vi] = dft_coefficients(col.T)
-        for name, scores in ensemble_scores(live, coeffs).items():
+        for name, scores in scorer.from_series(columns).items():
             out[name][r0:r0 + BLOCK_ROWS][valid] = scores
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -10,6 +10,11 @@ interior bins the order coincides with amplitude ranking.
 Feature vectors interleave the standardized real and imaginary parts
 of the selected bins, variable-major, in ranking order.
 
+Any set of bins can also be had without the full spectrum: one real
+matmul of the series against a cos/-sin basis of just those bins
+(`dft_basis`). `analogs` takes its low bins that way, and map scoring
+the bins its networks read.
+
 This module holds the transforms only; a model bundle's features.json,
 which stores a selection and its normalization, belongs to
 `drycss.bundles`.
@@ -43,23 +48,32 @@ def dft_coefficients(series: np.ndarray, n_bins: int | None = None) -> np.ndarra
         return np.fft.rfft(x, axis=-1) / T
     if not 1 <= n_bins <= T // 2 + 1:
         raise ValueError(f"n_bins={n_bins} outside [1, {T // 2 + 1}]")
-    parts = x @ _dft_basis(T, n_bins)
+    parts = x @ dft_basis(T, tuple(range(n_bins)))
     return (parts[..., :n_bins] + 1j * parts[..., n_bins:]) / T
 
 
 @functools.lru_cache(maxsize=4)
-def _dft_basis(n_steps: int, n_bins: int) -> np.ndarray:
-    """Read-only [n_steps, 2*n_bins] basis: cos columns, then -sin columns.
+def dft_basis(n_steps: int, bins: tuple[int, ...]) -> np.ndarray:
+    """Read-only [n_steps, 2*len(bins)] basis of the given bins: cos
+    columns, then -sin columns, so series @ basis / T gives their real
+    and imaginary parts.
 
     The phase of bin b at step t is 2*pi*((b*t) mod T)/T; reducing the
-    integer product first keeps full precision for large b*t.
+    integer product first keeps full precision for large b*t. The
+    imaginary part of bin 0 and of the even-T Nyquist bin is identically
+    0; bin 0's sine is exactly 0 already, and the Nyquist sine, whose
+    phases are 0 and pi, is set to exactly 0, so both come out as the
+    FFT gives them.
     """
-    phase = np.outer(np.arange(n_steps), np.arange(n_bins)) % n_steps
+    bins = np.asarray(bins, dtype=np.int64)
+    n = bins.size
+    phase = np.outer(np.arange(n_steps), bins) % n_steps
     phase = phase * (2.0 * np.pi / n_steps)
-    basis = np.empty((n_steps, 2 * n_bins))
-    np.cos(phase, out=basis[:, :n_bins])
-    np.sin(phase, out=basis[:, n_bins:])
-    np.negative(basis[:, n_bins:], out=basis[:, n_bins:])
+    basis = np.empty((n_steps, 2 * n))
+    np.cos(phase, out=basis[:, :n])
+    np.sin(phase, out=basis[:, n:])
+    np.negative(basis[:, n:], out=basis[:, n:])
+    basis[:, n:][:, 2 * bins == n_steps] = 0.0
     basis.setflags(write=False)
     return basis
 
@@ -186,13 +200,18 @@ def project(coeffs: np.ndarray, selection: FrequencySelection,
             f"expected {n_bins(selection.n_steps)}")
     idx = selection.bins
     lead = coeffs.shape[:-2]
-    sel = np.take_along_axis(coeffs, idx.reshape((1,) * len(lead) + idx.shape), axis=-1)
-    re = (sel.real - norm.mean_re) / norm.std_re
-    im = (sel.imag - norm.mean_im) / norm.std_im
-    out = np.empty(lead + (len(selection.variables), selection.k, 2))
-    out[..., 0] = re
-    out[..., 1] = im
-    return out.reshape(lead + (len(selection.variables) * selection.k * 2,))
+    return standardize(np.take_along_axis(
+        coeffs, idx.reshape((1,) * len(lead) + idx.shape), axis=-1), norm)
+
+
+def standardize(selected: np.ndarray, norm: NormalizationTable) -> np.ndarray:
+    """Selected coefficients [..., n_variables, k], in a selection's bin
+    order, -> features [..., n_variables*k*2] in project's layout."""
+    *lead, n_vars, k = selected.shape
+    out = np.empty(selected.shape + (2,))
+    out[..., 0] = (selected.real - norm.mean_re) / norm.std_re
+    out[..., 1] = (selected.imag - norm.mean_im) / norm.std_im
+    return out.reshape(tuple(lead) + (n_vars * k * 2,))
 
 
 def feature_dim(selection: FrequencySelection) -> int:

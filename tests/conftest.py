@@ -16,7 +16,8 @@ from drycss import synth
 from drycss.grid import GridSpec, TimeAxis, regrid_ndvi
 from drycss.neural import TrainParams
 from drycss.pipeline import (GridSettings, derive_seed, predict_map,
-                             run_training_grid, sample_coefficients)
+                             run_training_grid, sample_coefficients,
+                             sample_series)
 
 # epochs for the desk run; quality saturates well before the package
 # default and the end-to-end budget is tight
@@ -60,7 +61,7 @@ def build_pipeline(n_side, n_steps, counts, epochs, blup_sizes, nn_sizes,
         spec, suit, summer, irrigated, degraded, counts=counts,
         seed=derive_seed(seed, "synth", "sites"))
 
-    coeffs = sample_coefficients(cube, samples)
+    coeffs = sample_coefficients(sample_series(cube, samples))
     labels = np.array([s.label for s in samples])
 
     settings = GridSettings(variables=cube.variables, n_steps=n_steps,

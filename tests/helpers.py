@@ -85,3 +85,18 @@ def pixel_series(cube, r0: int, r1: int):
     for vi, var in enumerate(cube.variables):
         series[:, vi, :] = cube.values[var][:, rows, cols].T
     return rows, cols, series
+
+
+def rfft_ensemble_scores(models, series):
+    """Per-kind mean scores and the all-model "combined" mean of series
+    [n, n_variables, n_steps]: the full rfft, then each model's own
+    score_coefficients, summed in model order."""
+    coeffs = np.fft.rfft(np.asarray(series, dtype=np.float64), axis=-1) / series.shape[-1]
+    live = [m for m in models if m is not None]
+    scores = [m.score_coefficients(coeffs) for m in live]
+    out = {}
+    for kind in sorted({m.kind for m in live}):
+        picked = [s for s, m in zip(scores, live) if m.kind == kind]
+        out[kind] = sum(picked, np.zeros(len(coeffs))) / len(picked)
+    out["combined"] = sum(scores, np.zeros(len(coeffs))) / len(live)
+    return out

@@ -15,7 +15,7 @@ import drycss.cli as cli
 from drycss import opportunity
 from drycss.bundles import load_model_bundle, save_model_bundle
 from drycss.errors import NumericalError
-from drycss.grid import GridSpec, load_cube, load_grids, save_grids
+from drycss.grid import GridSpec, content_digest, load_cube, load_grids, save_grids
 from drycss.neural import ClassifierModel, build_classifier
 from drycss.opportunity import find_analog
 from test_desk import pixel_vectors
@@ -597,6 +597,53 @@ class TestWorkspaceTables:
             assert run(ws, stage, *argv) == 2
             err = capsys.readouterr().err
             assert "coeffs.npy" in err and "rerun `drycss features`" in err
+
+
+class TestFractionalCounts:
+    """A count in workspace metadata that is not an integer exits 2 naming
+    its file; int() used to truncate it and the stage went on."""
+
+    @pytest.mark.parametrize("stage, rel, change, name", [
+        ("predict", "runs/blup_2_0/features.json", lambda d: d.update(n_steps=64.9),
+         "n_steps in features.json"),
+        ("predict", "runs/nn_4_0/model.json", lambda d: d.update(size=4.5),
+         "size in model.json"),
+        ("features", "cube/meta.json", lambda d: d["grid"].update(n_lat=12.5),
+         "'grid' entry"),
+        ("features", "cube/meta.json", lambda d: d["time"].update(n_steps=64.9),
+         "'time' entry"),
+        ("opportunity", "ndvi/meta.json",
+         lambda d: d["observations"][0].__setitem__(1, d["observations"][0][1] + 0.5),
+         "'observations' entry"),
+    ], ids=["bundle-features", "bundle-model", "grid", "time-axis", "ndvi-observation"])
+    def test_fractional_count_is_2(self, workspace, tmp_path, capsys, stage, rel,
+                                   change, name):
+        ws = copy_workspace(workspace, tmp_path)
+        doc = json.loads((ws / rel).read_text())
+        change(doc)
+        (ws / rel).write_text(json.dumps(doc))
+        assert run(ws, stage) == 2
+        err = capsys.readouterr().err
+        assert "is not an integer" in err and name in err
+        assert Path(rel).parent.name in err
+
+
+class TestStageArithmetic:
+    def test_feature_digest_is_content_digest_of_the_cache(self, workspace):
+        meta = json.loads((workspace / "features" / "meta.json").read_text())
+        assert meta["digest"] == content_digest(workspace / "features", ["coeffs.npy"])
+
+    def test_reclassification_scores_match_the_css_map(self, workspace):
+        """calibrate scores the samples from their spectra, predict the map
+        from the series; at every sample pixel the two agree."""
+        _, css = load_grids(workspace / "maps" / "css")
+        with open(workspace / "reclassification.csv", newline="") as f:
+            scores = [float(r["score_combined"]) for r in csv.DictReader(f)]
+        with open(workspace / "samples.csv", newline="") as f:
+            pixels = [(int(r["iy"]), int(r["ix"])) for r in csv.DictReader(f)]
+        assert len(scores) == len(pixels) > 0
+        for score, (iy, ix) in zip(scores, pixels):
+            assert abs(css["combined"][iy, ix] - np.float32(score)) <= 1e-9
 
 
 class TestAnalogVectors:

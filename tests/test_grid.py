@@ -9,7 +9,7 @@ from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                          TimeAxis, VARIABLES, block_columns, block_regrid,
                          content_digest, extract_series, great_circle_km,
                          load_cube, load_grids, load_ndvi, regrid_ndvi,
-                         save_cube, save_grids, save_ndvi, sha256_file,
+                         save_cube, save_grids, save_ndvi, save_npy, sha256_file,
                          summer_ndvi_mean)
 
 SPEC = GridSpec(lat_min=10.0, lat_max=10.9, lon_min=30.0, lon_max=30.9,
@@ -404,6 +404,13 @@ class TestDigest:
                             ("grids", ["a.f32", "b.f32"])):
             meta = json.loads((tmp_path / name / "meta.json").read_text())
             assert meta["digest"] == content_digest(tmp_path / name, files), name
+
+    def test_saved_npy_digest_is_content_digest_of_the_file(self, tmp_path):
+        array = np.arange(24.0).reshape(2, 3, 4) * (1 + 1j)
+        digest = save_npy(tmp_path, "c.npy", array)
+        np.save(tmp_path / "ref.npy", array)
+        assert (tmp_path / "c.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
+        assert digest == content_digest(tmp_path, ["c.npy"])
 
 
 class TestGreatCircle:

@@ -3,12 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from drycss.blup import BlupModel
+from drycss.bundles import TrainedModel
 from drycss.errors import DataError
 from drycss.grid import (GridSpec, TimeAxis, VARIABLES, extract_series,
                          load_cube, save_cube)
-from drycss.neural import TrainParams
+from drycss.neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
+                           build_autoencoder, build_classifier)
 from drycss.pipeline import (BLOCK_ROWS, CALIBRATION_CATEGORIES, Calibration,
-                             GridSettings, LabeledSample, aggregate_metrics,
+                             EnsembleScorer, GridSettings, LabeledSample, aggregate_metrics,
                              category_means,
                              compute_run_metrics, derive_seed, ensemble_scores,
                              enumerate_grid, fit_calibration, holdout_split,
@@ -16,9 +19,9 @@ from drycss.pipeline import (BLOCK_ROWS, CALIBRATION_CATEGORIES, Calibration,
                              out_of_fold_scores, pearson_r, predict_map,
                              ranking_overlap, rmse, run_training_grid,
                              save_run_record, save_samples, train_one_run)
-from drycss.spectral import dft_coefficients
+from drycss.spectral import FrequencySelection, dft_coefficients, fit_normalization
 from drycss.synth import synth_cube
-from helpers import pixel_series
+from helpers import pixel_series, rfft_ensemble_scores
 
 
 class TestSeeds:
@@ -345,6 +348,100 @@ class TestEnsembleAndCalibration:
             Calibration.from_dict({"intercept": 0.0, "r2": 0.0, "n": 1})
 
 
+def scorer_models(T: int, kinds: str, seed: int = 0):
+    """Hand-built models on three variables and T steps, whose bins hold
+    bin 0, the last bin (Nyquist for even T), bins shared between
+    models, and networks reading 1 and 16 bins per variable; with a
+    failed run (None) among them. Returns (models, series)."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(T)
+    scale = np.array([9.7e4, 285.0, 1e-4])[None, :, None]  # sp, t2m, an evaporation
+    series = scale * (1.0 + 0.05 * rng.standard_normal((16, 3, 1))
+                      + 0.02 * np.cos(2 * np.pi * 3 * t / T + rng.uniform(0, 6, (16, 3, 1)))
+                      + 0.01 * rng.standard_normal((16, 3, T)))
+    coeffs = np.fft.rfft(series, axis=-1) / T
+    last = T // 2
+
+    def tables(bins):
+        sel = FrequencySelection(VARIABLES[:3], len(bins[0]), np.array(bins), T)
+        return dict(selection=sel, norm=fit_normalization(coeffs, sel))
+
+    def blup(bins):
+        width = 3 * len(bins[0]) * 2
+        return TrainedModel(kind="blup", size=len(bins[0]), repetition=0, seed=0,
+                            blup=BlupModel(rng.normal(0, 0.05, width), 0.5, 1.0),
+                            **tables(bins))
+
+    def nn(bins, latent):
+        net, n_encoder = build_autoencoder(3 * len(bins[0]) * 2, latent, rng)
+        clf = build_classifier(latent, rng)
+        clf.layers[-1].b += 2.0  # keep scores away from 0, where rtol means little
+        return TrainedModel(kind="nn", size=latent, repetition=0, seed=0,
+                            autoencoder=AutoencoderModel(DenseNet(net.layers[:n_encoder]),
+                                                         latent),
+                            classifier=ClassifierModel(clf), **tables(bins))
+
+    wide = [list(range(15)) + [last], [last] + list(range(1, 16)), list(range(16, 0, -1))]
+    models = {
+        "blup": [blup([[0, last, 3], [3, 1, 5], [2, 3, 7]]), None, blup([[3], [3], [0]])],
+        "nn": [nn([[last], [0], [3]], 1), nn(wide, 4), None],
+    }
+    if kinds == "mixed":
+        return models["blup"] + models["nn"], series
+    return models[kinds], series
+
+
+class TestEnsembleScorer:
+    """Both front ends of EnsembleScorer against the full rfft and each
+    model's own score_coefficients (helpers.rfft_ensemble_scores)."""
+
+    @pytest.mark.parametrize("T", [64, 63])
+    @pytest.mark.parametrize("kinds", ["blup", "nn", "mixed"])
+    def test_front_ends_match_the_per_model_rfft_oracle(self, T, kinds):
+        models, series = scorer_models(T, kinds)
+        expect = rfft_ensemble_scores(models, series)
+        scorer = EnsembleScorer(models)
+        coeffs = np.fft.rfft(series, axis=-1) / T
+        from_spectrum = scorer.from_spectrum(coeffs)
+        from_series = scorer.from_series(series[:, v].T for v in range(3))
+        assert list(from_spectrum) == list(from_series) == list(expect)
+        for name in expect:
+            assert np.abs(expect[name]).min() > 0.1
+            np.testing.assert_allclose(from_spectrum[name], expect[name], rtol=1e-10)
+            np.testing.assert_allclose(from_series[name], expect[name], rtol=1e-10)
+        np.testing.assert_array_equal(ensemble_scores(models, coeffs)["combined"],
+                                      from_spectrum["combined"])
+
+    def test_union_holds_only_the_network_bins(self):
+        models, _ = scorer_models(64, "mixed")
+        scorer = EnsembleScorer(models)
+        assert [u.tolist() for u in scorer.unions] == [
+            list(range(15)) + [32], [0] + list(range(1, 16)) + [32],
+            list(range(1, 17))]
+        assert [rows.shape for rows in scorer.time_rows] == [(33, 64), (35, 64), (33, 64)]
+
+    def test_zero_imaginary_parts_weigh_nothing(self):
+        models, _ = scorer_models(64, "blup")
+        weights = EnsembleScorer(models).weights
+        assert (weights.imag[:, [0, 32]] == 0).all()
+        assert (weights.real[:, [0, 32]] != 0).any()
+
+    def test_rejects_mismatched_inputs(self):
+        models, series = scorer_models(64, "mixed")
+        scorer = EnsembleScorer(models)
+        with pytest.raises(ValueError, match="models expect"):
+            scorer.from_spectrum(np.fft.rfft(series[:, :2], axis=-1))
+        with pytest.raises(ValueError, match="non-finite"):
+            bad = series.copy()
+            bad[0, 1, 5] = np.nan
+            scorer.from_series(bad[:, v].T for v in range(3))
+        other, _ = scorer_models(63, "blup")
+        with pytest.raises(DataError, match="other variables or time steps"):
+            EnsembleScorer(models + other)
+        with pytest.raises(DataError, match="no trained models"):
+            EnsembleScorer([None])
+
+
 class TestPredictMap:
     @pytest.fixture(scope="class")
     @classmethod
@@ -381,8 +478,9 @@ class TestPredictMap:
         series, _ = extract_series(cube, *cube.spec.node(iy, ix))
         c = dft_coefficients(series)
         per_model = [m.score_coefficients(c[None])[0] for m in models]
-        assert maps["blup"][iy, ix] == np.float64(per_model[0])
-        # batched matmuls may regroup sums vs a single-pixel pass
+        # the map sums a kernel over the series and batched matmuls, which
+        # regroup the sums of a per-model pass over the spectrum
+        assert maps["blup"][iy, ix] == pytest.approx(per_model[0], rel=1e-12)
         assert maps["nn"][iy, ix] == pytest.approx(per_model[1], rel=1e-12)
         assert maps["combined"][iy, ix] == pytest.approx(np.mean(per_model),
                                                          rel=1e-12)
@@ -403,9 +501,9 @@ class TestPredictMap:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_memory_mapped_map_matches_pixel_gather_bytes(self, setup, tmp_path, jobs):
         """The time-major block reader gives the bytes of the two-index
-        gather it replaced, on a memory-mapped cube whose invalid pixels
-        keep finite values in one variable, and with a last block of one
-        row."""
+        gather it replaced, scored through the same series front end, on
+        a memory-mapped cube whose invalid pixels keep finite values in
+        one variable, and with a last block of one row."""
         _, models = setup
         spec = GridSpec(lat_min=0.0, lat_max=0.8, lon_min=10.0, lon_max=10.7,
                         n_lat=9, n_lon=8)
@@ -416,12 +514,13 @@ class TestPredictMap:
         cube = load_cube(tmp_path / "c")
         assert (~cube.mask).sum() == 14
         maps = predict_map(models, cube, jobs=jobs)
+        scorer = EnsembleScorer(models)
         ref = {name: np.full(spec.shape, np.nan) for name in maps}
         for r0 in range(0, spec.n_lat, BLOCK_ROWS):
             rows, cols, series = pixel_series(cube, r0, r0 + BLOCK_ROWS)
             if rows.size:
-                for name, scores in ensemble_scores(models,
-                                                    dft_coefficients(series)).items():
+                columns = (series[:, vi].T for vi in range(series.shape[1]))
+                for name, scores in scorer.from_series(columns).items():
                     ref[name][rows, cols] = scores
         assert set(maps) == set(ref)
         for name in maps:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drycss.spectral import (amplitudes, bin_energies, dft_coefficients, feature_dim,
-                             fit_normalization, n_bins, project, select_frequencies,
-                             truncated_coefficients)
+from drycss.spectral import (amplitudes, bin_energies, dft_basis, dft_coefficients,
+                             feature_dim, fit_normalization, n_bins, project,
+                             select_frequencies, truncated_coefficients)
 from helpers import brute_force_best_bins, naive_dft, reconstruct_subset
 
 
@@ -82,6 +82,18 @@ class TestLowBins:
         block = np.random.default_rng(5).standard_normal((250, 6)).astype(np.float32)
         np.testing.assert_allclose(dft_coefficients(block.T, n_bins=9),
                                    dft_coefficients(block.T)[:, :9], rtol=1e-12)
+
+    @pytest.mark.parametrize("T", [63, 64])
+    def test_basis_of_any_sorted_bins(self, T):
+        """A basis of scattered bins gives those bins of the rfft; the
+        imaginary parts of bin 0 and the Nyquist bin are exactly 0."""
+        bins = (0, 3, 17, T // 2)
+        x = 100.0 + np.random.default_rng(T).standard_normal((4, T))
+        parts = x @ dft_basis(T, bins) / T
+        np.testing.assert_allclose(parts[:, :4] + 1j * parts[:, 4:],
+                                   np.fft.rfft(x)[:, bins] / T, rtol=1e-12, atol=1e-12)
+        assert (parts[:, 4] == 0).all()
+        assert (parts[:, 7] == 0).all() == (T % 2 == 0)
 
     def test_bin_zero_is_mean(self):
         x = np.random.default_rng(6).standard_normal(101)
