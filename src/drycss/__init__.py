@@ -12,9 +12,10 @@ from .grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                    great_circle_km, load_cube, load_grids, load_ndvi,
                    regrid_ndvi, save_cube, save_grids, save_ndvi,
                    summer_ndvi_mean)
-from .spectral import (FrequencySelection, NormalizationTable, amplitudes,
-                       bin_energies, dft_coefficients, fit_normalization,
-                       project, select_frequencies, truncated_coefficients)
+from .spectral import (FrequencySelection, NormalizationTable, bin_energies,
+                       dft_coefficients, fit_normalization, project,
+                       select_frequencies, selected_coefficients,
+                       truncated_coefficients)
 from .blup import BlupModel, fit_blup, loo_rmse, predict_blup, select_lambda_loo
 from .neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
                      gradient_check, train_autoencoder, train_classifier)

@@ -1,7 +1,7 @@
 """drycss command line: stage-by-stage batch pipeline over a workspace.
 
     drycss synth --out ws          make a synthetic cube + NDVI + samples
-    drycss features --out ws       per-sample DFT coefficients
+    drycss features --out ws       per-sample climate series
     drycss train --out ws          BLUP/NN training grid -> model bundles
     drycss predict --out ws        CSS maps (per kind + combined)
     drycss calibrate --out ws      reclassification scores + NDVI calibration
@@ -203,23 +203,21 @@ def cmd_features(out: Path, opts: dict) -> None:
     cube = load_cube(out / "cube")
     samples = load_samples(out / "samples.csv")
     series = sample_series(cube, samples)
-    n_steps, variables = cube.time.n_steps, list(cube.variables)
-    del cube  # unmapped first, so its pages and the spectra are never resident together
-    coeffs = sample_coefficients(series)
     feat_dir = out / "features"
     feat_dir.mkdir()
-    digest = save_npy(feat_dir, "coeffs.npy", coeffs)
+    digest = save_npy(feat_dir, "series.npy", series)
     write_json(feat_dir / "meta.json",
-               {"n_samples": len(samples), "n_steps": n_steps,
-                "variables": variables, "digest": digest})
-    print(f"features: {coeffs.shape[0]} samples x {coeffs.shape[1]} variables "
-          f"x {coeffs.shape[2]} bins -> {feat_dir}")
+               {"n_samples": len(samples), "n_steps": cube.time.n_steps,
+                "variables": list(cube.variables), "digest": digest})
+    print(f"features: {series.shape[0]} samples x {series.shape[1]} variables "
+          f"x {series.shape[2]} steps -> {feat_dir}")
 
 
 def _read_features(out: Path):
-    """The feature cache and its metadata, refused when the cache is
-    unreadable or not the complex [samples, variables, n_steps//2+1]
-    array that the metadata and the samples table call for."""
+    """The samples' series and their metadata, refused when the cache is
+    missing, unreadable, not the float32 [samples, variables, n_steps]
+    array that the metadata and the samples table call for, or not
+    finite."""
     feat_dir = out / "features"
     meta_path = feat_dir / "meta.json"
     meta = read_json(meta_path, "feature metadata")
@@ -230,20 +228,25 @@ def _read_features(out: Path):
         raise DataError(f"malformed feature metadata {meta_path}: bad or missing "
                         f"{e}; rerun `drycss features`") from None
     samples = load_samples(out / "samples.csv")
-    path = feat_dir / "coeffs.npy"
+    path = feat_dir / "series.npy"
     try:
-        coeffs = np.load(path)
+        series = np.load(path)
+    except FileNotFoundError:
+        raise DataError(f"feature cache {path} not found; rerun `drycss features`") from None
     except (EOFError, ValueError) as e:
         raise DataError(f"unreadable feature cache {path}: {e}; rerun `drycss features`") from None
-    expected = (len(samples), len(variables), n_steps // 2 + 1)  # samples, variables, bins
-    if coeffs.shape != expected or coeffs.dtype != np.complex128:
-        raise DataError(f"feature cache {path} holds {coeffs.dtype} {list(coeffs.shape)}, not "
-                        f"complex128 {list(expected)}; rerun `drycss features`")
-    return coeffs, variables, n_steps, samples
+    expected = (len(samples), len(variables), n_steps)
+    if series.shape != expected or series.dtype != np.float32:
+        raise DataError(f"feature cache {path} holds {series.dtype} {list(series.shape)}, not "
+                        f"float32 {list(expected)}; rerun `drycss features`")
+    if not np.isfinite(series).all():
+        raise DataError(f"feature cache {path} holds non-finite values; "
+                        "rerun `drycss features`")
+    return series, variables, n_steps, samples
 
 
 def cmd_train(out: Path, opts: dict) -> None:
-    coeffs, variables, n_steps, samples = _read_features(out)
+    series, variables, n_steps, samples = _read_features(out)
     n_bins, n_inputs = n_steps // 2 + 1, len(variables) * opts["nn_feature_bins"] * 2
     for key, value, limit, what in (
             ("blup_sizes", max(opts["blup_sizes"]), n_bins, "bins per variable"),
@@ -258,6 +261,8 @@ def cmd_train(out: Path, opts: dict) -> None:
         nn_feature_bins=opts["nn_feature_bins"], blup_lambda=opts["blup_lambda"],
         train_params=TrainParams(learning_rate=opts["learning_rate"],
                                  epochs=opts["epochs"]))
+    coeffs = sample_coefficients(series)
+    del series
     runs, models = run_training_grid(
         coeffs, labels, settings, blup_sizes=opts["blup_sizes"],
         nn_sizes=opts["nn_sizes"], repetitions=opts["repetitions"],
@@ -311,9 +316,9 @@ def cmd_predict(out: Path, opts: dict) -> None:
 
 
 def cmd_calibrate(out: Path, opts: dict) -> None:
-    coeffs, _, _, samples = _read_features(out)
+    series, _, _, samples = _read_features(out)
     models = _load_models(out)
-    scores = ensemble_scores(models, coeffs)
+    scores = ensemble_scores(models, series)
     cal = fit_calibration(samples, scores["combined"])
 
     names = sorted(k for k in scores if k != "combined") + ["combined"]
@@ -552,7 +557,7 @@ STAGES: dict[str, Stage] = {
         Opt("min_spacing_km", opportunity.DEFAULT_MIN_SPACING_KM, float,
             "minimum site spacing", _at_least(0)),
     ], {}, ("cube", "ndvi", "truth", "samples.csv")),
-    "features": Stage(cmd_features, "extract per-sample DFT coefficients", [],
+    "features": Stage(cmd_features, "gather each reference sample's climate series", [],
                       {"samples.csv": "synth", "cube": "synth"}, ("features",)),
     "train": Stage(cmd_train, "train the BLUP/NN model grid", [
         Opt("blup_sizes", pipeline.DEFAULT_BLUP_SIZES, _int_list,

@@ -5,9 +5,9 @@ randomized 90/10 holdout, fit frequency selection and normalization on
 the training split only, train the model, score every sample, record
 train/val RMSE and Pearson r. The ensemble score of a pixel or sample
 is the unweighted mean over trained models. One EnsembleScorer computes
-it for both: map pixels from their series (the BLUP models as one
-kernel per variable, the networks from only the bins they read),
-samples from their spectra, with one shared finish.
+it for map pixels and reference samples alike, from their series: the
+BLUP models as one kernel per variable, the networks from only the bins
+they read.
 
 Every random draw flows from one root seed through a documented
 derivation: seed = low 63 bits of sha256(repr((root, part, ...))).
@@ -29,11 +29,11 @@ import numpy as np
 
 from .blup import fit_blup, select_lambda_loo
 from .bundles import TrainedModel
-from .errors import DataError, NumericalError, read_json, read_table, write_json, write_table
+from .errors import DataError, NumericalError, read_table, write_json, write_table
 from .grid import ClimateCube, block_columns, extract_series
 from .neural import TrainParams, train_autoencoder, train_classifier
-from .spectral import (dft_basis, dft_coefficients, fit_normalization, project,
-                       select_frequencies, standardize)
+from .spectral import (bin_energies, dft_basis, dft_coefficients, fit_normalization,
+                       project, select_frequencies, selected_coefficients, standardize)
 
 VEG_THRESHOLD = 0.15
 CSS_THRESHOLD = 0.5
@@ -88,8 +88,7 @@ def load_samples(path: str | Path) -> list[LabeledSample]:
 
 def sample_series(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray:
     """Each sample's pixel series, [n_samples, n_variables, n_steps]
-    float32: the cube's own values, a quarter of the size of their
-    spectra, so a caller can drop the cube before taking them."""
+    float32: the cube's own values, half the size of their spectra."""
     series = np.empty((len(samples), len(cube.variables), cube.time.n_steps),
                       dtype=np.float32)
     for i, s in enumerate(samples):
@@ -198,24 +197,6 @@ def save_run_record(run: TrainingRun, path: str | Path) -> None:
     write_json(path, doc)
 
 
-def load_run_record(path: str | Path) -> TrainingRun:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"run record not found: {path}")
-    doc = read_json(path, "run record")
-    try:
-        scores = np.asarray(doc.get("scores", []), dtype=np.float64)
-        return TrainingRun(
-            kind=doc["kind"], size=int(doc["size"]), repetition=int(doc["repetition"]),
-            seed=int(doc["seed"]), train_ids=[int(i) for i in doc.get("train_ids", [])],
-            val_ids=[int(i) for i in doc.get("val_ids", [])],
-            scores=scores if scores.size else None,
-            metrics=dict(doc.get("metrics", {})), failed=bool(doc.get("failed", False)),
-            error=doc.get("error", ""))
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise DataError(f"malformed run record {path}: bad or missing {e}") from None
-
-
 @dataclass
 class GridSettings:
     """Everything a single training run needs besides its cell address."""
@@ -228,20 +209,22 @@ class GridSettings:
     train_params: TrainParams = field(default_factory=TrainParams)
 
 
-def train_one_run(coeffs: np.ndarray, labels: np.ndarray, kind: str, size: int,
-                  repetition: int, run_seed: int, settings: GridSettings
-                  ) -> tuple[TrainingRun, TrainedModel]:
-    """Fit one grid cell. Selection and normalization use only the
-    training split; every sample is scored with the fitted model."""
+def train_one_run(coeffs: np.ndarray, energies: np.ndarray, labels: np.ndarray,
+                  kind: str, size: int, repetition: int, run_seed: int,
+                  settings: GridSettings) -> tuple[TrainingRun, TrainedModel]:
+    """Fit one grid cell on the samples' spectra and their bin_energies
+    table. Selection and normalization use only the training split;
+    every sample is scored with the fitted model. No row of the full
+    spectrum is copied: ranking reads the energy rows, normalization
+    the training rows of the selected bins."""
     n = coeffs.shape[0]
     split_rng = np.random.default_rng(derive_seed(run_seed, "split"))
     train_idx, val_idx = holdout_split(n, settings.holdout_fraction, split_rng)
 
     k = size if kind == "blup" else settings.nn_feature_bins
-    train = coeffs[train_idx]  # one copy of the training rows serves both fits
-    selection = select_frequencies(train, settings.variables, k, settings.n_steps)
-    norm = fit_normalization(train, selection)
-    del train
+    selection = select_frequencies(energies[train_idx], settings.variables, k,
+                                   settings.n_steps)
+    norm = fit_normalization(selected_coefficients(coeffs, selection)[train_idx])
     X = project(coeffs, selection, norm)
     y = np.asarray(labels, dtype=np.float64)
 
@@ -300,8 +283,8 @@ def _grid_worker(cell):
     kind, size, rep, run_seed = cell
     ctx = _GRID_CONTEXT
     try:
-        run, model = train_one_run(ctx["coeffs"], ctx["labels"], kind, size, rep,
-                                   run_seed, ctx["settings"])
+        run, model = train_one_run(ctx["coeffs"], ctx["energies"], ctx["labels"], kind,
+                                   size, rep, run_seed, ctx["settings"])
         return run, model
     except NumericalError as e:
         run = TrainingRun(kind=kind, size=size, repetition=rep, seed=run_seed,
@@ -317,6 +300,8 @@ def run_training_grid(coeffs: np.ndarray, labels: np.ndarray,
                       ) -> tuple[list[TrainingRun], list[TrainedModel | None]]:
     """Train every grid cell; diverged runs are recorded, not fatal.
 
+    coeffs is the samples' spectra [n_samples, n_variables, n_bins];
+    their bin energies, which every run ranks from, are taken once here.
     jobs > 1 fans cells out to forked worker processes; results come
     back to the parent which keeps canonical order, so outputs do not
     depend on the worker count.
@@ -330,7 +315,8 @@ def run_training_grid(coeffs: np.ndarray, labels: np.ndarray,
              for kind, size, rep in enumerate_grid(blup_sizes, nn_sizes, repetitions)]
 
     global _GRID_CONTEXT
-    _GRID_CONTEXT = {"coeffs": coeffs, "labels": labels, "settings": settings}
+    _GRID_CONTEXT = {"coeffs": coeffs, "energies": bin_energies(coeffs, settings.n_steps),
+                     "labels": labels, "settings": settings}
     try:
         if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
@@ -399,7 +385,8 @@ def out_of_fold_scores(runs: list[TrainingRun], n_samples: int) -> np.ndarray:
 
 class EnsembleScorer:
     """The live models of an ensemble, reduced to what scoring reads, so
-    that a map pixel and a sample are scored with one arithmetic.
+    that a map pixel and a reference sample are scored from their series
+    with one arithmetic.
 
     BLUP half: a BLUP model scores intercept + sum(effects * (part -
     mean) / std) over the real and imaginary parts of its bins, which is
@@ -415,8 +402,6 @@ class EnsembleScorer:
     Network half: per variable, the sorted union of the bins the
     networks read; each network gathers its bins from the union
     coefficients and standardizes them as `project` does.
-
-    Two front ends, `from_spectrum` and `from_series`, feed one finish.
     """
 
     def __init__(self, models: list[TrainedModel | None]):
@@ -467,27 +452,13 @@ class EnsembleScorer:
         return [np.vstack([kernel, dft_basis(T, tuple(union)).T])
                 for kernel, union in zip(kernels, self.unions)]
 
-    def from_spectrum(self, coeffs: np.ndarray) -> dict[str, np.ndarray]:
-        """Scores of coefficient blocks [n, n_variables, n_bins]: the dot
-        with the weight table, plus a gather of the union bins."""
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        if coeffs.ndim != 3 or coeffs.shape[1:] != self.weights.shape:
-            raise ValueError(f"coefficients shaped {coeffs.shape}, models expect "
-                             f"[n, {self.weights.shape[0]}, {self.weights.shape[1]}]")
-        # (re, im) pairs side by side: one dot per variable
-        parts, table = coeffs.view(np.float64), self.weights.view(np.float64)
-        blup = self.const
-        for v, weights in enumerate(table):
-            blup = blup + parts[:, v] @ weights
-        union = np.concatenate([coeffs[:, v, u] for v, u in enumerate(self.unions)], axis=1)
-        return self._finish(blup, union)
-
     def from_series(self, columns) -> dict[str, np.ndarray]:
         """Scores of the series that `columns` yields per variable, in
         model variable order, each time-major [n_steps, n] (the
         `grid.block_columns` layout): one matmul per variable of
         [kernel | cos/-sin of the union bins] and the series, divided by
-        T."""
+        T, then the BLUP sum, each network's score in model order, and
+        the per-kind and all-model "combined" means."""
         blup, union = self.const, []
         for col, rows in zip(columns, self.time_rows, strict=True):
             if not np.all(np.isfinite(col)):
@@ -496,12 +467,7 @@ class EnsembleScorer:
             u = (rows.shape[0] - 1) // 2
             blup = blup + parts[0]
             union.append((parts[1:1 + u] + 1j * parts[1 + u:]).T)
-        return self._finish(blup, np.concatenate(union, axis=1))
-
-    def _finish(self, blup: np.ndarray, union: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-kind means and the all-model "combined" mean, from the BLUP
-        sum and the union coefficients [n, union bins over variables];
-        network scores are added in model order."""
+        union = np.concatenate(union, axis=1)
         sums = {"blup": blup, "nn": 0.0}
         total = blup
         for m, gather in zip(self.nets, self.gathers):
@@ -514,12 +480,17 @@ class EnsembleScorer:
         return out
 
 
-def ensemble_scores(models: list[TrainedModel | None], coeffs: np.ndarray
+def ensemble_scores(models: list[TrainedModel | None], series: np.ndarray
                     ) -> dict[str, np.ndarray]:
-    """Mean score per kind plus the all-model "combined" mean of
-    coefficient blocks [n, n_variables, n_bins], with the arithmetic
-    `predict_map` uses (see EnsembleScorer)."""
-    return EnsembleScorer(models).from_spectrum(coeffs)
+    """Mean score per kind plus the all-model "combined" mean of sample
+    series [n, n_variables, n_steps], with the arithmetic `predict_map`
+    uses (EnsembleScorer.from_series)."""
+    scorer, series = EnsembleScorer(models), np.asarray(series)
+    expect = (len(scorer.unions), scorer.n_steps)
+    if series.ndim != 3 or series.shape[1:] != expect:
+        raise ValueError(f"series shaped {series.shape}, models expect [n, {expect[0]}, "
+                         f"{expect[1]}]")
+    return scorer.from_series(series[:, v].T for v in range(expect[0]))
 
 
 def category_means(samples: list[LabeledSample], scores: np.ndarray

@@ -91,14 +91,6 @@ def _multiplicity(n_steps: int) -> np.ndarray:
     return m
 
 
-def amplitudes(coeffs: np.ndarray, n_steps: int) -> np.ndarray:
-    """Physical amplitude per bin: modulus, doubled for interior bins."""
-    if coeffs.shape[-1] != n_bins(n_steps):
-        raise ValueError(
-            f"coefficient axis has {coeffs.shape[-1]} bins, expected {n_bins(n_steps)}")
-    return np.abs(coeffs) * _multiplicity(n_steps)
-
-
 def bin_energies(coeffs: np.ndarray, n_steps: int) -> np.ndarray:
     """Two-sided spectral energy per bin, |c|^2 times multiplicity.
 
@@ -137,58 +129,37 @@ class NormalizationTable:
     std_im: np.ndarray
 
 
-def select_frequencies(coeffs: np.ndarray, variables, k: int,
+def select_frequencies(energies: np.ndarray, variables, k: int,
                        n_steps: int) -> FrequencySelection:
     """Top-k bins per variable by mean spectral energy over samples.
 
-    coeffs is [n_samples, n_variables, n_bins]. Ties break toward the
-    lower bin index, which also makes the selection nested: the top-k
-    list is a prefix of the top-(k+1) list.
+    energies is the per-sample bin_energies table [n_samples,
+    n_variables, n_bins]. Ties break toward the lower bin index, which
+    also makes the selection nested: the top-k list is a prefix of the
+    top-(k+1) list.
     """
-    coeffs = np.asarray(coeffs)
-    if coeffs.ndim != 3:
-        raise ValueError(f"expected [samples, variables, bins], got shape {coeffs.shape}")
-    n_samples, n_vars, nb = coeffs.shape
+    energies = np.asarray(energies)
+    if energies.ndim != 3:
+        raise ValueError(f"expected [samples, variables, bins], got shape {energies.shape}")
+    n_samples, n_vars, nb = energies.shape
     if n_samples == 0:
         raise ValueError("no samples to rank frequencies on")
     if len(variables) != n_vars:
-        raise ValueError(f"{len(variables)} variable names for {n_vars} coefficient rows")
+        raise ValueError(f"{len(variables)} variable names for {n_vars} energy rows")
     if not 1 <= k <= nb:
         raise ValueError(f"k={k} outside [1, {nb}]")
     if nb != n_bins(n_steps):
-        raise ValueError(f"coefficient axis has {nb} bins, expected {n_bins(n_steps)}")
-    mean_energy = bin_energies(coeffs, n_steps).mean(axis=0)  # [n_vars, nb]
+        raise ValueError(f"energy axis has {nb} bins, expected {n_bins(n_steps)}")
+    mean_energy = energies.mean(axis=0)  # [n_vars, nb]
     order = np.lexsort((np.arange(nb)[None, :].repeat(n_vars, 0), -mean_energy), axis=-1)
     return FrequencySelection(tuple(variables), k,
                               np.ascontiguousarray(order[:, :k]), n_steps)
 
 
-def fit_normalization(coeffs: np.ndarray, selection: FrequencySelection
-                      ) -> NormalizationTable:
-    """Mean/std of selected coefficients over the training samples.
-
-    Stds are floored at 1e-12 so constant features map to zero rather
-    than dividing by zero.
-    """
-    coeffs = np.asarray(coeffs)
-    sel = np.take_along_axis(coeffs, selection.bins[None, :, :], axis=-1)
-    floor = 1e-12
-
-    def stats(part):
-        return part.mean(axis=0), np.maximum(part.std(axis=0), floor)
-
-    mean_re, std_re = stats(sel.real)
-    mean_im, std_im = stats(sel.imag)
-    return NormalizationTable(mean_re=mean_re, std_re=std_re,
-                              mean_im=mean_im, std_im=std_im)
-
-
-def project(coeffs: np.ndarray, selection: FrequencySelection,
-            norm: NormalizationTable) -> np.ndarray:
-    """Coefficients [..., n_variables, n_bins] -> features [..., n_vars*k*2].
-
-    Layout: variable-major, then bins in ranking order, (re, im) pairs.
-    """
+def selected_coefficients(coeffs: np.ndarray, selection: FrequencySelection
+                          ) -> np.ndarray:
+    """The selection's bins of coefficients [..., n_variables, n_bins],
+    as [..., n_variables, k] in ranking order."""
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-2] != len(selection.variables):
         raise ValueError(
@@ -199,9 +170,36 @@ def project(coeffs: np.ndarray, selection: FrequencySelection,
             f"coefficient axis has {coeffs.shape[-1]} bins, "
             f"expected {n_bins(selection.n_steps)}")
     idx = selection.bins
-    lead = coeffs.shape[:-2]
-    return standardize(np.take_along_axis(
-        coeffs, idx.reshape((1,) * len(lead) + idx.shape), axis=-1), norm)
+    return np.take_along_axis(coeffs, idx.reshape((1,) * (coeffs.ndim - 2) + idx.shape),
+                              axis=-1)
+
+
+def fit_normalization(selected: np.ndarray) -> NormalizationTable:
+    """Mean/std of the training samples' selected coefficients
+    [n_samples, n_variables, k] (selected_coefficients of their rows).
+
+    Stds are floored at 1e-12 so constant features map to zero rather
+    than dividing by zero.
+    """
+    selected = np.asarray(selected)
+    floor = 1e-12
+
+    def stats(part):
+        return part.mean(axis=0), np.maximum(part.std(axis=0), floor)
+
+    mean_re, std_re = stats(selected.real)
+    mean_im, std_im = stats(selected.imag)
+    return NormalizationTable(mean_re=mean_re, std_re=std_re,
+                              mean_im=mean_im, std_im=std_im)
+
+
+def project(coeffs: np.ndarray, selection: FrequencySelection,
+            norm: NormalizationTable) -> np.ndarray:
+    """Coefficients [..., n_variables, n_bins] -> features [..., n_vars*k*2].
+
+    Layout: variable-major, then bins in ranking order, (re, im) pairs.
+    """
+    return standardize(selected_coefficients(coeffs, selection), norm)
 
 
 def standardize(selected: np.ndarray, norm: NormalizationTable) -> np.ndarray:

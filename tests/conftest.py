@@ -35,7 +35,7 @@ class PipelineRun:
     degraded: np.ndarray
     summer: np.ndarray
     samples: list
-    coeffs: np.ndarray
+    series: np.ndarray  # float32, as the features stage stores them
     labels: np.ndarray
     settings: GridSettings
     runs: list
@@ -61,12 +61,12 @@ def build_pipeline(n_side, n_steps, counts, epochs, blup_sizes, nn_sizes,
         spec, suit, summer, irrigated, degraded, counts=counts,
         seed=derive_seed(seed, "synth", "sites"))
 
-    coeffs = sample_coefficients(sample_series(cube, samples))
+    series = sample_series(cube, samples)
     labels = np.array([s.label for s in samples])
 
     settings = GridSettings(variables=cube.variables, n_steps=n_steps,
                             train_params=TrainParams(epochs=epochs))
-    runs, models = run_training_grid(coeffs, labels, settings,
+    runs, models = run_training_grid(sample_coefficients(series), labels, settings,
                                      blup_sizes=blup_sizes, nn_sizes=nn_sizes,
                                      repetitions=repetitions,
                                      root_seed=seed, jobs=1)
@@ -74,7 +74,7 @@ def build_pipeline(n_side, n_steps, counts, epochs, blup_sizes, nn_sizes,
     seconds = time.perf_counter() - t0
     return PipelineRun(spec=spec, taxis=taxis, cube=cube, suitability=suit,
                        raster=raster, irrigated=irrigated, degraded=degraded,
-                       summer=summer, samples=samples, coeffs=coeffs,
+                       summer=summer, samples=samples, series=series,
                        labels=labels, settings=settings, runs=runs,
                        models=models, maps=maps, seconds=seconds)
 

@@ -20,6 +20,19 @@ def naive_dft(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def amplitudes(coeffs: np.ndarray, n_steps: int) -> np.ndarray:
+    """Physical amplitude per one-sided bin: the modulus, doubled for
+    every bin but DC and (even T) Nyquist."""
+    if coeffs.shape[-1] != n_steps // 2 + 1:
+        raise ValueError(
+            f"coefficient axis has {coeffs.shape[-1]} bins, expected {n_steps // 2 + 1}")
+    double = np.full(coeffs.shape[-1], 2.0)
+    double[0] = 1.0
+    if n_steps % 2 == 0:
+        double[-1] = 1.0
+    return np.abs(coeffs) * double
+
+
 def reconstruct_subset(coeffs: np.ndarray, n_steps: int, subset) -> np.ndarray:
     """Literal time-domain signal using only the given one-sided bins."""
     kept = np.zeros(coeffs.shape[-1], dtype=np.complex128)

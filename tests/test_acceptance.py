@@ -64,7 +64,7 @@ def test_02_selection_is_optimal_truncation():
         x = rng.normal(size=T)
         coeffs = dft_coefficients(x)
         for k in range(1, min(4, n_bins(T)) + 1):
-            sel = select_frequencies(coeffs[None, None, :], ("v",), k, T)
+            sel = select_frequencies(bin_energies(coeffs, T)[None, None, :], ("v",), k, T)
             got = frozenset(int(b) for b in sel.bins[0])
             best, _ = helpers.brute_force_best_bins(x, k)
             checked += 1
@@ -147,7 +147,7 @@ def test_05_desk_run_recovers_planted_suitability(desk_run):
 
 def test_06_reference_categories_separate(desk_run):
     scores = ensemble_scores([m for m in desk_run.models if m is not None],
-                             desk_run.coeffs)["combined"]
+                             desk_run.series)["combined"]
     means = category_means(desk_run.samples, scores)
     hi, lo = means["HiSuit-HiVeg"], means["LoSuit-LoVeg"]
     ok = (hi - lo >= 0.3

@@ -7,8 +7,8 @@ from drycss.blup import fit_blup
 from drycss.bundles import TrainedModel, load_model_bundle, save_model_bundle
 from drycss.errors import DataError
 from drycss.neural import TrainParams, train_autoencoder, train_classifier
-from drycss.spectral import (dft_coefficients, fit_normalization, project,
-                             select_frequencies)
+from drycss.spectral import (bin_energies, dft_coefficients, fit_normalization, project,
+                             select_frequencies, selected_coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +18,8 @@ def fitted():
     series = rng.standard_normal((n, nv, T))
     labels = rng.uniform(0, 1, n)
     coeffs = dft_coefficients(series)
-    sel = select_frequencies(coeffs, ("a", "b"), k, T)
-    norm = fit_normalization(coeffs, sel)
+    sel = select_frequencies(bin_energies(coeffs, T), ("a", "b"), k, T)
+    norm = fit_normalization(selected_coefficients(coeffs, sel))
     X = project(coeffs, sel, norm)
     blup = TrainedModel(kind="blup", size=k, repetition=0, seed=1,
                         selection=sel, norm=norm,

@@ -147,7 +147,7 @@ def workspace(tmp_path_factory):
 class TestChain:
     def test_artifacts_exist(self, workspace):
         for rel in ("cube/meta.json", "ndvi/meta.json", "samples.csv",
-                    "features/coeffs.npy", "runs/metrics.csv",
+                    "features/series.npy", "runs/metrics.csv",
                     "runs/blup_2_0/model.json", "runs/nn_4_0/model.json",
                     "maps/css/combined.f32", "calibration.json",
                     "reclassification.csv", "maps/opportunity/opportunity.f32",
@@ -491,6 +491,12 @@ class TestExitCodes:
             assert "malformed model metadata" in err and repr(drop) in err
 
 
+def put_one_nan(path):
+    series = np.load(path)
+    series[1, 2, 3] = np.nan
+    np.save(path, series)
+
+
 class TestWorkspaceTables:
     """Each stage table a user may edit by hand, and the model list in
     runs/meta.json, fail as exit 2 naming the file, never as a traceback;
@@ -583,20 +589,22 @@ class TestWorkspaceTables:
         assert "malformed calibration" in err and "calibration.json" in err
 
     @pytest.mark.parametrize("damage", [
+        lambda path: path.rename(path.with_name("coeffs.npy")),  # the older cache name
         lambda path: path.write_bytes(path.read_bytes()[:-16]),
         lambda path: path.write_bytes(b""),
         lambda path: np.save(path, np.load(path)[:, :5]),
         lambda path: np.save(path, np.load(path).astype(np.complex64)),
-        lambda path: np.save(path, np.load(path).real),
-    ], ids=["truncated", "empty", "wrong-shape", "complex64", "real"])
+        lambda path: np.save(path, np.load(path).astype(np.float64)),
+        put_one_nan,
+    ], ids=["missing", "truncated", "empty", "wrong-shape", "complex64", "float64", "nan"])
     def test_damaged_feature_cache_is_2(self, workspace, tmp_path, capsys, damage):
         ws = copy_workspace(workspace, tmp_path)
-        damage(ws / "features" / "coeffs.npy")
+        damage(ws / "features" / "series.npy")
         for stage in ("calibrate", "train"):  # train --force removes runs/
             argv = TRAIN_FLAGS if stage == "train" else []
             assert run(ws, stage, *argv) == 2
             err = capsys.readouterr().err
-            assert "coeffs.npy" in err and "rerun `drycss features`" in err
+            assert "series.npy" in err and "rerun `drycss features`" in err
 
 
 class TestFractionalCounts:
@@ -631,11 +639,11 @@ class TestFractionalCounts:
 class TestStageArithmetic:
     def test_feature_digest_is_content_digest_of_the_cache(self, workspace):
         meta = json.loads((workspace / "features" / "meta.json").read_text())
-        assert meta["digest"] == content_digest(workspace / "features", ["coeffs.npy"])
+        assert meta["digest"] == content_digest(workspace / "features", ["series.npy"])
 
     def test_reclassification_scores_match_the_css_map(self, workspace):
-        """calibrate scores the samples from their spectra, predict the map
-        from the series; at every sample pixel the two agree."""
+        """calibrate scores the samples' series through the scorer that
+        predicts the map; at every sample pixel the two agree exactly."""
         _, css = load_grids(workspace / "maps" / "css")
         with open(workspace / "reclassification.csv", newline="") as f:
             scores = [float(r["score_combined"]) for r in csv.DictReader(f)]
@@ -643,7 +651,7 @@ class TestStageArithmetic:
             pixels = [(int(r["iy"]), int(r["ix"])) for r in csv.DictReader(f)]
         assert len(scores) == len(pixels) > 0
         for score, (iy, ix) in zip(scores, pixels):
-            assert abs(css["combined"][iy, ix] - np.float32(score)) <= 1e-9
+            assert css["combined"][iy, ix] == np.float32(score)
 
 
 class TestAnalogVectors:

@@ -36,7 +36,7 @@ def pixel_vectors(run, channels):
 @pytest.fixture(scope="module")
 def stages(desk_run):
     scores = ensemble_scores([m for m in desk_run.models if m is not None],
-                             desk_run.coeffs)
+                             desk_run.series)
     cal = fit_calibration(desk_run.samples, scores["combined"])
     opp = opportunity_map(desk_run.maps["combined"], desk_run.summer, cal)
     sites = extract_candidates(opp, desk_run.spec,

@@ -15,11 +15,12 @@ from drycss.pipeline import (BLOCK_ROWS, CALIBRATION_CATEGORIES, Calibration,
                              category_means,
                              compute_run_metrics, derive_seed, ensemble_scores,
                              enumerate_grid, fit_calibration, holdout_split,
-                             load_run_record, load_samples, map_agreement_iou,
+                             load_samples, map_agreement_iou,
                              out_of_fold_scores, pearson_r, predict_map,
                              ranking_overlap, rmse, run_training_grid,
                              save_run_record, save_samples, train_one_run)
-from drycss.spectral import FrequencySelection, dft_coefficients, fit_normalization
+from drycss.spectral import (FrequencySelection, bin_energies, dft_coefficients,
+                             fit_normalization, select_frequencies, selected_coefficients)
 from drycss.synth import synth_cube
 from helpers import pixel_series, rfft_ensemble_scores
 
@@ -110,30 +111,24 @@ class TestSampleIO:
 
 class TestRunRecords:
     def test_round_trip(self, tmp_path):
+        """A run record (predictions.json) is plain JSON: every field of
+        the run, scores and metrics as floats, read back exactly."""
         from drycss.pipeline import TrainingRun
         run = TrainingRun(kind="blup", size=8, repetition=3, seed=99,
                           train_ids=[0, 2], val_ids=[1],
                           scores=np.array([0.1, 0.2, 0.3]),
-                          metrics={"val_rmse": 0.5})
+                          metrics={"val_rmse": np.float64(0.5)})
         save_run_record(run, tmp_path / "r.json")
-        back = load_run_record(tmp_path / "r.json")
-        assert (back.kind, back.size, back.repetition, back.seed) == \
-            ("blup", 8, 3, 99)
-        assert back.run_id == "blup_8_3"
-        assert back.train_ids == [0, 2] and back.val_ids == [1]
-        np.testing.assert_allclose(back.scores, run.scores)
-        assert back.metrics == {"val_rmse": 0.5}
-        with pytest.raises(DataError, match="not found"):
-            load_run_record(tmp_path / "nope.json")
-
-    @pytest.mark.parametrize("doc", [{"size": 8, "repetition": 0, "seed": 1},
-                                     {"kind": "nn", "size": "x", "repetition": 0,
-                                      "seed": 1},
-                                     ["not", "an", "object"]])
-    def test_malformed_record_is_data_error(self, tmp_path, doc):
-        (tmp_path / "r.json").write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="malformed run record"):
-            load_run_record(tmp_path / "r.json")
+        assert json.loads((tmp_path / "r.json").read_text()) == {
+            "kind": "blup", "size": 8, "repetition": 3, "seed": 99,
+            "train_ids": [0, 2], "val_ids": [1], "scores": [0.1, 0.2, 0.3],
+            "metrics": {"val_rmse": 0.5}, "failed": False, "error": ""}
+        failed = TrainingRun(kind="nn", size=4, repetition=0, seed=1, failed=True,
+                             error="training diverged")
+        save_run_record(failed, tmp_path / "f.json")
+        doc = json.loads((tmp_path / "f.json").read_text())
+        assert doc["scores"] == [] and doc["failed"] is True
+        assert doc["error"] == "training diverged"
 
 
 class TestGridEnumeration:
@@ -156,16 +151,21 @@ def make_training_problem(n=40, n_vars=3, T=32, seed=0):
     t = np.arange(T)
     series = rng.standard_normal((n, n_vars, T)) * 0.3
     series[:, 0, :] += (1.0 + 2.0 * labels[:, None]) * np.cos(2 * np.pi * t / T)
-    coeffs = dft_coefficients(series)
     settings = GridSettings(variables=names, n_steps=T, nn_feature_bins=4,
                             train_params=TrainParams(epochs=40))
-    return coeffs, labels, settings
+    return dft_coefficients(series), labels, settings
+
+
+def run_cell(coeffs, labels, kind, size, repetition, seed, settings):
+    """train_one_run with the energy table run_training_grid gives it."""
+    return train_one_run(coeffs, bin_energies(coeffs, settings.n_steps), labels, kind,
+                         size, repetition, seed, settings)
 
 
 class TestTrainOneRun:
     def test_blup_run_learns_and_records_split(self):
         coeffs, labels, settings = make_training_problem()
-        run, model = train_one_run(coeffs, labels, "blup", 4, 0, 123, settings)
+        run, model = run_cell(coeffs, labels, "blup", 4, 0, 123, settings)
         assert run.run_id == "blup_4_0"
         assert len(run.val_ids) == 4 and len(run.train_ids) == 36
         assert not set(run.train_ids) & set(run.val_ids)
@@ -175,32 +175,35 @@ class TestTrainOneRun:
 
     def test_selection_fit_on_training_split_only(self):
         coeffs, labels, settings = make_training_problem()
-        run, model = train_one_run(coeffs, labels, "blup", 3, 0, 5, settings)
-        from drycss.spectral import select_frequencies
-        sel = select_frequencies(coeffs[run.train_ids], settings.variables, 3,
-                                 settings.n_steps)
+        run, model = run_cell(coeffs, labels, "blup", 3, 0, 5, settings)
+        train = coeffs[run.train_ids]
+        sel = select_frequencies(bin_energies(train, settings.n_steps),
+                                 settings.variables, 3, settings.n_steps)
         np.testing.assert_array_equal(model.selection.bins, sel.bins)
+        norm = fit_normalization(selected_coefficients(train, sel))
+        np.testing.assert_array_equal(model.norm.mean_re, norm.mean_re)
+        np.testing.assert_array_equal(model.norm.std_im, norm.std_im)
 
     def test_nn_run_trains(self):
         coeffs, labels, settings = make_training_problem()
-        run, model = train_one_run(coeffs, labels, "nn", 4, 1, 7, settings)
+        run, model = run_cell(coeffs, labels, "nn", 4, 1, 7, settings)
         assert model.autoencoder.latent_dim == 4
         assert run.metrics["train_r"] > 0.5
 
     def test_fixed_lambda_and_loo(self):
         coeffs, labels, settings = make_training_problem()
         settings.blup_lambda = 2.5
-        _, model = train_one_run(coeffs, labels, "blup", 2, 0, 1, settings)
+        _, model = run_cell(coeffs, labels, "blup", 2, 0, 1, settings)
         assert model.blup.lam == 2.5
         settings.blup_lambda = "loo"
-        _, model = train_one_run(coeffs, labels, "blup", 2, 0, 1, settings)
+        _, model = run_cell(coeffs, labels, "blup", 2, 0, 1, settings)
         p = model.blup.n_features
         assert model.blup.lam in {m * p for m in (0.01, 0.1, 1.0, 10.0, 100.0)}
 
     def test_unknown_kind(self):
         coeffs, labels, settings = make_training_problem()
         with pytest.raises(ValueError, match="kind"):
-            train_one_run(coeffs, labels, "forest", 2, 0, 0, settings)
+            run_cell(coeffs, labels, "forest", 2, 0, 0, settings)
 
 
 class TestTrainingGrid:
@@ -228,10 +231,10 @@ class TestTrainingGrid:
 
         real = pl.train_one_run
 
-        def flaky(coeffs, labels, kind, size, rep, seed, settings):
+        def flaky(coeffs, energies, labels, kind, size, rep, seed, settings):
             if kind == "nn":
                 raise NumericalError("training diverged", epoch=0)
-            return real(coeffs, labels, kind, size, rep, seed, settings)
+            return real(coeffs, energies, labels, kind, size, rep, seed, settings)
 
         monkeypatch.setattr(pl, "train_one_run", flaky)
         coeffs, labels, settings = problem
@@ -286,13 +289,15 @@ class TestEnsembleAndCalibration:
         runs, models = run_training_grid(coeffs, labels, settings,
                                          blup_sizes=(2, 4), nn_sizes=(),
                                          repetitions=1, jobs=1)
-        scores = ensemble_scores(models, coeffs)
+        T = settings.n_steps
+        series = np.fft.irfft(coeffs * T, n=T)  # the series the spectra came from
+        scores = ensemble_scores(models, series)
         assert set(scores) == {"blup", "combined"}
         direct = np.mean([m.score_coefficients(coeffs) for m in models], axis=0)
         np.testing.assert_allclose(scores["combined"], direct)
         np.testing.assert_allclose(scores["blup"], direct)
         with pytest.raises(DataError, match="no trained models"):
-            ensemble_scores([None, None], coeffs)
+            ensemble_scores([None, None], series)
 
     def test_category_means(self):
         samples = [
@@ -364,7 +369,7 @@ def scorer_models(T: int, kinds: str, seed: int = 0):
 
     def tables(bins):
         sel = FrequencySelection(VARIABLES[:3], len(bins[0]), np.array(bins), T)
-        return dict(selection=sel, norm=fit_normalization(coeffs, sel))
+        return dict(selection=sel, norm=fit_normalization(selected_coefficients(coeffs, sel)))
 
     def blup(bins):
         width = 3 * len(bins[0]) * 2
@@ -392,25 +397,24 @@ def scorer_models(T: int, kinds: str, seed: int = 0):
 
 
 class TestEnsembleScorer:
-    """Both front ends of EnsembleScorer against the full rfft and each
-    model's own score_coefficients (helpers.rfft_ensemble_scores)."""
+    """EnsembleScorer.from_series, fed time-major columns as `predict`
+    feeds it and sample series through `ensemble_scores` as `calibrate`
+    does, against the full rfft and each model's own score_coefficients
+    (helpers.rfft_ensemble_scores)."""
 
     @pytest.mark.parametrize("T", [64, 63])
     @pytest.mark.parametrize("kinds", ["blup", "nn", "mixed"])
     def test_front_ends_match_the_per_model_rfft_oracle(self, T, kinds):
         models, series = scorer_models(T, kinds)
         expect = rfft_ensemble_scores(models, series)
-        scorer = EnsembleScorer(models)
-        coeffs = np.fft.rfft(series, axis=-1) / T
-        from_spectrum = scorer.from_spectrum(coeffs)
-        from_series = scorer.from_series(series[:, v].T for v in range(3))
-        assert list(from_spectrum) == list(from_series) == list(expect)
+        from_series = EnsembleScorer(models).from_series(
+            np.ascontiguousarray(series[:, v].T) for v in range(3))
+        samples = ensemble_scores(models, series)
+        assert list(from_series) == list(samples) == list(expect)
         for name in expect:
             assert np.abs(expect[name]).min() > 0.1
-            np.testing.assert_allclose(from_spectrum[name], expect[name], rtol=1e-10)
             np.testing.assert_allclose(from_series[name], expect[name], rtol=1e-10)
-        np.testing.assert_array_equal(ensemble_scores(models, coeffs)["combined"],
-                                      from_spectrum["combined"])
+            np.testing.assert_array_equal(samples[name], from_series[name])
 
     def test_union_holds_only_the_network_bins(self):
         models, _ = scorer_models(64, "mixed")
@@ -429,8 +433,9 @@ class TestEnsembleScorer:
     def test_rejects_mismatched_inputs(self):
         models, series = scorer_models(64, "mixed")
         scorer = EnsembleScorer(models)
-        with pytest.raises(ValueError, match="models expect"):
-            scorer.from_spectrum(np.fft.rfft(series[:, :2], axis=-1))
+        for wrong in (series[:, :2], series[..., 1:], series[0]):
+            with pytest.raises(ValueError, match="models expect"):
+                ensemble_scores(models, wrong)
         with pytest.raises(ValueError, match="non-finite"):
             bad = series.copy()
             bad[0, 1, 5] = np.nan

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drycss.spectral import (amplitudes, bin_energies, dft_basis, dft_coefficients,
-                             feature_dim, fit_normalization, n_bins, project,
-                             select_frequencies, truncated_coefficients)
-from helpers import brute_force_best_bins, naive_dft, reconstruct_subset
+from drycss.spectral import (bin_energies, dft_basis, dft_coefficients, feature_dim,
+                             fit_normalization, n_bins, project, select_frequencies,
+                             selected_coefficients, truncated_coefficients)
+from helpers import amplitudes, brute_force_best_bins, naive_dft, reconstruct_subset
 
 
 class TestDft:
@@ -146,8 +146,8 @@ class TestSelection:
         for T in (8, 11):
             for k in (1, 2, 3):
                 x = rng.standard_normal(T)
-                sel = select_frequencies(dft_coefficients(x)[None, None, :],
-                                         ("v",), k, T)
+                energies = bin_energies(dft_coefficients(x), T)
+                sel = select_frequencies(energies[None, None, :], ("v",), k, T)
                 best, _ = brute_force_best_bins(x, k)
                 assert frozenset(sel.bins[0].tolist()) == best
 
@@ -157,15 +157,16 @@ class TestSelection:
         coeffs = np.full((1, 1, n_bins(T)), 0.5 + 0.0j)
         coeffs[..., 0] = 0.0
         coeffs[..., -1] = 0.0
-        sel = select_frequencies(coeffs, ("v",), 3, T)
+        sel = select_frequencies(bin_energies(coeffs, T), ("v",), 3, T)
         assert sel.bins[0].tolist() == [1, 2, 3]
 
     def test_nested_prefixes(self):
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal((5, 2, 17)) + 1j * rng.standard_normal((5, 2, 17))
-        full = select_frequencies(coeffs, ("a", "b"), 17, 32)
+        energies = bin_energies(coeffs, 32)
+        full = select_frequencies(energies, ("a", "b"), 17, 32)
         for k in (1, 4, 9):
-            sub = select_frequencies(coeffs, ("a", "b"), k, 32)
+            sub = select_frequencies(energies, ("a", "b"), k, 32)
             np.testing.assert_array_equal(sub.bins, full.bins[:, :k])
 
     def test_ranks_by_mean_energy_across_samples(self):
@@ -174,20 +175,20 @@ class TestSelection:
         coeffs = np.zeros((2, 1, nb), dtype=complex)
         coeffs[0, 0, 3] = 1.0   # strong in sample 0 only
         coeffs[:, 0, 5] = 0.8   # moderate in both
-        sel = select_frequencies(coeffs, ("v",), 2, T)
+        sel = select_frequencies(bin_energies(coeffs, T), ("v",), 2, T)
         # mean energies: bin 3 -> 2*1.0/2 = 1.0, bin 5 -> 2*0.64 = 1.28
         assert sel.bins[0].tolist() == [5, 3]
 
     def test_validation(self):
-        coeffs = np.zeros((3, 2, 9), dtype=complex)
+        energies = np.zeros((3, 2, 9))
         with pytest.raises(ValueError, match="k="):
-            select_frequencies(coeffs, ("a", "b"), 0, 16)
+            select_frequencies(energies, ("a", "b"), 0, 16)
         with pytest.raises(ValueError, match="variable names"):
-            select_frequencies(coeffs, ("a",), 2, 16)
+            select_frequencies(energies, ("a",), 2, 16)
         with pytest.raises(ValueError, match="expected"):
-            select_frequencies(coeffs, ("a", "b"), 2, 20)
+            select_frequencies(energies, ("a", "b"), 2, 20)
         with pytest.raises(ValueError, match="no samples"):
-            select_frequencies(np.zeros((0, 2, 9), complex), ("a", "b"), 2, 16)
+            select_frequencies(np.zeros((0, 2, 9)), ("a", "b"), 2, 16)
 
 
 class TestFeatures:
@@ -196,8 +197,8 @@ class TestFeatures:
         series = rng.standard_normal((n_samples, n_vars, T))
         coeffs = dft_coefficients(series)
         names = tuple(f"v{i}" for i in range(n_vars))
-        sel = select_frequencies(coeffs, names, k, T)
-        norm = fit_normalization(coeffs, sel)
+        sel = select_frequencies(bin_energies(coeffs, T), names, k, T)
+        norm = fit_normalization(selected_coefficients(coeffs, sel))
         return series, coeffs, sel, norm
 
     def test_training_features_are_standardized(self):
@@ -223,8 +224,8 @@ class TestFeatures:
         coeffs = np.zeros((6, 1, n_bins(T)), dtype=complex)
         coeffs[:, 0, 0] = 2.5  # identical DC across samples
         coeffs[:, 0, 3] = np.linspace(0.1, 0.9, 6)
-        sel = select_frequencies(coeffs, ("v",), 2, T)
-        norm = fit_normalization(coeffs, sel)
+        sel = select_frequencies(bin_energies(coeffs, T), ("v",), 2, T)
+        norm = fit_normalization(selected_coefficients(coeffs, sel))
         feats = project(coeffs, sel, norm)
         dc_col = sel.bins[0].tolist().index(0) * 2
         np.testing.assert_allclose(feats[:, dc_col], 0.0, atol=1e-9)
