@@ -48,8 +48,7 @@ import numpy as np
 
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
-from .errors import (DataError, NumericalError, json_int, read_json, read_table, write_json,
-                     write_table)
+from .errors import DataError, NumericalError, read_json, read_table, write_json, write_table
 from .grid import (GridSpec, TimeAxis, block_columns, content_digest, load_cube,
                    load_grids, load_ndvi, regrid_ndvi, save_cube, save_grids,
                    save_ndvi, save_npy, sha256_file)
@@ -63,7 +62,7 @@ from .pipeline import (BLOCK_ROWS, Calibration, GridSettings, aggregate_metrics,
                        fit_calibration, load_samples, map_agreement_iou,
                        predict_map, ranking_overlap, run_training_grid,
                        sample_coefficients, sample_series, save_run_record, save_samples)
-from .spectral import dft_coefficients, truncated_coefficients
+from .spectral import dft_coefficients, n_bins, truncated_coefficients
 
 
 class UsageError(Exception):
@@ -206,51 +205,40 @@ def cmd_features(out: Path, opts: dict) -> None:
     feat_dir = out / "features"
     feat_dir.mkdir()
     digest = save_npy(feat_dir, "series.npy", series)
-    write_json(feat_dir / "meta.json",
-               {"n_samples": len(samples), "n_steps": cube.time.n_steps,
-                "variables": list(cube.variables), "digest": digest})
+    write_json(feat_dir / "meta.json", {"variables": list(cube.variables), "digest": digest})
     print(f"features: {series.shape[0]} samples x {series.shape[1]} variables "
           f"x {series.shape[2]} steps -> {feat_dir}")
 
 
 def _read_features(out: Path):
-    """The samples' series and their metadata, refused when the cache is
-    missing, unreadable, not the float32 [samples, variables, n_steps]
-    array that the metadata and the samples table call for, or not
-    finite."""
+    """The samples' series, their variables and the samples table. The
+    series must be the features/series.npy whose digest `features`
+    recorded in features/meta.json, which fixes its shape, dtype and
+    values."""
     feat_dir = out / "features"
     meta_path = feat_dir / "meta.json"
     meta = read_json(meta_path, "feature metadata")
     try:
-        variables = tuple(meta["variables"])
-        n_steps = json_int(meta["n_steps"], "n_steps")
-    except (KeyError, TypeError, ValueError) as e:
+        variables, digest = tuple(meta["variables"]), meta["digest"]
+    except (KeyError, TypeError) as e:
         raise DataError(f"malformed feature metadata {meta_path}: bad or missing "
                         f"{e}; rerun `drycss features`") from None
-    samples = load_samples(out / "samples.csv")
     path = feat_dir / "series.npy"
-    try:
-        series = np.load(path)
-    except FileNotFoundError:
-        raise DataError(f"feature cache {path} not found; rerun `drycss features`") from None
-    except (EOFError, ValueError) as e:
-        raise DataError(f"unreadable feature cache {path}: {e}; rerun `drycss features`") from None
-    expected = (len(samples), len(variables), n_steps)
-    if series.shape != expected or series.dtype != np.float32:
-        raise DataError(f"feature cache {path} holds {series.dtype} {list(series.shape)}, not "
-                        f"float32 {list(expected)}; rerun `drycss features`")
-    if not np.isfinite(series).all():
-        raise DataError(f"feature cache {path} holds non-finite values; "
+    if not path.exists():
+        raise DataError(f"feature cache {path} not found; rerun `drycss features`")
+    if content_digest(feat_dir, [path.name]) != digest:
+        raise DataError(f"feature cache {path} does not match the digest in {meta_path}; "
                         "rerun `drycss features`")
-    return series, variables, n_steps, samples
+    return np.load(path), variables, load_samples(out / "samples.csv")
 
 
 def cmd_train(out: Path, opts: dict) -> None:
-    series, variables, n_steps, samples = _read_features(out)
-    n_bins, n_inputs = n_steps // 2 + 1, len(variables) * opts["nn_feature_bins"] * 2
+    series, variables, samples = _read_features(out)
+    n_steps = series.shape[-1]
+    bins, n_inputs = n_bins(n_steps), len(variables) * opts["nn_feature_bins"] * 2
     for key, value, limit, what in (
-            ("blup_sizes", max(opts["blup_sizes"]), n_bins, "bins per variable"),
-            ("nn_feature_bins", opts["nn_feature_bins"], n_bins, "bins per variable"),
+            ("blup_sizes", max(opts["blup_sizes"]), bins, "bins per variable"),
+            ("nn_feature_bins", opts["nn_feature_bins"], bins, "bins per variable"),
             ("nn_sizes", max(opts["nn_sizes"]), n_inputs, "network input features")):
         if value > limit:
             raise UsageError(f"train.{key}={value} exceeds {limit} {what}")
@@ -316,7 +304,7 @@ def cmd_predict(out: Path, opts: dict) -> None:
 
 
 def cmd_calibrate(out: Path, opts: dict) -> None:
-    series, _, _, samples = _read_features(out)
+    series, _, samples = _read_features(out)
     models = _load_models(out)
     scores = ensemble_scores(models, series)
     cal = fit_calibration(samples, scores["combined"])
@@ -415,7 +403,7 @@ def cmd_analogs(out: Path, opts: dict) -> None:
                             f"({s.iy}, {s.ix}), outside the {cube.spec.n_lat}x"
                             f"{cube.spec.n_lon} grid")
 
-    max_chan = cube.time.n_steps // 2 + 1
+    max_chan = n_bins(cube.time.n_steps)
     if channels > max_chan:
         raise UsageError(f"analogs.channels={channels} exceeds {max_chan} bins")
 

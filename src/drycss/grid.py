@@ -253,14 +253,14 @@ class ClimateCube:
     """All variables of one region on a shared grid and time axis.
 
     values maps variable code -> float32 array [n_steps, n_lat, n_lon].
-    mask is True at valid pixels.
+    mask, computed from the values, is True at valid pixels.
     """
 
     spec: GridSpec
     time: TimeAxis
     variables: tuple[str, ...]
     values: dict[str, np.ndarray]
-    mask: np.ndarray = field(repr=False, default=None)
+    mask: np.ndarray = field(repr=False, init=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -274,10 +274,7 @@ class ClimateCube:
             if self.values[var].shape != shape:
                 raise DataError(
                     f"variable {var} has shape {self.values[var].shape}, expected {shape}")
-        if self.mask is None:
-            self.mask = compute_valid_mask(self.values, self.variables)
-        elif self.mask.shape != self.spec.shape:
-            raise DataError(f"mask shape {self.mask.shape} does not match grid {self.spec.shape}")
+        self.mask = compute_valid_mask(self.values, self.variables)
 
 
 def compute_valid_mask(values: dict[str, np.ndarray], variables) -> np.ndarray:

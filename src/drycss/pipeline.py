@@ -29,11 +29,12 @@ import numpy as np
 
 from .blup import fit_blup, select_lambda_loo
 from .bundles import TrainedModel
-from .errors import DataError, NumericalError, read_table, write_json, write_table
+from .errors import DataError, NumericalError, json_int, read_table, write_json, write_table
 from .grid import ClimateCube, block_columns, extract_series
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (bin_energies, dft_basis, dft_coefficients, fit_normalization,
-                       project, select_frequencies, selected_coefficients, standardize)
+                       n_bins, project, select_frequencies, selected_coefficients,
+                       standardize)
 
 VEG_THRESHOLD = 0.15
 CSS_THRESHOLD = 0.5
@@ -88,19 +89,24 @@ def load_samples(path: str | Path) -> list[LabeledSample]:
 
 def sample_series(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray:
     """Each sample's pixel series, [n_samples, n_variables, n_steps]
-    float32: the cube's own values, half the size of their spectra."""
+    float32: the cube's own values, half the size of their spectra. A
+    sample whose (iy, ix) is not the node nearest its (lat, lon) is a
+    DataError naming it."""
     series = np.empty((len(samples), len(cube.variables), cube.time.n_steps),
                       dtype=np.float32)
     for i, s in enumerate(samples):
-        series[i], _ = extract_series(cube, s.lat, s.lon)
+        series[i], node = extract_series(cube, s.lat, s.lon)
+        if node != (s.iy, s.ix):
+            raise DataError(f"sample {s.site_id} at ({s.lat}, {s.lon}) lies nearest node "
+                            f"{node}, not its ({s.iy}, {s.ix})")
     return series
 
 
 def sample_coefficients(series: np.ndarray) -> np.ndarray:
     """DFT coefficients of sample series [n_samples, n_variables,
-    n_steps], [n_samples, n_variables, n_steps // 2 + 1] complex128, one
+    n_steps], [n_samples, n_variables, n_bins(n_steps)] complex128, one
     sample at a time."""
-    coeffs = np.empty(series.shape[:-1] + (series.shape[-1] // 2 + 1,), dtype=np.complex128)
+    coeffs = np.empty(series.shape[:-1] + (n_bins(series.shape[-1]),), dtype=np.complex128)
     for i, x in enumerate(series):
         coeffs[i] = dft_coefficients(x)
     return coeffs
@@ -386,7 +392,8 @@ def out_of_fold_scores(runs: list[TrainingRun], n_samples: int) -> np.ndarray:
 class EnsembleScorer:
     """The live models of an ensemble, reduced to what scoring reads, so
     that a map pixel and a reference sample are scored from their series
-    with one arithmetic.
+    with one arithmetic. Every live model must share `variables` and
+    `n_steps`, which callers compare with their data.
 
     BLUP half: a BLUP model scores intercept + sum(effects * (part -
     mean) / std) over the real and imaginary parts of its bins, which is
@@ -409,15 +416,15 @@ class EnsembleScorer:
         if not self.models:
             raise DataError("no trained models to ensemble")
         first = self.models[0]
-        variables, T = first.selection.variables, first.selection.n_steps
+        self.variables, self.n_steps = first.selection.variables, first.selection.n_steps
         for m in self.models:
-            if (m.selection.variables, m.selection.n_steps) != (variables, T):
+            if (m.selection.variables, m.selection.n_steps) != (self.variables, self.n_steps):
                 raise DataError(f"model {m.model_id} was fit on other variables or time "
                                 f"steps than model {first.model_id}")
-        V = len(variables)
+        V, T = len(self.variables), self.n_steps
         self.kinds = sorted({m.kind for m in self.models})
         self.const = 0.0
-        self.weights = np.zeros((V, T // 2 + 1), dtype=np.complex128)
+        self.weights = np.zeros((V, n_bins(T)), dtype=np.complex128)
         for m in self.models:
             if m.kind == "blup":
                 effects = m.blup.effects.reshape(V, m.selection.k, 2)
@@ -437,7 +444,6 @@ class EnsembleScorer:
         starts = np.cumsum([0] + [u.size for u in self.unions])
         self.gathers = [np.stack([starts[v] + np.searchsorted(u, m.selection.bins[v])
                                   for v, u in enumerate(self.unions)]) for m in self.nets]
-        self.n_steps = T
 
     @functools.cached_property
     def time_rows(self) -> list[np.ndarray]:
@@ -458,12 +464,17 @@ class EnsembleScorer:
         `grid.block_columns` layout): one matmul per variable of
         [kernel | cos/-sin of the union bins] and the series, divided by
         T, then the BLUP sum, each network's score in model order, and
-        the per-kind and all-model "combined" means."""
+        the per-kind and all-model "combined" means.
+
+        A NaN or infinity anywhere in a series makes every product of
+        its column non-finite, even against an exact 0 (inf * 0 is NaN),
+        so the [1 + 2U, n] products are checked instead of the series."""
         blup, union = self.const, []
         for col, rows in zip(columns, self.time_rows, strict=True):
-            if not np.all(np.isfinite(col)):
+            with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN
+                parts = rows @ np.ascontiguousarray(col, dtype=np.float64) / self.n_steps
+            if not np.all(np.isfinite(parts)):
                 raise ValueError("series contains non-finite values")
-            parts = rows @ np.ascontiguousarray(col, dtype=np.float64) / self.n_steps
             u = (rows.shape[0] - 1) // 2
             blup = blup + parts[0]
             union.append((parts[1:1 + u] + 1j * parts[1 + u:]).T)
@@ -486,11 +497,11 @@ def ensemble_scores(models: list[TrainedModel | None], series: np.ndarray
     series [n, n_variables, n_steps], with the arithmetic `predict_map`
     uses (EnsembleScorer.from_series)."""
     scorer, series = EnsembleScorer(models), np.asarray(series)
-    expect = (len(scorer.unions), scorer.n_steps)
-    if series.ndim != 3 or series.shape[1:] != expect:
-        raise ValueError(f"series shaped {series.shape}, models expect [n, {expect[0]}, "
-                         f"{expect[1]}]")
-    return scorer.from_series(series[:, v].T for v in range(expect[0]))
+    V = len(scorer.variables)
+    if series.ndim != 3 or series.shape[1:] != (V, scorer.n_steps):
+        raise ValueError(f"series shaped {series.shape}, models expect [n, {V}, "
+                         f"{scorer.n_steps}]")
+    return scorer.from_series(series[:, v].T for v in range(V))
 
 
 def category_means(samples: list[LabeledSample], scores: np.ndarray
@@ -526,7 +537,7 @@ class Calibration:
     def from_dict(cls, d: dict) -> "Calibration":
         try:
             return cls(slope=float(d["slope"]), intercept=float(d["intercept"]),
-                       r2=float(d["r2"]), n=int(d["n"]))
+                       r2=float(d["r2"]), n=json_int(d["n"], "n"))
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed calibration: bad or missing {e}") from None
 
@@ -572,21 +583,11 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
     so floating-point accumulation order and therefore output bytes do
     not depend on the worker count.
     """
-    live = [m for m in models if m is not None]
-    if not live:
-        raise DataError("no trained models to predict with")
-    variables = cube.variables
-    for m in live:
-        if m.selection.variables != variables:
-            raise DataError(
-                f"model {m.model_id} was fit on variables {m.selection.variables}, "
-                f"cube has {variables}")
-        if m.selection.n_steps != cube.time.n_steps:
-            raise DataError(
-                f"model {m.model_id} expects {m.selection.n_steps} time steps, "
-                f"cube has {cube.time.n_steps}")
-
-    scorer = EnsembleScorer(live)
+    scorer = EnsembleScorer(models)
+    if (scorer.variables, scorer.n_steps) != (cube.variables, cube.time.n_steps):
+        raise DataError(f"models were fit on variables {scorer.variables} over "
+                        f"{scorer.n_steps} time steps, cube has {cube.variables} over "
+                        f"{cube.time.n_steps}")
     H, W = cube.spec.shape
     out = {name: np.full((H, W), np.nan) for name in scorer.kinds + ["combined"]}
 

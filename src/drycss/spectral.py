@@ -46,8 +46,9 @@ def dft_coefficients(series: np.ndarray, n_bins: int | None = None) -> np.ndarra
         raise ValueError("series contains non-finite values")
     if n_bins is None:
         return np.fft.rfft(x, axis=-1) / T
-    if not 1 <= n_bins <= T // 2 + 1:
-        raise ValueError(f"n_bins={n_bins} outside [1, {T // 2 + 1}]")
+    spectrum = globals()["n_bins"](T)  # spectral.n_bins, whose name the argument hides
+    if not 1 <= n_bins <= spectrum:
+        raise ValueError(f"n_bins={n_bins} outside [1, {spectrum}]")
     parts = x @ dft_basis(T, tuple(range(n_bins)))
     return (parts[..., :n_bins] + 1j * parts[..., n_bins:]) / T
 

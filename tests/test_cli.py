@@ -596,7 +596,9 @@ class TestWorkspaceTables:
         lambda path: np.save(path, np.load(path).astype(np.complex64)),
         lambda path: np.save(path, np.load(path).astype(np.float64)),
         put_one_nan,
-    ], ids=["missing", "truncated", "empty", "wrong-shape", "complex64", "float64", "nan"])
+        lambda path: np.save(path, np.load(path)[::-1]),  # same shape, dtype, finite values
+    ], ids=["missing", "truncated", "empty", "wrong-shape", "complex64", "float64", "nan",
+            "reversed-rows"])
     def test_damaged_feature_cache_is_2(self, workspace, tmp_path, capsys, damage):
         ws = copy_workspace(workspace, tmp_path)
         damage(ws / "features" / "series.npy")
@@ -605,6 +607,21 @@ class TestWorkspaceTables:
             assert run(ws, stage, *argv) == 2
             err = capsys.readouterr().err
             assert "series.npy" in err and "rerun `drycss features`" in err
+
+    def test_sample_off_its_node_is_2(self, workspace, tmp_path, capsys):
+        """features scores the node nearest a sample's (lat, lon); a
+        samples.csv whose (iy, ix) names another node is refused."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "samples.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        site, iy = cells[0], int(cells[3])
+        cells[3] = str((iy + 5) % 12)  # the iy column, another row of the 12x12 grid
+        lines[1] = ",".join(cells)
+        path.write_text("".join(lines))
+        assert run(ws, "features") == 2
+        err = capsys.readouterr().err
+        assert f"sample {site} at" in err and "nearest node" in err
 
 
 class TestFractionalCounts:
@@ -623,7 +640,10 @@ class TestFractionalCounts:
         ("opportunity", "ndvi/meta.json",
          lambda d: d["observations"][0].__setitem__(1, d["observations"][0][1] + 0.5),
          "'observations' entry"),
-    ], ids=["bundle-features", "bundle-model", "grid", "time-axis", "ndvi-observation"])
+        ("opportunity", "calibration.json", lambda d: d.update(n=64.9),
+         "malformed calibration"),
+    ], ids=["bundle-features", "bundle-model", "grid", "time-axis", "ndvi-observation",
+            "calibration"])
     def test_fractional_count_is_2(self, workspace, tmp_path, capsys, stage, rel,
                                    change, name):
         ws = copy_workspace(workspace, tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from drycss.blup import BlupModel
 from drycss.bundles import TrainedModel
 from drycss.errors import DataError
-from drycss.grid import (GridSpec, TimeAxis, VARIABLES, extract_series,
+from drycss.grid import (ClimateCube, GridSpec, TimeAxis, VARIABLES, extract_series,
                          load_cube, save_cube)
 from drycss.neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
                            build_autoencoder, build_classifier)
@@ -440,6 +440,17 @@ class TestEnsembleScorer:
             bad = series.copy()
             bad[0, 1, 5] = np.nan
             scorer.from_series(bad[:, v].T for v in range(3))
+        # the scorer checks its products, not the series: an infinity at
+        # either end must still show, against BLUP-only and network-only
+        # ensembles alike
+        for kinds in ("blup", "nn"):
+            only, clean = scorer_models(64, kinds)
+            for step in (0, -1):
+                for value in (np.inf, -np.inf):
+                    bad = clean.copy()
+                    bad[3, 2, step] = value
+                    with pytest.raises(ValueError, match="non-finite"):
+                        ensemble_scores(only, bad)
         other, _ = scorer_models(63, "blup")
         with pytest.raises(DataError, match="other variables or time steps"):
             EnsembleScorer(models + other)
@@ -540,6 +551,10 @@ class TestPredictMap:
         wrong, _ = synth_cube(other, short, seed=0)
         with pytest.raises(DataError, match="time steps"):
             predict_map(models, wrong)
+        reordered = ClimateCube(spec=cube.spec, time=cube.time,
+                                variables=cube.variables[::-1], values=cube.values)
+        with pytest.raises(DataError, match="variables"):
+            predict_map(models, reordered)
         with pytest.raises(DataError, match="no trained models"):
             predict_map([None], cube)
 
