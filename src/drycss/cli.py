@@ -229,7 +229,11 @@ def _read_features(out: Path):
     if content_digest(feat_dir, [path.name]) != digest:
         raise DataError(f"feature cache {path} does not match the digest in {meta_path}; "
                         "rerun `drycss features`")
-    return np.load(path), variables, load_samples(out / "samples.csv")
+    series = np.load(path)
+    if len(variables) != series.shape[1]:
+        raise DataError(f"{meta_path} names {len(variables)} variables but {path} holds "
+                        f"{series.shape[1]}; rerun `drycss features`")
+    return series, variables, load_samples(out / "samples.csv")
 
 
 def cmd_train(out: Path, opts: dict) -> None:

@@ -180,10 +180,10 @@ def _read_meta(path: Path, fmt: str, what: str) -> tuple[Path, dict, GridSpec]:
 
 
 def sha256_file(path: str | Path) -> str:
-    """sha256 of a file, read in 1 MiB chunks so memory stays flat."""
+    """sha256 of a file in 64 KiB reads: flat memory, under glibc's mmap threshold."""
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
+        for chunk in iter(lambda: f.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 

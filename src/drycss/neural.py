@@ -73,69 +73,78 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray, training: bool):
         z = x @ self.W + self.b
-        cache = {"x": x, "z": z}
+        cache = {"x": x}
         if self.batch_norm:
             if training:
-                mu = z.mean(axis=0)
-                var = z.var(axis=0)
+                # np.mean and np.var's own arithmetic, centring z once
+                mu = np.add.reduce(z, axis=0) / len(z)
+                zc = z - mu
+                var = np.add.reduce(np.square(zc), axis=0) / len(z)
                 # in place: the statistics are views into the net's state
-                self.run_mean[:] = (1.0 - _BN_MOMENTUM) * self.run_mean + _BN_MOMENTUM * mu
-                self.run_var[:] = (1.0 - _BN_MOMENTUM) * self.run_var + _BN_MOMENTUM * var
+                for stat, batch in ((self.run_mean, mu), (self.run_var, var)):
+                    stat *= 1.0 - _BN_MOMENTUM
+                    stat += _BN_MOMENTUM * batch
             else:
-                mu = self.run_mean
+                zc = z - self.run_mean
                 var = self.run_var
             inv = 1.0 / np.sqrt(var + _BN_EPS)
-            zh = (z - mu) * inv
+            zh = zc * inv
             u = self.gamma * zh + self.beta
-            cache.update(mu=mu, var=var, inv=inv, zh=zh, batch_stats=training)
+            cache.update(zc=zc, inv=inv, zh=zh, batch_stats=training)
         else:
             u = z
         cache["u"] = u
         a = np.maximum(u, 0.0) if self.activation == "relu" else u
         return a, cache
 
-    def backward(self, da: np.ndarray, cache: dict):
+    def backward(self, da: np.ndarray, cache: dict, grads: list, need_dx: bool):
+        """Write the parameter gradients into `grads` (views in `param_names`
+        order); return the input's gradient, or None without `need_dx`."""
         u = cache["u"]
         du = da * (u > 0.0) if self.activation == "relu" else da
-        grads = {}
         if self.batch_norm:
             zh, inv = cache["zh"], cache["inv"]
-            grads["gamma"] = np.sum(du * zh, axis=0)
-            grads["beta"] = np.sum(du, axis=0)
+            np.add.reduce(du * zh, axis=0, out=grads[2])  # gamma
+            np.add.reduce(du, axis=0, out=grads[3])  # beta
             dzh = du * self.gamma
             if cache["batch_stats"]:
-                m = du.shape[0]
-                z, mu = cache["z"], cache["mu"]
-                dvar = np.sum(dzh * (z - mu) * -0.5 * inv ** 3, axis=0)
-                dmu = np.sum(-dzh * inv, axis=0) + dvar * np.mean(-2.0 * (z - mu), axis=0)
-                dz = dzh * inv + dvar * 2.0 * (z - mu) / m + dmu / m
+                m, zc = du.shape[0], cache["zc"]
+                dvar = np.add.reduce(dzh * zc * -0.5 * inv ** 3, axis=0)
+                dmu = (np.add.reduce(-dzh * inv, axis=0)
+                       + dvar * (np.add.reduce(-2.0 * zc, axis=0) / m))
+                dz = dzh * inv + dvar * 2.0 * zc / m + dmu / m
             else:
                 dz = dzh * inv
         else:
             dz = du
-        grads["W"] = cache["x"].T @ dz
-        grads["b"] = np.sum(dz, axis=0)
-        return dz @ self.W.T, [grads[name] for name in self.param_names]
+        np.matmul(cache["x"].T, dz, out=grads[0])  # W
+        np.add.reduce(dz, axis=0, out=grads[1])  # b
+        return dz @ self.W.T if need_dx else None
+
+
+def _views(layers: list[DenseLayer], names: str, flat: np.ndarray) -> list[list[np.ndarray]]:
+    """Per layer, views into `flat` shaped like its arrays under `names`: the canonical layout."""
+    arrays = [[getattr(layer, name) for name in getattr(layer, names)] for layer in layers]
+    parts = iter(np.split(flat, np.cumsum([a.size for mine in arrays for a in mine], dtype=int)))
+    return [[next(parts).reshape(a.shape) for a in mine] for mine in arrays]
 
 
 def _pack(layers: list[DenseLayer], names: str) -> np.ndarray:
     """Copy the arrays each layer lists under `names` into one float64
-    vector, in layer order, and rebind them as views into it."""
-    arrays = [(layer, name) for layer in layers for name in getattr(layer, names)]
-    flat = np.concatenate([getattr(l, n).ravel() for l, n in arrays] or [np.empty(0)])
-    pos = 0
-    for layer, name in arrays:
-        a = getattr(layer, name)
-        setattr(layer, name, flat[pos:pos + a.size].reshape(a.shape))
-        pos += a.size
+    vector in the canonical layout, and rebind them as views into it."""
+    flat = np.concatenate([getattr(l, n).ravel() for l in layers
+                           for n in getattr(l, names)] or [np.empty(0)])
+    for layer, views in zip(layers, _views(layers, names, flat)):
+        for name, view in zip(getattr(layer, names), views):
+            setattr(layer, name, view)
     return flat
 
 
 class DenseNet:
     """A stack of DenseLayers whose arrays are views into two flat vectors:
     `theta`, the trainable parameters in canonical layer order, and
-    `state`, the batch-norm running statistics. Building a DenseNet
-    moves its layers' arrays into its own vectors."""
+    `state`, the batch-norm running statistics. Building a DenseNet moves
+    its layers' arrays into its own vectors; `backward` writes `grad`."""
 
     def __init__(self, layers: list[DenseLayer]):
         if not layers:
@@ -143,6 +152,8 @@ class DenseNet:
         self.layers = layers
         self.theta = _pack(layers, "param_names")
         self.state = _pack(layers, "state_names")
+        self.grad = np.zeros_like(self.theta)
+        self._grads = _views(layers, "param_names", self.grad)
 
     def forward(self, x: np.ndarray, training: bool = False, want_cache: bool = False):
         caches = [] if want_cache else None
@@ -153,12 +164,11 @@ class DenseNet:
         return (x, caches) if want_cache else x
 
     def backward(self, dout: np.ndarray, caches: list[dict]) -> np.ndarray:
-        """Gradient of the loss in `theta`'s layout."""
-        grads: list[list[np.ndarray]] = [None] * len(self.layers)
+        """The loss gradient in `theta`'s layout, in `self.grad`: the next call overwrites it."""
         dx = dout
         for i in range(len(self.layers) - 1, -1, -1):
-            dx, grads[i] = self.layers[i].backward(dx, caches[i])
-        return np.concatenate([g.ravel() for glist in grads for g in glist])
+            dx = self.layers[i].backward(dx, caches[i], self._grads[i], need_dx=i > 0)
+        return self.grad
 
     def topology(self) -> list[dict]:
         return [{"n_in": l.n_in, "n_out": l.n_out, "activation": l.activation,
@@ -279,10 +289,12 @@ def _train_net(net: DenseNet, X: np.ndarray, Y: np.ndarray, params: TrainParams,
         for s in range(0, n, bs):
             idx = order[s:s + bs]
             xb = X[idx]
+            # augment returns a new array, so the gathered rows stay clean
+            yb = xb if Y is X else Y[idx]
             if augment is not None:
                 xb = augment(xb, rng)
             pred, caches = net.forward(xb, training=True, want_cache=True)
-            lval, dpred = _loss_and_grad(pred, Y[idx], loss)
+            lval, dpred = _loss_and_grad(pred, yb, loss)
             if not np.isfinite(lval):
                 raise NumericalError("training diverged", epoch=epoch,
                                      learning_rate=params.learning_rate, loss=loss)
@@ -308,15 +320,11 @@ def _block_dropout_augment(n_variables: int, block: int, params: TrainParams):
 class AutoencoderModel:
     encoder: DenseNet
     latent_dim: int
-    decoder: DenseNet | None = None  # not kept in bundles; scoring uses the encoder
     trajectory: list[float] = field(repr=False, default_factory=list)
     final_loss: float = float("nan")
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         return self.encoder.forward(np.asarray(X, dtype=np.float64))
-
-    def reconstruct(self, X: np.ndarray) -> np.ndarray:
-        return self.decoder.forward(self.encode(X))
 
 
 def train_autoencoder(X: np.ndarray, latent_dim: int, n_variables: int,
@@ -340,10 +348,8 @@ def train_autoencoder(X: np.ndarray, latent_dim: int, n_variables: int,
     trajectory = _train_net(net, X, X, params, rng, "mse", augment)
     clean = net.forward(X)
     final = float(np.mean((clean - X) ** 2))
-    return AutoencoderModel(encoder=DenseNet(net.layers[:n_encoder]),
-                            decoder=DenseNet(net.layers[n_encoder:]),
-                            latent_dim=latent_dim, trajectory=trajectory,
-                            final_loss=final)
+    return AutoencoderModel(encoder=DenseNet(net.layers[:n_encoder]), latent_dim=latent_dim,
+                            trajectory=trajectory, final_loss=final)
 
 
 @dataclass

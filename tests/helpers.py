@@ -6,6 +6,9 @@ from itertools import combinations
 
 import numpy as np
 
+from drycss.neural import (_BN_EPS, _BN_MOMENTUM, Adam, DenseNet, _block_dropout_augment,
+                           _loss_and_grad, build_autoencoder, build_classifier)
+
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
     """One-sided DFT by the definition, O(T^2), 1/T scaling."""
@@ -113,3 +116,113 @@ def rfft_ensemble_scores(models, series):
         out[kind] = sum(picked, np.zeros(len(coeffs))) / len(picked)
     out["combined"] = sum(scores, np.zeros(len(coeffs))) / len(live)
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference network training: backprop as first written, with a fresh
+# array per gradient, np.mean/np.var, z - mu formed wherever it is used,
+# one concatenated gradient vector per step and the input gradient of
+# every layer; DenseNet.backward and _train_net must match it bit for bit
+
+
+def reference_forward(net, x, training):
+    """(output, per-layer caches), updating the running statistics in
+    training mode."""
+    caches = []
+    for layer in net.layers:
+        z = x @ layer.W + layer.b
+        cache = {"x": x, "z": z}
+        if layer.batch_norm:
+            if training:
+                mu = z.mean(axis=0)
+                var = z.var(axis=0)
+                layer.run_mean[:] = (1.0 - _BN_MOMENTUM) * layer.run_mean + _BN_MOMENTUM * mu
+                layer.run_var[:] = (1.0 - _BN_MOMENTUM) * layer.run_var + _BN_MOMENTUM * var
+            else:
+                mu = layer.run_mean
+                var = layer.run_var
+            inv = 1.0 / np.sqrt(var + _BN_EPS)
+            zh = (z - mu) * inv
+            u = layer.gamma * zh + layer.beta
+            cache.update(mu=mu, inv=inv, zh=zh, batch_stats=training)
+        else:
+            u = z
+        cache["u"] = u
+        x = np.maximum(u, 0.0) if layer.activation == "relu" else u
+        caches.append(cache)
+    return x, caches
+
+
+def reference_backward(net, dout, caches):
+    """The loss gradient in `theta`'s layout, as a new vector."""
+    grads = [None] * len(net.layers)
+    dx = dout
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer, cache = net.layers[i], caches[i]
+        u = cache["u"]
+        du = dx * (u > 0.0) if layer.activation == "relu" else dx
+        g = {}
+        if layer.batch_norm:
+            zh, inv = cache["zh"], cache["inv"]
+            g["gamma"] = np.sum(du * zh, axis=0)
+            g["beta"] = np.sum(du, axis=0)
+            dzh = du * layer.gamma
+            if cache["batch_stats"]:
+                m = du.shape[0]
+                z, mu = cache["z"], cache["mu"]
+                dvar = np.sum(dzh * (z - mu) * -0.5 * inv ** 3, axis=0)
+                dmu = np.sum(-dzh * inv, axis=0) + dvar * np.mean(-2.0 * (z - mu), axis=0)
+                dz = dzh * inv + dvar * 2.0 * (z - mu) / m + dmu / m
+            else:
+                dz = dzh * inv
+        else:
+            dz = du
+        g["W"] = cache["x"].T @ dz
+        g["b"] = np.sum(dz, axis=0)
+        dx = dz @ layer.W.T
+        grads[i] = [g[name] for name in layer.param_names]
+    return np.concatenate([g.ravel() for glist in grads for g in glist])
+
+
+def reference_train(net, X, Y, params, rng, loss, augment=None):
+    """Minibatch Adam training with the reference forward and backward,
+    gathering inputs and targets separately; returns the trajectory."""
+    n = X.shape[0]
+    bs = min(params.batch_size, n)
+    adam = Adam(net.theta, params.learning_rate)
+    trajectory = []
+    for _ in range(params.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for s in range(0, n, bs):
+            idx = order[s:s + bs]
+            xb = X[idx]
+            if augment is not None:
+                xb = augment(xb, rng)
+            pred, caches = reference_forward(net, xb, training=True)
+            lval, dpred = _loss_and_grad(pred, Y[idx], loss)
+            adam.step(reference_backward(net, dpred, caches))
+            losses.append(lval)
+        trajectory.append(sum(losses) / len(losses))
+    return trajectory
+
+
+def reference_autoencoder(X, latent_dim, n_variables, params, seed):
+    """(encoder, decoder, trajectory, final_loss) of train_autoencoder's
+    recipe under the reference training; the decoder, which the package
+    does not keep, maps codes back to reconstructions."""
+    rng = np.random.default_rng(seed)
+    net, n_encoder = build_autoencoder(X.shape[1], latent_dim, rng)
+    augment = _block_dropout_augment(n_variables, X.shape[1] // n_variables, params)
+    trajectory = reference_train(net, X, X, params, rng, "mse", augment)
+    final = float(np.mean((reference_forward(net, X, False)[0] - X) ** 2))
+    return (DenseNet(net.layers[:n_encoder]), DenseNet(net.layers[n_encoder:]),
+            trajectory, final)
+
+
+def reference_classifier(Z, y, params, seed):
+    """(net, trajectory) of train_classifier's recipe under the
+    reference training."""
+    rng = np.random.default_rng(seed)
+    net = build_classifier(Z.shape[1], rng)
+    return net, reference_train(net, Z, y[:, None], params, rng, "rmse")

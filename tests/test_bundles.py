@@ -119,7 +119,9 @@ class TestNnBundle:
         nets = (nn.autoencoder.encoder, nn.classifier.net)
         assert (tmp_path / "m" / "weights.f32").stat().st_size == \
             4 * sum(net.theta.size + net.state.size for net in nets)
-        assert load_model_bundle(tmp_path / "m").autoencoder.decoder is None
+        back = load_model_bundle(tmp_path / "m").autoencoder
+        assert back.encoder.topology() == nn.autoencoder.encoder.topology()
+        assert not hasattr(back, "decoder")
 
     def test_second_save_is_byte_identical(self, fitted, tmp_path):
         _, _, nn = fitted

@@ -608,6 +608,20 @@ class TestWorkspaceTables:
             err = capsys.readouterr().err
             assert "series.npy" in err and "rerun `drycss features`" in err
 
+    def test_feature_variables_of_another_count_is_2(self, workspace, tmp_path, capsys):
+        """The digest covers series.npy, not the names beside it in
+        features/meta.json; train refuses a list one name short (calibrate
+        already refuses the edited stamp as newer than the runs)."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "features" / "meta.json"
+        doc = json.loads(path.read_text())
+        doc["variables"] = doc["variables"][:-1]
+        path.write_text(json.dumps(doc))
+        assert run(ws, "train", *TRAIN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert "names 22 variables" in err and "holds 23" in err
+        assert "rerun `drycss features`" in err
+
     def test_sample_off_its_node_is_2(self, workspace, tmp_path, capsys):
         """features scores the node nearest a sample's (lat, lon); a
         samples.csv whose (iy, ix) names another node is refused."""

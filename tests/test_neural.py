@@ -3,10 +3,11 @@ import pytest
 
 from drycss.errors import NumericalError
 from drycss.neural import (Adam, CLASSIFIER_HIDDEN, DenseLayer, DenseNet,
-                           TrainParams, build_autoencoder, build_classifier,
-                           gradient_check, hourglass_widths, train_autoencoder,
-                           train_classifier)
-from helpers import auc
+                           TrainParams, _loss_and_grad, build_autoencoder,
+                           build_classifier, gradient_check, hourglass_widths,
+                           train_autoencoder, train_classifier)
+from helpers import (auc, reference_autoencoder, reference_backward,
+                     reference_classifier, reference_forward)
 
 
 def clean_params(**kw):
@@ -176,8 +177,8 @@ class TestAutoencoder:
         a = train_autoencoder(X, 4, 2, p, seed=7)
         b = train_autoencoder(X, 4, 2, p, seed=7)
         assert a.trajectory == b.trajectory
+        assert a.final_loss == b.final_loss
         np.testing.assert_array_equal(a.encoder.theta, b.encoder.theta)
-        np.testing.assert_array_equal(a.decoder.theta, b.decoder.theta)
         np.testing.assert_array_equal(a.encoder.state, b.encoder.state)
         c = train_autoencoder(X, 4, 2, p, seed=8)
         assert c.trajectory != a.trajectory
@@ -202,8 +203,9 @@ class TestAutoencoder:
         whole = model.encode(X)
         rows = np.vstack([model.encode(X[i:i + 1]) for i in range(12)])
         assert np.abs(whole - rows).max() < 1e-10
-        recon = model.reconstruct(X)
-        assert recon.shape == X.shape
+        encoder, decoder, _, _ = reference_autoencoder(X, 4, 2, TrainParams(epochs=10), 1)
+        np.testing.assert_array_equal(encoder.forward(X), whole)
+        assert decoder.forward(whole).shape == X.shape
 
     def test_rejects_indivisible_blocks(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -255,6 +257,63 @@ class TestClassifier:
         with pytest.raises(ValueError, match="shapes"):
             train_classifier(np.zeros((5, 2)), np.zeros(4),
                              TrainParams(epochs=1), 0)
+
+
+def _twin_nets(seed):
+    """Pairs of identical small networks, batch norm in each."""
+    def build(make):
+        return make(np.random.default_rng(seed)), make(np.random.default_rng(seed))
+    return [build(lambda rng: build_autoencoder(16, 2, rng)[0]),
+            build(lambda rng: build_classifier(3, rng)),
+            build(lambda rng: DenseNet([
+                DenseLayer(5, 6, "relu", batch_norm=True, rng=rng),
+                DenseLayer(6, 4, "linear", batch_norm=True, rng=rng),
+                DenseLayer(4, 3, "relu", batch_norm=False, rng=rng),
+                DenseLayer(3, 2, "linear", batch_norm=False, rng=rng)]))]
+
+
+class TestMatchesReferenceBackprop:
+    """The training step is bit for bit the reference in helpers."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("loss", ["mse", "rmse"])
+    def test_backward_matches_reference(self, loss, training):
+        rng = np.random.default_rng(20)
+        for net, ref in _twin_nets(21):
+            state = rng.uniform(0.5, 2.0, net.state.size)
+            net.state[:], ref.state[:] = state, state
+            x = rng.standard_normal((7, net.layers[0].n_in))
+            y = rng.standard_normal((7, net.layers[-1].n_out))
+            for _ in range(2):  # the second call overwrites the first's gradient
+                pred, caches = net.forward(x, training=training, want_cache=True)
+                ref_pred, ref_caches = reference_forward(ref, x, training)
+                np.testing.assert_array_equal(pred, ref_pred)
+                np.testing.assert_array_equal(net.state, ref.state)
+                dpred = _loss_and_grad(pred, y, loss)[1]
+                grad = net.backward(dpred, caches)
+                assert grad is net.grad
+                np.testing.assert_array_equal(grad, reference_backward(ref, dpred, ref_caches))
+                x = x[::-1] * 1.5
+
+    def test_autoencoder_training_matches_reference(self):
+        X = np.random.default_rng(22).standard_normal((45, 16))
+        p = TrainParams(epochs=4, learning_rate=0.01)
+        model = train_autoencoder(X, 2, 4, p, seed=3)
+        encoder, _, trajectory, final = reference_autoencoder(X, 2, 4, p, seed=3)
+        np.testing.assert_array_equal(model.encoder.theta, encoder.theta)
+        np.testing.assert_array_equal(model.encoder.state, encoder.state)
+        assert model.trajectory == trajectory
+        assert model.final_loss == final
+
+    def test_classifier_training_matches_reference(self):
+        rng = np.random.default_rng(23)
+        Z, y = rng.standard_normal((45, 3)), rng.random(45)
+        p = TrainParams(epochs=4, learning_rate=0.01)
+        model = train_classifier(Z, y, p, seed=4)
+        net, trajectory = reference_classifier(Z, y, p, seed=4)
+        np.testing.assert_array_equal(model.net.theta, net.theta)
+        np.testing.assert_array_equal(model.net.state, net.state)
+        assert model.trajectory == trajectory
 
 
 class TestGradients:
