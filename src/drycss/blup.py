@@ -9,6 +9,8 @@ routes agree to numerical precision and tests hold them to 1e-8.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
@@ -45,50 +47,43 @@ class BlupModel:
         return self.effects.shape[0]
 
 
-def _solve_primal(X, yc, lam):
-    p = X.shape[1]
-    A = X.T @ X
-    A[np.diag_indices(p)] += lam
+def _ridge_solve(G, lam, rhs, system):
+    """Solve (G + lam I) Z = rhs by Cholesky, updating G's diagonal in
+    place. The one factorization of this module: an indefinite system is
+    a NumericalError naming it."""
+    G[np.diag_indices(G.shape[0])] += lam
     try:
-        return cho_solve(cho_factor(A, lower=True), X.T @ yc)
+        return cho_solve(cho_factor(G, lower=True), rhs)
     except LinAlgError as e:
-        raise NumericalError("ridge normal equations not positive definite",
-                             route="primal", lam=lam) from e
+        raise NumericalError(f"ridge {system} system not positive definite",
+                             lam=lam) from e
 
 
-def _solve_dual(X, yc, lam):
-    n = X.shape[0]
-    K = X @ X.T
-    K[np.diag_indices(n)] += lam
-    try:
-        alpha = cho_solve(cho_factor(K, lower=True), yc)
-    except LinAlgError as e:
-        raise NumericalError("ridge dual system not positive definite",
-                             route="dual", lam=lam) from e
-    return X.T @ alpha
-
-
-def fit_blup(X: np.ndarray, y: np.ndarray, lam: float | None = None,
+def fit_blup(X: np.ndarray, y: np.ndarray, lam: str | float = "auto",
              route: str = "auto") -> BlupModel:
-    """Fit ridge effects; lam defaults to the feature count.
+    """Fit ridge effects.
 
+    lam: "auto" is the feature count; "loo" picks from LOO_GRID by
+    select_lambda_loo on these rows; a number must be positive.
     route: "auto" picks the dual solve when features outnumber
     samples; "primal"/"dual" force one (they agree, kept for checks).
     """
     X, y = _validate_xy(X, y)
     n, p = X.shape
-    if lam is None:
+    if lam == "auto":
         lam = float(p)
-    if lam <= 0:
-        raise ValueError(f"shrinkage must be positive, got {lam}")
+    elif lam == "loo":
+        lam, _ = select_lambda_loo(X, y)
+    elif not (isinstance(lam, numbers.Real) and 0 < lam < np.inf):
+        raise ValueError(f"shrinkage must be auto, loo or a positive number, got {lam!r}")
     ybar = float(y.mean())
     yc = y - ybar
     if route == "auto":
         route = "dual" if p > n else "primal"
     if route == "primal":
-        effects = _solve_primal(X, yc, lam)
+        effects = _ridge_solve(X.T @ X, lam, X.T @ yc, "primal")
     elif route == "dual":
-        effects = _solve_dual(X, yc, lam)
+        effects = X.T @ _ridge_solve(X @ X.T, lam, yc, "dual")
     else:
         raise ValueError(f"unknown route: {route!r}")
     return BlupModel(effects=effects, intercept=ybar, lam=lam)
@@ -107,22 +102,15 @@ def predict_blup(model: BlupModel, X: np.ndarray) -> np.ndarray:
 def loo_rmse(X: np.ndarray, y: np.ndarray, lam: float) -> float:
     """Exact leave-one-out RMSE of the centered ridge fit.
 
-    Uses the dual hat matrix H = K (K + lam I)^{-1}; the LOO residual
-    at sample i is (y_i - yhat_i) / (1 - H_ii). The intercept is held
-    at the full-sample mean, matching how the model is deployed.
+    With A = (K + lam I)^{-1}, I - K A = lam A, so the LOO residual at
+    sample i, (yc - H yc)_i / (1 - H_ii) for the hat matrix H = K A and
+    yc = y - mean(y), is (A yc)_i / A_ii: no hat matrix, and no
+    1 - H_ii that cancels at small lam. The intercept is held at the
+    full-sample mean, matching how the model is deployed.
     """
     X, y = _validate_xy(X, y)
-    n = X.shape[0]
-    yc = y - y.mean()
-    K = X @ X.T
-    Kl = K.copy()
-    Kl[np.diag_indices(n)] += lam
-    try:
-        cf = cho_factor(Kl, lower=True)
-    except LinAlgError as e:
-        raise NumericalError("LOO dual system not positive definite", lam=lam) from e
-    H = K @ cho_solve(cf, np.eye(n))
-    resid = (yc - H @ yc) / (1.0 - np.diag(H))
+    A = _ridge_solve(X @ X.T, lam, np.eye(X.shape[0]), "LOO")
+    resid = (A @ (y - y.mean())) / np.diag(A)
     return float(np.sqrt(np.mean(resid ** 2)))
 
 

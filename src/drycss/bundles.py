@@ -18,9 +18,10 @@ statistics). Lengths are recorded in model.json so a truncated or
 padded file fails loudly. Version 1 bundles, which also held the
 decoder that scoring never uses, are refused. A load checks that every
 bin is an integer below n_bins(n_steps), every normalization table is
-[V, k], and the weights take the V * k * 2 features the tables make (a
-network's layers chaining from there), so a hand-edited bundle fails
-here rather than in scoring.
+[V, k] of finite values with positive stds, every weight and solver
+scalar is finite, and the weights take the V * k * 2 features the
+tables make (a network's layers chaining from there), so a hand-edited
+bundle fails here rather than in scoring.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .blup import BlupModel, predict_blup
-from .errors import DataError, json_int, read_json, write_json
+from .errors import DataError, json_finite, json_int, read_json, write_json
 from .neural import AutoencoderModel, ClassifierModel, DenseNet
 from .spectral import FrequencySelection, NormalizationTable, feature_dim, n_bins, project
 
@@ -150,6 +151,8 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
     if not feat_path.exists():
         raise DataError(f"model bundle missing features.json: {path}")
     flat = np.fromfile(weights_path, dtype=_FLOAT32).astype(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise DataError(f"{weights_path} holds a non-finite weight")
     feat = read_json(feat_path, "feature tables")
 
     kind = doc.get("kind")
@@ -172,6 +175,10 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
             if table.shape != selection.bins.shape:
                 raise DataError(f"{feat_path}: {name} is shaped {table.shape}, "
                                 f"not {selection.bins.shape} like the bins")
+            if not np.all(np.isfinite(table)):
+                raise DataError(f"{feat_path}: {name} holds a non-finite value")
+            if name.startswith("std") and not np.all(table > 0):
+                raise DataError(f"{feat_path}: {name} holds a std that is not positive")
         norm = NormalizationTable(**tables)
         width = feature_dim(selection)
         fields = dict(kind=kind, selection=selection, norm=norm,
@@ -186,8 +193,9 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
                 raise DataError(f"{doc_path} declares {n} weights, but {feat_path} "
                                 f"makes {width} features")
             return TrainedModel(**fields, blup=BlupModel(
-                effects=flat, intercept=float(doc["intercept"]),
-                lam=float(doc["lambda"])))
+                effects=flat,
+                intercept=json_finite(doc["intercept"], f"intercept in {doc_path.name}"),
+                lam=json_finite(doc["lambda"], f"lambda in {doc_path.name}")))
         sections = {s["name"]: s for s in doc.get("sections", [])}
         for name in _SECTIONS:
             if name not in sections:

@@ -325,8 +325,18 @@ def cmd_calibrate(out: Path, opts: dict) -> None:
           f"r2={cal.r2:.3f} on {cal.n} samples")
 
 
+def _named_grids(path: Path, *names: str):
+    """The grid set at path: its spec and the grids called names, in
+    order. A set that lacks one is a DataError naming it."""
+    spec, grids = load_grids(path)
+    for name in names:
+        if name not in grids:
+            raise DataError(f"no {name!r} grid in {path}")
+    return spec, [grids[name] for name in names]
+
+
 def cmd_opportunity(out: Path, opts: dict) -> None:
-    spec, css_maps = load_grids(out / "maps" / "css")
+    spec, (css,) = _named_grids(out / "maps" / "css", "combined")
     raster = load_ndvi(out / "ndvi")
     cal_path = out / "calibration.json"
     cal_doc = read_json(cal_path, "calibration")
@@ -338,7 +348,7 @@ def cmd_opportunity(out: Path, opts: dict) -> None:
         opts["years"] = sorted({obs.year for obs in raster.observations})
     opp_dir = out / "maps" / "opportunity"
     summer = regrid_ndvi(raster, spec, years=opts["years"])
-    opp = opportunity_map(css_maps["combined"], summer, cal)
+    opp = opportunity_map(css, summer, cal)
     save_grids(opp_dir, spec, {"opportunity": opp, "ndvi_summer": summer})
     n_pos = int(np.sum(np.isfinite(opp) & (opp > 0)))
     print(f"opportunity: {n_pos} pixels with positive opportunity -> {opp_dir}")
@@ -367,13 +377,11 @@ def _read_candidates(path: Path) -> list[CandidateSite]:
 
 
 def cmd_candidates(out: Path, opts: dict) -> None:
-    spec, opp_maps = load_grids(out / "maps" / "opportunity")
-    _, css_maps = load_grids(out / "maps" / "css")
+    spec, (opp, ndvi) = _named_grids(out / "maps" / "opportunity",
+                                     "opportunity", "ndvi_summer")
+    _, (css,) = _named_grids(out / "maps" / "css", "combined")
     path = out / "candidates.csv"
-    sites = extract_candidates(opp_maps["opportunity"], spec,
-                               css=css_maps["combined"],
-                               ndvi=opp_maps["ndvi_summer"],
-                               count=opts["count"],
+    sites = extract_candidates(opp, spec, css=css, ndvi=ndvi, count=opts["count"],
                                min_spacing_km=opts["min_spacing_km"])
     filtered = None
     if opts["attributes"]:
@@ -392,7 +400,7 @@ def cmd_candidates(out: Path, opts: dict) -> None:
 
 def cmd_analogs(out: Path, opts: dict) -> None:
     cube = load_cube(out / "cube")
-    _, opp_maps = load_grids(out / "maps" / "opportunity")
+    _, (ndvi,) = _named_grids(out / "maps" / "opportunity", "ndvi_summer")
     sites = _read_candidates(out / "candidates.csv")
     channels = opts["channels"]
 
@@ -413,12 +421,10 @@ def cmd_analogs(out: Path, opts: dict) -> None:
 
     exclusion = None
     if opts["exclude"]:
-        espec, egrids = load_grids(Path(opts["exclude"]))
+        espec, (excluded,) = _named_grids(Path(opts["exclude"]), "exclusion")
         if espec.shape != cube.spec.shape:
             raise DataError("exclusion grid shape does not match cube grid")
-        if "exclusion" not in egrids:
-            raise DataError(f"no 'exclusion' grid in {opts['exclude']}")
-        exclusion = egrids["exclusion"] > 0.5
+        exclusion = excluded > 0.5
 
     # only bins 0..channels-1 are kept, so only those are computed
     vectors = np.full(cube.spec.shape + (len(cube.variables) * channels * 2,), np.nan)
@@ -430,7 +436,6 @@ def cmd_analogs(out: Path, opts: dict) -> None:
             coeffs[:, vi] = dft_coefficients(col.T, n_bins=channels)
         vectors[r0:r0 + BLOCK_ROWS][valid] = truncated_coefficients(coeffs, channels)
 
-    ndvi = opp_maps["ndvi_summer"]
     results = []
     dist_grids = {}
     for site in targets:
@@ -569,7 +574,8 @@ STAGES: dict[str, Stage] = {
             "retained bins per variable for networks", _at_least(1)),
         Opt("blup_lambda", GridSettings.blup_lambda, _shrinkage,
             "shrinkage: auto (= feature count), loo, or a number",
-            (lambda v: isinstance(v, str) or v > 0, "auto, loo or > 0")),
+            (lambda v: isinstance(v, str) or 0 < v < float("inf"),
+             "auto, loo or a positive number")),
         _JOBS,
     ], {"features": "features", "samples.csv": "synth"}, ("runs",)),
     "predict": Stage(cmd_predict, "score every pixel into CSS maps", [_JOBS],

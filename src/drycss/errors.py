@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 
@@ -38,6 +39,16 @@ def json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name}: {value!r} is not an integer")
     return value
+
+
+def json_finite(value, name: str) -> float:
+    """A finite number read from JSON. NaN and the infinities, which
+    json reads from NaN and Infinity, are a ValueError naming it, as is
+    anything float rejects; the caller's handler names the file."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name}: {value!r} is not finite")
+    return number
 
 
 def write_json(path: str | Path, doc) -> None:

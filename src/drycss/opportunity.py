@@ -11,12 +11,9 @@ attainable NDVI uplift.
 
 from __future__ import annotations
 
-import csv
-import json
 import re
 import warnings
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +27,7 @@ DEFAULT_MIN_SPACING_KM = 9.0
 DEFAULT_DISTANCE_PERCENTILE = 10.0
 DEFAULT_NDVI_MARGIN = 0.02
 COORD_TOLERANCE_DEG = 0.05  # the farthest a coords-joined attribute row may lie
+_DATA = Path(__file__).with_name("data")  # the packaged rules and fixtures
 
 
 def opportunity_map(css: np.ndarray, ndvi: np.ndarray,
@@ -242,8 +240,7 @@ def rules_from_doc(doc) -> list[Rule]:
 
 
 def default_rules() -> list[Rule]:
-    text = resources.files("drycss.data").joinpath("default.rules").read_text("utf-8")
-    return rules_from_doc(json.loads(text))
+    return load_rules(_DATA / "default.rules")
 
 
 def filter_candidates(sites: list[CandidateSite], rules: list[Rule]
@@ -441,24 +438,14 @@ def parse_coordinate(text: str) -> float:
 
 def load_table_s4() -> list[dict[str, str]]:
     """Packaged 25-row candidate attribute fixture."""
-    text = resources.files("drycss.data").joinpath("table_s4.csv").read_text("utf-8")
-    return [dict(r) for r in csv.DictReader(text.splitlines())]
+    return read_table(_DATA / "table_s4.csv", "Table S4 fixture")
 
 
 def load_table_s5() -> list[dict]:
     """Packaged 13-row candidate/analog pair fixture with parsed coords."""
-    text = resources.files("drycss.data").joinpath("table_s5.csv").read_text("utf-8")
-    rows = []
-    for r in csv.DictReader(text.splitlines()):
-        rows.append({
-            "site": int(r["site"]),
-            "selected_lat": parse_coordinate(r["selected_lat"]),
-            "selected_lon": parse_coordinate(r["selected_lon"]),
-            "intact_lat": parse_coordinate(r["intact_lat"]),
-            "intact_lon": parse_coordinate(r["intact_lon"]),
-            "predicted_ndvi": float(r["predicted_ndvi"]),
-            "intact_ndvi": float(r["intact_ndvi"]),
-            "climate_distance": float(r["climate_distance"]),
-            "spatial_km": float(r["spatial_km"]),
-        })
-    return rows
+    return read_table(_DATA / "table_s5.csv", "Table S5 fixture", lambda r: {
+        "site": int(r["site"]),
+        **{key: parse_coordinate(r[key]) for key in
+           ("selected_lat", "selected_lon", "intact_lat", "intact_lon")},
+        **{key: float(r[key]) for key in
+           ("predicted_ndvi", "intact_ndvi", "climate_distance", "spatial_km")}})

@@ -27,9 +27,10 @@ from pathlib import Path
 import multiprocessing
 import numpy as np
 
-from .blup import fit_blup, select_lambda_loo
+from .blup import fit_blup
 from .bundles import TrainedModel
-from .errors import DataError, NumericalError, json_int, read_table, write_json, write_table
+from .errors import (DataError, NumericalError, json_finite, json_int, read_table,
+                     write_json, write_table)
 from .grid import ClimateCube, block_columns, extract_series
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (bin_energies, dft_basis, dft_coefficients, fit_normalization,
@@ -211,7 +212,7 @@ class GridSettings:
     n_steps: int
     holdout_fraction: float = DEFAULT_HOLDOUT_FRACTION
     nn_feature_bins: int = DEFAULT_NN_FEATURE_BINS
-    blup_lambda: str | float = "auto"  # "auto" (= n features), "loo", or a number
+    blup_lambda: str | float = "auto"  # fit_blup's lam: "auto", "loo" or a number
     train_params: TrainParams = field(default_factory=TrainParams)
 
 
@@ -235,14 +236,7 @@ def train_one_run(coeffs: np.ndarray, energies: np.ndarray, labels: np.ndarray,
     y = np.asarray(labels, dtype=np.float64)
 
     if kind == "blup":
-        lam = settings.blup_lambda
-        if lam == "auto":
-            lam_value = None
-        elif lam == "loo":
-            lam_value, _ = select_lambda_loo(X[train_idx], y[train_idx])
-        else:
-            lam_value = float(lam)
-        fitted = fit_blup(X[train_idx], y[train_idx], lam=lam_value)
+        fitted = fit_blup(X[train_idx], y[train_idx], lam=settings.blup_lambda)
         model = TrainedModel(kind="blup", size=size, repetition=repetition,
                              seed=run_seed, selection=selection, norm=norm,
                              blup=fitted)
@@ -536,7 +530,8 @@ class Calibration:
     @classmethod
     def from_dict(cls, d: dict) -> "Calibration":
         try:
-            return cls(slope=float(d["slope"]), intercept=float(d["intercept"]),
+            return cls(slope=json_finite(d["slope"], "slope"),
+                       intercept=json_finite(d["intercept"], "intercept"),
                        r2=float(d["r2"]), n=json_int(d["n"], "n"))
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed calibration: bad or missing {e}") from None

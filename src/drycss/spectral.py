@@ -152,7 +152,7 @@ def select_frequencies(energies: np.ndarray, variables, k: int,
     if nb != n_bins(n_steps):
         raise ValueError(f"energy axis has {nb} bins, expected {n_bins(n_steps)}")
     mean_energy = energies.mean(axis=0)  # [n_vars, nb]
-    order = np.lexsort((np.arange(nb)[None, :].repeat(n_vars, 0), -mean_energy), axis=-1)
+    order = np.argsort(-mean_energy, axis=-1, kind="stable")  # ties: lower bin first
     return FrequencySelection(tuple(variables), k,
                               np.ascontiguousarray(order[:, :k]), n_steps)
 

@@ -47,6 +47,13 @@ class TestShrinkage:
         X, y = make_xy(n=12, p=7)
         assert fit_blup(X, y).lam == 7.0
 
+    def test_loo_lambda_is_the_selected_one(self):
+        X, y = make_xy(n=30, p=10, seed=8, noise=0.5)
+        best, _ = select_lambda_loo(X, y)
+        m = fit_blup(X, y, lam="loo")
+        assert m.lam == best
+        np.testing.assert_array_equal(m.effects, fit_blup(X, y, lam=best).effects)
+
     def test_effect_norm_decreases_with_lambda(self):
         X, y = make_xy(n=15, p=40, seed=3)
         norms = [float(np.linalg.norm(fit_blup(X, y, lam=lam).effects))
@@ -108,6 +115,22 @@ class TestLoo:
         expect = float(np.sqrt(np.mean(sq)))
         assert loo_rmse(X, y, lam) == pytest.approx(expect, rel=1e-9)
 
+    def test_small_lambda_matches_refits(self):
+        # at lam = 1e-6 the hat-matrix form's 1 - H_ii cancels to a few
+        # digits; the (A y)_i / A_ii form does not
+        X, y = make_xy(n=40, p=300, seed=1, noise=0.2)
+        lam = 1e-6
+        ybar = y.mean()
+        sq = []
+        for i in range(len(y)):
+            keep = np.arange(len(y)) != i
+            Xi = X[keep]
+            K = Xi @ Xi.T + lam * np.eye(len(y) - 1)
+            beta = Xi.T @ np.linalg.solve(K, y[keep] - ybar)
+            sq.append((y[i] - (ybar + X[i] @ beta)) ** 2)
+        expect = float(np.sqrt(np.mean(sq)))
+        assert loo_rmse(X, y, lam) == pytest.approx(expect, rel=1e-9)
+
     def test_selection_scans_multiples_of_p(self):
         X, y = make_xy(n=30, p=10, seed=8, noise=0.5)
         best, table = select_lambda_loo(X, y)
@@ -135,7 +158,8 @@ class TestValidation:
         X[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             fit_blup(X, np.zeros(4))
-        with pytest.raises(ValueError, match="positive"):
-            fit_blup(np.ones((4, 2)), np.arange(4.0), lam=0.0)
+        for lam in (0.0, np.nan, np.inf, "sideways", None):
+            with pytest.raises(ValueError, match="positive"):
+                fit_blup(np.ones((4, 2)), np.arange(4.0), lam=lam)
         with pytest.raises(ValueError, match="route"):
             fit_blup(np.ones((4, 2)), np.arange(4.0), route="sideways")

@@ -15,7 +15,8 @@ import drycss.cli as cli
 from drycss import opportunity
 from drycss.bundles import load_model_bundle, save_model_bundle
 from drycss.errors import NumericalError
-from drycss.grid import GridSpec, content_digest, load_cube, load_grids, save_grids
+from drycss.grid import (GridSpec, content_digest, load_cube, load_grids, save_grids,
+                         sha256_file)
 from drycss.neural import ClassifierModel, build_classifier
 from drycss.opportunity import find_analog
 from test_desk import pixel_vectors
@@ -72,6 +73,9 @@ class TestConfigPlumbing:
             cli._resolve(args, {"count": "soon"}, "candidates")
         with pytest.raises(cli.UsageError, match="out of range"):
             cli._resolve(args, {"count": 0}, "candidates")
+        for value in ("inf", "nan", "-1"):  # fit_blup takes a positive number
+            with pytest.raises(cli.UsageError, match="out of range"):
+                cli._resolve(args, {"blup_lambda": value}, "train")
 
     def test_jobs_resolution(self, monkeypatch):
         def jobs(flag, config):
@@ -579,7 +583,9 @@ class TestWorkspaceTables:
     @pytest.mark.parametrize("text", [
         lambda doc: json.dumps(dict(doc, slope="abc")),
         lambda doc: json.dumps([doc["slope"], doc["intercept"]]),
-    ], ids=["slope-not-a-number", "json-list"])
+        lambda doc: json.dumps(dict(doc, slope=float("nan"))),  # read back as NaN
+        lambda doc: json.dumps(dict(doc, intercept=float("-inf"))),
+    ], ids=["slope-not-a-number", "json-list", "slope-nan", "intercept-infinite"])
     def test_damaged_calibration_is_2(self, workspace, tmp_path, capsys, text):
         ws = copy_workspace(workspace, tmp_path)
         path = ws / "calibration.json"
@@ -587,6 +593,13 @@ class TestWorkspaceTables:
         assert run(ws, "opportunity") == 2
         err = capsys.readouterr().err
         assert "malformed calibration" in err and "calibration.json" in err
+
+    def test_calibration_with_nan_r2_is_read(self, workspace, tmp_path):
+        """fit_calibration writes r2 = NaN when the NDVI has no variance."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "calibration.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), r2=float("nan"))))
+        assert run(ws, "opportunity") == 0
 
     @pytest.mark.parametrize("damage", [
         lambda path: path.rename(path.with_name("coeffs.npy")),  # the older cache name
@@ -668,6 +681,77 @@ class TestFractionalCounts:
         err = capsys.readouterr().err
         assert "is not an integer" in err and name in err
         assert Path(rel).parent.name in err
+
+
+def nan_weight(path):
+    weights = np.fromfile(path, dtype="<f4")
+    weights[3] = np.nan
+    weights.tofile(path)
+
+
+def edit_json(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))  # NaN and Infinity as JSON reads them
+
+
+class TestNonFiniteRecords:
+    """A non-finite number in a model bundle exits 2 naming its file;
+    scoring used to carry it into all-NaN maps, or blame the series.
+    calibration.json: see test_damaged_calibration_is_2."""
+
+    @pytest.mark.parametrize("run_id, name, change, message", [
+        ("nn_4_0", "weights.f32", nan_weight, "holds a non-finite weight"),
+        ("blup_2_0", "weights.f32", nan_weight, "holds a non-finite weight"),
+        ("blup_2_0", "model.json",
+         lambda p: edit_json(p, lambda d: d.update(intercept=float("nan"))),
+         "intercept in model.json: nan is not finite"),
+        ("blup_2_0", "model.json",
+         lambda p: edit_json(p, lambda d: d.update({"lambda": float("inf")})),
+         "lambda in model.json: inf is not finite"),
+        ("nn_4_0", "features.json",
+         lambda p: edit_json(p, lambda d: d["mean_re"][0].__setitem__(0, float("nan"))),
+         "mean_re holds a non-finite value"),
+        ("blup_2_0", "features.json",
+         lambda p: edit_json(p, lambda d: d["std_im"][1].__setitem__(0, 0.0)),
+         "std_im holds a std that is not positive"),
+    ], ids=["nn-weight", "blup-weight", "intercept", "lambda", "mean-table", "zero-std"])
+    def test_non_finite_bundle_is_2(self, workspace, tmp_path, capsys, run_id, name,
+                                    change, message):
+        ws = copy_workspace(workspace, tmp_path)
+        change(ws / "runs" / run_id / name)
+        for stage in ("predict", "calibrate"):
+            assert run(ws, stage) == 2
+            err = capsys.readouterr().err
+            assert message in err and run_id in err and name in err
+
+
+class TestGridSets:
+    """A grid set that lacks a grid a stage reads exits 2 naming the grid
+    and the set; the stage used to end in a KeyError."""
+
+    @pytest.mark.parametrize("stage, rel, name", [
+        ("opportunity", "maps/css", "combined"),
+        ("candidates", "maps/opportunity", "opportunity"),
+        ("candidates", "maps/css", "combined"),
+        ("analogs", "maps/opportunity", "ndvi_summer"),
+    ], ids=["opportunity", "candidates-opportunity", "candidates-css", "analogs"])
+    def test_missing_grid_is_2(self, workspace, tmp_path, capsys, stage, rel, name):
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / rel
+        spec, grids = load_grids(path)
+        del grids[name]
+        shutil.rmtree(path)
+        save_grids(path, spec, grids)
+        # a stage that recorded the old set as its input records the new
+        # one, so only the missing grid is wrong
+        manifest = json.loads((ws / "manifest.json").read_text())
+        for record in manifest["stages"].values():
+            if rel in record["inputs"]:
+                record["inputs"][rel] = sha256_file(path / "meta.json")
+        (ws / "manifest.json").write_text(json.dumps(manifest))
+        assert run(ws, stage) == 2
+        assert f"no {name!r} grid in {path}" in capsys.readouterr().err
 
 
 class TestStageArithmetic:
