@@ -109,23 +109,25 @@ def loo_rmse(X: np.ndarray, y: np.ndarray, lam: float) -> float:
     full-sample mean, matching how the model is deployed.
     """
     X, y = _validate_xy(X, y)
-    A = _ridge_solve(X @ X.T, lam, np.eye(X.shape[0]), "LOO")
-    resid = (A @ (y - y.mean())) / np.diag(A)
+    return _loo_rmse(X @ X.T, y - y.mean(), lam)
+
+
+def _loo_rmse(K: np.ndarray, yc: np.ndarray, lam: float) -> float:
+    """loo_rmse from K = X X' and the centered labels; K is not changed."""
+    A = _ridge_solve(K.copy(), lam, np.eye(K.shape[0]), "LOO")
+    resid = (A @ yc) / np.diag(A)
     return float(np.sqrt(np.mean(resid ** 2)))
 
 
 def select_lambda_loo(X: np.ndarray, y: np.ndarray) -> tuple[float, dict[float, float]]:
     """Pick lambda from the multiplicative LOO_GRID by LOO RMSE.
 
-    Grid entries are multiples of the feature count. Returns the best
-    lambda and the full {lambda: rmse} table; ties go to the smaller
-    lambda.
+    Grid entries are multiples of the feature count; every entry
+    solves on one Gram matrix. Returns the best lambda and the full
+    {lambda: rmse} table; ties go to the smaller lambda.
     """
     X, y = _validate_xy(X, y)
-    p = X.shape[1]
-    table = {}
-    for mult in LOO_GRID:
-        lam = mult * p
-        table[lam] = loo_rmse(X, y, lam)
+    K, yc, p = X @ X.T, y - y.mean(), X.shape[1]
+    table = {mult * p: _loo_rmse(K, yc, mult * p) for mult in LOO_GRID}
     best = min(sorted(table), key=lambda l: table[l])
     return best, table

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .blup import BlupModel, predict_blup
-from .errors import DataError, json_finite, json_int, read_json, write_json
+from .errors import DataError, json_finite, json_int, json_names, read_json, write_json
 from .neural import AutoencoderModel, ClassifierModel, DenseNet
 from .spectral import FrequencySelection, NormalizationTable, feature_dim, n_bins, project
 
@@ -128,100 +128,97 @@ def save_model_bundle(model: TrainedModel, path: str | Path) -> None:
         **{name: getattr(model.norm, name).tolist() for name in _NORM_TABLES}})
 
 
-def _count(doc: dict, key: str, file: Path) -> int:
-    return json_int(doc[key], f"{key} in {file.name}")
-
-
 def load_model_bundle(path: str | Path) -> TrainedModel:
     path = Path(path)
+    return read_json(path / "model.json", "model metadata", lambda doc: _model(doc, path))
+
+
+def _feature_tables(feat, feat_path: Path) -> tuple[FrequencySelection, NormalizationTable]:
+    """The frequency selection and normalization of a features.json document."""
+    if feat["version"] != FEATURE_DOC_VERSION:
+        raise DataError(f"unsupported feature table version {feat['version']!r} in {feat_path}")
+    bins = np.asarray(feat["bins"])
+    if bins.dtype.kind != "i":
+        raise DataError(f"{feat_path}: bins must be JSON integers, not {bins.dtype}")
+    selection = FrequencySelection(
+        variables=json_names(feat["variables"], "variables"), bins=bins,
+        k=json_int(feat["k"], f"k in {feat_path.name}"),
+        n_steps=json_int(feat["n_steps"], f"n_steps in {feat_path.name}"))
+    limit = n_bins(selection.n_steps)
+    if not np.all((selection.bins >= 0) & (selection.bins < limit)):
+        raise DataError(f"{feat_path}: a bin lies outside [0, {limit})")
+    tables = {name: np.asarray(feat[name], dtype=np.float64) for name in _NORM_TABLES}
+    for name, table in tables.items():
+        if table.shape != selection.bins.shape:
+            raise DataError(f"{feat_path}: {name} is shaped {table.shape}, "
+                            f"not {selection.bins.shape} like the bins")
+        if not np.all(np.isfinite(table)):
+            raise DataError(f"{feat_path}: {name} holds a non-finite value")
+        if name.startswith("std") and not np.all(table > 0):
+            raise DataError(f"{feat_path}: {name} holds a std that is not positive")
+    return selection, NormalizationTable(**tables)
+
+
+def _model(doc, path: Path) -> TrainedModel:
+    """The bundle at path whose model.json holds doc, checked against its
+    weights and its feature tables."""
     doc_path = path / "model.json"
-    if not doc_path.exists():
-        raise DataError(f"not a model bundle (no model.json): {path}")
-    doc = read_json(doc_path, "model metadata")
-    found = ((doc.get("format"), doc.get("version")) if isinstance(doc, dict)
-             else (None, None))
-    if found != ("drycss-model", MODEL_DOC_VERSION):
-        raise DataError(
-            f"unsupported model bundle format/version in {doc_path}: "
-            f"{found[0]!r} v{found[1]!r}")
+    if (doc["format"], doc["version"]) != ("drycss-model", MODEL_DOC_VERSION):
+        raise DataError(f"unsupported model bundle format/version in {doc_path}: "
+                        f"{doc['format']!r} v{doc['version']!r}")
     weights_path = path / "weights.f32"
     if not weights_path.exists():
         raise DataError(f"model bundle missing weights.f32: {path}")
-    feat_path = path / "features.json"
-    if not feat_path.exists():
-        raise DataError(f"model bundle missing features.json: {path}")
     flat = np.fromfile(weights_path, dtype=_FLOAT32).astype(np.float64)
     if not np.all(np.isfinite(flat)):
         raise DataError(f"{weights_path} holds a non-finite weight")
-    feat = read_json(feat_path, "feature tables")
+    feat_path = path / "features.json"
+    selection, norm = read_json(feat_path, "feature tables",
+                                lambda feat: _feature_tables(feat, feat_path))
 
-    kind = doc.get("kind")
+    kind = doc["kind"]
     if kind not in ("blup", "nn"):
         raise DataError(f"unknown model kind in {doc_path}: {kind!r}")
-    try:
-        if feat["version"] != FEATURE_DOC_VERSION:
-            raise DataError(f"unsupported feature table version {feat['version']!r} in {path}")
-        bins = np.asarray(feat["bins"])
-        if bins.dtype.kind != "i":
-            raise DataError(f"{feat_path}: bins must be JSON integers, not {bins.dtype}")
-        selection = FrequencySelection(
-            variables=tuple(feat["variables"]), k=_count(feat, "k", feat_path), bins=bins,
-            n_steps=_count(feat, "n_steps", feat_path))
-        limit = n_bins(selection.n_steps)
-        if not np.all((selection.bins >= 0) & (selection.bins < limit)):
-            raise DataError(f"{feat_path}: a bin lies outside [0, {limit})")
-        tables = {name: np.asarray(feat[name], dtype=np.float64) for name in _NORM_TABLES}
-        for name, table in tables.items():
-            if table.shape != selection.bins.shape:
-                raise DataError(f"{feat_path}: {name} is shaped {table.shape}, "
-                                f"not {selection.bins.shape} like the bins")
-            if not np.all(np.isfinite(table)):
-                raise DataError(f"{feat_path}: {name} holds a non-finite value")
-            if name.startswith("std") and not np.all(table > 0):
-                raise DataError(f"{feat_path}: {name} holds a std that is not positive")
-        norm = NormalizationTable(**tables)
-        width = feature_dim(selection)
-        fields = dict(kind=kind, selection=selection, norm=norm,
-                      **{key: _count(doc, key, doc_path)
-                         for key in ("size", "repetition", "seed")})
-        if kind == "blup":
-            n = _count(doc, "n_weights", doc_path)
-            if flat.size != n:
-                raise DataError(
-                    f"weights.f32 holds {flat.size} values, model declares {n}")
-            if n != width:
-                raise DataError(f"{doc_path} declares {n} weights, but {feat_path} "
-                                f"makes {width} features")
-            return TrainedModel(**fields, blup=BlupModel(
-                effects=flat,
-                intercept=json_finite(doc["intercept"], f"intercept in {doc_path.name}"),
-                lam=json_finite(doc["lambda"], f"lambda in {doc_path.name}")))
-        sections = {s["name"]: s for s in doc.get("sections", [])}
-        for name in _SECTIONS:
-            if name not in sections:
-                raise DataError(f"model bundle missing section {name}: {path}")
-        total = sum(_count(s, key, doc_path) for s in sections.values()
-                    for key in ("n_params", "n_state"))
-        if flat.size != total:
+    width = feature_dim(selection)
+    fields = dict(kind=kind, selection=selection, norm=norm,
+                  **{key: json_int(doc[key], f"{key} in model.json")
+                     for key in ("size", "repetition", "seed")})
+    if kind == "blup":
+        n = json_int(doc["n_weights"], "n_weights in model.json")
+        if flat.size != n:
             raise DataError(
-                f"weights.f32 holds {flat.size} values, sections declare {total}")
-        nets = {}
-        pos = 0
-        for name in _SECTIONS:
-            s = sections[name]
-            net = nets[name] = DenseNet.from_topology(s["topology"])
-            if (net.theta.size, net.state.size) != (s["n_params"], s["n_state"]):
-                raise DataError("model bundle topology does not match its weight counts")
-            for vec in (net.theta, net.state):
-                vec[:] = flat[pos:pos + vec.size]
-                pos += vec.size
-        layers = nets["encoder"].layers + nets["classifier"].layers
-        if [l.n_in for l in layers] != [width] + [l.n_out for l in layers[:-1]]:
-            raise DataError(f"the layer widths in {doc_path} do not chain from the "
-                            f"{width} features that {feat_path} makes")
-        return TrainedModel(
-            **fields, classifier=ClassifierModel(net=nets["classifier"]),
-            autoencoder=AutoencoderModel(encoder=nets["encoder"],
-                                         latent_dim=_count(doc, "latent_dim", doc_path)))
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"malformed model metadata in {path}: bad or missing {e}") from None
+                f"weights.f32 holds {flat.size} values, model declares {n}")
+        if n != width:
+            raise DataError(f"{doc_path} declares {n} weights, but {feat_path} "
+                            f"makes {width} features")
+        return TrainedModel(**fields, blup=BlupModel(
+            effects=flat, intercept=json_finite(doc["intercept"], "intercept in model.json"),
+            lam=json_finite(doc["lambda"], "lambda in model.json")))
+    sections = {s["name"]: s for s in doc["sections"]}
+    for name in _SECTIONS:
+        if name not in sections:
+            raise DataError(f"model bundle missing section {name}: {path}")
+    total = sum(json_int(s[key], f"{key} in model.json") for s in sections.values()
+                for key in ("n_params", "n_state"))
+    if flat.size != total:
+        raise DataError(
+            f"weights.f32 holds {flat.size} values, sections declare {total}")
+    nets = {}
+    pos = 0
+    for name in _SECTIONS:
+        s = sections[name]
+        net = nets[name] = DenseNet.from_topology(s["topology"])
+        if (net.theta.size, net.state.size) != (s["n_params"], s["n_state"]):
+            raise DataError("model bundle topology does not match its weight counts")
+        for vec in (net.theta, net.state):
+            vec[:] = flat[pos:pos + vec.size]
+            pos += vec.size
+    layers = nets["encoder"].layers + nets["classifier"].layers
+    if [l.n_in for l in layers] != [width] + [l.n_out for l in layers[:-1]]:
+        raise DataError(f"the layer widths in {doc_path} do not chain from the "
+                        f"{width} features that {feat_path} makes")
+    return TrainedModel(
+        **fields, classifier=ClassifierModel(net=nets["classifier"]),
+        autoencoder=AutoencoderModel(encoder=nets["encoder"],
+                                     latent_dim=json_int(doc["latent_dim"],
+                                                         "latent_dim in model.json")))

@@ -40,6 +40,7 @@ import json
 import os
 import shutil
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -48,7 +49,8 @@ import numpy as np
 
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
-from .errors import DataError, NumericalError, read_json, read_table, write_json, write_table
+from .errors import (DataError, NumericalError, json_names, read_json, read_table, write_json,
+                     write_table)
 from .grid import (GridSpec, TimeAxis, block_columns, content_digest, load_cube,
                    load_grids, load_ndvi, regrid_ndvi, save_cube, save_grids,
                    save_ndvi, save_npy, sha256_file)
@@ -61,7 +63,8 @@ from .pipeline import (BLOCK_ROWS, Calibration, GridSettings, aggregate_metrics,
                        category_means, derive_seed, ensemble_scores,
                        fit_calibration, load_samples, map_agreement_iou,
                        predict_map, ranking_overlap, run_training_grid,
-                       sample_coefficients, sample_series, save_run_record, save_samples)
+                       sample_coefficients, sample_series, save_run_record, save_samples,
+                       validation_rows)
 from .spectral import dft_coefficients, n_bins, truncated_coefficients
 
 
@@ -105,7 +108,7 @@ def _check_upstream(out: Path, producers, records: dict) -> None:
     for name, row in STAGES.items():
         if name not in upstream:
             continue
-        recorded = (records.get(name) or {}).get("inputs") or {}
+        recorded = records.get(name, {}).get("inputs", {})
         for rel, producer in row.needs.items():
             if recorded.get(rel) != _stamp(out, rel, producer):
                 changed = _stamp_file(out, rel).relative_to(out)
@@ -113,6 +116,16 @@ def _check_upstream(out: Path, producers, records: dict) -> None:
                     f"stale {', '.join(row.makes)}: {changed} changed since the last "
                     f"`drycss {name}`, or that run recorded no hash of it; "
                     f"rerun `drycss {name}`")
+
+
+def _manifest(doc) -> dict:
+    """manifest.json as main uses it: stages of record objects with inputs objects."""
+    records = doc["stages"]
+    if not (isinstance(records, dict) and all(isinstance(r, dict) for r in records.values())):
+        raise TypeError("stages: not an object of record objects")
+    if not all(isinstance(r.get("inputs", {}), dict) for r in records.values()):
+        raise TypeError("inputs: not an object")
+    return doc
 
 
 def _load_config(path: str | None) -> dict:
@@ -127,6 +140,10 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file {p} is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise UsageError(f"config file {p} must hold a JSON object")
+    for name in STAGES:
+        if not isinstance(doc.get(name, {}), dict):
+            raise UsageError(f"config section {name!r} in {p} must be a JSON object, "
+                             f"not {doc[name]!r}")
     return doc
 
 
@@ -217,12 +234,8 @@ def _read_features(out: Path):
     values."""
     feat_dir = out / "features"
     meta_path = feat_dir / "meta.json"
-    meta = read_json(meta_path, "feature metadata")
-    try:
-        variables, digest = tuple(meta["variables"]), meta["digest"]
-    except (KeyError, TypeError) as e:
-        raise DataError(f"malformed feature metadata {meta_path}: bad or missing "
-                        f"{e}; rerun `drycss features`") from None
+    variables, digest = read_json(meta_path, "feature metadata", lambda meta: (
+        json_names(meta["variables"], "variables"), meta["digest"]))
     path = feat_dir / "series.npy"
     if not path.exists():
         raise DataError(f"feature cache {path} not found; rerun `drycss features`")
@@ -246,6 +259,11 @@ def cmd_train(out: Path, opts: dict) -> None:
             ("nn_sizes", max(opts["nn_sizes"]), n_inputs, "network input features")):
         if value > limit:
             raise UsageError(f"train.{key}={value} exceeds {limit} {what}")
+    n, fraction = len(samples), opts["holdout_fraction"]
+    n_train = n - validation_rows(n, fraction)
+    if n_train < 2:
+        raise UsageError(f"train.holdout_fraction={fraction} leaves {n_train} of {n} "
+                         "samples to train on; a run needs at least 2")
     labels = np.array([s.label for s in samples])
     settings = GridSettings(
         variables=variables, n_steps=n_steps,
@@ -285,10 +303,7 @@ def _load_models(out: Path):
     listed bundle that is missing is a DataError."""
     runs_dir = out / "runs"
     meta_path = runs_dir / "meta.json"
-    meta = read_json(meta_path, "runs metadata")
-    ids = meta.get("models") if isinstance(meta, dict) else None
-    if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-        raise DataError(f"{meta_path} has no list of models; rerun `drycss train`")
+    ids = read_json(meta_path, "runs metadata", lambda meta: json_names(meta["models"], "models"))
     if not ids:
         raise DataError(f"no model bundles under {runs_dir}: every training run failed")
     for run_id in ids:
@@ -338,12 +353,7 @@ def _named_grids(path: Path, *names: str):
 def cmd_opportunity(out: Path, opts: dict) -> None:
     spec, (css,) = _named_grids(out / "maps" / "css", "combined")
     raster = load_ndvi(out / "ndvi")
-    cal_path = out / "calibration.json"
-    cal_doc = read_json(cal_path, "calibration")
-    try:
-        cal = Calibration.from_dict(cal_doc)
-    except DataError as e:
-        raise DataError(f"{e} in {cal_path}; rerun `drycss calibrate`") from None
+    cal = read_json(out / "calibration.json", "calibration", Calibration.from_dict)
     if opts["years"] is None:  # the manifest records the years actually used
         opts["years"] = sorted({obs.year for obs in raster.observations})
     opp_dir = out / "maps" / "opportunity"
@@ -436,17 +446,11 @@ def cmd_analogs(out: Path, opts: dict) -> None:
             coeffs[:, vi] = dft_coefficients(col.T, n_bins=channels)
         vectors[r0:r0 + BLOCK_ROWS][valid] = truncated_coefficients(coeffs, channels)
 
-    results = []
-    dist_grids = {}
-    for site in targets:
-        res, dist = find_analog(site, vectors, cube.spec, ndvi,
-                                exclusion=exclusion,
-                                max_climate_distance=opts["max_climate_distance"],
-                                distance_percentile=opts["distance_percentile"],
-                                ndvi_margin=opts["ndvi_margin"])
-        results.append(res)
-        dist_grids[f"dist_site_{site.rank}"] = dist
-
+    results, dists = zip(*(find_analog(site, vectors, cube.spec, ndvi, exclusion=exclusion,
+                                       max_climate_distance=opts["max_climate_distance"],
+                                       distance_percentile=opts["distance_percentile"],
+                                       ndvi_margin=opts["ndvi_margin"])
+                           for site in targets))
     report = uplift_report(results)  # rows in target order, like results
     write_table(out / "analogs.csv",
                 ["site", "candidate_lat", "candidate_lon", "analog_lat", "analog_lon",
@@ -457,11 +461,9 @@ def cmd_analogs(out: Path, opts: dict) -> None:
                      m.analog_ndvi] if isinstance(m, AnalogMatch) else [None] * 6)
                  + [row["ratio"], row["note"]]
                  for s, m, row in zip(targets, results, report.rows)))
-    save_grids(out / "maps" / "analogs", cube.spec, dist_grids)
-    write_json(out / "uplift.json",
-               {"rows": list(report.rows), "mean_of_ratios": report.mean_of_ratios,
-                "ratio_of_means": report.ratio_of_means,
-                "n_used": report.n_used, "n_skipped": report.n_skipped})
+    save_grids(out / "maps" / "analogs", cube.spec,
+               {f"dist_site_{s.rank}": dist for s, dist in zip(targets, dists)})
+    write_json(out / "uplift.json", asdict(report))
     print(f"analogs: {report.n_used} matches over {len(targets)} candidates; "
           f"mean of ratios {report.mean_of_ratios:.3f}, "
           f"ratio of means {report.ratio_of_means:.3f}")
@@ -626,8 +628,7 @@ def _resolve(args, config: dict, stage: str) -> dict:
     """Every option of a stage, resolved and checked: the flag, else
     config[stage][key] or config[key], else the option's environment
     variable, else its default."""
-    section = config.get(stage)
-    section = section if isinstance(section, dict) else {}
+    section = config.get(stage, {})
     opts = {}
     for o in STAGES[stage].options:
         value = getattr(args, o.key, None)
@@ -694,8 +695,9 @@ def main(argv=None) -> int:
                                        if (out / rel).exists()}}
         inputs = {rel: _stamp(out, rel, producer) for rel, producer in producers.items()}
         manifest_path = out / "manifest.json"
-        manifest = read_json(manifest_path, "manifest") if manifest_path.exists() else {}
-        records = manifest.setdefault("stages", {})
+        manifest = (read_json(manifest_path, "manifest", _manifest) if manifest_path.exists()
+                    else {"stages": {}})
+        records = manifest["stages"]
         _check_upstream(out, producers.values(), records)
         for path in (out / rel for rel in stage.makes):
             if path.exists() and not args.force:

@@ -1,10 +1,11 @@
-"""Exception types, and the two on-disk table formats of a workspace.
+"""Exception types, and the two on-disk document formats of a workspace.
 
 Every JSON file drycss writes goes through `write_json` and is read back
 through `read_json`; every CSV table through `write_table` and
 `read_table`. A table cell holds a float as its repr, so it reads back
-bit-exactly, None as an empty cell, and anything else as its str.
-Unreadable content raises DataError naming the file.
+bit-exactly, None as an empty cell, and anything else as its str. Both
+readers take the caller's parsing as `make` and name the file in every
+DataError they raise.
 """
 
 from __future__ import annotations
@@ -24,18 +25,27 @@ class DataError(Exception):
     """
 
 
-def read_json(path: str | Path, what: str):
-    """Parse a JSON file; unreadable content raises DataError naming `what`."""
+def read_json(path: str | Path, what: str, make=lambda doc: doc):
+    """make(doc) of the JSON document in a file. A missing file, content
+    that does not parse, or a document that make rejects with KeyError,
+    TypeError or ValueError raise DataError naming the file; a DataError
+    raised by make passes unchanged."""
+    path = Path(path)
+    if not path.is_file():  # a directory too
+        raise DataError(f"{what} not found: {path}")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         raise DataError(f"corrupt {what} {path}: {e}") from None
+    try:
+        return make(doc)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"malformed {what} {path}: bad or missing {e}") from None
 
 
 def json_int(value, name: str) -> int:
     """A count read from JSON. Anything but a JSON integer (64.9, 64.0,
-    "64", true) is a ValueError naming it, never truncated; the caller's
-    handler names the file."""
+    "64", true) is a ValueError naming it, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name}: {value!r} is not an integer")
     return value
@@ -44,11 +54,19 @@ def json_int(value, name: str) -> int:
 def json_finite(value, name: str) -> float:
     """A finite number read from JSON. NaN and the infinities, which
     json reads from NaN and Infinity, are a ValueError naming it, as is
-    anything float rejects; the caller's handler names the file."""
+    anything float rejects."""
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{name}: {value!r} is not finite")
     return number
+
+
+def json_names(value, name: str) -> tuple[str, ...]:
+    """A list of strings read from JSON, as a tuple; anything else is a
+    TypeError naming it."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{name}: {value!r} is not a list of names")
+    return tuple(value)
 
 
 def write_json(path: str | Path, doc) -> None:
@@ -79,7 +97,7 @@ def read_table(path: str | Path, what: str, make=dict) -> list:
     Whether an empty table is allowed is the caller's to decide.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():  # a directory too
         raise DataError(f"{what} not found: {path}")
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.DictReader(f)

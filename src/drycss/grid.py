@@ -32,12 +32,12 @@ from __future__ import annotations
 import hashlib
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, json_int, read_json, write_json
+from .errors import DataError, json_int, json_names, read_json, write_json
 
 # ERA5-Land surface variable codes carried by a cube, in canonical order.
 VARIABLES = (
@@ -47,6 +47,8 @@ VARIABLES = (
 )
 
 EARTH_RADIUS_KM = 6371.0
+
+_GRID_NAME = re.compile(r"[A-Za-z0-9_.-]+")  # a grid set's grid names, and its file stems
 
 _FLOAT32 = np.dtype("<f4")
 
@@ -111,11 +113,7 @@ class GridSpec:
         return (self.lat_min + iy * self.dlat, self.lon_min + ix * self.dlon)
 
     def to_dict(self) -> dict:
-        return {
-            "lat_min": self.lat_min, "lat_max": self.lat_max,
-            "lon_min": self.lon_min, "lon_max": self.lon_max,
-            "n_lat": self.n_lat, "n_lon": self.n_lon,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
@@ -143,8 +141,7 @@ class TimeAxis:
         return np.arange(self.n_steps) * self.step_hours
 
     def to_dict(self) -> dict:
-        return {"start": self.start, "step_hours": self.step_hours,
-                "n_steps": self.n_steps}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TimeAxis":
@@ -152,31 +149,17 @@ class TimeAxis:
                    n_steps=json_int(d["n_steps"], "n_steps"))
 
 
-def _entry(meta: dict, key: str, meta_path: Path, parse):
-    """parse(meta[key]); a missing entry, or one that parse rejects with
-    KeyError, TypeError or ValueError, raises DataError naming the file."""
-    if key not in meta:
-        raise DataError(f"{meta_path} has no {key!r} entry")
-    try:
-        return parse(meta[key])
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(f"malformed {key!r} entry in {meta_path}: bad or missing {e}") from None
-
-
-def _read_meta(path: Path, fmt: str, what: str) -> tuple[Path, dict, GridSpec]:
-    """meta.json of a cube, NDVI or grid directory, and its grid spec.
-
-    A missing or corrupt file, another format, or a missing or malformed
-    grid entry raise DataError naming the file.
-    """
+def _read_meta(path: Path, fmt: str, what: str, make):
+    """(grid spec, make(meta)) of the meta.json of a cube, NDVI or grid
+    directory, read through read_json; metadata of another format is a
+    DataError naming the file."""
     meta_path = path / "meta.json"
-    if not meta_path.exists():
-        raise DataError(f"no {what} metadata (meta.json) in {path}")
-    meta = read_json(meta_path, f"{what} metadata")
-    found = meta.get("format") if isinstance(meta, dict) else None
-    if found != fmt:
-        raise DataError(f"{meta_path} is not {what} metadata (format={found!r})")
-    return meta_path, meta, _entry(meta, "grid", meta_path, GridSpec.from_dict)
+
+    def parse(meta):
+        if meta["format"] != fmt:
+            raise DataError(f"{meta_path} is not {what} metadata (format={meta['format']!r})")
+        return GridSpec.from_dict(meta["grid"]), make(meta)
+    return read_json(meta_path, f"{what} metadata", parse)
 
 
 def sha256_file(path: str | Path) -> str:
@@ -305,12 +288,8 @@ def load_cube(path: str | Path) -> ClimateCube:
     variables.
     """
     path = Path(path)
-    meta_path, meta, spec = _read_meta(path, "drycss-cube", "cube")
-    time = _entry(meta, "time", meta_path, TimeAxis.from_dict)
-    variables = _entry(meta, "variables", meta_path, tuple)
-    if not variables:
-        raise DataError(f"cube {path} declares no variables")
-
+    spec, (time, variables) = _read_meta(path, "drycss-cube", "cube", lambda meta: (
+        TimeAxis.from_dict(meta["time"]), json_names(meta["variables"], "variables")))
     shape = (time.n_steps,) + spec.shape
     return ClimateCube(spec=spec, time=time, variables=variables,  # computes the mask
                        values={var: _read_f32(path, var, shape, mmap=True) for var in variables})
@@ -395,10 +374,8 @@ def save_ndvi(raster: NdviRaster, path: str | Path) -> None:
 
 def load_ndvi(path: str | Path) -> NdviRaster:
     path = Path(path)
-    meta_path, meta, spec = _read_meta(path, "drycss-ndvi", "NDVI")
-    dates = _entry(meta, "observations", meta_path,
-                   lambda obs: [(json_int(year, "year"), json_int(doy, "doy"))
-                                for year, doy in obs])
+    spec, dates = _read_meta(path, "drycss-ndvi", "NDVI", lambda meta: [
+        (json_int(year, "year"), json_int(doy, "doy")) for year, doy in meta["observations"]])
     observations = [NdviObservation(year, doy, _read_f32(path, f"{year}_{doy}", spec.shape))
                     for year, doy in dates]
     observations.sort(key=lambda o: (o.year, o.doy))
@@ -498,7 +475,7 @@ def regrid_ndvi(raster: NdviRaster, target: GridSpec, years) -> np.ndarray:
 def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray]) -> None:
     """Write named 2-D float32 grids sharing one grid spec."""
     for name in grids:
-        if not re.fullmatch(r"[A-Za-z0-9_.-]+", name):
+        if not _GRID_NAME.fullmatch(name):
             raise DataError(f"bad grid name: {name!r}")
         if grids[name].shape != spec.shape:
             raise DataError(f"grid {name} shape {grids[name].shape} != {spec.shape}")
@@ -509,9 +486,15 @@ def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray]) -
 
 def load_grids(path: str | Path) -> tuple[GridSpec, dict[str, np.ndarray]]:
     path = Path(path)
-    _, meta, spec = _read_meta(path, "drycss-grids", "grid")
-    return spec, {name: _read_f32(path, name, spec.shape)
-                  for name in meta.get("names", [])}
+
+    def grid_names(meta):  # only names that save_grids accepts
+        names = json_names(meta["names"], "names")
+        for name in names:
+            if not _GRID_NAME.fullmatch(name):
+                raise ValueError(f"names: {name!r} is not a grid name")
+        return names
+    spec, names = _read_meta(path, "drycss-grids", "grid", grid_names)
+    return spec, {name: _read_f32(path, name, spec.shape) for name in names}
 
 
 # ---------------------------------------------------------------------------

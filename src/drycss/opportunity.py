@@ -189,8 +189,8 @@ class Rule:
     value: object
 
     def __post_init__(self):
-        if not self.field:
-            raise DataError("rule with empty field name")
+        if not (isinstance(self.field, str) and self.field):
+            raise DataError(f"rule needs a non-empty field name, not {self.field!r}")
         if self.op not in _RULE_OPS:
             raise DataError(f"unknown rule operator: {self.op!r}")
         if self.op in ("in", "not_in") and not isinstance(self.value, (list, tuple)):
@@ -220,22 +220,20 @@ def _rule_passes(rule: Rule, raw: str) -> bool:
 
 
 def load_rules(path: str | Path) -> list[Rule]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"rules file not found: {path}")
-    return rules_from_doc(read_json(path, "rules file"))
+    return read_json(path, "rules file", lambda doc: rules_from_doc(doc, path))
 
 
-def rules_from_doc(doc) -> list[Rule]:
+def rules_from_doc(doc, source="rules document") -> list[Rule]:
+    """The rules of a list or {'rules': [...]}; errors name the source."""
     items = doc.get("rules") if isinstance(doc, dict) else doc
     if not isinstance(items, list):
-        raise DataError("rules document must be a list or {'rules': [...]}")
+        raise DataError(f"{source} must be a list or {{'rules': [...]}}")
     rules = []
     for i, item in enumerate(items):
         try:
             rules.append(Rule(field=item["field"], op=item["op"], value=item["value"]))
-        except (KeyError, TypeError) as e:
-            raise DataError(f"malformed rule {i}: {e}") from None
+        except (KeyError, TypeError, DataError) as e:
+            raise DataError(f"malformed rule {i} in {source}: {e}") from None
     return rules
 
 

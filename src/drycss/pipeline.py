@@ -21,7 +21,7 @@ import functools
 import hashlib
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import multiprocessing
@@ -144,6 +144,12 @@ def pearson_r(a, b) -> float:
     return float(np.sum(ac * bc) / denom)
 
 
+def validation_rows(n: int, fraction: float) -> int:
+    """How many of n samples holdout_split holds out: the fraction's
+    share, rounded, leaving at least one row on either side."""
+    return min(max(1, int(round(fraction * n))), n - 1)
+
+
 def holdout_split(n: int, fraction: float, rng: np.random.Generator
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Random train/validation index split; fraction goes to validation."""
@@ -151,7 +157,7 @@ def holdout_split(n: int, fraction: float, rng: np.random.Generator
         raise ValueError(f"holdout fraction outside (0, 1): {fraction}")
     if n < 2:
         raise ValueError("need at least 2 samples to split")
-    n_val = min(max(1, int(round(fraction * n))), n - 1)
+    n_val = validation_rows(n, fraction)
     perm = rng.permutation(n)
     val = np.sort(perm[:n_val])
     train = np.sort(perm[n_val:])
@@ -339,17 +345,11 @@ def run_training_grid(coeffs: np.ndarray, labels: np.ndarray,
 
 def aggregate_metrics(runs: list[TrainingRun]) -> list[dict]:
     """Mean/std of each metric per (kind, size) cell over its repetitions."""
-    by_cell: dict[tuple[str, int], list[TrainingRun]] = {}
-    order: list[tuple[str, int]] = []
+    by_cell: dict[tuple[str, int], list[TrainingRun]] = {}  # in first-run order
     for run in runs:
-        key = (run.kind, run.size)
-        if key not in by_cell:
-            by_cell[key] = []
-            order.append(key)
-        by_cell[key].append(run)
+        by_cell.setdefault((run.kind, run.size), []).append(run)
     rows = []
-    for kind, size in order:
-        cell = by_cell[(kind, size)]
+    for (kind, size), cell in by_cell.items():
         ok = [r for r in cell if not r.failed]
         row = {"kind": kind, "size": size, "n_runs": len(cell),
                "n_failed": len(cell) - len(ok)}
@@ -524,17 +524,13 @@ class Calibration:
         return self.slope * np.asarray(scores, dtype=np.float64) + self.intercept
 
     def to_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "r2": self.r2, "n": self.n}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Calibration":
-        try:
-            return cls(slope=json_finite(d["slope"], "slope"),
-                       intercept=json_finite(d["intercept"], "intercept"),
-                       r2=float(d["r2"]), n=json_int(d["n"], "n"))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"malformed calibration: bad or missing {e}") from None
+        return cls(slope=json_finite(d["slope"], "slope"),
+                   intercept=json_finite(d["intercept"], "intercept"),
+                   r2=float(d["r2"]), n=json_int(d["n"], "n"))
 
 
 def fit_calibration(samples: list[LabeledSample], scores: np.ndarray) -> Calibration:

@@ -79,6 +79,14 @@ def build_pipeline(n_side, n_steps, counts, epochs, blup_sizes, nn_sizes,
                        models=models, maps=maps, seconds=seconds)
 
 
+def pytest_collection_modifyitems(items):
+    """Mark every test on the desk fixture, directly or through another
+    fixture, as slow."""
+    for item in items:
+        if "desk_run" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(scope="session")
 def desk_run() -> PipelineRun:
     """32x32 one-year cube, full model grid, 230 reference sites."""

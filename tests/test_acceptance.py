@@ -98,6 +98,7 @@ def test_03_ridge_routes_agree():
             f"worst rel {worst:.2e}, {seconds:.2f}s")
 
 
+@pytest.mark.slow
 def test_04_gradients_check_out_for_every_architecture():
     n_features = 23 * 4 * 2  # default map-model feature width
     rng = np.random.default_rng(7)

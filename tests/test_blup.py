@@ -141,7 +141,7 @@ class TestLoo:
 
     def test_tie_prefers_smaller_lambda(self, monkeypatch):
         import drycss.blup as blup
-        monkeypatch.setattr(blup, "loo_rmse", lambda X, y, lam: 1.0)
+        monkeypatch.setattr(blup, "_loo_rmse", lambda K, yc, lam: 1.0)
         best, table = select_lambda_loo(np.ones((4, 2)), np.arange(4.0))
         assert best == min(table)
 

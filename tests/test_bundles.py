@@ -163,7 +163,7 @@ class TestCorruption:
         with pytest.raises(DataError, match="format"):
             load_model_bundle(p)
         (p / "model.json").write_text("[1, 2]")
-        with pytest.raises(DataError, match="format"):
+        with pytest.raises(DataError, match="malformed model metadata"):
             load_model_bundle(p)
         with pytest.raises(DataError, match="model.json"):
             load_model_bundle(tmp_path / "missing")

@@ -120,6 +120,19 @@ class TestConfigPlumbing:
         with pytest.raises(cli.UsageError, match="JSON"):
             cli._load_config(str(p))
 
+    @pytest.mark.parametrize("config", [{"synth": ["grid_size", 12]}, {"train": 5}],
+                             ids=["own-section", "other-section"])
+    def test_config_section_not_an_object_is_1(self, tmp_path, capsys, config):
+        """A stage section that is not an object used to be ignored
+        without a word, and synth built the default world."""
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(config))
+        ws = tmp_path / "ws"
+        assert cli.main(["synth", "--out", str(ws), "--config", str(p)] + SYNTH_FLAGS) == 1
+        section = next(iter(config))
+        assert f"config section {section!r} in {p}" in capsys.readouterr().err
+        assert not ws.exists()
+
 
 SYNTH_FLAGS = ["--grid-size", "12", "--steps", "64", "--counts", "8,8,3,3",
                "--seed", "3"]
@@ -524,7 +537,8 @@ class TestWorkspaceTables:
         del meta["models"]
         (ws / "runs" / "meta.json").write_text(json.dumps(meta))
         assert run(ws, "predict") == 2
-        assert "no list of models" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"malformed runs metadata {ws / 'runs' / 'meta.json'}: bad or missing 'models'" in err
 
     @pytest.mark.parametrize("flags, message", [
         (["--blup-sizes", "4,4"], "train.blup_sizes=(4, 4) out of range (positive, distinct)"),
@@ -532,12 +546,14 @@ class TestWorkspaceTables:
         (["--blup-sizes", "2,40"], "train.blup_sizes=40 exceeds 33 bins per variable"),
         (["--nn-feature-bins", "40"], "train.nn_feature_bins=40 exceeds 33 bins per variable"),
         (["--nn-sizes", "500"], "train.nn_sizes=500 exceeds 184 network input features"),
+        (["--holdout-fraction", "0.95"],
+         "train.holdout_fraction=0.95 leaves 1 of 22 samples to train on"),
     ], ids=["duplicate-blup", "duplicate-nn", "blup-above-spectrum",
-            "feature-bins-above-spectrum", "latent-above-inputs"])
+            "feature-bins-above-spectrum", "latent-above-inputs", "holdout-leaves-one-row"])
     def test_train_checks_sizes_before_any_run(self, workspace, tmp_path, capsys,
                                                 flags, message):
         """64 steps give 33 bins; 23 variables x 4 bins x (re, im) give 184
-        network inputs."""
+        network inputs; holding out 0.95 of 22 samples holds out 21."""
         ws = copy_workspace(workspace, tmp_path)
         shutil.rmtree(ws / "runs")
         assert cli.main(["train", "--out", str(ws), *TRAIN_FLAGS, *flags]) == 1
@@ -661,12 +677,12 @@ class TestFractionalCounts:
         ("predict", "runs/nn_4_0/model.json", lambda d: d.update(size=4.5),
          "size in model.json"),
         ("features", "cube/meta.json", lambda d: d["grid"].update(n_lat=12.5),
-         "'grid' entry"),
+         "n_lat: 12.5"),
         ("features", "cube/meta.json", lambda d: d["time"].update(n_steps=64.9),
-         "'time' entry"),
+         "n_steps: 64.9"),
         ("opportunity", "ndvi/meta.json",
          lambda d: d["observations"][0].__setitem__(1, d["observations"][0][1] + 0.5),
-         "'observations' entry"),
+         "doy: "),
         ("opportunity", "calibration.json", lambda d: d.update(n=64.9),
          "malformed calibration"),
     ], ids=["bundle-features", "bundle-model", "grid", "time-axis", "ndvi-observation",
@@ -680,7 +696,91 @@ class TestFractionalCounts:
         assert run(ws, stage) == 2
         err = capsys.readouterr().err
         assert "is not an integer" in err and name in err
-        assert Path(rel).parent.name in err
+        assert str(ws / rel) in err
+
+
+def restamp(ws, path):
+    """Record path's new stamp wherever a stage recorded its old one, so
+    that only the stage that parses path sees the change."""
+    manifest = json.loads((ws / "manifest.json").read_text())
+    for record in manifest["stages"].values():
+        for rel in record["inputs"]:
+            if cli._stamp_file(ws, rel) == path:
+                record["inputs"][rel] = sha256_file(path)
+    (ws / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestJsonDocuments:
+    """Every JSON document the CLI reads goes through errors.read_json: a
+    document of another shape exits 2 naming its file, never as a
+    traceback."""
+
+    DOCUMENTS = [("manifest.json", "train"), ("cube/meta.json", "features"),
+                 ("ndvi/meta.json", "opportunity"), ("maps/css/meta.json", "report"),
+                 ("features/meta.json", "train"), ("runs/meta.json", "predict"),
+                 ("calibration.json", "opportunity"), ("runs/nn_4_0/model.json", "predict"),
+                 ("runs/blup_2_0/features.json", "predict"), ("rules.json", "candidates")]
+
+    @staticmethod
+    def run_with(ws, rel, stage, doc):
+        """Write doc as ws/rel and run the stage that reads it; rules.json
+        is passed to candidates as --rules."""
+        path = ws / rel
+        path.write_text(json.dumps(doc))
+        if rel != "manifest.json":
+            restamp(ws, path)
+        tail = {"train": TRAIN_FLAGS, "candidates": ["--count", "5", "--rules", str(path)]}
+        return path, run(ws, stage, *tail.get(stage, []))
+
+    @pytest.mark.parametrize("doc", [[], 5, "x"], ids=["list", "number", "string"])
+    @pytest.mark.parametrize("rel, stage", DOCUMENTS, ids=[rel for rel, _ in DOCUMENTS])
+    def test_document_of_another_shape_is_2(self, workspace, tmp_path, capsys,
+                                            rel, stage, doc):
+        ws = copy_workspace(workspace, tmp_path)
+        path, code = self.run_with(ws, rel, stage, doc)
+        if rel == "rules.json" and doc == []:
+            assert code == 0  # an empty rule set, which keeps every candidate
+        else:
+            assert code == 2 and str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        [], {"stages": []}, {"stages": {"features": "x"}},
+        {"stages": {"features": {"inputs": ["cube"]}}},
+    ], ids=["list", "stages-list", "record-string", "inputs-list"])
+    def test_malformed_manifest_is_2(self, workspace, tmp_path, capsys, doc):
+        ws = copy_workspace(workspace, tmp_path)
+        path, code = self.run_with(ws, "manifest.json", "train", doc)
+        assert code == 2
+        assert f"malformed manifest {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("names", [5, ["combined", 7], ["../../cube/t2m"]],
+                             ids=["number", "not-a-name", "outside-the-set"])
+    def test_grid_names_that_save_grids_refuses_are_2(self, workspace, tmp_path, capsys,
+                                                      names):
+        ws = copy_workspace(workspace, tmp_path)
+        doc = json.loads((ws / "maps" / "css" / "meta.json").read_text())
+        path, code = self.run_with(ws, "maps/css/meta.json", "report", dict(doc, names=names))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"malformed grid metadata {path}: bad or missing names" in err
+
+    @pytest.mark.parametrize("field", [["accessibility"], 5, ""], ids=["list", "number", "empty"])
+    def test_rule_field_that_is_not_a_name_is_2(self, workspace, tmp_path, capsys, field):
+        """A list field used to end in a TypeError in filter_candidates, and
+        a numeric one excluded every candidate without a word."""
+        ws = copy_workspace(workspace, tmp_path)
+        path, code = self.run_with(ws, "rules.json", "candidates",
+                                   [{"field": field, "op": "eq", "value": "x"}])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"malformed rule 0 in {path}" in err and repr(field) in err
+
+    @pytest.mark.parametrize("flag", ["--rules", "--attributes"])
+    def test_directory_in_place_of_a_file_is_2(self, workspace, tmp_path, capsys, flag):
+        """read_json and read_table used to end in an IsADirectoryError."""
+        ws = copy_workspace(workspace, tmp_path)
+        assert run(ws, "candidates", "--count", "5", flag, str(tmp_path)) == 2
+        assert f"not found: {tmp_path}" in capsys.readouterr().err
 
 
 def nan_weight(path):

@@ -202,6 +202,9 @@ class TestRules:
             Rule(field="a", op="in", value="Wadi")
         with pytest.raises(DataError, match="empty field"):
             Rule(field="", op="eq", value="x")
+        for field in (["a"], 5, None):
+            with pytest.raises(DataError, match="non-empty field name"):
+                Rule(field=field, op="eq", value="x")
 
     def test_doc_parsing(self):
         doc = {"rules": [{"field": "a", "op": "eq", "value": "x"}]}

@@ -5,7 +5,7 @@ import pytest
 
 from drycss.blup import BlupModel
 from drycss.bundles import TrainedModel
-from drycss.errors import DataError
+from drycss.errors import DataError, read_json
 from drycss.grid import (ClimateCube, GridSpec, TimeAxis, VARIABLES, extract_series,
                          load_cube, save_cube)
 from drycss.neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
@@ -346,11 +346,13 @@ class TestEnsembleAndCalibration:
         with pytest.raises(DataError, match="non-finite"):
             fit_calibration(samples, np.array([0.5, np.nan]))
 
-    def test_calibration_dict_round_trip(self):
+    def test_calibration_dict_round_trip(self, tmp_path):
         cal = Calibration(slope=0.3, intercept=0.05, r2=0.9, n=10)
         assert Calibration.from_dict(cal.to_dict()) == cal
-        with pytest.raises(DataError, match="slope"):
-            Calibration.from_dict({"intercept": 0.0, "r2": 0.0, "n": 1})
+        path = tmp_path / "calibration.json"
+        path.write_text(json.dumps({"intercept": 0.0, "r2": 0.0, "n": 1}))
+        with pytest.raises(DataError, match="malformed calibration .*'slope'"):
+            read_json(path, "calibration", Calibration.from_dict)
 
 
 def scorer_models(T: int, kinds: str, seed: int = 0):
