@@ -16,16 +16,15 @@ from .spectral import (FrequencySelection, NormalizationTable, bin_energies,
                        dft_coefficients, fit_normalization, project,
                        select_frequencies, selected_coefficients,
                        truncated_coefficients)
-from .blup import BlupModel, fit_blup, loo_rmse, predict_blup, select_lambda_loo
+from .blup import BlupModel, fit_blup, predict_blup, select_lambda_loo
 from .neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
-                     gradient_check, train_autoencoder, train_classifier)
+                     train_autoencoder, train_classifier)
 from .bundles import TrainedModel, load_model_bundle, save_model_bundle
 from .pipeline import (Calibration, GridSettings, LabeledSample, TrainingRun,
                        aggregate_metrics, category_means, ensemble_scores,
                        fit_calibration, holdout_split, map_agreement_iou,
-                       out_of_fold_scores, pearson_r, predict_map,
-                       ranking_overlap, rmse, run_training_grid,
-                       sample_coefficients, sample_series)
+                       pearson_r, predict_map, ranking_overlap, rmse,
+                       run_training_grid, sample_coefficients, sample_series)
 from .opportunity import (AnalogMatch, CandidateSite, NoAnalog, Rule,
                           UpliftReport, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,

@@ -99,21 +99,17 @@ def predict_blup(model: BlupModel, X: np.ndarray) -> np.ndarray:
     return model.intercept + X @ model.effects
 
 
-def loo_rmse(X: np.ndarray, y: np.ndarray, lam: float) -> float:
-    """Exact leave-one-out RMSE of the centered ridge fit.
+def _loo_rmse(K: np.ndarray, yc: np.ndarray, lam: float) -> float:
+    """Exact leave-one-out RMSE of the centered ridge fit, from the
+    sample kernel K = X X' (not changed) and the centered labels
+    yc = y - mean(y).
 
     With A = (K + lam I)^{-1}, I - K A = lam A, so the LOO residual at
-    sample i, (yc - H yc)_i / (1 - H_ii) for the hat matrix H = K A and
-    yc = y - mean(y), is (A yc)_i / A_ii: no hat matrix, and no
-    1 - H_ii that cancels at small lam. The intercept is held at the
-    full-sample mean, matching how the model is deployed.
+    sample i, (yc - H yc)_i / (1 - H_ii) for the hat matrix H = K A, is
+    (A yc)_i / A_ii: no hat matrix, and no 1 - H_ii that cancels at
+    small lam. The intercept is held at the full-sample mean, matching
+    how the model is deployed.
     """
-    X, y = _validate_xy(X, y)
-    return _loo_rmse(X @ X.T, y - y.mean(), lam)
-
-
-def _loo_rmse(K: np.ndarray, yc: np.ndarray, lam: float) -> float:
-    """loo_rmse from K = X X' and the centered labels; K is not changed."""
     A = _ridge_solve(K.copy(), lam, np.eye(K.shape[0]), "LOO")
     resid = (A @ yc) / np.diag(A)
     return float(np.sqrt(np.mean(resid ** 2)))

@@ -49,8 +49,8 @@ import numpy as np
 
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
-from .errors import (DataError, NumericalError, json_names, read_json, read_table, write_json,
-                     write_table)
+from .errors import (DataError, NumericalError, json_int, json_names, read_json, read_table,
+                     write_json, write_table)
 from .grid import (GridSpec, TimeAxis, block_columns, content_digest, load_cube,
                    load_grids, load_ndvi, regrid_ndvi, save_cube, save_grids,
                    save_ndvi, save_npy, sha256_file)
@@ -132,24 +132,30 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():  # a directory too
         raise UsageError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         raise UsageError(f"config file {p} is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise UsageError(f"config file {p} must hold a JSON object")
-    for name in STAGES:
-        if not isinstance(doc.get(name, {}), dict):
-            raise UsageError(f"config section {name!r} in {p} must be a JSON object, "
-                             f"not {doc[name]!r}")
+    every = {o.key for row in STAGES.values() for o in row.options}
+    for key, value in doc.items():
+        if key not in STAGES and key not in every:
+            raise UsageError(f"unknown config key {key!r} in {p}: not a stage or an option")
+        if key in STAGES and not isinstance(value, dict):
+            raise UsageError(f"config section {key!r} in {p} must be a JSON object, "
+                             f"not {value!r}")
+        for name in sorted(value) if key in STAGES else []:
+            if name not in {o.key for o in STAGES[key].options}:
+                raise UsageError(f"unknown config key {name!r} in section {key!r} of {p}")
     return doc
 
 
 def _int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
+    if isinstance(text, (list, tuple)):  # a config list or a default: integers only
+        return tuple(json_int(v, "list item") for v in text)
     parts = [p.strip() for p in str(text).split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
@@ -432,8 +438,8 @@ def cmd_analogs(out: Path, opts: dict) -> None:
     exclusion = None
     if opts["exclude"]:
         espec, (excluded,) = _named_grids(Path(opts["exclude"]), "exclusion")
-        if espec.shape != cube.spec.shape:
-            raise DataError("exclusion grid shape does not match cube grid")
+        if espec != cube.spec:
+            raise DataError(f"exclusion grid {espec} does not match the cube grid {cube.spec}")
         exclusion = excluded > 0.5
 
     # only bins 0..channels-1 are kept, so only those are computed
@@ -632,16 +638,18 @@ def _resolve(args, config: dict, stage: str) -> dict:
     opts = {}
     for o in STAGES[stage].options:
         value = getattr(args, o.key, None)
-        if value is None:
-            if o.key in section:
-                value = section[o.key]
-            elif o.key in config:
-                value = config[o.key]
-            else:
-                value = os.environ.get(o.env, o.default) if o.env else o.default
-        if value is not None:
+        from_config = value is None and (o.key in section or o.key in config)
+        if from_config:  # null leaves an option without a default unset
+            value = section.get(o.key, config.get(o.key))
+        elif value is None:
+            value = os.environ.get(o.env, o.default) if o.env else o.default
+        if value is not None or from_config and o.default is not None:
             try:
-                value = o.cast(value)
+                # config values as strictly as workspace JSON: no null where there is a
+                # default, no boolean for a number, a JSON integer for a count
+                if from_config and (value is None or type(value) is bool and o.cast is not str):
+                    raise ValueError
+                value = json_int(value, o.key) if from_config and o.cast is int else o.cast(value)
             except (TypeError, ValueError):
                 expected = f" (expected {_EXPECTED[o.cast]})" if o.cast in _EXPECTED else ""
                 raise UsageError(f"bad value for {stage}.{o.key}: {value!r}{expected}")

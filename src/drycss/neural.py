@@ -1,7 +1,9 @@
 """Minimal dense networks in numpy: denoising autoencoder + regressor.
 
 Everything (layers, batch norm, Adam, backprop) is implemented here in
-float64 so gradients can be audited against central finite differences.
+float64 so gradients can be audited against central finite differences;
+that audit, `gradient_check`, lives with the other oracles in
+`tests/helpers.py`.
 
 Autoencoders are hourglass-shaped: hidden widths halve from the input
 dimension down to the latent size, the decoder mirrors the encoder.
@@ -377,71 +379,3 @@ def train_classifier(Z: np.ndarray, y: np.ndarray, params: TrainParams,
     final = float(np.sqrt(np.mean((pred - y) ** 2)))
     return ClassifierModel(net=net, trajectory=trajectory, final_rmse=final)
 
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-@dataclass(frozen=True)
-class GradCheckResult:
-    max_rel_error: float
-    n_checked: int
-    n_excluded: int
-
-
-def _relu_signature(net: DenseNet, caches: list[dict]) -> bytes:
-    bits = []
-    for layer, cache in zip(net.layers, caches):
-        if layer.activation == "relu":
-            bits.append((cache["u"] > 0.0).ravel())
-    if not bits:
-        return b""
-    return np.packbits(np.concatenate(bits)).tobytes()
-
-
-def gradient_check(net: DenseNet, X: np.ndarray, Y: np.ndarray,
-                   loss: str = "mse", step: float = 1e-3) -> GradCheckResult:
-    """Backprop gradients vs central finite differences, all parameters.
-
-    Each probe perturbs one entry of `theta` in place and restores it.
-    The net runs in evaluation mode, so batch norm uses its running
-    statistics and the loss is a fixed differentiable function of the
-    weights. Parameters whose +-step evaluations land on different ReLU
-    activation patterns are excluded: finite differences are invalid
-    across the kink. With continuous random inputs exclusions are rare
-    and counted in the result.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-
-    def eval_loss():
-        pred, caches = net.forward(X, want_cache=True)
-        lval, _ = _loss_and_grad(pred, Y, loss)
-        return lval, _relu_signature(net, caches)
-
-    pred, caches = net.forward(X, want_cache=True)
-    _, dpred = _loss_and_grad(pred, Y, loss)
-    analytic = net.backward(dpred, caches)
-
-    theta = net.theta
-    max_rel = 0.0
-    n_checked = 0
-    n_excluded = 0
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + step
-        lp, sig_p = eval_loss()
-        theta[i] = orig - step
-        lm, sig_m = eval_loss()
-        theta[i] = orig
-        if sig_p != sig_m:
-            n_excluded += 1
-            continue
-        fd = (lp - lm) / (2.0 * step)
-        denom = max(abs(fd), abs(analytic[i]))
-        err = abs(fd - analytic[i])
-        rel = err if denom < 1e-10 else err / denom
-        max_rel = max(max_rel, rel)
-        n_checked += 1
-    return GradCheckResult(max_rel_error=max_rel, n_checked=n_checked,
-                          n_excluded=n_excluded)

@@ -412,7 +412,7 @@ def uplift_report(results) -> UpliftReport:
 
 
 # ---------------------------------------------------------------------------
-# coordinates and packaged fixtures
+# coordinates
 
 
 _DMS_RE = re.compile(
@@ -432,18 +432,3 @@ def parse_coordinate(text: str) -> float:
         return float(s)
     except ValueError:
         raise DataError(f"unparseable coordinate: {text!r}") from None
-
-
-def load_table_s4() -> list[dict[str, str]]:
-    """Packaged 25-row candidate attribute fixture."""
-    return read_table(_DATA / "table_s4.csv", "Table S4 fixture")
-
-
-def load_table_s5() -> list[dict]:
-    """Packaged 13-row candidate/analog pair fixture with parsed coords."""
-    return read_table(_DATA / "table_s5.csv", "Table S5 fixture", lambda r: {
-        "site": int(r["site"]),
-        **{key: parse_coordinate(r[key]) for key in
-           ("selected_lat", "selected_lon", "intact_lat", "intact_lon")},
-        **{key: float(r[key]) for key in
-           ("predicted_ndvi", "intact_ndvi", "climate_distance", "spatial_km")}})

@@ -363,22 +363,6 @@ def aggregate_metrics(runs: list[TrainingRun]) -> list[dict]:
     return rows
 
 
-def out_of_fold_scores(runs: list[TrainingRun], n_samples: int) -> np.ndarray:
-    """Each sample's mean score over the runs that held it out; NaN when
-    no run ever held the sample out."""
-    sums = np.zeros(n_samples)
-    counts = np.zeros(n_samples)
-    for run in runs:
-        if run.failed or run.scores is None:
-            continue
-        idx = np.asarray(run.val_ids, dtype=np.intp)
-        sums[idx] += run.scores[idx]
-        counts[idx] += 1
-    out = np.full(n_samples, np.nan)
-    np.divide(sums, counts, out=out, where=counts > 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reclassification and calibration
 

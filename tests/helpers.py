@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from importlib import resources
 from itertools import combinations
 
 import numpy as np
 
+from drycss.blup import _loo_rmse
+from drycss.errors import read_table
 from drycss.neural import (_BN_EPS, _BN_MOMENTUM, Adam, DenseNet, _block_dropout_augment,
                            _loss_and_grad, build_autoencoder, build_classifier)
+from drycss.opportunity import parse_coordinate
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -88,6 +93,48 @@ def pairwise_min_km(lats, lons) -> float:
             d = 2 * 6371.0 * np.arcsin(np.sqrt(a))
             best = min(best, d)
     return best
+
+
+def loo_rmse(X, y, lam) -> float:
+    """The package's leave-one-out RMSE of the ridge fit of y on X at
+    lam, through the sample kernel K = X X' that `select_lambda_loo` forms."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return _loo_rmse(X @ X.T, y - y.mean(), lam)
+
+
+def out_of_fold_scores(runs, n_samples: int) -> np.ndarray:
+    """Each sample's mean score over the runs that held it out; NaN when
+    no run ever held the sample out."""
+    sums = np.zeros(n_samples)
+    counts = np.zeros(n_samples)
+    for run in runs:
+        if run.failed or run.scores is None:
+            continue
+        idx = np.asarray(run.val_ids, dtype=np.intp)
+        sums[idx] += run.scores[idx]
+        counts[idx] += 1
+    out = np.full(n_samples, np.nan)
+    np.divide(sums, counts, out=out, where=counts > 0)
+    return out
+
+
+_TABLES = resources.files("drycss.data")
+
+
+def load_table_s4() -> list[dict[str, str]]:
+    """The packaged 25-row candidate attribute fixture."""
+    return read_table(_TABLES / "table_s4.csv", "Table S4 fixture")
+
+
+def load_table_s5() -> list[dict]:
+    """The packaged 13-row candidate/analog pair fixture, coordinates in
+    decimal degrees."""
+    return read_table(_TABLES / "table_s5.csv", "Table S5 fixture", lambda r: {
+        "site": int(r["site"]),
+        **{key: parse_coordinate(r[key]) for key in
+           ("selected_lat", "selected_lon", "intact_lat", "intact_lon")},
+        **{key: float(r[key]) for key in
+           ("predicted_ndvi", "intact_ndvi", "climate_distance", "spatial_km")}})
 
 
 def pixel_series(cube, r0: int, r1: int):
@@ -226,3 +273,169 @@ def reference_classifier(Z, y, params, seed):
     rng = np.random.default_rng(seed)
     net = build_classifier(Z.shape[1], rng)
     return net, reference_train(net, Z, y[:, None], params, rng, "rmse")
+
+
+# ---------------------------------------------------------------------------
+# gradient verification: central finite differences of the evaluation-mode
+# loss, where batch norm applies its running statistics, so the loss is a
+# fixed differentiable function of the weights. `reference_gradient_check`
+# probes one parameter at a time; `gradient_check` must give its result.
+
+
+@dataclass(frozen=True)
+class GradCheckResult:
+    max_rel_error: float
+    n_checked: int
+    n_excluded: int
+
+
+def _relu_signature(net: DenseNet, caches: list[dict]) -> bytes:
+    bits = []
+    for layer, cache in zip(net.layers, caches):
+        if layer.activation == "relu":
+            bits.append((cache["u"] > 0.0).ravel())
+    if not bits:
+        return b""
+    return np.packbits(np.concatenate(bits)).tobytes()
+
+
+def reference_gradient_check(net: DenseNet, X: np.ndarray, Y: np.ndarray,
+                             loss: str = "mse", step: float = 1e-3) -> GradCheckResult:
+    """Backprop gradients vs central finite differences, all parameters.
+
+    Each probe perturbs one entry of `theta` in place and restores it.
+    The net runs in evaluation mode, so batch norm uses its running
+    statistics and the loss is a fixed differentiable function of the
+    weights. Parameters whose +-step evaluations land on different ReLU
+    activation patterns are excluded: finite differences are invalid
+    across the kink. With continuous random inputs exclusions are rare
+    and counted in the result.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+
+    def eval_loss():
+        pred, caches = net.forward(X, want_cache=True)
+        lval, _ = _loss_and_grad(pred, Y, loss)
+        return lval, _relu_signature(net, caches)
+
+    pred, caches = net.forward(X, want_cache=True)
+    _, dpred = _loss_and_grad(pred, Y, loss)
+    analytic = net.backward(dpred, caches)
+
+    theta = net.theta
+    max_rel = 0.0
+    n_checked = 0
+    n_excluded = 0
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        lp, sig_p = eval_loss()
+        theta[i] = orig - step
+        lm, sig_m = eval_loss()
+        theta[i] = orig
+        if sig_p != sig_m:
+            n_excluded += 1
+            continue
+        fd = (lp - lm) / (2.0 * step)
+        denom = max(abs(fd), abs(analytic[i]))
+        err = abs(fd - analytic[i])
+        rel = err if denom < 1e-10 else err / denom
+        max_rel = max(max_rel, rel)
+        n_checked += 1
+    return GradCheckResult(max_rel_error=max_rel, n_checked=n_checked,
+                          n_excluded=n_excluded)
+
+
+# floats in one batch of stacked probe activations, at the widest layer they pass
+_BATCH_FLOATS = 1 << 20
+
+
+def _probed_columns(layer, cache, name: str, k: np.ndarray, step: float):
+    """(u, a, j): column j of the layer's pre-activation u and activation
+    a, each [len(k), 2, rows], under the probes of entries k of its array
+    `name` at +step and -step. A probe on W[i, j], b[j], gamma[j] or
+    beta[j] changes only column j, computed here with the layer's own
+    arithmetic; for W that is one dot product per row, whose rounding
+    may differ from the layer's matmul in the last bits."""
+    j = k % layer.n_out
+    W, b = layer.W, layer.b
+
+    def shifted(v):  # [len(k), 2, 1]: v + step and v - step, as the loop sets them
+        return np.stack([v + step, v - step], axis=-1)[..., None]
+
+    if name == "W":
+        cols = np.repeat(W[:, j].T[:, None, :], 2, axis=1)  # [len(k), 2, n_in]
+        cols[np.arange(len(k)), :, k // layer.n_out] = shifted(W.ravel()[k])[..., 0]
+        z = cols @ cache["x"].T + b[j][:, None, None]
+    elif name == "b":
+        z = (cache["x"] @ W).T[j][:, None, :] + shifted(b[j])
+    if not layer.batch_norm:
+        u = z
+    else:
+        gamma, beta = layer.gamma[j][:, None, None], layer.beta[j][:, None, None]
+        if name in ("W", "b"):
+            zh = (z - layer.run_mean[j][:, None, None]) * cache["inv"][j][:, None, None]
+        else:
+            zh = cache["zh"].T[j][:, None, :]
+            if name == "gamma":
+                gamma = shifted(layer.gamma[j])
+            else:
+                beta = shifted(layer.beta[j])
+        u = gamma * zh + beta
+    return u, (np.maximum(u, 0.0) if layer.activation == "relu" else u), j
+
+
+def gradient_check(net: DenseNet, X: np.ndarray, Y: np.ndarray,
+                   loss: str = "mse", step: float = 1e-3) -> GradCheckResult:
+    """reference_gradient_check's audit of every parameter, with its
+    step, exclusion rule, relative error and result, a batch of probes
+    at a time.
+
+    In evaluation mode batch norm is a fixed per-column affine map, so a
+    probe on a layer's W[i, j], b[j], gamma[j] or beta[j] changes only
+    column j of that layer's output: that column is recomputed per probe
+    and the others are taken from one unperturbed forward pass. The
+    probes' activations then pass every later layer together, stacked
+    as [probes, rows, width] so that each probe's rows see the matmul
+    the loop's forward pass makes, and each probe's loss and ReLU
+    signature come from its own rows. `theta` is never written.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    pred, caches = net.forward(X, want_cache=True)
+    _, dpred = _loss_and_grad(pred, Y, loss)
+    analytic = net.backward(dpred, caches)
+    losses = np.full((analytic.size, 2), np.nan)  # at +step, at -step
+    flipped = np.zeros(analytic.size, dtype=bool)  # ReLU signatures differ
+    start = 0
+    for li, (layer, cache) in enumerate(zip(net.layers, caches)):
+        out = np.maximum(cache["u"], 0.0) if layer.activation == "relu" else cache["u"]
+        per = max(1, _BATCH_FLOATS // (2 * len(X) * max(l.n_out for l in net.layers[li:])))
+        for name in layer.param_names:
+            size = getattr(layer, name).size
+            for k0 in range(0, size, per):
+                k = np.arange(k0, min(size, k0 + per))
+                u, a, j = _probed_columns(layer, cache, name, k, step)
+                bits = [(u > 0.0).reshape(len(k), 2, -1)] if layer.activation == "relu" else []
+                h = np.repeat(out[None, None], 2, axis=1).repeat(len(k), axis=0)
+                h[np.arange(len(k)), :, :, j] = a
+                h = h.reshape(-1, *out.shape)
+                for nxt in net.layers[li + 1:]:
+                    h, c = nxt.forward(h, training=False)
+                    if nxt.activation == "relu":
+                        bits.append((c["u"] > 0.0).reshape(len(k), 2, -1))
+                sq = ((h.reshape(len(k), 2, *pred.shape) - Y) ** 2).reshape(len(k), 2, -1)
+                mse = np.add.reduce(sq, axis=-1) / sq.shape[-1]  # np.mean's sum and divide
+                losses[start + k] = mse if loss == "mse" else np.sqrt(mse)
+                if bits:
+                    flipped[start + k] = np.concatenate(
+                        [bit[:, 0] != bit[:, 1] for bit in bits], axis=1).any(axis=1)
+            start += size
+    fd = (losses[:, 0] - losses[:, 1]) / (2.0 * step)
+    denom = np.maximum(np.abs(fd), np.abs(analytic))
+    err = np.abs(fd - analytic)
+    rel = np.divide(err, denom, out=err.copy(), where=denom >= 1e-10)
+    kept = ~flipped
+    return GradCheckResult(max_rel_error=float(rel[kept].max(initial=0.0)),
+                           n_checked=int(kept.sum()), n_excluded=int(flipped.sum()))

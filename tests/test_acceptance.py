@@ -15,16 +15,16 @@ import drycss.cli as cli
 import helpers
 from drycss.blup import fit_blup
 from drycss.grid import GridSpec
-from drycss.neural import build_autoencoder, build_classifier, gradient_check
+from drycss.neural import build_autoencoder, build_classifier
 from drycss.opportunity import (AnalogMatch, CandidateSite, default_rules,
                                 extract_candidates, filter_candidates,
-                                join_attributes, load_table_s4, load_table_s5,
-                                uplift_report)
+                                join_attributes, uplift_report)
 from drycss.pipeline import (aggregate_metrics, category_means,
-                             ensemble_scores, map_agreement_iou,
-                             out_of_fold_scores, pearson_r)
+                             ensemble_scores, map_agreement_iou, pearson_r)
 from drycss.spectral import (bin_energies, dft_coefficients, n_bins,
                              select_frequencies)
+from helpers import (gradient_check, load_table_s4, load_table_s5,
+                     out_of_fold_scores)
 
 
 def verdict(num, name, ok, detail=""):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from drycss.blup import (LOO_GRID, fit_blup, loo_rmse, predict_blup,
-                         select_lambda_loo)
+from drycss.blup import LOO_GRID, fit_blup, predict_blup, select_lambda_loo
+from helpers import loo_rmse
 
 
 def make_xy(n=20, p=50, seed=0, noise=0.1):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -132,6 +133,55 @@ class TestConfigPlumbing:
         section = next(iter(config))
         assert f"config section {section!r} in {p}" in capsys.readouterr().err
         assert not ws.exists()
+
+    def test_config_that_is_a_directory_or_not_utf8_is_1(self, tmp_path, capsys):
+        """Both used to end in a traceback (IsADirectoryError, UnicodeDecodeError)."""
+        (tmp_path / "bad.json").write_bytes(b"\xff\xfe{")
+        for name, says in (("", "not found"), ("bad.json", "not valid JSON")):
+            argv = ["synth", "--out", str(tmp_path / "ws"), "--config", str(tmp_path / name)]
+            assert cli.main(argv) == 1
+            assert says in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", [
+        ({"train": {"epoch": 5}}, "'epoch' in section 'train'"),
+        ({"sed": 3}, "'sed'"),
+        ({"features": {"seed": 3}}, "'seed' in section 'features'"),
+    ], ids=["section-typo", "top-level-typo", "option-of-another-stage"])
+    def test_unknown_config_key_is_1(self, tmp_path, capsys, config, key):
+        """A key no stage reads used to be ignored without a word: the
+        run trained 1,000 epochs, or used seed 0."""
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(config))
+        ws = tmp_path / "ws"
+        assert cli.main(["synth", "--out", str(ws), "--config", str(p)] + SYNTH_FLAGS) == 1
+        err = capsys.readouterr().err
+        assert f"unknown config key {key}" in err and str(p) in err
+        assert not ws.exists()
+
+    @pytest.mark.parametrize("stage, key, value", [
+        ("train", "epochs", None), ("train", "epochs", 2.9), ("train", "epochs", True),
+        ("train", "epochs", "5"), ("train", "blup_sizes", [2.7]),
+        ("train", "blup_sizes", [2, True]), ("train", "learning_rate", True),
+        ("train", "blup_lambda", False), ("predict", "jobs", None),
+        ("candidates", "min_spacing_km", None),
+    ])
+    def test_config_value_is_cast_as_strictly_as_json(self, tmp_path, capsys, stage, key,
+                                                       value):
+        """A null used to skip the cast and end in a TypeError, and 2.9,
+        true and [2.7] were truncated to 2, 1 and (2,)."""
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({stage: {key: value}}))
+        assert cli.main([stage, "--out", str(tmp_path / "ws"), "--config", str(p)]) == 1
+        assert f"bad value for {stage}.{key}: {value!r}" in capsys.readouterr().err
+
+    def test_config_null_leaves_an_option_without_default_unset(self, monkeypatch):
+        monkeypatch.setenv("DRYCSS_JOBS", "3")
+        config = {"analogs": {"max_climate_distance": None}, "exclude": None,
+                  "train": {"jobs": 2, "epochs": 4}}
+        assert cli._resolve(SimpleNamespace(), config, "analogs")["max_climate_distance"] is None
+        assert cli._resolve(SimpleNamespace(), config, "analogs")["exclude"] is None
+        opts = cli._resolve(SimpleNamespace(epochs="7"), config, "train")
+        assert (opts["jobs"], opts["epochs"]) == (2, 7)  # flags still parse strings
 
 
 SYNTH_FLAGS = ["--grid-size", "12", "--steps", "64", "--counts", "8,8,3,3",
@@ -976,6 +1026,20 @@ class TestExclusion:
         assert cli.main(["analogs", "--out", str(ws), "--force",
                          "--exclude", str(tmp_path / "excl")]) == 2
         assert "does not match" in capsys.readouterr().err
+
+    def test_shifted_exclusion_grid_is_2(self, workspace, tmp_path, capsys):
+        """An exclusion grid of the cube's shape 5 degrees north shares no
+        node with it; it used to exclude every pixel, and analogs found
+        nothing and exited 0."""
+        ws = copy_workspace(workspace, tmp_path)
+        spec, _ = load_grids(ws / "maps" / "css")
+        north = dataclasses.replace(spec, lat_min=spec.lat_min + 5.0,
+                                    lat_max=spec.lat_max + 5.0)
+        save_grids(tmp_path / "excl", north, {"exclusion": np.ones(north.shape)})
+        assert cli.main(["analogs", "--out", str(ws), "--force",
+                         "--exclude", str(tmp_path / "excl")]) == 2
+        err = " ".join(capsys.readouterr().err.split())
+        assert f"exclusion grid {north} does not match the cube grid {spec}" in err
 
 
 class TestFiltering:

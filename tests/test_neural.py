@@ -4,10 +4,10 @@ import pytest
 from drycss.errors import NumericalError
 from drycss.neural import (Adam, CLASSIFIER_HIDDEN, DenseLayer, DenseNet,
                            TrainParams, _loss_and_grad, build_autoencoder,
-                           build_classifier, gradient_check, hourglass_widths,
+                           build_classifier, hourglass_widths,
                            train_autoencoder, train_classifier)
-from helpers import (auc, reference_autoencoder, reference_backward,
-                     reference_classifier, reference_forward)
+from helpers import (auc, gradient_check, reference_autoencoder, reference_backward,
+                     reference_classifier, reference_forward, reference_gradient_check)
 
 
 def clean_params(**kw):
@@ -372,6 +372,48 @@ class TestGradients:
         np.testing.assert_array_equal(net.theta, before)
         np.testing.assert_array_equal(net.state, state)
         assert np.shares_memory(net.layers[0].W, net.theta)
+
+
+def _gradient_case(case):
+    """(net, X, Y) of a small network whose batch-norm statistics are not the identity."""
+    rng = np.random.default_rng(17)
+    if case == "autoencoder":
+        net, _ = build_autoencoder(16, 2, rng)
+    elif case == "classifier":
+        net = build_classifier(3, rng)
+    elif case == "no-batch-norm":
+        net = DenseNet([DenseLayer(5, 6, "relu", batch_norm=False, rng=rng),
+                        DenseLayer(6, 3, "relu", batch_norm=False, rng=rng),
+                        DenseLayer(3, 2, "linear", batch_norm=False, rng=rng)])
+    else:  # pinned: every first-layer unit sits on the ReLU kink
+        net = DenseNet([DenseLayer(3, 4, "relu", batch_norm=False),
+                        DenseLayer(4, 2, "linear", batch_norm=False)])
+        net.layers[0].W[:] = 0.0
+    net.state[:] = rng.uniform(0.5, 2.0, net.state.size)
+    n_in, n_out = net.layers[0].n_in, net.layers[-1].n_out
+    return net, rng.standard_normal((5, n_in)), rng.standard_normal((5, n_out))
+
+
+class TestBatchedGradientCheck:
+    """gradient_check evaluates reference_gradient_check's probes in
+    batches; both must give the same verdict."""
+
+    @pytest.mark.parametrize("loss", ["mse", "rmse"])
+    @pytest.mark.parametrize("case", ["autoencoder", "classifier", "no-batch-norm", "pinned"])
+    @pytest.mark.parametrize("batch_floats", [None, 50], ids=["one-batch", "many-batches"])
+    def test_matches_the_per_parameter_loop(self, monkeypatch, case, loss, batch_floats):
+        if batch_floats is not None:  # each parameter group split across batches
+            monkeypatch.setattr("helpers._BATCH_FLOATS", batch_floats)
+        net, X, Y = _gradient_case(case)
+        theta = net.theta.copy()
+        batched = gradient_check(net, X, Y, loss=loss)
+        np.testing.assert_array_equal(net.theta, theta)
+        looped = reference_gradient_check(net, X, Y, loss=loss)
+        assert batched.n_checked + batched.n_excluded == net.theta.size
+        assert (batched.n_checked, batched.n_excluded) == (looped.n_checked, looped.n_excluded)
+        assert batched.max_rel_error == pytest.approx(looped.max_rel_error, rel=1e-6, abs=0)
+        if case == "pinned":
+            assert looped.n_excluded > 0
 
 
 class TestParams:

@@ -10,11 +10,10 @@ from drycss.opportunity import (AnalogMatch, CandidateSite, NoAnalog, Rule,
                                 default_rules, extract_candidates,
                                 filter_candidates, find_analog,
                                 join_attributes, load_attribute_table,
-                                load_rules, load_table_s4, load_table_s5,
-                                opportunity_map, parse_coordinate,
+                                load_rules, opportunity_map, parse_coordinate,
                                 rules_from_doc, uplift_report)
 from drycss.pipeline import Calibration
-from helpers import pairwise_min_km
+from helpers import load_table_s4, load_table_s5, pairwise_min_km
 
 SPEC = GridSpec(lat_min=20.0, lat_max=20.9, lon_min=40.0, lon_max=40.9,
                 n_lat=10, n_lon=10)

@@ -15,14 +15,13 @@ from drycss.pipeline import (BLOCK_ROWS, CALIBRATION_CATEGORIES, Calibration,
                              category_means,
                              compute_run_metrics, derive_seed, ensemble_scores,
                              enumerate_grid, fit_calibration, holdout_split,
-                             load_samples, map_agreement_iou,
-                             out_of_fold_scores, pearson_r, predict_map,
+                             load_samples, map_agreement_iou, pearson_r, predict_map,
                              ranking_overlap, rmse, run_training_grid,
                              save_run_record, save_samples, train_one_run)
 from drycss.spectral import (FrequencySelection, bin_energies, dft_coefficients,
                              fit_normalization, select_frequencies, selected_coefficients)
 from drycss.synth import synth_cube
-from helpers import pixel_series, rfft_ensemble_scores
+from helpers import out_of_fold_scores, pixel_series, rfft_ensemble_scores
 
 
 class TestSeeds:
