@@ -51,21 +51,23 @@ from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
 from .errors import (DataError, NumericalError, json_int, json_names, read_json, read_table,
                      write_json, write_table)
-from .grid import (GridSpec, TimeAxis, block_columns, content_digest, load_cube,
-                   load_grids, load_ndvi, regrid_ndvi, save_cube, save_grids,
-                   save_ndvi, save_npy, sha256_file)
+from .grid import (GridSpec, TimeAxis, content_digest, load_cube, load_grids, load_ndvi,
+                   regrid_ndvi, save_cube, save_grids, save_ndvi, save_npy,
+                   series_products, sha256_file)
 from .neural import TrainParams
 from .opportunity import (AnalogMatch, CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
                           load_attribute_table, load_rules, opportunity_map,
                           uplift_report)
-from .pipeline import (BLOCK_ROWS, Calibration, GridSettings, aggregate_metrics,
+from .pipeline import (Calibration, GridSettings, aggregate_metrics,
                        category_means, derive_seed, ensemble_scores,
                        fit_calibration, load_samples, map_agreement_iou,
                        predict_map, ranking_overlap, run_training_grid,
                        sample_coefficients, sample_series, save_run_record, save_samples,
                        validation_rows)
-from .spectral import dft_coefficients, n_bins, truncated_coefficients
+from .spectral import dft_basis, n_bins, truncated_coefficients
+
+dft_coefficients = pipeline.dft_coefficients  # bench/spans.py wraps it here (test_tracer)
 
 
 class UsageError(Exception):
@@ -442,15 +444,13 @@ def cmd_analogs(out: Path, opts: dict) -> None:
             raise DataError(f"exclusion grid {espec} does not match the cube grid {cube.spec}")
         exclusion = excluded > 0.5
 
-    # only bins 0..channels-1 are kept, so only those are computed
-    vectors = np.full(cube.spec.shape + (len(cube.variables) * channels * 2,), np.nan)
-    for r0 in range(0, cube.spec.n_lat, BLOCK_ROWS):
-        valid, columns = block_columns(cube, r0, r0 + BLOCK_ROWS)
-        coeffs = np.empty((int(valid.sum()), len(cube.variables), channels),
-                          dtype=np.complex128)
-        for vi, col in enumerate(columns):
-            coeffs[:, vi] = dft_coefficients(col.T, n_bins=channels)
-        vectors[r0:r0 + BLOCK_ROWS][valid] = truncated_coefficients(coeffs, channels)
+    # only bins 0..channels-1 are kept, so only those are computed, per variable
+    T, width = cube.time.n_steps, channels * 2
+    vectors = np.full(cube.spec.shape + (len(cube.variables) * width,), np.nan)
+    basis = dft_basis(T, tuple(range(channels))).T
+    for vi, parts in enumerate(series_products(cube, [basis] * len(cube.variables))):
+        coeffs = (parts[:channels] + 1j * parts[channels:]).T[:, None] / T
+        vectors[cube.mask, vi * width:(vi + 1) * width] = truncated_coefficients(coeffs, channels)
 
     results, dists = zip(*(find_analog(site, vectors, cube.spec, ndvi, exclusion=exclusion,
                                        max_climate_distance=opts["max_climate_distance"],

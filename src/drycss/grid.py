@@ -22,9 +22,9 @@ The no-data sentinel is quiet NaN everywhere. A pixel is invalid when
 any variable contains NaN at any time step there. `load_cube` always
 memory-maps the variable files read-only and computes the validity
 mask; the values at invalid pixels stay as stored, so only the mask
-says which pixels are valid (as in `block_columns`, the row-block
-reader of map-wide stages). Infinities are never legal and fail the
-load, naming the offending variable.
+says which pixels are valid (as in `series_products`, the one reader
+of map-wide stages). Infinities are never legal and fail the load,
+naming the offending variable.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,8 @@ EARTH_RADIUS_KM = 6371.0
 _GRID_NAME = re.compile(r"[A-Za-z0-9_.-]+")  # a grid set's grid names, and its file stems
 
 _FLOAT32 = np.dtype("<f4")
+
+SLAB_STEPS = 256  # time steps per slab of series_products; fixed, not an option
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +219,16 @@ def save_npy(path: Path, name: str, array: np.ndarray) -> str:
 
 
 def _read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndarray:
-    """path/<name>.f32 as a float32 array of the given shape; a missing or
-    wrong-sized file raises DataError naming it."""
+    """path/<name>.f32 as a float32 array of the given shape; a missing file, or
+    one not a regular file of that size, is a DataError naming it, before any read."""
     f = path / f"{name}.f32"
     if not f.exists():
         raise DataError(f"{path} is missing data file {f.name}")
+    size = f.stat().st_size if f.is_file() else 0
+    if size != _FLOAT32.itemsize * np.prod(shape):
+        raise DataError(f"{f}: file holds {size / _FLOAT32.itemsize:.12g} values, "
+                        f"grid expects {np.prod(shape)}")
     arr = np.memmap(f, dtype=_FLOAT32, mode="r") if mmap else np.fromfile(f, dtype=_FLOAT32)
-    if arr.size != np.prod(shape):
-        raise DataError(f"{f}: file holds {arr.size} values, grid expects {np.prod(shape)}")
     return arr.reshape(shape)
 
 
@@ -295,15 +300,30 @@ def load_cube(path: str | Path) -> ClimateCube:
                        values={var: _read_f32(path, var, shape, mmap=True) for var in variables})
 
 
-def block_columns(cube: ClimateCube, r0: int, r1: int):
-    """Valid pixels of grid rows r0..r1-1, read time-major, as (valid,
-    columns): valid is the block's mask, and columns yields per variable,
-    in cube order, the float32 [n_steps, n_valid] series of the valid
-    pixels in row-major order. Only the mask decides which pixels come
-    back, and one variable is copied at a time."""
-    valid = cube.mask[r0:r1]
-    return valid, (cube.values[var][:, r0:r1, :].reshape(cube.time.n_steps, -1)
-                   .compress(valid.ravel(), axis=1) for var in cube.variables)
+def series_products(cube: ClimateCube, rows, jobs: int = 1):
+    """Yield per variable, in cube order, rows[v] @ (its series [n_steps,
+    n_valid] at the pixels the mask alone marks valid, row-major) as float64.
+
+    Each variable is read in contiguous SLAB_STEPS-step slabs, their valid
+    columns compressed, and the slab products are summed in time order.
+    `jobs` threads take whole variables, `jobs` at a time as the consumer
+    asks, so the bytes do not depend on `jobs` and at most `jobs` products
+    are held at once."""
+    T = cube.time.n_steps
+    keep = cube.mask.ravel()
+
+    def product(var: str, r: np.ndarray) -> np.ndarray:
+        values = cube.values[var].reshape(T, -1)
+        out = np.zeros((r.shape[0], np.count_nonzero(keep)))
+        for t0 in range(0, T, SLAB_STEPS):
+            slab = values[t0:t0 + SLAB_STEPS].compress(keep, axis=1).astype(np.float64)
+            out += r[:, t0:t0 + SLAB_STEPS] @ slab
+        return out
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        run = map if jobs == 1 else pool.map  # one job runs here: no worker malloc arena
+        for v0 in range(0, len(cube.variables), jobs):
+            yield from run(product, cube.variables[v0:v0 + jobs], rows[v0:v0 + jobs])
 
 
 def extract_series(cube: ClimateCube, lat: float, lon: float

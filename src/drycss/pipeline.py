@@ -5,9 +5,9 @@ randomized 90/10 holdout, fit frequency selection and normalization on
 the training split only, train the model, score every sample, record
 train/val RMSE and Pearson r. The ensemble score of a pixel or sample
 is the unweighted mean over trained models. One EnsembleScorer computes
-it for map pixels and reference samples alike, from their series: the
-BLUP models as one kernel per variable, the networks from only the bins
-they read.
+it for map pixels and reference samples alike, from the products of
+their series with its rows: the BLUP models as one kernel per variable,
+the networks from only the bins they read.
 
 Every random draw flows from one root seed through a documented
 derivation: seed = low 63 bits of sha256(repr((root, part, ...))).
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
@@ -31,7 +31,7 @@ from .blup import fit_blup
 from .bundles import TrainedModel
 from .errors import (DataError, NumericalError, json_finite, json_int, read_table,
                      write_json, write_table)
-from .grid import ClimateCube, block_columns, extract_series
+from .grid import ClimateCube, extract_series, series_products
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (bin_energies, dft_basis, dft_coefficients, fit_normalization,
                        n_bins, project, select_frequencies, selected_coefficients,
@@ -45,10 +45,6 @@ DEFAULT_NN_SIZES = (4, 8, 16, 32, 64)
 DEFAULT_REPETITIONS = 10
 DEFAULT_HOLDOUT_FRACTION = 0.1
 DEFAULT_NN_FEATURE_BINS = 4
-
-# grid rows per map-scoring block; fixed so output bytes do not depend
-# on the worker count
-BLOCK_ROWS = 2
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -369,9 +365,9 @@ def aggregate_metrics(runs: list[TrainingRun]) -> list[dict]:
 
 class EnsembleScorer:
     """The live models of an ensemble, reduced to what scoring reads, so
-    that a map pixel and a reference sample are scored from their series
-    with one arithmetic. Every live model must share `variables` and
-    `n_steps`, which callers compare with their data.
+    that a map pixel and a reference sample are scored from their series'
+    products with `time_rows` by one arithmetic. Every live model must
+    share `variables` and `n_steps`, which callers compare with their data.
 
     BLUP half: a BLUP model scores intercept + sum(effects * (part -
     mean) / std) over the real and imaginary parts of its bins, which is
@@ -436,24 +432,22 @@ class EnsembleScorer:
         return [np.vstack([kernel, dft_basis(T, tuple(union)).T])
                 for kernel, union in zip(kernels, self.unions)]
 
-    def from_series(self, columns) -> dict[str, np.ndarray]:
-        """Scores of the series that `columns` yields per variable, in
-        model variable order, each time-major [n_steps, n] (the
-        `grid.block_columns` layout): one matmul per variable of
-        [kernel | cos/-sin of the union bins] and the series, divided by
-        T, then the BLUP sum, each network's score in model order, and
-        the per-kind and all-model "combined" means.
+    def from_products(self, products) -> dict[str, np.ndarray]:
+        """Scores from the products `rows @ series` that `products` yields
+        per variable, in model variable order, for `rows` in `time_rows`
+        and time-major series [n_steps, n]: the [1 + 2U, n] products
+        divided by T, then the BLUP sum, each network's score in model
+        order, and the per-kind and all-model "combined" means.
 
         A NaN or infinity anywhere in a series makes every product of
         its column non-finite, even against an exact 0 (inf * 0 is NaN),
-        so the [1 + 2U, n] products are checked instead of the series."""
+        so the products are checked instead of the series."""
         blup, union = self.const, []
-        for col, rows in zip(columns, self.time_rows, strict=True):
-            with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN
-                parts = rows @ np.ascontiguousarray(col, dtype=np.float64) / self.n_steps
+        for product in products:
+            parts = product / self.n_steps
             if not np.all(np.isfinite(parts)):
                 raise ValueError("series contains non-finite values")
-            u = (rows.shape[0] - 1) // 2
+            u = (parts.shape[0] - 1) // 2
             blup = blup + parts[0]
             union.append((parts[1:1 + u] + 1j * parts[1 + u:]).T)
         union = np.concatenate(union, axis=1)
@@ -473,13 +467,17 @@ def ensemble_scores(models: list[TrainedModel | None], series: np.ndarray
                     ) -> dict[str, np.ndarray]:
     """Mean score per kind plus the all-model "combined" mean of sample
     series [n, n_variables, n_steps], with the arithmetic `predict_map`
-    uses (EnsembleScorer.from_series)."""
+    uses (EnsembleScorer.from_products); each variable's products come
+    from one matmul over all steps."""
     scorer, series = EnsembleScorer(models), np.asarray(series)
     V = len(scorer.variables)
     if series.ndim != 3 or series.shape[1:] != (V, scorer.n_steps):
         raise ValueError(f"series shaped {series.shape}, models expect [n, {V}, "
                          f"{scorer.n_steps}]")
-    return scorer.from_series(series[:, v].T for v in range(V))
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN
+        return scorer.from_products(
+            [rows @ np.ascontiguousarray(series[:, v].T, dtype=np.float64)
+             for v, rows in enumerate(scorer.time_rows)])
 
 
 def category_means(samples: list[LabeledSample], scores: np.ndarray
@@ -549,30 +547,21 @@ def predict_map(models: list[TrainedModel | None], cube: ClimateCube,
     """Score every valid pixel with each model; returns per-kind mean
     maps plus "combined" (mean over models). Invalid pixels are NaN.
 
-    Scoring reads the series, not their spectra: per row block and
-    variable, one matmul of the time-major columns against the
-    ensemble's BLUP kernel and the networks' union bins
-    (EnsembleScorer.from_series).
-
-    Work is split into BLOCK_ROWS-high row blocks regardless of jobs,
-    so floating-point accumulation order and therefore output bytes do
-    not depend on the worker count.
+    Scoring reads the series, not their spectra: per variable, the
+    products of the ensemble's BLUP kernel and the networks' union bins
+    with every valid pixel's series (grid.series_products, over `jobs`
+    threads), then EnsembleScorer.from_products.
     """
     scorer = EnsembleScorer(models)
     if (scorer.variables, scorer.n_steps) != (cube.variables, cube.time.n_steps):
         raise DataError(f"models were fit on variables {scorer.variables} over "
                         f"{scorer.n_steps} time steps, cube has {cube.variables} over "
                         f"{cube.time.n_steps}")
-    H, W = cube.spec.shape
-    out = {name: np.full((H, W), np.nan) for name in scorer.kinds + ["combined"]}
-
-    def do_block(r0: int) -> None:
-        valid, columns = block_columns(cube, r0, r0 + BLOCK_ROWS)
-        for name, scores in scorer.from_series(columns).items():
-            out[name][r0:r0 + BLOCK_ROWS][valid] = scores
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(do_block, range(0, H, BLOCK_ROWS)))
+    scores = scorer.from_products(series_products(cube, scorer.time_rows, jobs))
+    out = {}
+    for name, values in scores.items():
+        out[name] = np.full(cube.spec.shape, np.nan)
+        out[name][cube.mask] = values
     return out
 
 

@@ -12,8 +12,8 @@ of the selected bins, variable-major, in ranking order.
 
 Any set of bins can also be had without the full spectrum: one real
 matmul of the series against a cos/-sin basis of just those bins
-(`dft_basis`). `analogs` takes its low bins that way, and map scoring
-the bins its networks read.
+(`dft_basis`, over a map through `grid.series_products`). `analogs`
+takes its low bins that way, and map scoring the bins its networks read.
 
 This module holds the transforms only; a model bundle's features.json,
 which stores a selection and its normalization, belongs to
@@ -28,15 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def dft_coefficients(series: np.ndarray, n_bins: int | None = None) -> np.ndarray:
-    """One-sided DFT with 1/T scaling along the last axis.
+def dft_coefficients(series: np.ndarray) -> np.ndarray:
+    """One-sided DFT with 1/T scaling along the last axis, by the FFT.
 
     series must be real and finite; returns complex128 with
-    floor(T/2)+1 bins, or only bins 0..n_bins-1 when n_bins is given.
-    Coefficient 0 is the mean of the series. The full spectrum comes
-    from the FFT; a prefix of it from one real matmul against a cached
-    cos/-sin basis, O(T * n_bins) per series, which takes the transpose
-    of a time-major [T, n] block as it is, with no reordering.
+    floor(T/2)+1 bins. Coefficient 0 is the mean of the series.
     """
     x = np.asarray(series, dtype=np.float64)
     T = x.shape[-1]
@@ -44,13 +40,7 @@ def dft_coefficients(series: np.ndarray, n_bins: int | None = None) -> np.ndarra
         raise ValueError("series must have at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    if n_bins is None:
-        return np.fft.rfft(x, axis=-1) / T
-    spectrum = globals()["n_bins"](T)  # spectral.n_bins, whose name the argument hides
-    if not 1 <= n_bins <= spectrum:
-        raise ValueError(f"n_bins={n_bins} outside [1, {spectrum}]")
-    parts = x @ dft_basis(T, tuple(range(n_bins)))
-    return (parts[..., :n_bins] + 1j * parts[..., n_bins:]) / T
+    return np.fft.rfft(x, axis=-1) / T
 
 
 @functools.lru_cache(maxsize=4)

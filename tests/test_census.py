@@ -8,8 +8,8 @@ process, plus reruns with the flags that select the other paths:
 `candidates` from a `--config` file and with `--attributes` joined by
 site and by coordinates and filtered by a `--rules` file, and
 `analogs --exclude` with an absolute `--max-climate-distance`.
-`predict_map` scores its row blocks in pool threads, so those are
-traced too. Functions that only an error path or the import enters are
+`grid.series_products` reads the cube's variables in pool threads, so
+those are traced too. Functions that only an error path or the import enters are
 listed in ALLOWED with the reason.
 """
 

@@ -16,10 +16,12 @@ import drycss.cli as cli
 from drycss import opportunity
 from drycss.bundles import load_model_bundle, save_model_bundle
 from drycss.errors import NumericalError
-from drycss.grid import (GridSpec, content_digest, load_cube, load_grids, save_grids,
-                         sha256_file)
+from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, content_digest, load_cube,
+                         load_grids, save_cube, save_grids, series_products, sha256_file)
 from drycss.neural import ClassifierModel, build_classifier
 from drycss.opportunity import find_analog
+from drycss.pipeline import EnsembleScorer, load_samples
+from helpers import pixel_series, rfft_ensemble_scores
 from test_desk import pixel_vectors
 
 
@@ -513,6 +515,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "malformed" in err and rel in err
 
+    @pytest.mark.parametrize("stage, rel", [("features", "cube/t2m.f32"),
+                                            ("predict", "cube/t2m.f32"),
+                                            ("opportunity", "ndvi/2020_100.f32")])
+    def test_damaged_data_file_is_2(self, workspace, tmp_path, capsys, stage, rel):
+        """An empty file, a partial value and a directory in a data
+        file's place each exit 2 naming the file; they used to end in
+        a ValueError or IsADirectoryError traceback."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / rel
+        intact = path.read_bytes()
+        for damage in (lambda: path.write_bytes(b""), lambda: path.write_bytes(b"12345"),
+                       lambda: (path.unlink(), path.mkdir())):
+            damage()
+            assert run(ws, stage) == 2
+            assert f"{path}: file holds" in capsys.readouterr().err
+            if path.is_dir():
+                path.rmdir()
+            path.write_bytes(intact)
+        assert run(ws, stage) == 0
+
     @staticmethod
     def cut_to_one_bin(doc):
         doc.update({key: [row[:1] for row in doc[key]] for key in
@@ -920,6 +942,47 @@ class TestStageArithmetic:
         assert len(scores) == len(pixels) > 0
         for score, (iy, ix) in zip(scores, pixels):
             assert css["combined"][iy, ix] == np.float32(score)
+
+
+class TestSlabBoundary:
+    def test_products_cross_slabs_alike(self, tmp_path):
+        """On a chain of three slabs, the last partial (so the order of
+        the slab sums shows in the bytes), with one grid row all
+        invalid: series_products gives the same bytes
+        for any worker count on the memory-mapped and the in-memory
+        cube, `predict --jobs 1` and `--jobs 2` write the same maps, and
+        the map matches each model scored from the full FFT."""
+        ws, T = tmp_path / "ws", 2 * SLAB_STEPS + 37
+        assert cli.main(["synth", "--out", str(ws), "--grid-size", "12", "--steps", str(T),
+                         "--counts", "8,8,3,3", "--seed", "3"]) == 0
+        row = min(set(range(12)) - {s.iy for s in load_samples(ws / "samples.csv")})
+        cube = load_cube(ws / "cube")
+        values = {var: np.array(cube.values[var]) for var in cube.variables}
+        values["t2m"][T - 1, row] = np.nan  # in the last, partial slab
+        memory = ClimateCube(spec=cube.spec, time=cube.time, variables=cube.variables,
+                             values=values)
+        shutil.rmtree(ws / "cube")
+        save_cube(memory, ws / "cube")
+        for stage, *tail in (["features"], ["train", *TRAIN_FLAGS], ["predict"]):
+            assert cli.main([stage, "--out", str(ws)] + tail) == 0, stage
+        css_dir = ws / "maps" / "css"
+        first = {p.name: p.read_bytes() for p in css_dir.iterdir()}
+        assert run(ws, "predict", "--jobs", "2") == 0
+        assert {p.name: p.read_bytes() for p in css_dir.iterdir()} == first
+
+        mapped = load_cube(ws / "cube")
+        assert not mapped.mask[row].any() and mapped.mask.sum() == 132
+        models = cli._load_models(ws)
+        rows = EnsembleScorer(models).time_rows
+        expect = [p.tobytes() for p in series_products(mapped, rows)]
+        for cube, jobs in ((mapped, 2), (mapped, 4), (memory, 1), (memory, 2), (memory, 4)):
+            assert [p.tobytes() for p in series_products(cube, rows, jobs)] == expect
+
+        _, css = load_grids(css_dir)
+        iy, ix, series = pixel_series(mapped, 0, 12)
+        for name, scores in rfft_ensemble_scores(models, series).items():
+            assert np.isnan(css[name][row]).all()
+            np.testing.assert_allclose(css[name][iy, ix], scores, rtol=1e-6, atol=1e-6)
 
 
 class TestAnalogVectors:

@@ -13,8 +13,7 @@ import pytest
 
 from drycss.opportunity import (extract_candidates, find_analog,
                                 opportunity_map, uplift_report)
-from drycss.pipeline import (BLOCK_ROWS, ensemble_scores, fit_calibration,
-                             map_agreement_iou)
+from drycss.pipeline import ensemble_scores, fit_calibration, map_agreement_iou
 from drycss.spectral import dft_coefficients, truncated_coefficients
 from helpers import pixel_series
 
@@ -22,11 +21,12 @@ ANALOG_CHANNELS = 32
 
 
 def pixel_vectors(run, channels):
-    """Raw low-frequency coefficient vectors for every grid pixel."""
+    """Raw low-frequency coefficient vectors for every grid pixel, from the
+    full FFT of each pixel's series, two grid rows at a time."""
     vectors = np.full(run.spec.shape + (len(run.cube.variables) * channels * 2,),
                       np.nan)
-    for r0 in range(0, run.spec.n_lat, BLOCK_ROWS):
-        rows, cols, series = pixel_series(run.cube, r0, r0 + BLOCK_ROWS)
+    for r0 in range(0, run.spec.n_lat, 2):
+        rows, cols, series = pixel_series(run.cube, r0, r0 + 2)
         if rows.size:
             vectors[rows, cols] = truncated_coefficients(dft_coefficients(series),
                                                          channels)

@@ -6,11 +6,11 @@ import pytest
 
 from drycss.errors import DataError
 from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
-                         TimeAxis, VARIABLES, block_columns, block_regrid,
+                         TimeAxis, VARIABLES, block_regrid,
                          content_digest, extract_series, great_circle_km,
                          load_cube, load_grids, load_ndvi, regrid_ndvi,
-                         save_cube, save_grids, save_ndvi, save_npy, sha256_file,
-                         summer_ndvi_mean)
+                         save_cube, save_grids, save_ndvi, save_npy, series_products,
+                         sha256_file, summer_ndvi_mean)
 
 SPEC = GridSpec(lat_min=10.0, lat_max=10.9, lon_min=30.0, lon_max=30.9,
                 n_lat=10, n_lon=10)
@@ -107,12 +107,11 @@ class TestCubeIO:
         assert back.mask.sum() == 15
         for v in VARIABLES:
             assert np.isfinite(back.values[v][:, back.mask]).all()
-        valid, columns = block_columns(back, 1, 2)
-        assert valid.tolist() == [[True, True, False, True]]
-        columns = list(columns)
+        T = back.time.n_steps
+        columns = list(series_products(back, [np.eye(T)] * len(VARIABLES)))
         assert len(columns) == len(VARIABLES)
         for col in columns:
-            assert col.shape == (back.time.n_steps, 3)
+            assert col.shape == (T, 15)
             assert np.isfinite(col).all()
         with pytest.raises(DataError, match="masked"):
             extract_series(back, *back.spec.node(1, 2))
@@ -197,28 +196,33 @@ class TestExtractSeries:
         with pytest.raises(DataError, match="masked"):
             extract_series(cube, *cube.spec.node(3, 3))
 
-    def test_block_columns_match_extract_series(self, tmp_path):
+    def test_series_products_match_extract_series(self, tmp_path):
         """Loads keep the raw values of invalid pixels, so only the mask
-        may decide which columns the reader returns."""
-        cube = small_cube()
+        may decide which columns the reader multiplies; against the
+        identity rows (and rows of one step, scaled by 2) the products
+        are the float64 series of the valid pixels, row-major, for any
+        worker count."""
+        cube = small_cube(n_steps=300)
         cube.values["tp"][2, 3, 1] = np.nan  # pixel (3, 1): finite elsewhere
         cube.values["t2m"][:, 2, 2] = np.nan
         save_cube(cube, tmp_path / "c")
         cube = load_cube(tmp_path / "c")
         assert np.isfinite(cube.values["d2m"][:, 3, 1]).all()
-        for r0, r1, rows in ((2, 4, (2, 3)), (3, 5, (3,))):
-            valid, columns = block_columns(cube, r0, r1)
-            np.testing.assert_array_equal(valid, cube.mask[r0:r1])
-            pixels = [(iy, ix) for iy in rows for ix in range(4)
-                      if (iy, ix) not in ((3, 1), (2, 2))]
-            columns = list(columns)
+        T = cube.time.n_steps
+        pixels = [(iy, ix) for iy in range(4) for ix in range(4)
+                  if (iy, ix) not in ((3, 1), (2, 2))]
+        refs = [extract_series(cube, *cube.spec.node(iy, ix))[0] for iy, ix in pixels]
+        rows = [np.eye(T) if vi % 2 else 2.0 * np.eye(T)[[vi, 299]]
+                for vi in range(len(cube.variables))]
+        for jobs in (1, 2, 5):
+            columns = list(series_products(cube, rows, jobs))
             assert len(columns) == len(cube.variables)
             for vi, col in enumerate(columns):
-                assert col.dtype == np.float32
-                assert col.shape == (cube.time.n_steps, len(pixels))
-                for j, (iy, ix) in enumerate(pixels):
-                    ref, _ = extract_series(cube, *cube.spec.node(iy, ix))
-                    np.testing.assert_array_equal(col[:, j], ref[vi])
+                assert col.dtype == np.float64
+                assert col.shape == (rows[vi].shape[0], len(pixels))
+                for j, ref in enumerate(refs):
+                    expect = ref[vi] if vi % 2 else 2.0 * ref[vi][[vi, 299]]
+                    np.testing.assert_array_equal(col[:, j], expect)
 
 
 class TestNdvi:

@@ -6,11 +6,11 @@ import pytest
 from drycss.blup import BlupModel
 from drycss.bundles import TrainedModel
 from drycss.errors import DataError, read_json
-from drycss.grid import (ClimateCube, GridSpec, TimeAxis, VARIABLES, extract_series,
-                         load_cube, save_cube)
+from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, TimeAxis, VARIABLES,
+                         extract_series, load_cube, save_cube, series_products)
 from drycss.neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
                            build_autoencoder, build_classifier)
-from drycss.pipeline import (BLOCK_ROWS, CALIBRATION_CATEGORIES, Calibration,
+from drycss.pipeline import (CALIBRATION_CATEGORIES, Calibration,
                              EnsembleScorer, GridSettings, LabeledSample, aggregate_metrics,
                              category_means,
                              compute_run_metrics, derive_seed, ensemble_scores,
@@ -398,24 +398,29 @@ def scorer_models(T: int, kinds: str, seed: int = 0):
 
 
 class TestEnsembleScorer:
-    """EnsembleScorer.from_series, fed time-major columns as `predict`
-    feeds it and sample series through `ensemble_scores` as `calibrate`
-    does, against the full rfft and each model's own score_coefficients
-    (helpers.rfft_ensemble_scores)."""
+    """EnsembleScorer.from_products, fed a cube's products as `predict`
+    feeds it (grid.series_products) and sample series through
+    `ensemble_scores` as `calibrate` does, against the full rfft and each
+    model's own score_coefficients (helpers.rfft_ensemble_scores)."""
 
     @pytest.mark.parametrize("T", [64, 63])
     @pytest.mark.parametrize("kinds", ["blup", "nn", "mixed"])
     def test_front_ends_match_the_per_model_rfft_oracle(self, T, kinds):
         models, series = scorer_models(T, kinds)
         expect = rfft_ensemble_scores(models, series)
-        from_series = EnsembleScorer(models).from_series(
-            np.ascontiguousarray(series[:, v].T) for v in range(3))
+        spec = GridSpec(lat_min=0.0, lat_max=0.3, lon_min=0.0, lon_max=0.3, n_lat=4, n_lon=4)
+        cube = ClimateCube(spec=spec, time=TimeAxis("2020-01-01", 3.0, T),
+                           variables=VARIABLES[:3],
+                           values={var: np.ascontiguousarray(series[:, v].T).reshape(T, 4, 4)
+                                   for v, var in enumerate(VARIABLES[:3])})
+        scorer = EnsembleScorer(models)
+        from_cube = scorer.from_products(series_products(cube, scorer.time_rows))
         samples = ensemble_scores(models, series)
-        assert list(from_series) == list(samples) == list(expect)
+        assert list(from_cube) == list(samples) == list(expect)
         for name in expect:
             assert np.abs(expect[name]).min() > 0.1
-            np.testing.assert_allclose(from_series[name], expect[name], rtol=1e-10)
-            np.testing.assert_array_equal(samples[name], from_series[name])
+            np.testing.assert_allclose(from_cube[name], expect[name], rtol=1e-10)
+            np.testing.assert_array_equal(samples[name], from_cube[name])
 
     def test_union_holds_only_the_network_bins(self):
         models, _ = scorer_models(64, "mixed")
@@ -433,14 +438,13 @@ class TestEnsembleScorer:
 
     def test_rejects_mismatched_inputs(self):
         models, series = scorer_models(64, "mixed")
-        scorer = EnsembleScorer(models)
         for wrong in (series[:, :2], series[..., 1:], series[0]):
             with pytest.raises(ValueError, match="models expect"):
                 ensemble_scores(models, wrong)
         with pytest.raises(ValueError, match="non-finite"):
             bad = series.copy()
             bad[0, 1, 5] = np.nan
-            scorer.from_series(bad[:, v].T for v in range(3))
+            ensemble_scores(models, bad)
         # the scorer checks its products, not the series: an infinity at
         # either end must still show, against BLUP-only and network-only
         # ensembles alike
@@ -517,10 +521,10 @@ class TestPredictMap:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_memory_mapped_map_matches_pixel_gather_bytes(self, setup, tmp_path, jobs):
-        """The time-major block reader gives the bytes of the two-index
-        gather it replaced, scored through the same series front end, on
-        a memory-mapped cube whose invalid pixels keep finite values in
-        one variable, and with a last block of one row."""
+        """The slab reader gives the bytes of the two-index gather, its
+        slabs summed in the same order and scored through the same
+        products front end, on a memory-mapped cube whose invalid pixels
+        keep finite values in one variable."""
         _, models = setup
         spec = GridSpec(lat_min=0.0, lat_max=0.8, lon_min=10.0, lon_max=10.7,
                         n_lat=9, n_lon=8)
@@ -532,13 +536,17 @@ class TestPredictMap:
         assert (~cube.mask).sum() == 14
         maps = predict_map(models, cube, jobs=jobs)
         scorer = EnsembleScorer(models)
+        rows, cols, series = pixel_series(cube, 0, spec.n_lat)
+        products = []
+        for vi, time_rows in enumerate(scorer.time_rows):
+            total = np.zeros((time_rows.shape[0], rows.size))
+            for t0 in range(0, taxis.n_steps, SLAB_STEPS):
+                t1 = t0 + SLAB_STEPS
+                total += time_rows[:, t0:t1] @ np.ascontiguousarray(series[:, vi, t0:t1].T)
+            products.append(total)
         ref = {name: np.full(spec.shape, np.nan) for name in maps}
-        for r0 in range(0, spec.n_lat, BLOCK_ROWS):
-            rows, cols, series = pixel_series(cube, r0, r0 + BLOCK_ROWS)
-            if rows.size:
-                columns = (series[:, vi].T for vi in range(series.shape[1]))
-                for name, scores in scorer.from_series(columns).items():
-                    ref[name][rows, cols] = scores
+        for name, scores in scorer.from_products(products).items():
+            ref[name][rows, cols] = scores
         assert set(maps) == set(ref)
         for name in maps:
             assert maps[name].tobytes() == ref[name].tobytes(), name

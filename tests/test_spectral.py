@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drycss.errors import DataError
+from drycss.grid import SLAB_STEPS, ClimateCube, GridSpec, TimeAxis, series_products
 from drycss.spectral import (bin_energies, dft_basis, dft_coefficients, feature_dim,
                              fit_normalization, n_bins, project, select_frequencies,
                              selected_coefficients, truncated_coefficients)
@@ -65,23 +67,39 @@ class TestDft:
         np.testing.assert_allclose(reconstruct_subset(c, T, [0, 2]), x, atol=1e-12)
 
 
-class TestLowBins:
-    """dft_coefficients(x, n_bins=k): bins 0..k-1 from a direct basis."""
+def low_bins(x: np.ndarray, k: int) -> np.ndarray:
+    """Bins 0..k-1 of series x [n, T] as `analogs` takes them: the
+    dft_basis products of a 2 x n/2 cube of one variable holding x,
+    through grid.series_products."""
+    n, T = x.shape
+    spec = GridSpec(lat_min=0.0, lat_max=1.0, lon_min=0.0, lon_max=1.0,
+                    n_lat=2, n_lon=n // 2)
+    cube = ClimateCube(spec=spec, time=TimeAxis("2020-01-01", 3.0, T), variables=("t2m",),
+                       values={"t2m": np.ascontiguousarray(x.T).reshape(T, 2, n // 2)})
+    (parts,) = series_products(cube, [dft_basis(T, tuple(range(k))).T])
+    return (parts[:k] + 1j * parts[k:]).T / T
 
-    @pytest.mark.parametrize("T", [7, 8, 33, 64])
+
+class TestLowBins:
+    """Bins 0..k-1 from a direct basis, by the map-wide reader."""
+
+    @pytest.mark.parametrize("T", [7, 8, 33, 64, SLAB_STEPS + 37, 2 * SLAB_STEPS])
     def test_matches_naive_and_fft_prefix(self, T):
-        x = np.random.default_rng(T).standard_normal((3, T))
+        x = np.random.default_rng(T).standard_normal((4, T))
         for k in (1, n_bins(T)):
-            low = dft_coefficients(x, n_bins=k)
-            assert low.shape == (3, k)
-            for row, series in zip(low, x):
-                np.testing.assert_allclose(row, naive_dft(series)[:k], rtol=1e-12)
+            low = low_bins(x, k)
+            assert low.shape == (4, k)
+            if T < 100:
+                for row, series in zip(low, x):
+                    np.testing.assert_allclose(row, naive_dft(series)[:k], rtol=1e-12)
             np.testing.assert_allclose(low, dft_coefficients(x)[:, :k], rtol=1e-12)
+            assert (low[:, 0].imag == 0).all()
+            if k > 1:  # the last bin, Nyquist for even T
+                assert (low[:, -1].imag == 0).all() == (T % 2 == 0)
 
     def test_transposed_time_major_block(self):
-        block = np.random.default_rng(5).standard_normal((250, 6)).astype(np.float32)
-        np.testing.assert_allclose(dft_coefficients(block.T, n_bins=9),
-                                   dft_coefficients(block.T)[:, :9], rtol=1e-12)
+        x = np.random.default_rng(5).standard_normal((6, 250)).astype(np.float32)
+        np.testing.assert_allclose(low_bins(x, 9), dft_coefficients(x)[:, :9], rtol=1e-12)
 
     @pytest.mark.parametrize("T", [63, 64])
     def test_basis_of_any_sorted_bins(self, T):
@@ -96,16 +114,20 @@ class TestLowBins:
         assert (parts[:, 7] == 0).all() == (T % 2 == 0)
 
     def test_bin_zero_is_mean(self):
-        x = np.random.default_rng(6).standard_normal(101)
-        assert dft_coefficients(x, n_bins=1)[0] == pytest.approx(x.mean(), rel=1e-12)
+        x = np.random.default_rng(6).standard_normal((4, 101))
+        np.testing.assert_allclose(low_bins(x, 1)[:, 0].real, x.mean(axis=1), rtol=1e-12)
 
     def test_rejects_bad_input(self):
+        """A NaN masks its pixel, so no product reads it; an infinity is
+        refused with the cube, and by the full transform."""
+        x = np.random.default_rng(7).standard_normal((4, 16))
+        x[1, 3] = np.nan
+        assert low_bins(x, 2).shape == (3, 2)
+        x[1, 3] = np.inf
+        with pytest.raises(DataError, match="infinite"):
+            low_bins(x, 2)
         with pytest.raises(ValueError, match="non-finite"):
-            dft_coefficients(np.array([1.0, np.nan, 2.0, 3.0]), n_bins=2)
-        with pytest.raises(ValueError, match="n_bins"):
-            dft_coefficients(np.ones(8), n_bins=6)
-        with pytest.raises(ValueError, match="n_bins"):
-            dft_coefficients(np.ones(8), n_bins=0)
+            dft_coefficients(x)
 
 
 class TestAmplitudes:
