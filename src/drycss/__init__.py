@@ -8,10 +8,9 @@ rule filtering -> climate-analog uplift estimates.
 
 from .errors import DataError, NumericalError
 from .grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
-                   TimeAxis, VARIABLES, block_regrid, extract_series,
-                   great_circle_km, load_cube, load_grids, load_ndvi,
-                   regrid_ndvi, save_cube, save_grids, save_ndvi,
-                   summer_ndvi_mean)
+                   TimeAxis, VARIABLES, block_regrid, great_circle_km,
+                   load_cube, load_grids, load_ndvi, regrid_ndvi, save_cube,
+                   save_grids, save_ndvi, summer_ndvi_mean)
 from .spectral import (FrequencySelection, NormalizationTable, bin_energies,
                        dft_coefficients, fit_normalization, project,
                        select_frequencies, selected_coefficients,

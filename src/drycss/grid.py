@@ -5,6 +5,7 @@ On-disk cube layout (one directory per cube):
     cube/
       meta.json     grid spec, time axis, variable codes, digest
       <var>.f32     little-endian float32, [time, lat, lon] row-major
+      mask.f32      little-endian float32 [lat, lon]: 1.0 valid, 0.0 not
 
 NDVI stacks use the same idea, one grid per observation:
 
@@ -19,12 +20,13 @@ Writers refuse a directory that already holds a meta.json; `drycss
 --force` clears a stage's outputs before the stage writes them.
 
 The no-data sentinel is quiet NaN everywhere. A pixel is invalid when
-any variable contains NaN at any time step there. `load_cube` always
-memory-maps the variable files read-only and computes the validity
-mask; the values at invalid pixels stay as stored, so only the mask
-says which pixels are valid (as in `series_products`, the one reader
-of map-wide stages). Infinities are never legal and fail the load,
-naming the offending variable.
+any variable contains NaN at any time step there. `save_cube` stores
+that mask, refusing an infinity by its variable; `load_cube` reads it
+and scans no value, and maps a variable's file afresh, read-only, at
+each lookup of `values[var]`: its pages leave the process with the
+array, but stay in the page cache, and every pass still reads them.
+Invalid pixels keep their stored values, so only the mask says which
+are valid; a NaN or infinity at a valid pixel fails where it is read.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import io
 import re
+from collections import UserDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -54,6 +57,8 @@ _GRID_NAME = re.compile(r"[A-Za-z0-9_.-]+")  # a grid set's grid names, and its 
 _FLOAT32 = np.dtype("<f4")
 
 SLAB_STEPS = 256  # time steps per slab of series_products; fixed, not an option
+
+MASK = "mask"  # file stem of a cube's stored mask; reserved, so no variable's name
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +241,27 @@ def _read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.nda
 # climate cubes
 
 
+class _MappedValues(UserDict):
+    """A cube directory's variables, code -> _read_f32 arguments: a lookup checks
+    the file and maps it afresh, read-only, so its pages leave with the array."""
+
+    def __getitem__(self, var: str) -> np.ndarray:
+        return _read_f32(*self.data[var], mmap=True)
+
+
 @dataclass
 class ClimateCube:
     """All variables of one region on a shared grid and time axis.
 
-    values maps variable code -> float32 array [n_steps, n_lat, n_lon].
-    mask, computed from the values, is True at valid pixels.
+    values maps variable code (a file stem, not MASK) -> float32 array
+    [n_steps, n_lat, n_lon]. mask, True at valid pixels, is computed when not given.
     """
 
     spec: GridSpec
     time: TimeAxis
     variables: tuple[str, ...]
-    values: dict[str, np.ndarray]
-    mask: np.ndarray = field(repr=False, init=False)
+    values: dict[str, np.ndarray] | _MappedValues
+    mask: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -257,12 +270,15 @@ class ClimateCube:
             raise DataError("duplicate variable codes in cube")
         shape = (self.time.n_steps, self.spec.n_lat, self.spec.n_lon)
         for var in self.variables:
+            if not _GRID_NAME.fullmatch(var) or var == MASK:
+                raise DataError(f"bad variable name {var!r}: not a file stem, or {MASK!r}")
             if var not in self.values:
                 raise DataError(f"missing values for variable {var}")
             if self.values[var].shape != shape:
                 raise DataError(
                     f"variable {var} has shape {self.values[var].shape}, expected {shape}")
-        self.mask = compute_valid_mask(self.values, self.variables)
+        if self.mask is None:
+            self.mask = compute_valid_mask(self.values, self.variables)
 
 
 def compute_valid_mask(values: dict[str, np.ndarray], variables) -> np.ndarray:
@@ -279,73 +295,58 @@ def compute_valid_mask(values: dict[str, np.ndarray], variables) -> np.ndarray:
 
 
 def save_cube(cube: ClimateCube, path: str | Path) -> None:
-    """Write a cube directory; refuses to overwrite one."""
+    """Write a cube directory with MASK.f32, the compute_valid_mask of the
+    values written; refuses to overwrite one."""
+    values = {var: cube.values[var] for var in cube.variables}
     _save_dir(path, {"format": "drycss-cube", "grid": cube.spec.to_dict(),
                      "time": cube.time.to_dict(), "variables": list(cube.variables)},
-              {var: cube.values[var] for var in cube.variables})
+              {**values, MASK: compute_valid_mask(values, cube.variables)})
 
 
 def load_cube(path: str | Path) -> ClimateCube:
-    """Read a cube directory written by save_cube, memory-mapped read-only.
-
-    The mask is computed from the data and is authoritative: an invalid
-    pixel keeps its stored values, which may be finite in some
-    variables.
-    """
+    """Read a cube directory written by save_cube: its stored mask, which is
+    authoritative and must hold only 0 and 1, and its variables mapped per lookup."""
     path = Path(path)
     spec, (time, variables) = _read_meta(path, "drycss-cube", "cube", lambda meta: (
         TimeAxis.from_dict(meta["time"]), json_names(meta["variables"], "variables")))
+    mask = _read_f32(path, MASK, spec.shape)
+    if not np.isin(mask, (0.0, 1.0)).all():
+        raise DataError(f"{path / MASK}.f32 holds values other than 0 and 1")
     shape = (time.n_steps,) + spec.shape
-    return ClimateCube(spec=spec, time=time, variables=variables,  # computes the mask
-                       values={var: _read_f32(path, var, shape, mmap=True) for var in variables})
+    return ClimateCube(spec=spec, time=time, variables=variables, mask=mask == 1.0,
+                       values=_MappedValues({var: (path, var, shape) for var in variables}))
 
 
 def series_products(cube: ClimateCube, rows, jobs: int = 1):
     """Yield per variable, in cube order, rows[v] @ (its series [n_steps,
     n_valid] at the pixels the mask alone marks valid, row-major) as float64.
 
-    Each variable is read in contiguous SLAB_STEPS-step slabs, their valid
-    columns compressed, and the slab products are summed in time order.
-    `jobs` threads take whole variables, `jobs` at a time as the consumer
-    asks, so the bytes do not depend on `jobs` and at most `jobs` products
-    are held at once."""
+    Each variable is read in contiguous SLAB_STEPS-step slabs of one
+    lookup of cube.values, their valid columns compressed, and the slab
+    products are summed in time order. `jobs` threads take whole
+    variables, `jobs` at a time as the consumer asks, so the bytes do not
+    depend on `jobs` and at most `jobs` variables are mapped at once. A
+    NaN or infinity at a valid pixel makes every product of its column
+    non-finite (inf * 0 is NaN), so the products are checked instead."""
     T = cube.time.n_steps
     keep = cube.mask.ravel()
 
     def product(var: str, r: np.ndarray) -> np.ndarray:
         values = cube.values[var].reshape(T, -1)
         out = np.zeros((r.shape[0], np.count_nonzero(keep)))
-        for t0 in range(0, T, SLAB_STEPS):
-            slab = values[t0:t0 + SLAB_STEPS].compress(keep, axis=1).astype(np.float64)
-            out += r[:, t0:t0 + SLAB_STEPS] @ slab
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN
+            for t0 in range(0, T, SLAB_STEPS):
+                slab = values[t0:t0 + SLAB_STEPS].compress(keep, axis=1).astype(np.float64)
+                out += r[:, t0:t0 + SLAB_STEPS] @ slab
+        if not np.all(np.isfinite(out)):
+            raise DataError(f"variable {var} holds a non-finite value at a valid pixel; "
+                            "rerun `drycss synth`")
         return out
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         run = map if jobs == 1 else pool.map  # one job runs here: no worker malloc arena
         for v0 in range(0, len(cube.variables), jobs):
             yield from run(product, cube.variables[v0:v0 + jobs], rows[v0:v0 + jobs])
-
-
-def extract_series(cube: ClimateCube, lat: float, lon: float
-                   ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Time series of every variable at the grid node nearest a point.
-
-    Returns (series, (iy, ix)) where series is float64
-    [n_variables, n_steps] in cube variable order. Points outside the
-    grid extent and masked pixels are errors, not NaN rows.
-    """
-    if not cube.spec.contains(lat, lon):
-        raise DataError(
-            f"point ({lat}, {lon}) outside grid extent "
-            f"[{cube.spec.lat_min}, {cube.spec.lat_max}] x "
-            f"[{cube.spec.lon_min}, {cube.spec.lon_max}]")
-    iy, ix = cube.spec.nearest(lat, lon)
-    if not cube.mask[iy, ix]:
-        raise DataError(f"point ({lat}, {lon}) maps to masked pixel ({iy}, {ix})")
-    series = np.empty((len(cube.variables), cube.time.n_steps), dtype=np.float64)
-    for i, var in enumerate(cube.variables):
-        series[i] = cube.values[var][:, iy, ix]
-    return series, (iy, ix)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .blup import fit_blup
 from .bundles import TrainedModel
 from .errors import (DataError, NumericalError, json_finite, json_int, read_table,
                      write_json, write_table)
-from .grid import ClimateCube, extract_series, series_products
+from .grid import SLAB_STEPS, ClimateCube, series_products
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (bin_energies, dft_basis, dft_coefficients, fit_normalization,
                        n_bins, project, select_frequencies, selected_coefficients,
@@ -86,16 +86,30 @@ def load_samples(path: str | Path) -> list[LabeledSample]:
 
 def sample_series(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray:
     """Each sample's pixel series, [n_samples, n_variables, n_steps]
-    float32: the cube's own values, half the size of their spectra. A
-    sample whose (iy, ix) is not the node nearest its (lat, lon) is a
-    DataError naming it."""
-    series = np.empty((len(samples), len(cube.variables), cube.time.n_steps),
-                      dtype=np.float32)
-    for i, s in enumerate(samples):
-        series[i], node = extract_series(cube, s.lat, s.lon)
+    float32: the cube's own values, half the size of their spectra,
+    gathered per variable from SLAB_STEPS-step slabs of one lookup. A
+    sample off the grid, at a masked pixel or off the node nearest its
+    (lat, lon), or a non-finite value gathered, is a DataError naming it."""
+    spec, T = cube.spec, cube.time.n_steps
+    for s in samples:
+        node, where = spec.nearest(s.lat, s.lon), f"sample {s.site_id} at ({s.lat}, {s.lon})"
+        if not spec.contains(s.lat, s.lon):
+            raise DataError(f"{where} lies outside the grid")
+        if not cube.mask[node]:
+            raise DataError(f"{where} lies at masked pixel {node}")
         if node != (s.iy, s.ix):
-            raise DataError(f"sample {s.site_id} at ({s.lat}, {s.lon}) lies nearest node "
-                            f"{node}, not its ({s.iy}, {s.ix})")
+            raise DataError(f"{where} lies nearest node {node}, not its ({s.iy}, {s.ix})")
+    flat = [s.iy * spec.n_lon + s.ix for s in samples]
+    series = np.empty((len(samples), len(cube.variables), T), dtype=np.float32)
+    for vi, var in enumerate(cube.variables):
+        values = cube.values[var].reshape(T, -1)
+        for t0 in range(0, T, SLAB_STEPS):
+            series[:, vi, t0:t0 + SLAB_STEPS] = values[t0:t0 + SLAB_STEPS][:, flat].T
+        bad = np.flatnonzero(~np.isfinite(series[:, vi]).all(axis=1))
+        if bad.size:
+            s = samples[bad[0]]
+            raise DataError(f"variable {var} is not finite at sample {s.site_id}, pixel "
+                            f"({s.iy}, {s.ix}); rerun `drycss synth`")
     return series
 
 
@@ -437,16 +451,11 @@ class EnsembleScorer:
         per variable, in model variable order, for `rows` in `time_rows`
         and time-major series [n_steps, n]: the [1 + 2U, n] products
         divided by T, then the BLUP sum, each network's score in model
-        order, and the per-kind and all-model "combined" means.
-
-        A NaN or infinity anywhere in a series makes every product of
-        its column non-finite, even against an exact 0 (inf * 0 is NaN),
-        so the products are checked instead of the series."""
+        order, and the per-kind and all-model "combined" means. The
+        products must be finite; their producers check them."""
         blup, union = self.const, []
         for product in products:
             parts = product / self.n_steps
-            if not np.all(np.isfinite(parts)):
-                raise ValueError("series contains non-finite values")
             u = (parts.shape[0] - 1) // 2
             blup = blup + parts[0]
             union.append((parts[1:1 + u] + 1j * parts[1 + u:]).T)
@@ -474,10 +483,11 @@ def ensemble_scores(models: list[TrainedModel | None], series: np.ndarray
     if series.ndim != 3 or series.shape[1:] != (V, scorer.n_steps):
         raise ValueError(f"series shaped {series.shape}, models expect [n, {V}, "
                          f"{scorer.n_steps}]")
-    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN
-        return scorer.from_products(
-            [rows @ np.ascontiguousarray(series[:, v].T, dtype=np.float64)
-             for v, rows in enumerate(scorer.time_rows)])
+    if not np.all(np.isfinite(series)):
+        raise ValueError("series contains non-finite values")
+    return scorer.from_products(
+        [rows @ np.ascontiguousarray(series[:, v].T, dtype=np.float64)
+         for v, rows in enumerate(scorer.time_rows)])
 
 
 def category_means(samples: list[LabeledSample], scores: np.ndarray

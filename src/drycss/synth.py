@@ -119,17 +119,19 @@ def synth_cube(spec: GridSpec = DESK_GRID, time: TimeAxis = DESK_TIME,
     contrast = ann_shapes["tp"] - ann_shapes["t2m"]
     suitability = 1.0 / (1.0 + np.exp(-SUITABILITY_GAIN * contrast))
 
+    bad = np.zeros(spec.shape, dtype=bool)
     if invalid_fraction > 0.0:
         n_bad = int(round(invalid_fraction * spec.n_lat * spec.n_lon))
         flat = rng.choice(spec.n_lat * spec.n_lon, size=n_bad, replace=False)
-        bad = np.zeros(spec.shape, dtype=bool)
         bad.flat[flat] = True
         for var in VARIABLES:
             values[var][:, bad] = np.nan
         suitability = suitability.copy()
         suitability[bad] = np.nan
 
-    cube = ClimateCube(spec=spec, time=time, variables=VARIABLES, values=values)
+    # finite but for the NaN planted at the bad pixels: save_cube does the one scan
+    cube = ClimateCube(spec=spec, time=time, variables=VARIABLES, values=values,
+                       mask=~bad)
     return cube, suitability
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 import numpy as np
 
 from drycss.blup import _loo_rmse
-from drycss.errors import read_table
+from drycss.errors import DataError, read_table
 from drycss.neural import (_BN_EPS, _BN_MOMENTUM, Adam, DenseNet, _block_dropout_augment,
                            _loss_and_grad, build_autoencoder, build_classifier)
 from drycss.opportunity import parse_coordinate
@@ -135,6 +135,27 @@ def load_table_s5() -> list[dict]:
            ("selected_lat", "selected_lon", "intact_lat", "intact_lon")},
         **{key: float(r[key]) for key in
            ("predicted_ndvi", "intact_ndvi", "climate_distance", "spatial_km")}})
+
+
+def extract_series(cube, lat: float, lon: float) -> tuple[np.ndarray, tuple[int, int]]:
+    """Time series of every variable at the grid node nearest a point.
+
+    Returns (series, (iy, ix)) where series is float64
+    [n_variables, n_steps] in cube variable order. Points outside the
+    grid extent and masked pixels are errors, not NaN rows.
+    """
+    if not cube.spec.contains(lat, lon):
+        raise DataError(
+            f"point ({lat}, {lon}) outside grid extent "
+            f"[{cube.spec.lat_min}, {cube.spec.lat_max}] x "
+            f"[{cube.spec.lon_min}, {cube.spec.lon_max}]")
+    iy, ix = cube.spec.nearest(lat, lon)
+    if not cube.mask[iy, ix]:
+        raise DataError(f"point ({lat}, {lon}) maps to masked pixel ({iy}, {ix})")
+    series = np.empty((len(cube.variables), cube.time.n_steps), dtype=np.float64)
+    for i, var in enumerate(cube.variables):
+        series[i] = cube.values[var][:, iy, ix]
+    return series, (iy, ix)
 
 
 def pixel_series(cube, r0: int, r1: int):

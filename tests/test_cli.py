@@ -535,6 +535,57 @@ class TestExitCodes:
             path.write_bytes(intact)
         assert run(ws, stage) == 0
 
+    def test_damaged_stored_mask_is_2(self, workspace, tmp_path, capsys):
+        """A stored mask that is missing, of the wrong size or holding a
+        value other than 0 and 1 makes `predict` exit 2 naming it."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "cube" / "mask.f32"
+        intact = path.read_bytes()
+        half = np.fromfile(path, dtype="<f4")
+        half[7] = 0.5
+        for damage, message in ((path.unlink, "missing data file mask.f32"),
+                                (lambda: path.write_bytes(intact[:-4]), f"{path}: file holds"),
+                                (lambda: half.tofile(path), f"{path} holds values other than")):
+            damage()
+            assert run(ws, "predict") == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+            path.write_bytes(intact)
+        assert run(ws, "predict") == 0
+
+    def test_nan_at_a_valid_pixel_is_2(self, workspace, tmp_path, capsys):
+        """A load reads the stored mask and scans no value, so a NaN written
+        into one variable file at a valid pixel (a sample's) is refused
+        where it is read: by the slab reader of `analogs` and `predict`
+        and by the gather of `features`."""
+        ws = copy_workspace(workspace, tmp_path)
+        cube = load_cube(ws / "cube")
+        s = load_samples(ws / "samples.csv")[0]
+        assert cube.mask[s.iy, s.ix]
+        path = ws / "cube" / "tp.f32"
+        values = np.fromfile(path, dtype="<f4").reshape(cube.values["tp"].shape)
+        values[9, s.iy, s.ix] = np.nan
+        values.tofile(path)
+        for stage in ("analogs", "predict", "features"):
+            assert run(ws, stage) == 2, stage
+            err = capsys.readouterr().err
+            assert "variable tp" in err and "rerun `drycss synth`" in err, stage
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["../ndvi/2020_100", "mask"], ids=["path", "reserved"])
+    def test_variable_not_a_file_stem_is_2(self, workspace, tmp_path, capsys, name):
+        """A cube's variable codes name its files: a path, or the stored
+        mask's reserved stem, in cube/meta.json is refused before any
+        file is opened by that name."""
+        ws = copy_workspace(workspace, tmp_path)
+        meta_path = ws / "cube" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["variables"][3] = name
+        meta_path.write_text(json.dumps(meta))
+        assert run(ws, "features") == 2
+        err = capsys.readouterr().err
+        assert f"bad variable name {name!r}" in err and "Traceback" not in err
+
     @staticmethod
     def cut_to_one_bin(doc):
         doc.update({key: [row[:1] for row in doc[key]] for key in
@@ -737,6 +788,24 @@ class TestWorkspaceTables:
         assert run(ws, "features") == 2
         err = capsys.readouterr().err
         assert f"sample {site} at" in err and "nearest node" in err
+
+    def test_sample_outside_grid_or_masked_is_2(self, workspace, tmp_path, capsys):
+        """features refuses a sample off the grid, and one whose pixel the
+        stored mask marks invalid."""
+        ws = copy_workspace(workspace, tmp_path)
+        s = load_samples(ws / "samples.csv")[0]
+        mask_path = ws / "cube" / "mask.f32"
+        mask = np.fromfile(mask_path, dtype="<f4")
+        mask[s.iy * 12 + s.ix] = 0.0
+        mask.tofile(mask_path)
+        assert run(ws, "features") == 2
+        assert f"sample {s.site_id} at ({s.lat}, {s.lon}) lies at masked pixel " \
+               f"({s.iy}, {s.ix})" in capsys.readouterr().err
+        path = ws / "samples.csv"
+        path.write_text(path.read_text().replace(f"{s.site_id},{s.lat},", f"{s.site_id},99.0,"))
+        assert run(ws, "features") == 2
+        assert f"sample {s.site_id} at (99.0, {s.lon}) lies outside the grid" \
+            in capsys.readouterr().err
 
 
 class TestFractionalCounts:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from drycss.errors import DataError
 from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                          TimeAxis, VARIABLES, block_regrid,
-                         content_digest, extract_series, great_circle_km,
+                         content_digest, great_circle_km,
                          load_cube, load_grids, load_ndvi, regrid_ndvi,
                          save_cube, save_grids, save_ndvi, save_npy, series_products,
                          sha256_file, summer_ndvi_mean)
+from drycss.pipeline import LabeledSample, sample_series
+from helpers import extract_series
 
 SPEC = GridSpec(lat_min=10.0, lat_max=10.9, lon_min=30.0, lon_max=30.9,
                 n_lat=10, n_lon=10)
@@ -133,14 +136,13 @@ class TestCubeIO:
     def test_rejects_infinity_naming_variable(self, tmp_path):
         cube = small_cube()
         cube.values["sp"][0, 0, 0] = np.inf
-        save_cube(cube, tmp_path / "c")
         with pytest.raises(DataError, match="sp"):
-            load_cube(tmp_path / "c")
+            save_cube(cube, tmp_path / "c")
         # also beside a NaN of the same pixel
         cube.values["sp"][1, 0, 0] = np.nan
-        save_cube(cube, tmp_path / "d")
         with pytest.raises(DataError, match="sp contains infinite"):
-            load_cube(tmp_path / "d")
+            save_cube(cube, tmp_path / "d")
+        assert not (tmp_path / "c").exists() and not (tmp_path / "d").exists()
         with pytest.raises(DataError, match="sp contains infinite"):
             ClimateCube(spec=cube.spec, time=cube.time, variables=cube.variables,
                         values=cube.values)
@@ -173,6 +175,58 @@ class TestCubeIO:
     def test_not_a_cube_directory(self, tmp_path):
         with pytest.raises(DataError, match="meta.json"):
             load_cube(tmp_path / "nope")
+
+    def test_variable_names_are_file_stems(self):
+        cube = small_cube()
+        for name in ("../ndvi/2020_100", "a/b", "", "mask"):
+            values = {name: cube.values["t2m"]}
+            with pytest.raises(DataError, match="bad variable name"):
+                ClimateCube(spec=cube.spec, time=cube.time, variables=(name,), values=values)
+
+    def test_stored_mask_is_read_not_scanned(self, tmp_path):
+        """The mask written at save is the one a load returns, even where
+        the values, changed after the save, would say otherwise."""
+        cube = small_cube()
+        cube.values["t2m"][3, 1, 2] = np.nan
+        save_cube(cube, tmp_path / "c")
+        stored = np.fromfile(tmp_path / "c" / "mask.f32", dtype="<f4").reshape(4, 4)
+        assert stored[1, 2] == 0.0 and (np.delete(stored.ravel(), 6) == 1.0).all()
+        t2m = np.fromfile(tmp_path / "c" / "t2m.f32", dtype="<f4")
+        t2m[:] = np.nan
+        t2m.tofile(tmp_path / "c" / "t2m.f32")
+        np.testing.assert_array_equal(load_cube(tmp_path / "c").mask, stored == 1.0)
+
+    def test_mappings_live_only_while_read(self, tmp_path):
+        """A loaded cube maps a variable's file per lookup and drops it with
+        the array: none of the cube's files stays mapped after a load,
+        after series_products or after sample_series, and during the pass
+        at most `jobs` are mapped."""
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("no /proc/self/maps")
+        cube_dir = tmp_path / "c"
+
+        def mapped() -> int:
+            return sum(str(cube_dir) in line and line.rstrip().endswith(".f32")
+                       for line in maps.read_text().splitlines())
+
+        class Probe(np.ndarray):  # rows that count the mapped files as the pass reads them
+            def __getitem__(self, key):
+                seen.append(mapped())
+                return np.asarray(self)[key]
+
+        save_cube(small_cube(n_steps=300), cube_dir)
+        cube = load_cube(cube_dir)
+        assert mapped() == 0
+        seen = []
+        rows = [np.eye(300).view(Probe) for _ in cube.variables]
+        assert len(list(series_products(cube, rows, jobs=2))) == len(VARIABLES)
+        assert len(seen) == 2 * len(VARIABLES) and 1 <= max(seen) <= 2
+        assert mapped() == 0
+        samples = [LabeledSample(i, *cube.spec.node(iy, ix), iy, ix, "c", 1.0, 0.5)
+                   for i, (iy, ix) in enumerate([(0, 0), (2, 3), (3, 1)])]
+        assert sample_series(cube, samples).shape == (3, len(VARIABLES), 300)
+        assert mapped() == 0
 
 
 class TestExtractSeries:
@@ -402,7 +456,7 @@ class TestDigest:
                  "a": np.full(SPEC.shape, np.pi)}
         assert grids["a"].dtype == np.float64
         save_grids(tmp_path / "grids", SPEC, grids)
-        for name, files in (("cube", [f"{v}.f32" for v in cube.variables]),
+        for name, files in (("cube", [f"{v}.f32" for v in cube.variables] + ["mask.f32"]),
                             ("ndvi", ["2020_100.f32", "2020_140.f32",
                                       "2021_100.f32", "2021_140.f32"]),
                             ("grids", ["a.f32", "b.f32"])):

@@ -7,7 +7,7 @@ from drycss.blup import BlupModel
 from drycss.bundles import TrainedModel
 from drycss.errors import DataError, read_json
 from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, TimeAxis, VARIABLES,
-                         extract_series, load_cube, save_cube, series_products)
+                         load_cube, save_cube, series_products)
 from drycss.neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
                            build_autoencoder, build_classifier)
 from drycss.pipeline import (CALIBRATION_CATEGORIES, Calibration,
@@ -21,7 +21,7 @@ from drycss.pipeline import (CALIBRATION_CATEGORIES, Calibration,
 from drycss.spectral import (FrequencySelection, bin_energies, dft_coefficients,
                              fit_normalization, select_frequencies, selected_coefficients)
 from drycss.synth import synth_cube
-from helpers import out_of_fold_scores, pixel_series, rfft_ensemble_scores
+from helpers import extract_series, out_of_fold_scores, pixel_series, rfft_ensemble_scores
 
 
 class TestSeeds:
@@ -445,9 +445,8 @@ class TestEnsembleScorer:
             bad = series.copy()
             bad[0, 1, 5] = np.nan
             ensemble_scores(models, bad)
-        # the scorer checks its products, not the series: an infinity at
-        # either end must still show, against BLUP-only and network-only
-        # ensembles alike
+        # an infinity at either end must show, against BLUP-only and
+        # network-only ensembles alike
         for kinds in ("blup", "nn"):
             only, clean = scorer_models(64, kinds)
             for step in (0, -1):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from drycss.errors import DataError
-from drycss.grid import GridSpec, TimeAxis, VARIABLES, extract_series
+from drycss.grid import GridSpec, TimeAxis, VARIABLES
 from drycss.spectral import dft_coefficients
 from drycss.synth import (CATEGORIES, DESK_GRID, DESK_TIME, OFF_SEASON_BOOST,
                           SUMMER_DOYS, VARIABLE_SCALES, sample_reference_sites,
                           synth_cube, synth_ndvi)
-from helpers import amplitudes, pairwise_min_km
+from helpers import amplitudes, extract_series, pairwise_min_km
 
 SPEC = GridSpec(lat_min=20.0, lat_max=21.5, lon_min=40.0, lon_max=41.5,
                 n_lat=16, n_lon=16)
