@@ -10,9 +10,12 @@ import numpy as np
 
 from drycss.blup import _loo_rmse
 from drycss.errors import DataError, read_table
+from drycss.grid import VARIABLES, ClimateCube
 from drycss.neural import (_BN_EPS, _BN_MOMENTUM, Adam, DenseNet, _block_dropout_augment,
                            _loss_and_grad, build_autoencoder, build_classifier)
 from drycss.opportunity import parse_coordinate
+from drycss.synth import (DAY_HOURS, SUITABILITY_GAIN, VARIABLE_SCALES, YEAR_HOURS,
+                          _smooth_field)
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -135,6 +138,54 @@ def load_table_s5() -> list[dict]:
            ("selected_lat", "selected_lon", "intact_lat", "intact_lon")},
         **{key: float(r[key]) for key in
            ("predicted_ndvi", "intact_ndvi", "climate_distance", "spatial_km")}})
+
+
+def reference_synth_cube(spec, time, seed: int = 0, invalid_fraction: float = 0.0):
+    """synth_cube as whole-array float64 expressions, one per variable: the
+    oracle that the slab-wise synthesis must match byte for byte."""
+    if not 0.0 <= invalid_fraction < 1.0:
+        raise DataError(f"invalid_fraction out of range: {invalid_fraction}")
+    rng = np.random.default_rng(seed)
+    t = time.hours
+    w_ann = 2.0 * np.pi / YEAR_HOURS
+    w_diu = 2.0 * np.pi / DAY_HOURS
+
+    values: dict[str, np.ndarray] = {}
+    ann_shapes: dict[str, np.ndarray] = {}
+    for var in VARIABLES:
+        base_scale, ann_scale, diu_scale, noise_std = VARIABLE_SCALES[var]
+        shape_base = _smooth_field(rng, spec.shape)
+        shape_ann = _smooth_field(rng, spec.shape)
+        shape_diu = _smooth_field(rng, spec.shape)
+        ph_ann = rng.uniform(0.0, 2.0 * np.pi)
+        ph_diu = rng.uniform(0.0, 2.0 * np.pi)
+        ann_shapes[var] = shape_ann
+
+        base = base_scale * (0.85 + 0.3 * shape_base)
+        ann_amp = ann_scale * (0.5 + shape_ann)
+        diu_amp = diu_scale * (0.5 + shape_diu)
+        arr = (base[None, :, :]
+               + ann_amp[None, :, :] * np.sin(w_ann * t + ph_ann)[:, None, None]
+               + diu_amp[None, :, :] * np.sin(w_diu * t + ph_diu)[:, None, None]
+               + noise_std * rng.standard_normal((time.n_steps,) + spec.shape))
+        values[var] = arr.astype(np.float32)
+
+    contrast = ann_shapes["tp"] - ann_shapes["t2m"]
+    suitability = 1.0 / (1.0 + np.exp(-SUITABILITY_GAIN * contrast))
+
+    bad = np.zeros(spec.shape, dtype=bool)
+    if invalid_fraction > 0.0:
+        n_bad = int(round(invalid_fraction * spec.n_lat * spec.n_lon))
+        flat = rng.choice(spec.n_lat * spec.n_lon, size=n_bad, replace=False)
+        bad.flat[flat] = True
+        for var in VARIABLES:
+            values[var][:, bad] = np.nan
+        suitability = suitability.copy()
+        suitability[bad] = np.nan
+
+    cube = ClimateCube(spec=spec, time=time, variables=VARIABLES, values=values,
+                       mask=~bad)
+    return cube, suitability
 
 
 def extract_series(cube, lat: float, lon: float) -> tuple[np.ndarray, tuple[int, int]]:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from drycss import synth
 
 from drycss.errors import DataError
 from drycss.grid import GridSpec, TimeAxis, VARIABLES
@@ -7,7 +11,7 @@ from drycss.spectral import dft_coefficients
 from drycss.synth import (CATEGORIES, DESK_GRID, DESK_TIME, OFF_SEASON_BOOST,
                           SUMMER_DOYS, VARIABLE_SCALES, sample_reference_sites,
                           synth_cube, synth_ndvi)
-from helpers import amplitudes, extract_series, pairwise_min_km
+from helpers import amplitudes, extract_series, pairwise_min_km, reference_synth_cube
 
 SPEC = GridSpec(lat_min=20.0, lat_max=21.5, lon_min=40.0, lon_max=41.5,
                 n_lat=16, n_lon=16)
@@ -80,6 +84,52 @@ class TestCube:
     def test_desk_defaults(self):
         assert DESK_GRID.shape == (32, 32)
         assert DESK_TIME.n_steps == 2920 and DESK_TIME.step_hours == 3.0
+
+
+def _small_world(n: int, n_steps: int):
+    spec = GridSpec(lat_min=0.0, lat_max=0.1 * (n - 1), lon_min=0.0,
+                    lon_max=0.1 * (n - 1), n_lat=n, n_lon=n)
+    return spec, TimeAxis(start="2020-01-01T00:00:00Z", step_hours=3.0, n_steps=n_steps)
+
+
+def _assert_same_bytes(got, want):
+    (cube, suit), (ref, ref_suit) = got, want
+    assert cube.mask.tobytes() == ref.mask.tobytes()
+    assert suit.dtype == ref_suit.dtype and suit.tobytes() == ref_suit.tobytes()
+    for v in VARIABLES:
+        assert cube.values[v].dtype == np.float32
+        assert cube.values[v].shape == ref.values[v].shape
+        assert cube.values[v].tobytes() == ref.values[v].tobytes(), v
+
+
+class TestSlabSynthesis:
+    # (grid side, steps, seed, invalid_fraction): T below one slab, T not a
+    # multiple of it, and blanked pixels
+    @pytest.mark.parametrize("n, n_steps, seed, invalid", [
+        (6, 5, 0, 0.0), (9, 17, 1, 0.0), (9, 17, 2, 0.3), (12, 64, 3, 0.0),
+        (16, 601, 4, 0.1), (16, 601, 5, 0.0)])
+    def test_bytes_match_whole_array_oracle(self, n, n_steps, seed, invalid):
+        spec, t = _small_world(n, n_steps)
+        _assert_same_bytes(synth_cube(spec, t, seed=seed, invalid_fraction=invalid),
+                           reference_synth_cube(spec, t, seed=seed, invalid_fraction=invalid))
+
+    @pytest.mark.parametrize("slab", [1, 3, 17, 64])
+    def test_slab_size_changes_no_byte(self, monkeypatch, slab):
+        spec, t = _small_world(9, 17)
+        want = synth_cube(spec, t, seed=7, invalid_fraction=0.1)
+        monkeypatch.setattr(synth, "CUBE_SLAB_STEPS", slab)
+        _assert_same_bytes(synth_cube(spec, t, seed=7, invalid_fraction=0.1), want)
+
+    def test_peak_memory_is_the_cube_plus_small_buffers(self):
+        cube_bytes = len(VARIABLES) * DESK_TIME.n_steps * DESK_GRID.n_lat * DESK_GRID.n_lon * 4
+        tracemalloc.start()
+        try:
+            cube, _ = synth_cube(DESK_GRID, DESK_TIME, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(cube.values[v].nbytes for v in VARIABLES) == cube_bytes
+        assert peak < cube_bytes + 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestNdvi:
