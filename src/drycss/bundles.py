@@ -1,6 +1,7 @@
 """On-disk model bundles.
 
-One directory per trained model, all three files written and read here:
+One directory per trained model, all three files written and read here,
+the weights through grid's float32 pair (`write_f32`, `read_f32`):
 
     <run>/
       model.json      format, version, kind, size, repetition, seed,
@@ -33,6 +34,7 @@ import numpy as np
 
 from .blup import BlupModel, predict_blup
 from .errors import DataError, json_finite, json_int, json_names, read_json, write_json
+from .grid import read_f32, write_f32
 from .neural import AutoencoderModel, ClassifierModel, DenseNet
 from .spectral import FrequencySelection, NormalizationTable, feature_dim, n_bins, project
 
@@ -40,8 +42,6 @@ MODEL_DOC_VERSION = 2
 FEATURE_DOC_VERSION = 1
 _SECTIONS = ("encoder", "classifier")
 _NORM_TABLES = ("mean_re", "std_re", "mean_im", "std_im")
-
-_FLOAT32 = np.dtype("<f4")
 
 
 @dataclass
@@ -118,9 +118,8 @@ def save_model_bundle(model: TrainedModel, path: str | Path) -> None:
         doc["latent_dim"] = model.autoencoder.latent_dim
         doc["sections"] = sections
 
-    flat = np.concatenate(chunks)
     write_json(path / "model.json", doc)
-    flat.astype(_FLOAT32).tofile(path / "weights.f32")
+    write_f32(path, "weights", np.concatenate(chunks))
     sel = model.selection
     write_json(path / "features.json", {
         "version": FEATURE_DOC_VERSION, "variables": list(sel.variables), "k": sel.k,
@@ -166,43 +165,36 @@ def _model(doc, path: Path) -> TrainedModel:
     if (doc["format"], doc["version"]) != ("drycss-model", MODEL_DOC_VERSION):
         raise DataError(f"unsupported model bundle format/version in {doc_path}: "
                         f"{doc['format']!r} v{doc['version']!r}")
-    weights_path = path / "weights.f32"
-    if not weights_path.exists():
-        raise DataError(f"model bundle missing weights.f32: {path}")
-    flat = np.fromfile(weights_path, dtype=_FLOAT32).astype(np.float64)
+    kind = doc["kind"]
+    if kind == "blup":
+        n = json_int(doc["n_weights"], "n_weights in model.json")
+    elif kind == "nn":
+        sections = {s["name"]: s for s in doc["sections"]}
+        for name in _SECTIONS:
+            if name not in sections:
+                raise DataError(f"model bundle missing section {name}: {path}")
+        n = sum(json_int(s[key], f"{key} in model.json") for s in sections.values()
+                for key in ("n_params", "n_state"))
+    else:
+        raise DataError(f"unknown model kind in {doc_path}: {kind!r}")
+    flat = read_f32(path, "weights", (n,)).astype(np.float64)
     if not np.all(np.isfinite(flat)):
-        raise DataError(f"{weights_path} holds a non-finite weight")
+        raise DataError(f"{path / 'weights.f32'} holds a non-finite weight")
     feat_path = path / "features.json"
     selection, norm = read_json(feat_path, "feature tables",
                                 lambda feat: _feature_tables(feat, feat_path))
 
-    kind = doc["kind"]
-    if kind not in ("blup", "nn"):
-        raise DataError(f"unknown model kind in {doc_path}: {kind!r}")
     width = feature_dim(selection)
     fields = dict(kind=kind, selection=selection, norm=norm,
                   **{key: json_int(doc[key], f"{key} in model.json")
                      for key in ("size", "repetition", "seed")})
     if kind == "blup":
-        n = json_int(doc["n_weights"], "n_weights in model.json")
-        if flat.size != n:
-            raise DataError(
-                f"weights.f32 holds {flat.size} values, model declares {n}")
         if n != width:
             raise DataError(f"{doc_path} declares {n} weights, but {feat_path} "
                             f"makes {width} features")
         return TrainedModel(**fields, blup=BlupModel(
             effects=flat, intercept=json_finite(doc["intercept"], "intercept in model.json"),
             lam=json_finite(doc["lambda"], "lambda in model.json")))
-    sections = {s["name"]: s for s in doc["sections"]}
-    for name in _SECTIONS:
-        if name not in sections:
-            raise DataError(f"model bundle missing section {name}: {path}")
-    total = sum(json_int(s[key], f"{key} in model.json") for s in sections.values()
-                for key in ("n_params", "n_state"))
-    if flat.size != total:
-        raise DataError(
-            f"weights.f32 holds {flat.size} values, sections declare {total}")
     nets = {}
     pos = 0
     for name in _SECTIONS:

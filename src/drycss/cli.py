@@ -49,11 +49,11 @@ import numpy as np
 
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
-from .errors import (DataError, NumericalError, json_int, json_names, read_json, read_table,
-                     write_json, write_table)
-from .grid import (GridSpec, TimeAxis, content_digest, load_cube, load_grids, load_ndvi,
-                   regrid_ndvi, save_cube, save_grids, save_ndvi, save_npy,
-                   series_products, sha256_file)
+from .errors import (DataError, NumericalError, check_distinct, json_int, json_names,
+                     read_json, read_table, write_json, write_table)
+from .grid import (GridSpec, TimeAxis, content_digest, f32_digest, load_cube, load_grids,
+                   load_ndvi, read_f32, read_meta, regrid_ndvi, save_cube, save_dir, save_grids,
+                   save_ndvi, series_products, sha256_file)
 from .neural import TrainParams
 from .opportunity import (AnalogMatch, CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
@@ -228,33 +228,32 @@ def cmd_features(out: Path, opts: dict) -> None:
     samples = load_samples(out / "samples.csv")
     series = sample_series(cube, samples)
     feat_dir = out / "features"
-    feat_dir.mkdir()
-    digest = save_npy(feat_dir, "series.npy", series)
-    write_json(feat_dir / "meta.json", {"variables": list(cube.variables), "digest": digest})
+    save_dir(feat_dir, {"format": "drycss-features", "grid": cube.spec.to_dict(),
+                        "time": cube.time.to_dict(), "variables": list(cube.variables)},
+             {"series": series})
     print(f"features: {series.shape[0]} samples x {series.shape[1]} variables "
           f"x {series.shape[2]} steps -> {feat_dir}")
 
 
 def _read_features(out: Path):
     """The samples' series, their variables and the samples table. The
-    series must be the features/series.npy whose digest `features`
-    recorded in features/meta.json, which fixes its shape, dtype and
-    values."""
+    series are features/series.f32, read at the shape that the samples
+    table and features/meta.json give and checked, once read, against the
+    digest `features` recorded there."""
     feat_dir = out / "features"
-    meta_path = feat_dir / "meta.json"
-    variables, digest = read_json(meta_path, "feature metadata", lambda meta: (
-        json_names(meta["variables"], "variables"), meta["digest"]))
-    path = feat_dir / "series.npy"
-    if not path.exists():
-        raise DataError(f"feature cache {path} not found; rerun `drycss features`")
-    if content_digest(feat_dir, [path.name]) != digest:
-        raise DataError(f"feature cache {path} does not match the digest in {meta_path}; "
-                        "rerun `drycss features`")
-    series = np.load(path)
-    if len(variables) != series.shape[1]:
-        raise DataError(f"{meta_path} names {len(variables)} variables but {path} holds "
-                        f"{series.shape[1]}; rerun `drycss features`")
-    return series, variables, load_samples(out / "samples.csv")
+    samples = load_samples(out / "samples.csv")
+    _, (time, variables, digest) = read_meta(
+        feat_dir, "drycss-features", "feature", lambda meta: (
+            TimeAxis.from_dict(meta["time"]), json_names(meta["variables"], "variables"),
+            meta["digest"]))
+    try:
+        series = read_f32(feat_dir, "series", (len(samples), len(variables), time.n_steps))
+        if f32_digest({"series": series}) != digest:
+            raise DataError(f"{feat_dir / 'series.f32'} does not match the digest in "
+                            f"{feat_dir / 'meta.json'}")
+    except DataError as e:
+        raise DataError(f"feature cache {e}; rerun `drycss features`") from None
+    return series, variables, samples
 
 
 def cmd_train(out: Path, opts: dict) -> None:
@@ -447,7 +446,7 @@ def cmd_analogs(out: Path, opts: dict) -> None:
     # only bins 0..channels-1 are kept, so only those are computed, per variable
     T, width = cube.time.n_steps, channels * 2
     vectors = np.full(cube.spec.shape + (len(cube.variables) * width,), np.nan)
-    basis = dft_basis(T, tuple(range(channels))).T
+    basis = dft_basis(T, range(channels)).T
     for vi, parts in enumerate(series_products(cube, [basis] * len(cube.variables))):
         coeffs = (parts[:channels] + 1j * parts[channels:]).T[:, None] / T
         vectors[cube.mask, vi * width:(vi + 1) * width] = truncated_coefficients(coeffs, channels)
@@ -502,6 +501,7 @@ def cmd_report(out: Path, opts: dict) -> None:
             r["category"], int(r["site_id"]),
             {str(k).removeprefix("score_"): float(v) for k, v in r.items()
              if k == "ndvi" or str(k).startswith("score_")}))
+        check_distinct((i for _, i, _ in rows), "site_id", recls_path)
         vegetated = [(i, values) for cat, i, values in rows if cat == "HiSuit-HiVeg"]
         if len(vegetated) >= 2:
             rankings = {name: {i: values[name] for i, values in vegetated}

@@ -1,4 +1,5 @@
-"""Exception types, and the two on-disk document formats of a workspace.
+"""Exception types, and the workspace's two document formats: JSON and
+CSV. Its float32 arrays are `grid`'s (`write_f32`, `read_f32`).
 
 Every JSON file drycss writes goes through `write_json` and is read back
 through `read_json`; every CSV table through `write_table` and
@@ -108,6 +109,16 @@ def read_table(path: str | Path, what: str, make=dict) -> list:
         except (KeyError, TypeError, ValueError, csv.Error) as e:
             raise DataError(f"malformed {what} {path}, line {reader.line_num}: "
                             f"bad or missing {e}") from None
+
+
+def check_distinct(values, name: str, path: str | Path) -> None:
+    """A DataError naming the file and the first of values that repeats,
+    such as a table's key column."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise DataError(f"{path} repeats {name} {value}")
+        seen.add(value)
 
 
 class NumericalError(Exception):

@@ -16,6 +16,10 @@ NDVI stacks use the same idea, one grid per observation:
 The digest (`content_digest` of the data files) makes meta.json change
 whenever the data does, so it can stand for the whole directory.
 
+Every array the workspace stores is written by `write_f32` and read by
+`read_f32`, which checks the file's size before reading it: these
+directories and `features/` through `save_dir`, model bundles directly.
+
 Writers refuse a directory that already holds a meta.json; `drycss
 --force` clears a stage's outputs before the stage writes them.
 
@@ -32,7 +36,6 @@ are valid; a NaN or infinity at a valid pixel fails where it is read.
 from __future__ import annotations
 
 import hashlib
-import io
 import re
 from collections import UserDict
 from concurrent.futures import ThreadPoolExecutor
@@ -157,9 +160,9 @@ class TimeAxis:
                    n_steps=json_int(d["n_steps"], "n_steps"))
 
 
-def _read_meta(path: Path, fmt: str, what: str, make):
-    """(grid spec, make(meta)) of the meta.json of a cube, NDVI or grid
-    directory, read through read_json; metadata of another format is a
+def read_meta(path: Path, fmt: str, what: str, make):
+    """(grid spec, make(meta)) of the meta.json of a cube, NDVI, grid or
+    feature directory, read through read_json; metadata of another format is a
     DataError naming the file."""
     meta_path = path / "meta.json"
 
@@ -190,40 +193,33 @@ def _listing_digest(hashes) -> str:
     return hashlib.sha256("".join(f"{h}  {name}\n" for name, h in hashes).encode()).hexdigest()
 
 
-def _save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write each array as little-endian float32 <name>.f32, then meta.json
-    with the digest of those files, hashed from the buffers written rather
-    than read back; refuses an existing directory."""
+def f32_digest(arrays: dict[str, np.ndarray]) -> str:
+    """The digest save_dir records for these float32 arrays, hashed in memory."""
+    return _listing_digest((f"{name}.f32", hashlib.sha256(values).hexdigest())
+                           for name, values in arrays.items())
+
+
+def save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write each array through write_f32, then meta.json with the digest
+    of those files; refuses an existing directory."""
     path = Path(path)
     if (path / "meta.json").exists():
         raise DataError(f"directory already exists: {path}")
     path.mkdir(parents=True, exist_ok=True)
-    hashes = []
-    for name, values in arrays.items():
-        data = np.ascontiguousarray(values, dtype=_FLOAT32)
-        data.tofile(path / f"{name}.f32")
-        hashes.append((f"{name}.f32", hashlib.sha256(data).hexdigest()))
+    hashes = [(f"{name}.f32", write_f32(path, name, values)) for name, values in arrays.items()]
     meta.update(version=1, digest=_listing_digest(hashes))
     write_json(path / "meta.json", meta)
 
 
-def save_npy(path: Path, name: str, array: np.ndarray) -> str:
-    """Write the array as path/<name> in the .npy format (the bytes
-    np.save writes); returns content_digest(path, [name]), hashed from
-    the header and the array in memory rather than read back."""
-    array = np.ascontiguousarray(array)
-    header = io.BytesIO()
-    npy = np.lib.format
-    npy.write_array_header_1_0(header, npy.header_data_from_array_1_0(array))
-    sha256 = hashlib.sha256(header.getvalue())
-    sha256.update(array)
-    with open(path / name, "wb") as f:
-        f.write(header.getvalue())
-        array.tofile(f)
-    return _listing_digest([(name, sha256.hexdigest())])
+def write_f32(path: Path, name: str, values: np.ndarray) -> str:
+    """Write values as little-endian float32 path/<name>.f32; returns its
+    sha256, hashed from the buffer written rather than read back."""
+    data = np.ascontiguousarray(values, dtype=_FLOAT32)
+    data.tofile(path / f"{name}.f32")
+    return hashlib.sha256(data).hexdigest()
 
 
-def _read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndarray:
+def read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndarray:
     """path/<name>.f32 as a float32 array of the given shape; a missing file, or
     one not a regular file of that size, is a DataError naming it, before any read."""
     f = path / f"{name}.f32"
@@ -232,7 +228,7 @@ def _read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.nda
     size = f.stat().st_size if f.is_file() else 0
     if size != _FLOAT32.itemsize * np.prod(shape):
         raise DataError(f"{f}: file holds {size / _FLOAT32.itemsize:.12g} values, "
-                        f"grid expects {np.prod(shape)}")
+                        f"expected {np.prod(shape)} for shape {tuple(shape)}")
     arr = np.memmap(f, dtype=_FLOAT32, mode="r") if mmap else np.fromfile(f, dtype=_FLOAT32)
     return arr.reshape(shape)
 
@@ -242,11 +238,11 @@ def _read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.nda
 
 
 class _MappedValues(UserDict):
-    """A cube directory's variables, code -> _read_f32 arguments: a lookup checks
+    """A cube directory's variables, code -> read_f32 arguments: a lookup checks
     the file and maps it afresh, read-only, so its pages leave with the array."""
 
     def __getitem__(self, var: str) -> np.ndarray:
-        return _read_f32(*self.data[var], mmap=True)
+        return read_f32(*self.data[var], mmap=True)
 
 
 @dataclass
@@ -298,18 +294,18 @@ def save_cube(cube: ClimateCube, path: str | Path) -> None:
     """Write a cube directory with MASK.f32, the compute_valid_mask of the
     values written; refuses to overwrite one."""
     values = {var: cube.values[var] for var in cube.variables}
-    _save_dir(path, {"format": "drycss-cube", "grid": cube.spec.to_dict(),
-                     "time": cube.time.to_dict(), "variables": list(cube.variables)},
-              {**values, MASK: compute_valid_mask(values, cube.variables)})
+    save_dir(path, {"format": "drycss-cube", "grid": cube.spec.to_dict(),
+                    "time": cube.time.to_dict(), "variables": list(cube.variables)},
+             {**values, MASK: compute_valid_mask(values, cube.variables)})
 
 
 def load_cube(path: str | Path) -> ClimateCube:
     """Read a cube directory written by save_cube: its stored mask, which is
     authoritative and must hold only 0 and 1, and its variables mapped per lookup."""
     path = Path(path)
-    spec, (time, variables) = _read_meta(path, "drycss-cube", "cube", lambda meta: (
+    spec, (time, variables) = read_meta(path, "drycss-cube", "cube", lambda meta: (
         TimeAxis.from_dict(meta["time"]), json_names(meta["variables"], "variables")))
-    mask = _read_f32(path, MASK, spec.shape)
+    mask = read_f32(path, MASK, spec.shape)
     if not np.isin(mask, (0.0, 1.0)).all():
         raise DataError(f"{path / MASK}.f32 holds values other than 0 and 1")
     shape = (time.n_steps,) + spec.shape
@@ -388,16 +384,16 @@ class NdviRaster:
 
 
 def save_ndvi(raster: NdviRaster, path: str | Path) -> None:
-    _save_dir(path, {"format": "drycss-ndvi", "grid": raster.spec.to_dict(),
-                     "observations": [[o.year, o.doy] for o in raster.observations]},
-              {f"{o.year}_{o.doy}": o.values for o in raster.observations})
+    save_dir(path, {"format": "drycss-ndvi", "grid": raster.spec.to_dict(),
+                    "observations": [[o.year, o.doy] for o in raster.observations]},
+             {f"{o.year}_{o.doy}": o.values for o in raster.observations})
 
 
 def load_ndvi(path: str | Path) -> NdviRaster:
     path = Path(path)
-    spec, dates = _read_meta(path, "drycss-ndvi", "NDVI", lambda meta: [
+    spec, dates = read_meta(path, "drycss-ndvi", "NDVI", lambda meta: [
         (json_int(year, "year"), json_int(doy, "doy")) for year, doy in meta["observations"]])
-    observations = [NdviObservation(year, doy, _read_f32(path, f"{year}_{doy}", spec.shape))
+    observations = [NdviObservation(year, doy, read_f32(path, f"{year}_{doy}", spec.shape))
                     for year, doy in dates]
     observations.sort(key=lambda o: (o.year, o.doy))
     return NdviRaster(spec=spec, observations=observations)
@@ -500,9 +496,9 @@ def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray]) -
             raise DataError(f"bad grid name: {name!r}")
         if grids[name].shape != spec.shape:
             raise DataError(f"grid {name} shape {grids[name].shape} != {spec.shape}")
-    _save_dir(path, {"format": "drycss-grids", "grid": spec.to_dict(),
-                     "names": sorted(grids)},
-              {name: grids[name] for name in sorted(grids)})
+    save_dir(path, {"format": "drycss-grids", "grid": spec.to_dict(),
+                    "names": sorted(grids)},
+             {name: grids[name] for name in sorted(grids)})
 
 
 def load_grids(path: str | Path) -> tuple[GridSpec, dict[str, np.ndarray]]:
@@ -514,8 +510,8 @@ def load_grids(path: str | Path) -> tuple[GridSpec, dict[str, np.ndarray]]:
             if not _GRID_NAME.fullmatch(name):
                 raise ValueError(f"names: {name!r} is not a grid name")
         return names
-    spec, names = _read_meta(path, "drycss-grids", "grid", grid_names)
-    return spec, {name: _read_f32(path, name, spec.shape) for name in names}
+    spec, names = read_meta(path, "drycss-grids", "grid", grid_names)
+    return spec, {name: read_f32(path, name, spec.shape) for name in names}
 
 
 # ---------------------------------------------------------------------------

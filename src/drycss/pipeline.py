@@ -29,8 +29,8 @@ import numpy as np
 
 from .blup import fit_blup
 from .bundles import TrainedModel
-from .errors import (DataError, NumericalError, json_finite, json_int, read_table,
-                     write_json, write_table)
+from .errors import (DataError, NumericalError, check_distinct, json_finite, json_int,
+                     read_table, write_json, write_table)
 from .grid import SLAB_STEPS, ClimateCube, series_products
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (bin_energies, dft_basis, dft_coefficients, fit_normalization,
@@ -81,6 +81,7 @@ def load_samples(path: str | Path) -> list[LabeledSample]:
         label=float(r["label"]), ndvi=float(r["ndvi"])))
     if not samples:
         raise DataError(f"samples table is empty: {path}")
+    check_distinct((s.site_id for s in samples), "site_id", path)
     return samples
 
 
@@ -443,7 +444,7 @@ class EnsembleScorer:
         table = self.weights.copy()
         table[:, 1:(T + 1) // 2] /= 2.0
         kernels = np.fft.irfft(table, n=T, axis=-1, norm="forward")
-        return [np.vstack([kernel, dft_basis(T, tuple(union)).T])
+        return [np.vstack([kernel, dft_basis(T, union).T])
                 for kernel, union in zip(kernels, self.unions)]
 
     def from_products(self, products) -> dict[str, np.ndarray]:

@@ -22,7 +22,6 @@ which stores a selection and its normalization, belongs to
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +42,10 @@ def dft_coefficients(series: np.ndarray) -> np.ndarray:
     return np.fft.rfft(x, axis=-1) / T
 
 
-@functools.lru_cache(maxsize=4)
-def dft_basis(n_steps: int, bins: tuple[int, ...]) -> np.ndarray:
-    """Read-only [n_steps, 2*len(bins)] basis of the given bins: cos
-    columns, then -sin columns, so series @ basis / T gives their real
-    and imaginary parts.
+def dft_basis(n_steps: int, bins) -> np.ndarray:
+    """[n_steps, 2*len(bins)] basis of the given bins: cos columns, then
+    -sin columns, so series @ basis / T gives their real and imaginary
+    parts.
 
     The phase of bin b at step t is 2*pi*((b*t) mod T)/T; reducing the
     integer product first keeps full precision for large b*t. The
@@ -65,7 +63,6 @@ def dft_basis(n_steps: int, bins: tuple[int, ...]) -> np.ndarray:
     np.sin(phase, out=basis[:, n:])
     np.negative(basis[:, n:], out=basis[:, n:])
     basis[:, n:][:, 2 * bins == n_steps] = 0.0
-    basis.setflags(write=False)
     return basis
 
 

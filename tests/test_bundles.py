@@ -142,7 +142,9 @@ class TestCorruption:
         p = self.save(blup, tmp_path)
         data = (p / "weights.f32").read_bytes()
         (p / "weights.f32").write_bytes(data[:-4])
-        with pytest.raises(DataError, match="declares"):
+        n = blup.blup.n_features
+        with pytest.raises(DataError, match=f"weights.f32: file holds {n - 1} values, "
+                                            f"expected {n} "):
             load_model_bundle(p)
 
     def test_missing_weights(self, fitted, tmp_path):

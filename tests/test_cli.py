@@ -216,7 +216,7 @@ def workspace(tmp_path_factory):
 class TestChain:
     def test_artifacts_exist(self, workspace):
         for rel in ("cube/meta.json", "ndvi/meta.json", "samples.csv",
-                    "features/series.npy", "runs/metrics.csv",
+                    "features/series.f32", "runs/metrics.csv",
                     "runs/blup_2_0/model.json", "runs/nn_4_0/model.json",
                     "maps/css/combined.f32", "calibration.json",
                     "reclassification.csv", "maps/opportunity/opportunity.f32",
@@ -224,6 +224,26 @@ class TestChain:
                     "report/css_combined.pgm", "report/iou.json",
                     "report/metrics.csv", "report/rankings.csv"):
             assert (workspace / rel).exists(), rel
+
+    def test_every_file_is_a_document_an_image_or_a_listed_array(self, workspace):
+        """The workspace holds JSON, CSV, PGM and raw float32 only, and every
+        .f32 outside runs/ is one its directory's meta.json lists, in the
+        order of the digest recorded there."""
+        listed = {"drycss-cube": lambda m: m["variables"] + ["mask"],
+                  "drycss-ndvi": lambda m: [f"{y}_{d}" for y, d in m["observations"]],
+                  "drycss-grids": lambda m: m["names"],
+                  "drycss-features": lambda m: ["series"]}
+        files = sorted(p.relative_to(workspace) for p in workspace.rglob("*") if p.is_file())
+        assert [rel for rel in files
+                if rel.suffix not in (".json", ".csv", ".pgm", ".f32")] == []
+        dirs = {rel.parent for rel in files if rel.suffix == ".f32" and rel.parts[0] != "runs"}
+        assert {d.as_posix() for d in dirs} >= {"cube", "ndvi", "truth", "features", "maps/css"}
+        for d in dirs:
+            meta = json.loads((workspace / d / "meta.json").read_text())
+            names = [f"{name}.f32" for name in listed[meta["format"]](meta)]
+            assert sorted(names) == sorted(rel.name for rel in files
+                                           if rel.parent == d and rel.suffix == ".f32"), d
+            assert meta["digest"] == content_digest(workspace / d, names), d
 
     def test_manifest_records_every_stage(self, workspace):
         doc = json.loads((workspace / "manifest.json").read_text())
@@ -630,11 +650,32 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "malformed model metadata" in err and repr(drop) in err
 
+    @pytest.mark.parametrize("run_id, damage, message", [
+        ("nn_4_0", lambda p: p.write_bytes(p.read_bytes()[:-4]), "weights.f32: file holds"),
+        ("blup_2_0", lambda p: p.unlink(), "is missing data file weights.f32"),
+    ], ids=["truncated", "missing"])
+    def test_damaged_weights_are_2(self, workspace, tmp_path, capsys, run_id, damage,
+                                   message):
+        """The counts model.json declares fix the size weights.f32 is read at."""
+        ws = copy_workspace(workspace, tmp_path)
+        damage(ws / "runs" / run_id / "weights.f32")
+        for stage in ("predict", "calibrate"):
+            assert run(ws, stage) == 2
+            err = capsys.readouterr().err
+            assert message in err and run_id in err and "Traceback" not in err
 
-def put_one_nan(path):
-    series = np.load(path)
+
+def rewrite_series(change):
+    """A damage that rewrites features/series.f32, raw float32 [samples,
+    23 variables, 64 steps], as the raw bytes of change(series)."""
+    def damage(path):
+        change(np.fromfile(path, dtype="<f4").reshape(-1, 23, 64)).tofile(path)
+    return damage
+
+
+def one_nan(series):
     series[1, 2, 3] = np.nan
-    np.save(path, series)
+    return series
 
 
 class TestWorkspaceTables:
@@ -740,30 +781,35 @@ class TestWorkspaceTables:
         path.write_text(json.dumps(dict(json.loads(path.read_text()), r2=float("nan"))))
         assert run(ws, "opportunity") == 0
 
-    @pytest.mark.parametrize("damage", [
-        lambda path: path.rename(path.with_name("coeffs.npy")),  # the older cache name
-        lambda path: path.write_bytes(path.read_bytes()[:-16]),
-        lambda path: path.write_bytes(b""),
-        lambda path: np.save(path, np.load(path)[:, :5]),
-        lambda path: np.save(path, np.load(path).astype(np.complex64)),
-        lambda path: np.save(path, np.load(path).astype(np.float64)),
-        put_one_nan,
-        lambda path: np.save(path, np.load(path)[::-1]),  # same shape, dtype, finite values
+    @pytest.mark.parametrize("damage, message", [
+        (lambda path: path.rename(path.with_name("series.npy")),  # the older cache name
+         "is missing data file series.f32"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-16]), "file holds"),
+        (lambda path: path.write_bytes(b""), "file holds 0 values"),
+        (rewrite_series(lambda s: s[:, :5]), "file holds"),
+        (rewrite_series(lambda s: s.astype(np.complex64)), "file holds"),
+        (rewrite_series(lambda s: s.astype(np.float64)), "file holds"),
+        (rewrite_series(one_nan), "does not match the digest"),
+        (rewrite_series(lambda s: s[::-1]), "does not match the digest"),  # same size
     ], ids=["missing", "truncated", "empty", "wrong-shape", "complex64", "float64", "nan",
             "reversed-rows"])
-    def test_damaged_feature_cache_is_2(self, workspace, tmp_path, capsys, damage):
+    def test_damaged_feature_cache_is_2(self, workspace, tmp_path, capsys, damage, message):
+        """A file of another size fails the read's size check; a same-size
+        edit fails the digest check."""
         ws = copy_workspace(workspace, tmp_path)
-        damage(ws / "features" / "series.npy")
+        damage(ws / "features" / "series.f32")
         for stage in ("calibrate", "train"):  # train --force removes runs/
             argv = TRAIN_FLAGS if stage == "train" else []
             assert run(ws, stage, *argv) == 2
             err = capsys.readouterr().err
-            assert "series.npy" in err and "rerun `drycss features`" in err
+            assert "series.f32" in err and "rerun `drycss features`" in err
+            assert message in err and "Traceback" not in err
 
     def test_feature_variables_of_another_count_is_2(self, workspace, tmp_path, capsys):
-        """The digest covers series.npy, not the names beside it in
-        features/meta.json; train refuses a list one name short (calibrate
-        already refuses the edited stamp as newer than the runs)."""
+        """The digest covers series.f32, not the names beside it in
+        features/meta.json; train reads the cache at the shape those names
+        give, so a list one name short finds a file of another size
+        (calibrate already refuses the edited stamp as newer than the runs)."""
         ws = copy_workspace(workspace, tmp_path)
         path = ws / "features" / "meta.json"
         doc = json.loads(path.read_text())
@@ -771,8 +817,34 @@ class TestWorkspaceTables:
         path.write_text(json.dumps(doc))
         assert run(ws, "train", *TRAIN_FLAGS) == 2
         err = capsys.readouterr().err
-        assert "names 22 variables" in err and "holds 23" in err
+        # 22 samples x 64 steps, of 23 variables held and 22 named
+        assert "series.f32: file holds 32384 values, expected 30976" in err
         assert "rerun `drycss features`" in err
+
+    def test_repeated_sample_site_is_2(self, workspace, tmp_path, capsys):
+        """report keys its rankings by site id; features, the first stage
+        to read samples.csv, refuses a table that repeats one."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "samples.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        site = lines[1].split(",")[0]
+        lines[3] = ",".join([site] + lines[3].split(",")[1:])  # the third row
+        path.write_text("".join(lines))
+        assert run(ws, "features") == 2
+        err = capsys.readouterr().err
+        assert f"{path} repeats site_id {site}" in err and "Traceback" not in err
+
+    def test_repeated_reclassification_site_is_2(self, workspace, tmp_path, capsys):
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "reclassification.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        rows = [i for i, line in enumerate(lines) if ",HiSuit-HiVeg," in line]
+        site = lines[rows[0]].split(",")[0]
+        lines[rows[1]] = ",".join([site] + lines[rows[1]].split(",")[1:])
+        path.write_text("".join(lines))
+        assert run(ws, "report") == 2
+        err = capsys.readouterr().err
+        assert f"{path} repeats site_id {site}" in err and "Traceback" not in err
 
     def test_sample_off_its_node_is_2(self, workspace, tmp_path, capsys):
         """features scores the node nearest a sample's (lat, lon); a
@@ -998,7 +1070,7 @@ class TestGridSets:
 class TestStageArithmetic:
     def test_feature_digest_is_content_digest_of_the_cache(self, workspace):
         meta = json.loads((workspace / "features" / "meta.json").read_text())
-        assert meta["digest"] == content_digest(workspace / "features", ["series.npy"])
+        assert meta["digest"] == content_digest(workspace / "features", ["series.f32"])
 
     def test_reclassification_scores_match_the_css_map(self, workspace):
         """calibrate scores the samples' series through the scorer that

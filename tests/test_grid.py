@@ -10,7 +10,7 @@ from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                          TimeAxis, VARIABLES, block_regrid,
                          content_digest, great_circle_km,
                          load_cube, load_grids, load_ndvi, regrid_ndvi,
-                         save_cube, save_grids, save_ndvi, save_npy, series_products,
+                         save_cube, save_dir, save_grids, save_ndvi, series_products,
                          sha256_file, summer_ndvi_mean)
 from drycss.pipeline import LabeledSample, sample_series
 from helpers import extract_series
@@ -448,7 +448,9 @@ class TestDigest:
 
     def test_saved_digest_is_content_digest_of_the_written_files(self, tmp_path):
         """The digest is hashed from the buffers written; it must be the one
-        a read-back of the files gives, float64 grids included."""
+        a read-back of the files gives, float64 grids included. A feature
+        directory's series, [samples, variables, steps], is the bytes of
+        the float32 array."""
         cube = small_cube(seed=2)
         save_cube(cube, tmp_path / "cube")
         save_ndvi(TestNdvi().make_raster(), tmp_path / "ndvi")
@@ -456,19 +458,17 @@ class TestDigest:
                  "a": np.full(SPEC.shape, np.pi)}
         assert grids["a"].dtype == np.float64
         save_grids(tmp_path / "grids", SPEC, grids)
+        series = (np.arange(24.0).reshape(2, 4, 3) / 7.0).transpose(0, 2, 1)  # not C-ordered
+        save_dir(tmp_path / "features", {"format": "drycss-features"}, {"series": series})
+        assert (tmp_path / "features" / "series.f32").read_bytes() == \
+            series.astype("<f4").tobytes()
         for name, files in (("cube", [f"{v}.f32" for v in cube.variables] + ["mask.f32"]),
                             ("ndvi", ["2020_100.f32", "2020_140.f32",
                                       "2021_100.f32", "2021_140.f32"]),
-                            ("grids", ["a.f32", "b.f32"])):
+                            ("grids", ["a.f32", "b.f32"]),
+                            ("features", ["series.f32"])):
             meta = json.loads((tmp_path / name / "meta.json").read_text())
             assert meta["digest"] == content_digest(tmp_path / name, files), name
-
-    def test_saved_npy_digest_is_content_digest_of_the_file(self, tmp_path):
-        array = np.arange(24.0).reshape(2, 3, 4) * (1 + 1j)
-        digest = save_npy(tmp_path, "c.npy", array)
-        np.save(tmp_path / "ref.npy", array)
-        assert (tmp_path / "c.npy").read_bytes() == (tmp_path / "ref.npy").read_bytes()
-        assert digest == content_digest(tmp_path, ["c.npy"])
 
 
 class TestGreatCircle:
