@@ -13,8 +13,7 @@ from .grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                    save_grids, save_ndvi, summer_ndvi_mean)
 from .spectral import (FrequencySelection, NormalizationTable, bin_energies,
                        dft_coefficients, fit_normalization, project,
-                       select_frequencies, selected_coefficients,
-                       truncated_coefficients)
+                       select_frequencies, truncated_coefficients)
 from .blup import BlupModel, fit_blup, predict_blup, select_lambda_loo
 from .neural import (AutoencoderModel, ClassifierModel, DenseNet, TrainParams,
                      train_autoencoder, train_classifier)
@@ -23,7 +22,7 @@ from .pipeline import (Calibration, GridSettings, LabeledSample, TrainingRun,
                        aggregate_metrics, category_means, ensemble_scores,
                        fit_calibration, holdout_split, map_agreement_iou,
                        pearson_r, predict_map, ranking_overlap, rmse,
-                       run_training_grid, sample_coefficients, sample_series)
+                       run_training_grid, sample_series)
 from .opportunity import (AnalogMatch, CandidateSite, NoAnalog, Rule,
                           UpliftReport, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,

@@ -84,7 +84,9 @@ class TrainedModel:
 
     def score_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         """Score [n, n_variables, n_bins] DFT coefficient blocks."""
-        return self.score_features(project(coeffs, self.selection, self.norm))
+        bins = self.selection.bins
+        selected = np.asarray(coeffs)[..., np.arange(len(bins))[:, None], bins]
+        return self.score_features(project(selected, self.norm))
 
 
 def save_model_bundle(model: TrainedModel, path: str | Path) -> None:

@@ -62,9 +62,8 @@ from .opportunity import (AnalogMatch, CandidateSite, default_rules, extract_can
 from .pipeline import (Calibration, GridSettings, aggregate_metrics,
                        category_means, derive_seed, ensemble_scores,
                        fit_calibration, load_samples, map_agreement_iou,
-                       predict_map, ranking_overlap, run_training_grid,
-                       sample_coefficients, sample_series, save_run_record, save_samples,
-                       validation_rows)
+                       predict_map, ranking_overlap, run_training_grid, sample_series,
+                       save_run_record, save_samples, validation_rows)
 from .spectral import dft_basis, n_bins, truncated_coefficients
 
 dft_coefficients = pipeline.dft_coefficients  # bench/spans.py wraps it here (test_tracer)
@@ -278,10 +277,8 @@ def cmd_train(out: Path, opts: dict) -> None:
         nn_feature_bins=opts["nn_feature_bins"], blup_lambda=opts["blup_lambda"],
         train_params=TrainParams(learning_rate=opts["learning_rate"],
                                  epochs=opts["epochs"]))
-    coeffs = sample_coefficients(series)
-    del series
     runs, models = run_training_grid(
-        coeffs, labels, settings, blup_sizes=opts["blup_sizes"],
+        series, labels, settings, blup_sizes=opts["blup_sizes"],
         nn_sizes=opts["nn_sizes"], repetitions=opts["repetitions"],
         root_seed=opts["seed"], jobs=opts["jobs"])
 

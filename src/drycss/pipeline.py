@@ -33,9 +33,8 @@ from .errors import (DataError, NumericalError, check_distinct, json_finite, jso
                      read_table, write_json, write_table)
 from .grid import SLAB_STEPS, ClimateCube, series_products
 from .neural import TrainParams, train_autoencoder, train_classifier
-from .spectral import (bin_energies, dft_basis, dft_coefficients, fit_normalization,
-                       n_bins, project, select_frequencies, selected_coefficients,
-                       standardize)
+from .spectral import (FrequencySelection, bin_energies, dft_basis, dft_coefficients,
+                       fit_normalization, n_bins, project, select_frequencies, union_bins)
 
 VEG_THRESHOLD = 0.15
 CSS_THRESHOLD = 0.5
@@ -112,16 +111,6 @@ def sample_series(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray
             raise DataError(f"variable {var} is not finite at sample {s.site_id}, pixel "
                             f"({s.iy}, {s.ix}); rerun `drycss synth`")
     return series
-
-
-def sample_coefficients(series: np.ndarray) -> np.ndarray:
-    """DFT coefficients of sample series [n_samples, n_variables,
-    n_steps], [n_samples, n_variables, n_bins(n_steps)] complex128, one
-    sample at a time."""
-    coeffs = np.empty(series.shape[:-1] + (n_bins(series.shape[-1]),), dtype=np.complex128)
-    for i, x in enumerate(series):
-        coeffs[i] = dft_coefficients(x)
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +222,17 @@ class GridSettings:
     train_params: TrainParams = field(default_factory=TrainParams)
 
 
-def train_one_run(coeffs: np.ndarray, energies: np.ndarray, labels: np.ndarray,
+def train_one_run(selected: np.ndarray, selection: FrequencySelection,
+                  split: tuple[np.ndarray, np.ndarray], labels: np.ndarray,
                   kind: str, size: int, repetition: int, run_seed: int,
                   settings: GridSettings) -> tuple[TrainingRun, TrainedModel]:
-    """Fit one grid cell on the samples' spectra and their bin_energies
-    table. Selection and normalization use only the training split;
-    every sample is scored with the fitted model. No row of the full
-    spectrum is copied: ranking reads the energy rows, normalization
-    the training rows of the selected bins."""
-    n = coeffs.shape[0]
-    split_rng = np.random.default_rng(derive_seed(run_seed, "split"))
-    train_idx, val_idx = holdout_split(n, settings.holdout_fraction, split_rng)
-
-    k = size if kind == "blup" else settings.nn_feature_bins
-    selection = select_frequencies(energies[train_idx], settings.variables, k,
-                                   settings.n_steps)
-    norm = fit_normalization(selected_coefficients(coeffs, selection)[train_idx])
-    X = project(coeffs, selection, norm)
+    """Fit one grid cell on every sample's `selection` bins [n_samples,
+    n_variables, k], the selection ranked on the training rows of its
+    (train, validation) `split`. Normalization uses only the training
+    rows; every sample is scored with the fitted model."""
+    train_idx, val_idx = split
+    norm = fit_normalization(selected[train_idx])
+    X = project(selected, norm)
     y = np.asarray(labels, dtype=np.float64)
 
     if kind == "blup":
@@ -296,53 +279,80 @@ def enumerate_grid(blup_sizes, nn_sizes, repetitions) -> list[tuple[str, int, in
 _GRID_CONTEXT: dict = {}
 
 
-def _grid_worker(cell):
-    kind, size, rep, run_seed = cell
+def _grid_worker(r: int):
     ctx = _GRID_CONTEXT
+    kind, size, rep, run_seed = ctx["cells"][r]
     try:
-        run, model = train_one_run(ctx["coeffs"], ctx["energies"], ctx["labels"], kind,
-                                   size, rep, run_seed, ctx["settings"])
-        return run, model
+        return train_one_run(ctx["union"][:, ctx["gathers"][r]], ctx["selections"][r],
+                             ctx["splits"][r], ctx["labels"], kind, size, rep, run_seed,
+                             ctx["settings"])
     except NumericalError as e:
         run = TrainingRun(kind=kind, size=size, repetition=rep, seed=run_seed,
                           failed=True, error=str(e))
         return run, None
 
 
-def run_training_grid(coeffs: np.ndarray, labels: np.ndarray,
+def run_training_grid(series: np.ndarray, labels: np.ndarray,
                       settings: GridSettings,
                       blup_sizes=DEFAULT_BLUP_SIZES, nn_sizes=DEFAULT_NN_SIZES,
                       repetitions: int = DEFAULT_REPETITIONS,
                       root_seed: int = 0, jobs: int = 1
                       ) -> tuple[list[TrainingRun], list[TrainedModel | None]]:
-    """Train every grid cell; diverged runs are recorded, not fatal.
+    """Train every grid cell on the samples' series [n_samples,
+    n_variables, n_steps]; diverged runs are recorded, not fatal.
 
-    coeffs is the samples' spectra [n_samples, n_variables, n_bins];
-    their bin energies, which every run ranks from, are taken once here.
+    The full spectrum is never held. Every run's holdout split is drawn
+    first. One FFT pass over the samples, in order, adds each sample's
+    bin_energies row into the energy sum of every run that trains on
+    it, and each run ranks its bins from that sum over its n_train. A
+    second FFT pass keeps only the per-variable union of all runs'
+    bins, from which each run gathers its own.
     jobs > 1 fans cells out to forked worker processes; results come
     back to the parent which keeps canonical order, so outputs do not
     depend on the worker count.
     """
-    coeffs = np.asarray(coeffs)
-    labels = np.asarray(labels, dtype=np.float64)
-    if coeffs.ndim != 3 or coeffs.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"coefficient block {coeffs.shape} does not match labels {labels.shape}")
+    series, labels = np.asarray(series), np.asarray(labels, dtype=np.float64)
+    V, T, nb = len(settings.variables), settings.n_steps, n_bins(settings.n_steps)
+    if labels.ndim != 1 or series.shape != (labels.shape[0], V, T):
+        raise ValueError(f"series shaped {series.shape} do not match ({labels.shape[0]} "
+                         f"labels, {V} variables, {T} steps)")
     cells = [(kind, size, rep, derive_seed(root_seed, kind, size, rep))
              for kind, size, rep in enumerate_grid(blup_sizes, nn_sizes, repetitions)]
+    splits = [holdout_split(len(labels), settings.holdout_fraction,
+                            np.random.default_rng(derive_seed(run_seed, "split")))
+              for *_, run_seed in cells]
+
+    trains = np.zeros((len(cells), len(labels)), dtype=bool)
+    for r, (train_idx, _) in enumerate(splits):
+        trains[r, train_idx] = True
+    sums = np.zeros((len(cells), V, nb))
+    for i, x in enumerate(series):
+        np.add(sums, bin_energies(dft_coefficients(x), T), out=sums,
+               where=trains[:, i, None, None])
+    selections = [select_frequencies(total / len(train_idx), settings.variables,
+                                     size if kind == "blup" else settings.nn_feature_bins, T)
+                  for (kind, size, *_), total, (train_idx, _) in zip(cells, sums, splits)]
+    del sums
+
+    unions, gathers = union_bins(selections, V)
+    flat = np.concatenate([v * nb + u for v, u in enumerate(unions)])
+    union = np.empty((len(series), flat.size), dtype=np.complex128)
+    for i, x in enumerate(series):
+        union[i] = dft_coefficients(x).reshape(-1)[flat]
 
     global _GRID_CONTEXT
-    _GRID_CONTEXT = {"coeffs": coeffs, "energies": bin_energies(coeffs, settings.n_steps),
-                     "labels": labels, "settings": settings}
+    _GRID_CONTEXT = {"cells": cells, "splits": splits, "selections": selections,
+                     "union": union, "gathers": gathers, "labels": labels,
+                     "settings": settings}
     try:
         if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-                results = list(pool.map(_grid_worker, cells))
+                results = list(pool.map(_grid_worker, range(len(cells))))
         else:
             if jobs > 1:
                 warnings.warn("fork start method unavailable; training serially")
-            results = [_grid_worker(cell) for cell in cells]
+            results = [_grid_worker(r) for r in range(len(cells))]
     finally:
         _GRID_CONTEXT = {}
 
@@ -396,8 +406,9 @@ class EnsembleScorer:
     floored 1e-12 std adds nothing.
 
     Network half: per variable, the sorted union of the bins the
-    networks read; each network gathers its bins from the union
-    coefficients and standardizes them as `project` does.
+    networks read (`union_bins`, as `run_training_grid` takes it); each
+    network gathers its bins from the union coefficients and
+    standardizes them with `project`.
     """
 
     def __init__(self, models: list[TrainedModel | None]):
@@ -428,11 +439,7 @@ class EnsembleScorer:
             self.weights.imag[:, -1] = 0.0
 
         self.nets = [m for m in self.models if m.kind == "nn"]
-        self.unions = [np.unique([b for m in self.nets for b in m.selection.bins[v]])
-                       .astype(np.intp) for v in range(V)]
-        starts = np.cumsum([0] + [u.size for u in self.unions])
-        self.gathers = [np.stack([starts[v] + np.searchsorted(u, m.selection.bins[v])
-                                  for v, u in enumerate(self.unions)]) for m in self.nets]
+        self.unions, self.gathers = union_bins([m.selection for m in self.nets], V)
 
     @functools.cached_property
     def time_rows(self) -> list[np.ndarray]:
@@ -464,7 +471,7 @@ class EnsembleScorer:
         sums = {"blup": blup, "nn": 0.0}
         total = blup
         for m, gather in zip(self.nets, self.gathers):
-            s = m.score_features(standardize(union[:, gather], m.norm))
+            s = m.score_features(project(union[:, gather], m.norm))
             sums["nn"] = sums["nn"] + s
             total = total + s
         out = {kind: sums[kind] / sum(m.kind == kind for m in self.models)

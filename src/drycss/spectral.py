@@ -117,54 +117,46 @@ class NormalizationTable:
     std_im: np.ndarray
 
 
-def select_frequencies(energies: np.ndarray, variables, k: int,
+def select_frequencies(mean_energy: np.ndarray, variables, k: int,
                        n_steps: int) -> FrequencySelection:
     """Top-k bins per variable by mean spectral energy over samples.
 
-    energies is the per-sample bin_energies table [n_samples,
-    n_variables, n_bins]. Ties break toward the lower bin index, which
-    also makes the selection nested: the top-k list is a prefix of the
+    mean_energy is [n_variables, n_bins], the mean over samples of their
+    bin_energies rows. Ties break toward the lower bin index, which also
+    makes the selection nested: the top-k list is a prefix of the
     top-(k+1) list.
     """
-    energies = np.asarray(energies)
-    if energies.ndim != 3:
-        raise ValueError(f"expected [samples, variables, bins], got shape {energies.shape}")
-    n_samples, n_vars, nb = energies.shape
-    if n_samples == 0:
-        raise ValueError("no samples to rank frequencies on")
+    mean_energy = np.asarray(mean_energy)
+    if mean_energy.ndim != 2:
+        raise ValueError(f"expected [variables, bins], got shape {mean_energy.shape}")
+    n_vars, nb = mean_energy.shape
     if len(variables) != n_vars:
         raise ValueError(f"{len(variables)} variable names for {n_vars} energy rows")
     if not 1 <= k <= nb:
         raise ValueError(f"k={k} outside [1, {nb}]")
     if nb != n_bins(n_steps):
         raise ValueError(f"energy axis has {nb} bins, expected {n_bins(n_steps)}")
-    mean_energy = energies.mean(axis=0)  # [n_vars, nb]
     order = np.argsort(-mean_energy, axis=-1, kind="stable")  # ties: lower bin first
     return FrequencySelection(tuple(variables), k,
                               np.ascontiguousarray(order[:, :k]), n_steps)
 
 
-def selected_coefficients(coeffs: np.ndarray, selection: FrequencySelection
-                          ) -> np.ndarray:
-    """The selection's bins of coefficients [..., n_variables, n_bins],
-    as [..., n_variables, k] in ranking order."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.shape[-2] != len(selection.variables):
-        raise ValueError(
-            f"coefficients carry {coeffs.shape[-2]} variables, "
-            f"selection has {len(selection.variables)}")
-    if coeffs.shape[-1] != n_bins(selection.n_steps):
-        raise ValueError(
-            f"coefficient axis has {coeffs.shape[-1]} bins, "
-            f"expected {n_bins(selection.n_steps)}")
-    idx = selection.bins
-    return np.take_along_axis(coeffs, idx.reshape((1,) * (coeffs.ndim - 2) + idx.shape),
-                              axis=-1)
+def union_bins(selections, n_variables: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per variable, the sorted union of the selections' bins; and per
+    selection, the [n_variables, k] positions of its bins in those
+    unions laid end to end, so that `flat[..., gather]` of coefficients
+    taken at the unions is the selection's bins in ranking order."""
+    unions = [np.unique([b for s in selections for b in s.bins[v]]).astype(np.intp)
+              for v in range(n_variables)]
+    starts = np.cumsum([0] + [u.size for u in unions])
+    gathers = [np.stack([starts[v] + np.searchsorted(u, s.bins[v])
+                         for v, u in enumerate(unions)]) for s in selections]
+    return unions, gathers
 
 
 def fit_normalization(selected: np.ndarray) -> NormalizationTable:
     """Mean/std of the training samples' selected coefficients
-    [n_samples, n_variables, k] (selected_coefficients of their rows).
+    [n_samples, n_variables, k], in a selection's bin order.
 
     Stds are floored at 1e-12 so constant features map to zero rather
     than dividing by zero.
@@ -181,19 +173,16 @@ def fit_normalization(selected: np.ndarray) -> NormalizationTable:
                               mean_im=mean_im, std_im=std_im)
 
 
-def project(coeffs: np.ndarray, selection: FrequencySelection,
-            norm: NormalizationTable) -> np.ndarray:
-    """Coefficients [..., n_variables, n_bins] -> features [..., n_vars*k*2].
+def project(selected: np.ndarray, norm: NormalizationTable) -> np.ndarray:
+    """Selected coefficients [..., n_variables, k], in a selection's bin
+    order, -> standardized features [..., n_variables*k*2].
 
     Layout: variable-major, then bins in ranking order, (re, im) pairs.
     """
-    return standardize(selected_coefficients(coeffs, selection), norm)
-
-
-def standardize(selected: np.ndarray, norm: NormalizationTable) -> np.ndarray:
-    """Selected coefficients [..., n_variables, k], in a selection's bin
-    order, -> features [..., n_variables*k*2] in project's layout."""
     *lead, n_vars, k = selected.shape
+    if (n_vars, k) != norm.mean_re.shape:
+        raise ValueError(f"selected coefficients [..., {n_vars}, {k}] do not match "
+                         f"the normalization's {list(norm.mean_re.shape)}")
     out = np.empty(selected.shape + (2,))
     out[..., 0] = (selected.real - norm.mean_re) / norm.std_re
     out[..., 1] = (selected.imag - norm.mean_im) / norm.std_im

@@ -16,8 +16,7 @@ from drycss import synth
 from drycss.grid import GridSpec, TimeAxis, regrid_ndvi
 from drycss.neural import TrainParams
 from drycss.pipeline import (GridSettings, derive_seed, predict_map,
-                             run_training_grid, sample_coefficients,
-                             sample_series)
+                             run_training_grid, sample_series)
 
 # epochs for the desk run; quality saturates well before the package
 # default and the end-to-end budget is tight
@@ -66,7 +65,7 @@ def build_pipeline(n_side, n_steps, counts, epochs, blup_sizes, nn_sizes,
 
     settings = GridSettings(variables=cube.variables, n_steps=n_steps,
                             train_params=TrainParams(epochs=epochs))
-    runs, models = run_training_grid(sample_coefficients(series), labels, settings,
+    runs, models = run_training_grid(series, labels, settings,
                                      blup_sizes=blup_sizes, nn_sizes=nn_sizes,
                                      repetitions=repetitions,
                                      root_seed=seed, jobs=1)

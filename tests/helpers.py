@@ -8,12 +8,14 @@ from itertools import combinations
 
 import numpy as np
 
+import drycss.pipeline as pipeline
 from drycss.blup import _loo_rmse
-from drycss.errors import DataError, read_table
+from drycss.errors import DataError, NumericalError, read_table
 from drycss.grid import VARIABLES, ClimateCube
 from drycss.neural import (_BN_EPS, _BN_MOMENTUM, Adam, DenseNet, _block_dropout_augment,
                            _loss_and_grad, build_autoencoder, build_classifier)
 from drycss.opportunity import parse_coordinate
+from drycss.spectral import bin_energies, dft_coefficients, n_bins, select_frequencies
 from drycss.synth import (DAY_HOURS, SUITABILITY_GAIN, VARIABLE_SCALES, YEAR_HOURS,
                           _smooth_field)
 
@@ -119,6 +121,64 @@ def out_of_fold_scores(runs, n_samples: int) -> np.ndarray:
     out = np.full(n_samples, np.nan)
     np.divide(sums, counts, out=out, where=counts > 0)
     return out
+
+
+def sample_coefficients(series: np.ndarray) -> np.ndarray:
+    """DFT coefficients of sample series [n_samples, n_variables,
+    n_steps], [n_samples, n_variables, n_bins(n_steps)] complex128, one
+    sample at a time."""
+    coeffs = np.empty(series.shape[:-1] + (n_bins(series.shape[-1]),), dtype=np.complex128)
+    for i, x in enumerate(series):
+        coeffs[i] = dft_coefficients(x)
+    return coeffs
+
+
+def selected_coefficients(coeffs: np.ndarray, selection) -> np.ndarray:
+    """The selection's bins of coefficients [..., n_variables, n_bins],
+    as [..., n_variables, k] in ranking order."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape[-2] != len(selection.variables):
+        raise ValueError(
+            f"coefficients carry {coeffs.shape[-2]} variables, "
+            f"selection has {len(selection.variables)}")
+    if coeffs.shape[-1] != n_bins(selection.n_steps):
+        raise ValueError(
+            f"coefficient axis has {coeffs.shape[-1]} bins, "
+            f"expected {n_bins(selection.n_steps)}")
+    idx = selection.bins
+    return np.take_along_axis(coeffs, idx.reshape((1,) * (coeffs.ndim - 2) + idx.shape),
+                              axis=-1)
+
+
+def reference_training_grid(series, labels, settings, blup_sizes, nn_sizes, repetitions,
+                            root_seed):
+    """run_training_grid as the whole-spectrum path: every sample's full
+    spectrum held at once, one per-sample bin_energies table, each run
+    ranking from the mean of its training rows of that table and taking
+    its bins from the full spectrum; runs trained serially through
+    pipeline.train_one_run, a NumericalError recorded as a failed run."""
+    coeffs = sample_coefficients(np.asarray(series))
+    energies = bin_energies(coeffs, settings.n_steps)
+    labels = np.asarray(labels, dtype=np.float64)
+    runs, models = [], []
+    for kind, size, rep in pipeline.enumerate_grid(blup_sizes, nn_sizes, repetitions):
+        run_seed = pipeline.derive_seed(root_seed, kind, size, rep)
+        split = pipeline.holdout_split(len(labels), settings.holdout_fraction,
+                                       np.random.default_rng(
+                                           pipeline.derive_seed(run_seed, "split")))
+        k = size if kind == "blup" else settings.nn_feature_bins
+        selection = select_frequencies(energies[split[0]].mean(axis=0), settings.variables,
+                                       k, settings.n_steps)
+        try:
+            run, model = pipeline.train_one_run(
+                selected_coefficients(coeffs, selection), selection, split, labels, kind,
+                size, rep, run_seed, settings)
+        except NumericalError as e:
+            run, model = pipeline.TrainingRun(kind=kind, size=size, repetition=rep,
+                                              seed=run_seed, failed=True, error=str(e)), None
+        runs.append(run)
+        models.append(model)
+    return runs, models
 
 
 _TABLES = resources.files("drycss.data")

@@ -64,7 +64,7 @@ def test_02_selection_is_optimal_truncation():
         x = rng.normal(size=T)
         coeffs = dft_coefficients(x)
         for k in range(1, min(4, n_bins(T)) + 1):
-            sel = select_frequencies(bin_energies(coeffs, T)[None, None, :], ("v",), k, T)
+            sel = select_frequencies(bin_energies(coeffs, T)[None, :], ("v",), k, T)
             got = frozenset(int(b) for b in sel.bins[0])
             best, _ = helpers.brute_force_best_bins(x, k)
             checked += 1

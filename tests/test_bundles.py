@@ -8,7 +8,8 @@ from drycss.bundles import TrainedModel, load_model_bundle, save_model_bundle
 from drycss.errors import DataError
 from drycss.neural import TrainParams, train_autoencoder, train_classifier
 from drycss.spectral import (bin_energies, dft_coefficients, fit_normalization, project,
-                             select_frequencies, selected_coefficients)
+                             select_frequencies)
+from helpers import selected_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -18,9 +19,9 @@ def fitted():
     series = rng.standard_normal((n, nv, T))
     labels = rng.uniform(0, 1, n)
     coeffs = dft_coefficients(series)
-    sel = select_frequencies(bin_energies(coeffs, T), ("a", "b"), k, T)
+    sel = select_frequencies(bin_energies(coeffs, T).mean(axis=0), ("a", "b"), k, T)
     norm = fit_normalization(selected_coefficients(coeffs, sel))
-    X = project(coeffs, sel, norm)
+    X = project(selected_coefficients(coeffs, sel), norm)
     blup = TrainedModel(kind="blup", size=k, repetition=0, seed=1,
                         selection=sel, norm=norm,
                         blup=fit_blup(X, labels, lam=4.0))
@@ -216,8 +217,8 @@ class TestFeatureTables:
         assert (sel2.variables, sel2.k, sel2.n_steps) == (sel.variables, sel.k, sel.n_steps)
         np.testing.assert_array_equal(sel2.bins, sel.bins)
         np.testing.assert_array_equal(back.norm.std_im, blup.norm.std_im)
-        np.testing.assert_array_equal(project(coeffs, sel2, back.norm),
-                                      project(coeffs, sel, blup.norm))
+        np.testing.assert_array_equal(project(selected_coefficients(coeffs, sel2), back.norm),
+                                      project(selected_coefficients(coeffs, sel), blup.norm))
 
     def test_rejects_unknown_version(self, fitted, tmp_path):
         path = self.save(fitted[1], tmp_path)

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from drycss.blup import BlupModel
-from drycss.bundles import TrainedModel
+from drycss.bundles import TrainedModel, save_model_bundle
 from drycss.errors import DataError, read_json
 from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, TimeAxis, VARIABLES,
                          load_cube, save_cube, series_products)
@@ -19,9 +20,10 @@ from drycss.pipeline import (CALIBRATION_CATEGORIES, Calibration,
                              ranking_overlap, rmse, run_training_grid,
                              save_run_record, save_samples, train_one_run)
 from drycss.spectral import (FrequencySelection, bin_energies, dft_coefficients,
-                             fit_normalization, select_frequencies, selected_coefficients)
+                             fit_normalization, select_frequencies)
 from drycss.synth import synth_cube
-from helpers import extract_series, out_of_fold_scores, pixel_series, rfft_ensemble_scores
+from helpers import (extract_series, out_of_fold_scores, pixel_series, reference_training_grid,
+                     rfft_ensemble_scores, selected_coefficients)
 
 
 class TestSeeds:
@@ -152,19 +154,27 @@ def make_training_problem(n=40, n_vars=3, T=32, seed=0):
     series[:, 0, :] += (1.0 + 2.0 * labels[:, None]) * np.cos(2 * np.pi * t / T)
     settings = GridSettings(variables=names, n_steps=T, nn_feature_bins=4,
                             train_params=TrainParams(epochs=40))
-    return dft_coefficients(series), labels, settings
+    return series, labels, settings
 
 
-def run_cell(coeffs, labels, kind, size, repetition, seed, settings):
-    """train_one_run with the energy table run_training_grid gives it."""
-    return train_one_run(coeffs, bin_energies(coeffs, settings.n_steps), labels, kind,
-                         size, repetition, seed, settings)
+def run_cell(series, labels, kind, size, repetition, seed, settings):
+    """train_one_run with the split, selection and selected bins that
+    run_training_grid plans for a cell of this seed, taken here from the
+    full spectrum."""
+    coeffs = dft_coefficients(series)
+    split = holdout_split(len(labels), settings.holdout_fraction,
+                          np.random.default_rng(derive_seed(seed, "split")))
+    k = size if kind == "blup" else settings.nn_feature_bins
+    sel = select_frequencies(bin_energies(coeffs[split[0]], settings.n_steps).mean(axis=0),
+                             settings.variables, k, settings.n_steps)
+    return train_one_run(selected_coefficients(coeffs, sel), sel, split, labels, kind, size,
+                         repetition, seed, settings)
 
 
 class TestTrainOneRun:
     def test_blup_run_learns_and_records_split(self):
-        coeffs, labels, settings = make_training_problem()
-        run, model = run_cell(coeffs, labels, "blup", 4, 0, 123, settings)
+        series, labels, settings = make_training_problem()
+        run, model = run_cell(series, labels, "blup", 4, 0, 123, settings)
         assert run.run_id == "blup_4_0"
         assert len(run.val_ids) == 4 and len(run.train_ids) == 36
         assert not set(run.train_ids) & set(run.val_ids)
@@ -173,10 +183,12 @@ class TestTrainOneRun:
         assert model.kind == "blup" and model.size == 4
 
     def test_selection_fit_on_training_split_only(self):
-        coeffs, labels, settings = make_training_problem()
-        run, model = run_cell(coeffs, labels, "blup", 3, 0, 5, settings)
-        train = coeffs[run.train_ids]
-        sel = select_frequencies(bin_energies(train, settings.n_steps),
+        series, labels, settings = make_training_problem()
+        runs, models = run_training_grid(series, labels, settings, blup_sizes=(3,),
+                                         nn_sizes=(), repetitions=1, root_seed=5)
+        run, model = runs[0], models[0]
+        train = dft_coefficients(series)[run.train_ids]
+        sel = select_frequencies(bin_energies(train, settings.n_steps).mean(axis=0),
                                  settings.variables, 3, settings.n_steps)
         np.testing.assert_array_equal(model.selection.bins, sel.bins)
         norm = fit_normalization(selected_coefficients(train, sel))
@@ -184,25 +196,25 @@ class TestTrainOneRun:
         np.testing.assert_array_equal(model.norm.std_im, norm.std_im)
 
     def test_nn_run_trains(self):
-        coeffs, labels, settings = make_training_problem()
-        run, model = run_cell(coeffs, labels, "nn", 4, 1, 7, settings)
+        series, labels, settings = make_training_problem()
+        run, model = run_cell(series, labels, "nn", 4, 1, 7, settings)
         assert model.autoencoder.latent_dim == 4
         assert run.metrics["train_r"] > 0.5
 
     def test_fixed_lambda_and_loo(self):
-        coeffs, labels, settings = make_training_problem()
+        series, labels, settings = make_training_problem()
         settings.blup_lambda = 2.5
-        _, model = run_cell(coeffs, labels, "blup", 2, 0, 1, settings)
+        _, model = run_cell(series, labels, "blup", 2, 0, 1, settings)
         assert model.blup.lam == 2.5
         settings.blup_lambda = "loo"
-        _, model = run_cell(coeffs, labels, "blup", 2, 0, 1, settings)
+        _, model = run_cell(series, labels, "blup", 2, 0, 1, settings)
         p = model.blup.n_features
         assert model.blup.lam in {m * p for m in (0.01, 0.1, 1.0, 10.0, 100.0)}
 
     def test_unknown_kind(self):
-        coeffs, labels, settings = make_training_problem()
+        series, labels, settings = make_training_problem()
         with pytest.raises(ValueError, match="kind"):
-            run_cell(coeffs, labels, "forest", 2, 0, 0, settings)
+            run_cell(series, labels, "forest", 2, 0, 0, settings)
 
 
 class TestTrainingGrid:
@@ -212,10 +224,10 @@ class TestTrainingGrid:
         return make_training_problem(n=30, seed=1)
 
     def test_serial_matches_parallel(self, problem):
-        coeffs, labels, settings = problem
+        series, labels, settings = problem
         kw = dict(blup_sizes=(2,), nn_sizes=(4,), repetitions=2, root_seed=3)
-        runs1, models1 = run_training_grid(coeffs, labels, settings, jobs=1, **kw)
-        runs2, models2 = run_training_grid(coeffs, labels, settings, jobs=3, **kw)
+        runs1, models1 = run_training_grid(series, labels, settings, jobs=1, **kw)
+        runs2, models2 = run_training_grid(series, labels, settings, jobs=3, **kw)
         assert [r.run_id for r in runs1] == [r.run_id for r in runs2] == \
             ["blup_2_0", "blup_2_1", "nn_4_0", "nn_4_1"]
         for a, b in zip(runs1, runs2):
@@ -230,15 +242,15 @@ class TestTrainingGrid:
 
         real = pl.train_one_run
 
-        def flaky(coeffs, energies, labels, kind, size, rep, seed, settings):
+        def flaky(selected, sel, split, labels, kind, size, rep, seed, settings):
             if kind == "nn":
                 raise NumericalError("training diverged", epoch=0)
-            return real(coeffs, energies, labels, kind, size, rep, seed, settings)
+            return real(selected, sel, split, labels, kind, size, rep, seed, settings)
 
         monkeypatch.setattr(pl, "train_one_run", flaky)
-        coeffs, labels, settings = problem
+        series, labels, settings = problem
         with pytest.warns(UserWarning, match="diverged"):
-            runs, models = run_training_grid(coeffs, labels, settings,
+            runs, models = run_training_grid(series, labels, settings,
                                              blup_sizes=(2,), nn_sizes=(4,),
                                              repetitions=1, jobs=1)
         assert [r.failed for r in runs] == [False, True]
@@ -248,9 +260,87 @@ class TestTrainingGrid:
         assert nn_row["n_failed"] == 1 and np.isnan(nn_row["val_rmse_mean"])
 
     def test_shape_mismatch(self, problem):
-        coeffs, labels, settings = problem
+        series, labels, settings = problem
         with pytest.raises(ValueError, match="labels"):
-            run_training_grid(coeffs, labels[:-1], settings)
+            run_training_grid(series, labels[:-1], settings)
+        for wrong in (series[:, :2], series[..., :-1], series[0]):
+            with pytest.raises(ValueError, match="variables"):
+                run_training_grid(wrong, labels, settings)
+
+
+def written_bytes(runs, models, root) -> dict[str, bytes]:
+    """Every file of the runs' records and the models' bundles, as
+    `train` writes them, by path under root."""
+    for run, model in zip(runs, models):
+        if model is not None:
+            save_model_bundle(model, root / run.run_id)
+        save_run_record(run, root / f"{run.run_id}.json")
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestTrainingPlan:
+    """run_training_grid's two FFT passes, byte for byte against the
+    whole-spectrum path (helpers.reference_training_grid)."""
+
+    GRID = dict(blup_sizes=(2, 8), nn_sizes=(4, 2), repetitions=2, root_seed=4)
+
+    def problem(self, T):
+        series, labels, settings = make_training_problem(n=30, T=T, seed=2)
+        settings.train_params = TrainParams(epochs=8)
+        return series, labels, settings
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("T", [32, 33])
+    def test_matches_the_whole_spectrum_path(self, T, jobs, tmp_path):
+        series, labels, settings = self.problem(T)
+        runs, models = run_training_grid(series, labels, settings, jobs=jobs, **self.GRID)
+        expect = reference_training_grid(series, labels, settings, **self.GRID)
+        got = written_bytes(runs, models, tmp_path / "grid")
+        assert len(got) == 8 * 4 and not any(r.failed for r in runs)
+        assert got == written_bytes(*expect, tmp_path / "reference")
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_a_diverged_run_matches_too(self, jobs, tmp_path, monkeypatch):
+        import drycss.pipeline as pl
+        from drycss.errors import NumericalError
+
+        real = pl.train_one_run
+
+        def flaky(selected, sel, split, labels, kind, size, rep, seed, settings):
+            if (kind, size, rep) == ("nn", 4, 1):
+                raise NumericalError("training diverged", epoch=0)
+            return real(selected, sel, split, labels, kind, size, rep, seed, settings)
+
+        monkeypatch.setattr(pl, "train_one_run", flaky)
+        series, labels, settings = self.problem(32)
+        with pytest.warns(UserWarning, match="diverged"):
+            runs, models = run_training_grid(series, labels, settings, jobs=jobs,
+                                             **self.GRID)
+        expect = reference_training_grid(series, labels, settings, **self.GRID)
+        assert [r.run_id for r in runs if r.failed] == ["nn_4_1"]
+        assert written_bytes(runs, models, tmp_path / "grid") == \
+            written_bytes(*expect, tmp_path / "reference")
+
+    def test_peak_memory_stays_under_the_series(self):
+        """Desk-world shape (230 samples, 23 variables, 2920 steps,
+        float32) on desk-chain's grid: the traced peak of training, over
+        the series already held, stays under the series' own bytes. The
+        whole complex128 spectrum alone would be twice them."""
+        series = np.random.default_rng(0).standard_normal((230, 23, 2920), dtype=np.float32)
+        labels = np.linspace(0.0, 1.0, 230)
+        settings = GridSettings(variables=VARIABLES, n_steps=2920,
+                                train_params=TrainParams(epochs=1))
+        tracemalloc.start()
+        try:
+            runs, _ = run_training_grid(series, labels, settings,
+                                        blup_sizes=(2, 4, 8, 16, 32, 64), nn_sizes=(4, 8),
+                                        repetitions=3, root_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == 24
+        assert peak < series.nbytes, f"peak {peak / 1e6:.1f} MB over the series"
 
 
 class TestAggregation:
@@ -284,12 +374,11 @@ class TestAggregation:
 
 class TestEnsembleAndCalibration:
     def test_ensemble_means_by_kind(self):
-        coeffs, labels, settings = make_training_problem(n=20)
-        runs, models = run_training_grid(coeffs, labels, settings,
+        series, labels, settings = make_training_problem(n=20)
+        runs, models = run_training_grid(series, labels, settings,
                                          blup_sizes=(2, 4), nn_sizes=(),
                                          repetitions=1, jobs=1)
-        T = settings.n_steps
-        series = np.fft.irfft(coeffs * T, n=T)  # the series the spectra came from
+        coeffs = dft_coefficients(series)
         scores = ensemble_scores(models, series)
         assert set(scores) == {"blup", "combined"}
         direct = np.mean([m.score_coefficients(coeffs) for m in models], axis=0)
@@ -472,18 +561,17 @@ class TestPredictMap:
                          n_steps=64)
         cube, suit = synth_cube(spec, taxis, seed=2, invalid_fraction=0.1)
         rng = np.random.default_rng(0)
-        coeffs = []
+        series = []
         labels = []
         for flat in np.flatnonzero(cube.mask)[:20]:
             iy, ix = divmod(int(flat), 8)
-            series, _ = extract_series(cube, *spec.node(iy, ix))
-            coeffs.append(dft_coefficients(series))
+            series.append(extract_series(cube, *spec.node(iy, ix))[0])
             labels.append(float(suit[iy, ix]))
-        coeffs = np.stack(coeffs)
+        series = np.stack(series)
         labels = np.asarray(labels)
         settings = GridSettings(variables=VARIABLES, n_steps=64,
                                 train_params=TrainParams(epochs=20))
-        runs, models = run_training_grid(coeffs, labels, settings,
+        runs, models = run_training_grid(series, labels, settings,
                                          blup_sizes=(2,), nn_sizes=(4,),
                                          repetitions=1, root_seed=1, jobs=1)
         return cube, models

@@ -7,8 +7,9 @@ from drycss.errors import DataError
 from drycss.grid import SLAB_STEPS, ClimateCube, GridSpec, TimeAxis, series_products
 from drycss.spectral import (bin_energies, dft_basis, dft_coefficients, feature_dim,
                              fit_normalization, n_bins, project, select_frequencies,
-                             selected_coefficients, truncated_coefficients)
-from helpers import amplitudes, brute_force_best_bins, naive_dft, reconstruct_subset
+                             truncated_coefficients)
+from helpers import (amplitudes, brute_force_best_bins, naive_dft, reconstruct_subset,
+                     selected_coefficients)
 
 
 class TestDft:
@@ -169,7 +170,7 @@ class TestSelection:
             for k in (1, 2, 3):
                 x = rng.standard_normal(T)
                 energies = bin_energies(dft_coefficients(x), T)
-                sel = select_frequencies(energies[None, None, :], ("v",), k, T)
+                sel = select_frequencies(energies[None, :], ("v",), k, T)
                 best, _ = brute_force_best_bins(x, k)
                 assert frozenset(sel.bins[0].tolist()) == best
 
@@ -179,13 +180,13 @@ class TestSelection:
         coeffs = np.full((1, 1, n_bins(T)), 0.5 + 0.0j)
         coeffs[..., 0] = 0.0
         coeffs[..., -1] = 0.0
-        sel = select_frequencies(bin_energies(coeffs, T), ("v",), 3, T)
+        sel = select_frequencies(bin_energies(coeffs, T).mean(axis=0), ("v",), 3, T)
         assert sel.bins[0].tolist() == [1, 2, 3]
 
     def test_nested_prefixes(self):
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal((5, 2, 17)) + 1j * rng.standard_normal((5, 2, 17))
-        energies = bin_energies(coeffs, 32)
+        energies = bin_energies(coeffs, 32).mean(axis=0)
         full = select_frequencies(energies, ("a", "b"), 17, 32)
         for k in (1, 4, 9):
             sub = select_frequencies(energies, ("a", "b"), k, 32)
@@ -197,20 +198,20 @@ class TestSelection:
         coeffs = np.zeros((2, 1, nb), dtype=complex)
         coeffs[0, 0, 3] = 1.0   # strong in sample 0 only
         coeffs[:, 0, 5] = 0.8   # moderate in both
-        sel = select_frequencies(bin_energies(coeffs, T), ("v",), 2, T)
+        sel = select_frequencies(bin_energies(coeffs, T).mean(axis=0), ("v",), 2, T)
         # mean energies: bin 3 -> 2*1.0/2 = 1.0, bin 5 -> 2*0.64 = 1.28
         assert sel.bins[0].tolist() == [5, 3]
 
     def test_validation(self):
-        energies = np.zeros((3, 2, 9))
+        energies = np.zeros((2, 9))
         with pytest.raises(ValueError, match="k="):
             select_frequencies(energies, ("a", "b"), 0, 16)
         with pytest.raises(ValueError, match="variable names"):
             select_frequencies(energies, ("a",), 2, 16)
         with pytest.raises(ValueError, match="expected"):
             select_frequencies(energies, ("a", "b"), 2, 20)
-        with pytest.raises(ValueError, match="no samples"):
-            select_frequencies(np.zeros((0, 2, 9)), ("a", "b"), 2, 16)
+        with pytest.raises(ValueError, match="variables, bins"):
+            select_frequencies(np.zeros((3, 2, 9)), ("a", "b"), 2, 16)  # per sample
 
 
 class TestFeatures:
@@ -219,20 +220,20 @@ class TestFeatures:
         series = rng.standard_normal((n_samples, n_vars, T))
         coeffs = dft_coefficients(series)
         names = tuple(f"v{i}" for i in range(n_vars))
-        sel = select_frequencies(bin_energies(coeffs, T), names, k, T)
+        sel = select_frequencies(bin_energies(coeffs, T).mean(axis=0), names, k, T)
         norm = fit_normalization(selected_coefficients(coeffs, sel))
         return series, coeffs, sel, norm
 
     def test_training_features_are_standardized(self):
         _, coeffs, sel, norm = self.make()
-        feats = project(coeffs, sel, norm)
+        feats = project(selected_coefficients(coeffs, sel), norm)
         assert feats.shape == (20, feature_dim(sel))
         np.testing.assert_allclose(feats.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(feats.std(axis=0), 1.0, atol=1e-10)
 
     def test_layout_variable_major_re_im(self):
         _, coeffs, sel, norm = self.make(n_samples=5, n_vars=2, k=3)
-        feats = project(coeffs, sel, norm)
+        feats = project(selected_coefficients(coeffs, sel), norm)
         s, v, b = 2, 1, 1
         j = sel.bins[v, b]
         re = (coeffs[s, v, j].real - norm.mean_re[v, b]) / norm.std_re[v, b]
@@ -246,9 +247,9 @@ class TestFeatures:
         coeffs = np.zeros((6, 1, n_bins(T)), dtype=complex)
         coeffs[:, 0, 0] = 2.5  # identical DC across samples
         coeffs[:, 0, 3] = np.linspace(0.1, 0.9, 6)
-        sel = select_frequencies(bin_energies(coeffs, T), ("v",), 2, T)
+        sel = select_frequencies(bin_energies(coeffs, T).mean(axis=0), ("v",), 2, T)
         norm = fit_normalization(selected_coefficients(coeffs, sel))
-        feats = project(coeffs, sel, norm)
+        feats = project(selected_coefficients(coeffs, sel), norm)
         dc_col = sel.bins[0].tolist().index(0) * 2
         np.testing.assert_allclose(feats[:, dc_col], 0.0, atol=1e-9)
         np.testing.assert_allclose(feats[:, dc_col + 1], 0.0, atol=1e-9)
@@ -256,16 +257,18 @@ class TestFeatures:
     def test_leading_dims_preserved(self):
         _, coeffs, sel, norm = self.make()
         grid = np.broadcast_to(coeffs[0], (4, 5) + coeffs.shape[1:]).copy()
-        out = project(grid, sel, norm)
+        out = project(selected_coefficients(grid, sel), norm)
         assert out.shape == (4, 5, feature_dim(sel))
-        np.testing.assert_allclose(out[2, 3], project(coeffs, sel, norm)[0])
+        np.testing.assert_allclose(out[2, 3], project(selected_coefficients(coeffs, sel),
+                                                      norm)[0])
 
     def test_shape_validation(self):
         _, coeffs, sel, norm = self.make()
-        with pytest.raises(ValueError, match="variables"):
-            project(coeffs[:, :2, :], sel, norm)
-        with pytest.raises(ValueError, match="bins"):
-            project(coeffs[..., :-1], sel, norm)
+        selected = selected_coefficients(coeffs, sel)
+        with pytest.raises(ValueError, match="normalization"):
+            project(selected[:, :2, :], norm)
+        with pytest.raises(ValueError, match="normalization"):
+            project(selected[..., :-1], norm)
 
 
 class TestTruncated:
