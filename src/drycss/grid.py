@@ -318,22 +318,31 @@ def series_products(cube: ClimateCube, rows, jobs: int = 1):
     n_valid] at the pixels the mask alone marks valid, row-major) as float64.
 
     Each variable is read in contiguous SLAB_STEPS-step slabs of one
-    lookup of cube.values, their valid columns compressed, and the slab
-    products are summed in time order. `jobs` threads take whole
-    variables, `jobs` at a time as the consumer asks, so the bytes do not
-    depend on `jobs` and at most `jobs` variables are mapped at once. A
-    NaN or infinity at a valid pixel makes every product of its column
-    non-finite (inf * 0 is NaN), so the products are checked instead."""
+    lookup of cube.values. Each slab is cast into one float64 buffer that
+    the variable's pass reuses (its valid columns compressed first unless
+    the mask is all-valid), its product goes into a second reused buffer,
+    and the slab products are summed in time order. `jobs` threads take
+    whole variables, `jobs` at a time as the consumer asks, so the bytes
+    do not depend on `jobs` and at most `jobs` variables are mapped at
+    once. A NaN or infinity at a valid pixel makes every product of its
+    column non-finite (inf * 0 is NaN), so the products are checked
+    instead."""
     T = cube.time.n_steps
     keep = cube.mask.ravel()
+    n_valid = np.count_nonzero(keep)
+    every = n_valid == keep.size  # an all-valid slab needs no compress copy
 
     def product(var: str, r: np.ndarray) -> np.ndarray:
         values = cube.values[var].reshape(T, -1)
-        out = np.zeros((r.shape[0], np.count_nonzero(keep)))
+        buf = np.empty((min(SLAB_STEPS, T), n_valid))
+        part = np.empty((r.shape[0], n_valid))
+        out = np.zeros((r.shape[0], n_valid))
         with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN
             for t0 in range(0, T, SLAB_STEPS):
-                slab = values[t0:t0 + SLAB_STEPS].compress(keep, axis=1).astype(np.float64)
-                out += r[:, t0:t0 + SLAB_STEPS] @ slab
+                slab = values[t0:t0 + SLAB_STEPS]
+                k = slab.shape[0]
+                np.copyto(buf[:k], slab if every else slab.compress(keep, axis=1))
+                out += np.matmul(r[:, t0:t0 + k], buf[:k], out=part)
         if not np.all(np.isfinite(out)):
             raise DataError(f"variable {var} holds a non-finite value at a valid pixel; "
                             "rerun `drycss synth`")

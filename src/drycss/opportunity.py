@@ -320,7 +320,8 @@ def find_analog(site: CandidateSite, vectors: np.ndarray, spec: GridSpec,
         raise DataError(
             f"candidate {site.rank} sits on a pixel without a climate vector")
 
-    dist = np.sqrt(np.sum((vectors - v0) ** 2, axis=-1))
+    diff = np.subtract(vectors, v0)  # one temporary, squared in place
+    dist = np.sqrt(np.sum(np.square(diff, out=diff), axis=-1))
     eligible = np.isfinite(dist) & np.isfinite(ndvi)
     eligible[site.iy, site.ix] = False
     if exclusion is not None:

@@ -327,8 +327,9 @@ def run_training_grid(series: np.ndarray, labels: np.ndarray,
         trains[r, train_idx] = True
     sums = np.zeros((len(cells), V, nb))
     for i, x in enumerate(series):
-        np.add(sums, bin_energies(dft_coefficients(x), T), out=sums,
-               where=trains[:, i, None, None])
+        e = bin_energies(dft_coefficients(x), T)
+        for r in np.flatnonzero(trains[:, i]):
+            sums[r] += e
     selections = [select_frequencies(total / len(train_idx), settings.variables,
                                      size if kind == "blup" else settings.nn_feature_bins, T)
                   for (kind, size, *_), total, (train_idx, _) in zip(cells, sums, splits)]

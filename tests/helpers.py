@@ -11,7 +11,7 @@ import numpy as np
 import drycss.pipeline as pipeline
 from drycss.blup import _loo_rmse
 from drycss.errors import DataError, NumericalError, read_table
-from drycss.grid import VARIABLES, ClimateCube
+from drycss.grid import SLAB_STEPS, VARIABLES, ClimateCube
 from drycss.neural import (_BN_EPS, _BN_MOMENTUM, Adam, DenseNet, _block_dropout_augment,
                            _loss_and_grad, build_autoencoder, build_classifier)
 from drycss.opportunity import parse_coordinate
@@ -280,6 +280,22 @@ def pixel_series(cube, r0: int, r1: int):
     for vi, var in enumerate(cube.variables):
         series[:, vi, :] = cube.values[var][:, rows, cols].T
     return rows, cols, series
+
+
+def reference_series_products(cube, rows) -> list[np.ndarray]:
+    """grid.series_products with a fresh array per slab: per variable, each
+    SLAB_STEPS-step slab compressed to the mask's valid columns, cast to
+    float64, and rows[v] @ slab added in time order."""
+    T, keep = cube.time.n_steps, cube.mask.ravel()
+    out = []
+    for var, r in zip(cube.variables, rows):
+        values = cube.values[var].reshape(T, -1)
+        acc = np.zeros((r.shape[0], np.count_nonzero(keep)))
+        for t0 in range(0, T, SLAB_STEPS):
+            slab = values[t0:t0 + SLAB_STEPS].compress(keep, axis=1).astype(np.float64)
+            acc += r[:, t0:t0 + SLAB_STEPS] @ slab
+        out.append(acc)
+    return out
 
 
 def rfft_ensemble_scores(models, series):

@@ -21,7 +21,7 @@ from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, content_digest, load
 from drycss.neural import ClassifierModel, build_classifier
 from drycss.opportunity import find_analog
 from drycss.pipeline import EnsembleScorer, load_samples
-from helpers import pixel_series, rfft_ensemble_scores
+from helpers import pixel_series, reference_series_products, rfft_ensemble_scores
 from test_desk import pixel_vectors
 
 
@@ -1089,16 +1089,20 @@ class TestSlabBoundary:
     def test_products_cross_slabs_alike(self, tmp_path):
         """On a chain of three slabs, the last partial (so the order of
         the slab sums shows in the bytes), with one grid row all
-        invalid: series_products gives the same bytes
-        for any worker count on the memory-mapped and the in-memory
-        cube, `predict --jobs 1` and `--jobs 2` write the same maps, and
-        the map matches each model scored from the full FFT."""
+        invalid: series_products gives the bytes of a fresh array per
+        slab (helpers.reference_series_products) for any worker count on
+        the memory-mapped and the in-memory cube, and on the all-valid
+        cube before the row is masked; `predict --jobs 1` and `--jobs 2`
+        write the same maps, and the map matches each model scored from
+        the full FFT."""
         ws, T = tmp_path / "ws", 2 * SLAB_STEPS + 37
         assert cli.main(["synth", "--out", str(ws), "--grid-size", "12", "--steps", str(T),
                          "--counts", "8,8,3,3", "--seed", "3"]) == 0
         row = min(set(range(12)) - {s.iy for s in load_samples(ws / "samples.csv")})
         cube = load_cube(ws / "cube")
         values = {var: np.array(cube.values[var]) for var in cube.variables}
+        whole = ClimateCube(spec=cube.spec, time=cube.time, variables=cube.variables,
+                            values={**values, "t2m": values["t2m"].copy()})
         values["t2m"][T - 1, row] = np.nan  # in the last, partial slab
         memory = ClimateCube(spec=cube.spec, time=cube.time, variables=cube.variables,
                              values=values)
@@ -1115,9 +1119,12 @@ class TestSlabBoundary:
         assert not mapped.mask[row].any() and mapped.mask.sum() == 132
         models = cli._load_models(ws)
         rows = EnsembleScorer(models).time_rows
-        expect = [p.tobytes() for p in series_products(mapped, rows)]
-        for cube, jobs in ((mapped, 2), (mapped, 4), (memory, 1), (memory, 2), (memory, 4)):
-            assert [p.tobytes() for p in series_products(cube, rows, jobs)] == expect
+        assert whole.mask.all()
+        masked = [p.tobytes() for p in reference_series_products(mapped, rows)]
+        for cube, expect in ((mapped, masked), (memory, masked),
+                             (whole, [p.tobytes() for p in reference_series_products(whole, rows)])):
+            for jobs in (1, 2, 4):
+                assert [p.tobytes() for p in series_products(cube, rows, jobs)] == expect
 
         _, css = load_grids(css_dir)
         iy, ix, series = pixel_series(mapped, 0, 12)
@@ -1156,6 +1163,20 @@ class TestAnalogVectors:
             assert float(row["climate_distance"]) == pytest.approx(
                 res.climate_distance, rel=1e-9)
         assert n_matched >= 1
+
+    def test_jobs_leave_the_bytes(self, workspace, tmp_path):
+        """`analogs --jobs 2` writes the table, the uplift and the
+        distance maps of `--jobs 1`, byte for byte."""
+        ws = copy_workspace(workspace, tmp_path)
+
+        def outputs(jobs):
+            assert run(ws, "analogs", "--jobs", jobs) == 0
+            return {p.relative_to(ws): p.read_bytes()
+                    for p in [ws / "analogs.csv", ws / "uplift.json",
+                              *(ws / "maps" / "analogs").iterdir()]}
+
+        first = outputs("1")
+        assert len(first) > 3 and outputs("2") == first
 
 
 class TestConfigFile:
@@ -1196,7 +1217,7 @@ class TestDefaults:
         assert stages["analogs"]["config"] == {
             "channels": 32, "max_climate_distance": None,
             "distance_percentile": opportunity.DEFAULT_DISTANCE_PERCENTILE,
-            "ndvi_margin": opportunity.DEFAULT_NDVI_MARGIN, "exclude": None}
+            "ndvi_margin": opportunity.DEFAULT_NDVI_MARGIN, "exclude": None, "jobs": 1}
 
 
 class TestExclusion:

@@ -370,6 +370,18 @@ class TestFindAnalog:
                              max_climate_distance=2.0)
         assert (res.iy, res.ix) == (1, 1)
 
+    def test_distance_map_bytes(self):
+        """The distance map is np.sqrt(np.sum((vectors - v0) ** 2, axis=-1))
+        to the bit, NaN pixels included, on a random field."""
+        rng = np.random.default_rng(7)
+        vectors = rng.standard_normal((10, 10, 64)) * rng.uniform(0.1, 10.0, 64)
+        vectors[3, 4] = np.nan
+        site = CandidateSite(rank=1, lat=20.2, lon=40.5, iy=2, ix=5, opportunity=0.5)
+        _, dist = find_analog(site, vectors, SPEC, rng.uniform(0.0, 0.8, (10, 10)))
+        expect = np.sqrt(np.sum((vectors - vectors[2, 5]) ** 2, axis=-1))
+        assert np.isnan(dist[3, 4]) and np.isfinite(expect).sum() == 99
+        np.testing.assert_array_equal(dist, expect)
+
     def test_validation(self):
         spec, vectors, ndvi, site = self.setup_world()
         with pytest.raises(DataError, match="vector grid"):
