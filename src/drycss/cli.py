@@ -444,8 +444,7 @@ def cmd_analogs(out: Path, opts: dict) -> None:
     T, width = cube.time.n_steps, channels * 2
     vectors = np.full(cube.spec.shape + (len(cube.variables) * width,), np.nan)
     basis = dft_basis(T, range(channels)).T
-    for vi, parts in enumerate(series_products(cube, [basis] * len(cube.variables),
-                                               jobs=opts["jobs"])):
+    for vi, parts in enumerate(series_products(cube, [basis] * len(cube.variables))):
         coeffs = (parts[:channels] + 1j * parts[channels:]).T[:, None] / T
         vectors[cube.mask, vi * width:(vi + 1) * width] = truncated_coefficients(coeffs, channels)
 
@@ -619,7 +618,6 @@ STAGES: dict[str, Stage] = {
             "required NDVI improvement", _at_least(0)),
         Opt("exclude", None, str,
             "grid directory whose 'exclusion' grid masks pixels out of the search"),
-        _JOBS,
     ], {"cube": "synth", "maps/opportunity": "opportunity", "candidates.csv": "candidates"},
         ("analogs.csv", "uplift.json", "maps/analogs")),
     "report": Stage(cmd_report, "render heatmaps and summary tables", [],

@@ -319,8 +319,9 @@ def series_products(cube: ClimateCube, rows, jobs: int = 1):
 
     Each variable is read in contiguous SLAB_STEPS-step slabs of one
     lookup of cube.values. Each slab is cast into one float64 buffer that
-    the variable's pass reuses (its valid columns compressed first unless
-    the mask is all-valid), its product goes into a second reused buffer,
+    the variable's pass reuses: straight from the slab when the mask is
+    all-valid (synth's default world), otherwise from a copy compressed
+    to the valid columns. Its product goes into a second reused buffer,
     and the slab products are summed in time order. `jobs` threads take
     whole variables, `jobs` at a time as the consumer asks, so the bytes
     do not depend on `jobs` and at most `jobs` variables are mapped at

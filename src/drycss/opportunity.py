@@ -320,8 +320,7 @@ def find_analog(site: CandidateSite, vectors: np.ndarray, spec: GridSpec,
         raise DataError(
             f"candidate {site.rank} sits on a pixel without a climate vector")
 
-    diff = np.subtract(vectors, v0)  # one temporary, squared in place
-    dist = np.sqrt(np.sum(np.square(diff, out=diff), axis=-1))
+    dist = np.sqrt(np.sum((vectors - v0) ** 2, axis=-1))
     eligible = np.isfinite(dist) & np.isfinite(ndvi)
     eligible[site.iy, site.ix] = False
     if exclusion is not None:

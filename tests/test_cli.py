@@ -1164,20 +1164,6 @@ class TestAnalogVectors:
                 res.climate_distance, rel=1e-9)
         assert n_matched >= 1
 
-    def test_jobs_leave_the_bytes(self, workspace, tmp_path):
-        """`analogs --jobs 2` writes the table, the uplift and the
-        distance maps of `--jobs 1`, byte for byte."""
-        ws = copy_workspace(workspace, tmp_path)
-
-        def outputs(jobs):
-            assert run(ws, "analogs", "--jobs", jobs) == 0
-            return {p.relative_to(ws): p.read_bytes()
-                    for p in [ws / "analogs.csv", ws / "uplift.json",
-                              *(ws / "maps" / "analogs").iterdir()]}
-
-        first = outputs("1")
-        assert len(first) > 3 and outputs("2") == first
-
 
 class TestConfigFile:
     def test_config_supplies_stage_values(self, workspace, tmp_path):
@@ -1217,7 +1203,7 @@ class TestDefaults:
         assert stages["analogs"]["config"] == {
             "channels": 32, "max_climate_distance": None,
             "distance_percentile": opportunity.DEFAULT_DISTANCE_PERCENTILE,
-            "ndvi_margin": opportunity.DEFAULT_NDVI_MARGIN, "exclude": None, "jobs": 1}
+            "ndvi_margin": opportunity.DEFAULT_NDVI_MARGIN, "exclude": None}
 
 
 class TestExclusion:
