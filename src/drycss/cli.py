@@ -59,14 +59,14 @@ from .opportunity import (AnalogMatch, CandidateSite, default_rules, extract_can
                           filter_candidates, find_analog, join_attributes,
                           load_attribute_table, load_rules, opportunity_map,
                           uplift_report)
-from .pipeline import (Calibration, GridSettings, aggregate_metrics,
-                       category_means, derive_seed, ensemble_scores,
-                       fit_calibration, load_samples, map_agreement_iou,
+from .pipeline import (Calibration, GridSettings, aggregate_metrics, category_means,
+                       derive_seed, fit_calibration, load_samples, map_agreement_iou,
                        predict_map, ranking_overlap, run_training_grid, sample_series,
                        save_run_record, save_samples, validation_rows)
 from .spectral import dft_basis, n_bins, truncated_coefficients
 
 dft_coefficients = pipeline.dft_coefficients  # bench/spans.py wraps it here (test_tracer)
+ensemble_scores = pipeline.ensemble_scores  # bench/spans.py wraps it here (test_tracer)
 
 
 class UsageError(Exception):
@@ -234,11 +234,7 @@ def cmd_features(out: Path, opts: dict) -> None:
           f"x {series.shape[2]} steps -> {feat_dir}")
 
 
-def _read_features(out: Path):
-    """The samples' series, their variables and the samples table. The
-    series are features/series.f32, read at the shape that the samples
-    table and features/meta.json give and checked, once read, against the
-    digest `features` recorded there."""
+def cmd_train(out: Path, opts: dict) -> None:
     feat_dir = out / "features"
     samples = load_samples(out / "samples.csv")
     _, (time, variables, digest) = read_meta(
@@ -252,11 +248,6 @@ def _read_features(out: Path):
                             f"{feat_dir / 'meta.json'}")
     except DataError as e:
         raise DataError(f"feature cache {e}; rerun `drycss features`") from None
-    return series, variables, samples
-
-
-def cmd_train(out: Path, opts: dict) -> None:
-    series, variables, samples = _read_features(out)
     n_steps = series.shape[-1]
     bins, n_inputs = n_bins(n_steps), len(variables) * opts["nn_feature_bins"] * 2
     for key, value, limit, what in (
@@ -302,11 +293,10 @@ def cmd_train(out: Path, opts: dict) -> None:
     print(f"train: {len(runs)} runs ({n_failed} failed) -> {runs_dir}")
 
 
-def _load_models(out: Path):
-    """The model bundles that runs/meta.json lists, in grid order; a
-    listed bundle that is missing is a DataError."""
+def cmd_predict(out: Path, opts: dict) -> None:
+    cube = load_cube(out / "cube")
     runs_dir = out / "runs"
-    meta_path = runs_dir / "meta.json"
+    meta_path = runs_dir / "meta.json"  # the bundles in grid order
     ids = read_json(meta_path, "runs metadata", lambda meta: json_names(meta["models"], "models"))
     if not ids:
         raise DataError(f"no model bundles under {runs_dir}: every training run failed")
@@ -314,12 +304,7 @@ def _load_models(out: Path):
         if not (runs_dir / run_id).is_dir():
             raise DataError(f"model bundle {runs_dir / run_id} listed in {meta_path} "
                             "is missing; rerun `drycss train`")
-    return [load_model_bundle(runs_dir / run_id) for run_id in ids]
-
-
-def cmd_predict(out: Path, opts: dict) -> None:
-    cube = load_cube(out / "cube")
-    models = _load_models(out)
+    models = [load_model_bundle(runs_dir / run_id) for run_id in ids]
     css_dir = out / "maps" / "css"
     maps = predict_map(models, cube, jobs=opts["jobs"])
     save_grids(css_dir, cube.spec, maps)
@@ -327,9 +312,18 @@ def cmd_predict(out: Path, opts: dict) -> None:
 
 
 def cmd_calibrate(out: Path, opts: dict) -> None:
-    series, _, samples = _read_features(out)
-    models = _load_models(out)
-    scores = ensemble_scores(models, series)
+    samples = load_samples(out / "samples.csv")
+    css_dir = out / "maps" / "css"
+    spec, maps = load_grids(css_dir)
+    if "combined" not in maps:
+        raise DataError(f"no 'combined' grid in {css_dir}")
+    for s in samples:  # features placed each at a valid node of the cube predict scored
+        if not (0 <= s.iy < spec.n_lat and 0 <= s.ix < spec.n_lon
+                and all(np.isfinite(grid[s.iy, s.ix]) for grid in maps.values())):
+            raise DataError(f"{css_dir} holds no finite score of sample {s.site_id} at "
+                            f"node ({s.iy}, {s.ix}); rerun `drycss predict`")
+    iy, ix = [s.iy for s in samples], [s.ix for s in samples]
+    scores = {name: grid[iy, ix].astype(np.float64) for name, grid in maps.items()}
     cal = fit_calibration(samples, scores["combined"])
 
     names = sorted(k for k in scores if k != "combined") + ["combined"]
@@ -586,7 +580,7 @@ STAGES: dict[str, Stage] = {
     "predict": Stage(cmd_predict, "score every pixel into CSS maps", [_JOBS],
                      {"cube": "synth", "runs": "train"}, ("maps/css",)),
     "calibrate": Stage(cmd_calibrate, "reclassification scores + NDVI calibration", [],
-                       {"features": "features", "runs": "train", "samples.csv": "synth"},
+                       {"maps/css": "predict", "samples.csv": "synth"},
                        ("calibration.json", "reclassification.csv")),
     "opportunity": Stage(cmd_opportunity, "calibrated CSS minus NDVI map", [
         Opt("years", None, _int_list,

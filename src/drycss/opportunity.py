@@ -320,7 +320,12 @@ def find_analog(site: CandidateSite, vectors: np.ndarray, spec: GridSpec,
         raise DataError(
             f"candidate {site.rank} sits on a pixel without a climate vector")
 
-    dist = np.sqrt(np.sum((vectors - v0) ** 2, axis=-1))
+    dist = np.empty(spec.shape, dtype=vectors.dtype)
+    buf = np.empty((2,) + vectors.shape[1:], dtype=vectors.dtype)
+    for r0 in range(0, spec.n_lat, 2):  # two grid rows at a time, not a map-sized temporary
+        part = np.subtract(vectors[r0:r0 + 2], v0, out=buf[:min(2, spec.n_lat - r0)])
+        np.sum(np.square(part, out=part), axis=-1, out=dist[r0:r0 + 2])
+    np.sqrt(dist, out=dist)
     eligible = np.isfinite(dist) & np.isfinite(ndvi)
     eligible[site.iy, site.ix] = False
     if exclusion is not None:

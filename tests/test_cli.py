@@ -335,7 +335,19 @@ class TestStageGraph:
         assert run(ws, "predict") == 0
         assert run(ws, "opportunity") == 2
         err = capsys.readouterr().err
-        assert "runs/meta.json changed" in err and "rerun `drycss calibrate`" in err
+        assert "maps/css/meta.json changed" in err and "rerun `drycss calibrate`" in err
+
+    def test_calibration_needs_the_current_map(self, workspace, tmp_path, capsys):
+        """calibrate reads the samples' scores from maps/css, so new models
+        without a new map are refused as a stale map, not scored afresh."""
+        ws = copy_workspace(workspace, tmp_path)
+        assert run(ws, "train", *TRAIN_FLAGS, "--seed", "1") == 0
+        assert run(ws, "calibrate") == 2
+        err = capsys.readouterr().err
+        assert "runs/meta.json changed" in err and "rerun `drycss predict`" in err
+        assert "Traceback" not in err
+        assert run(ws, "predict") == 0
+        assert run(ws, "calibrate") == 0
 
     def test_changed_candidates_input_is_refused(self, workspace, tmp_path, capsys):
         ws = copy_workspace(workspace, tmp_path)
@@ -382,7 +394,7 @@ class TestStageGraph:
         assert run(ws, "predict") == 0
         assert run(ws, "report") == 2
         err = capsys.readouterr().err
-        assert "runs/meta.json changed" in err and "rerun `drycss calibrate`" in err
+        assert "maps/css/meta.json changed" in err and "rerun `drycss calibrate`" in err
 
     def test_report_after_predict_stamps_what_it_found(self, workspace, tmp_path):
         ws = copy_workspace(workspace, tmp_path)
@@ -468,7 +480,7 @@ class TestExitCodes:
         assert "corrupt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage, rel, key",
-                             [("opportunity", "maps/css/meta.json", "grid"),
+                             [("calibrate", "maps/css/meta.json", "grid"),
                               ("train", "features/meta.json", "variables")])
     def test_metadata_without_entry_is_2(self, workspace, tmp_path, capsys,
                                          stage, rel, key):
@@ -592,6 +604,32 @@ class TestExitCodes:
             assert "variable tp" in err and "rerun `drycss synth`" in err, stage
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("damage", ["nan", "cut"])
+    def test_css_map_without_a_finite_sample_score_is_2(self, workspace, tmp_path, capsys,
+                                                        damage):
+        """calibrate reads the samples' scores from maps/css. A NaN written
+        into combined.f32 at a sample's pixel, or a set cut to fewer rows
+        than the cube, which leaves the northernmost sample off the map,
+        exits 2 naming the sample."""
+        ws = copy_workspace(workspace, tmp_path)
+        path, samples = ws / "maps" / "css", load_samples(ws / "samples.csv")
+        if damage == "nan":
+            s = samples[0]
+            values = np.fromfile(path / "combined.f32", dtype="<f4")
+            values[s.iy * 12 + s.ix] = np.nan
+            values.tofile(path / "combined.f32")
+        else:
+            s = max(samples, key=lambda s: s.iy)
+            spec, grids = load_grids(path)
+            cut = dataclasses.replace(spec, n_lat=s.iy,
+                                      lat_max=spec.lat_min + (s.iy - 1) * spec.dlat)
+            shutil.rmtree(path)
+            save_grids(path, cut, {name: grid[:s.iy] for name, grid in grids.items()})
+        assert run(ws, "calibrate") == 2
+        err = capsys.readouterr().err
+        assert f"{path} holds no finite score of sample {s.site_id} at node " \
+               f"({s.iy}, {s.ix}); rerun `drycss predict`" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("name", ["../ndvi/2020_100", "mask"], ids=["path", "reserved"])
     def test_variable_not_a_file_stem_is_2(self, workspace, tmp_path, capsys, name):
         """A cube's variable codes name its files: a path, or the stored
@@ -624,9 +662,8 @@ class TestExitCodes:
         doc = json.loads(path.read_text())
         change(doc)
         path.write_text(json.dumps(doc))
-        for stage in ("predict", "calibrate"):
-            assert run(ws, stage) == 2
-            assert message in capsys.readouterr().err
+        assert run(ws, "predict") == 2
+        assert message in capsys.readouterr().err
 
     def test_classifier_not_taking_the_codes_is_2(self, workspace, tmp_path, capsys):
         ws = copy_workspace(workspace, tmp_path)
@@ -645,10 +682,9 @@ class TestExitCodes:
         doc = json.loads(path.read_text())
         del (doc if drop == "size" else doc["sections"][0])[drop]
         path.write_text(json.dumps(doc))
-        for stage in ("predict", "calibrate"):
-            assert cli.main([stage, "--out", str(ws), "--force"]) == 2
-            err = capsys.readouterr().err
-            assert "malformed model metadata" in err and repr(drop) in err
+        assert run(ws, "predict") == 2
+        err = capsys.readouterr().err
+        assert "malformed model metadata" in err and repr(drop) in err
 
     @pytest.mark.parametrize("run_id, damage, message", [
         ("nn_4_0", lambda p: p.write_bytes(p.read_bytes()[:-4]), "weights.f32: file holds"),
@@ -659,10 +695,9 @@ class TestExitCodes:
         """The counts model.json declares fix the size weights.f32 is read at."""
         ws = copy_workspace(workspace, tmp_path)
         damage(ws / "runs" / run_id / "weights.f32")
-        for stage in ("predict", "calibrate"):
-            assert run(ws, stage) == 2
-            err = capsys.readouterr().err
-            assert message in err and run_id in err and "Traceback" not in err
+        assert run(ws, "predict") == 2
+        err = capsys.readouterr().err
+        assert message in err and run_id in err and "Traceback" not in err
 
 
 def rewrite_series(change):
@@ -690,10 +725,9 @@ class TestWorkspaceTables:
     def test_missing_listed_bundle_is_2(self, workspace, tmp_path, capsys):
         ws = copy_workspace(workspace, tmp_path)
         shutil.rmtree(ws / "runs" / "nn_4_0")
-        for stage in ("predict", "calibrate"):
-            assert run(ws, stage) == 2
-            err = capsys.readouterr().err
-            assert "nn_4_0" in err and "listed in" in err and "rerun `drycss train`" in err
+        assert run(ws, "predict") == 2
+        err = capsys.readouterr().err
+        assert "nn_4_0" in err and "listed in" in err and "rerun `drycss train`" in err
 
     def test_runs_meta_without_model_list_is_2(self, workspace, tmp_path, capsys):
         ws = copy_workspace(workspace, tmp_path)
@@ -798,12 +832,10 @@ class TestWorkspaceTables:
         edit fails the digest check."""
         ws = copy_workspace(workspace, tmp_path)
         damage(ws / "features" / "series.f32")
-        for stage in ("calibrate", "train"):  # train --force removes runs/
-            argv = TRAIN_FLAGS if stage == "train" else []
-            assert run(ws, stage, *argv) == 2
-            err = capsys.readouterr().err
-            assert "series.f32" in err and "rerun `drycss features`" in err
-            assert message in err and "Traceback" not in err
+        assert run(ws, "train", *TRAIN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert "series.f32" in err and "rerun `drycss features`" in err
+        assert message in err and "Traceback" not in err
 
     def test_feature_variables_of_another_count_is_2(self, workspace, tmp_path, capsys):
         """The digest covers series.f32, not the names beside it in
@@ -1033,10 +1065,9 @@ class TestNonFiniteRecords:
                                     change, message):
         ws = copy_workspace(workspace, tmp_path)
         change(ws / "runs" / run_id / name)
-        for stage in ("predict", "calibrate"):
-            assert run(ws, stage) == 2
-            err = capsys.readouterr().err
-            assert message in err and run_id in err and name in err
+        assert run(ws, "predict") == 2
+        err = capsys.readouterr().err
+        assert message in err and run_id in err and name in err
 
 
 class TestGridSets:
@@ -1073,16 +1104,18 @@ class TestStageArithmetic:
         assert meta["digest"] == content_digest(workspace / "features", ["series.f32"])
 
     def test_reclassification_scores_match_the_css_map(self, workspace):
-        """calibrate scores the samples' series through the scorer that
-        predicts the map; at every sample pixel the two agree exactly."""
+        """calibrate reads each kind's score at the sample's pixel of its
+        CSS map, so every score column holds the map's values exactly."""
         _, css = load_grids(workspace / "maps" / "css")
         with open(workspace / "reclassification.csv", newline="") as f:
-            scores = [float(r["score_combined"]) for r in csv.DictReader(f)]
-        with open(workspace / "samples.csv", newline="") as f:
-            pixels = [(int(r["iy"]), int(r["ix"])) for r in csv.DictReader(f)]
-        assert len(scores) == len(pixels) > 0
-        for score, (iy, ix) in zip(scores, pixels):
-            assert css["combined"][iy, ix] == np.float32(score)
+            rows = list(csv.DictReader(f))
+        samples = load_samples(workspace / "samples.csv")
+        assert sorted(k for k in rows[0] if k.startswith("score_")) == \
+            sorted(f"score_{name}" for name in css)
+        assert [int(r["site_id"]) for r in rows] == [s.site_id for s in samples]
+        for r, s in zip(rows, samples):
+            for name, grid in css.items():
+                assert float(r[f"score_{name}"]) == float(grid[s.iy, s.ix]), (name, s.site_id)
 
 
 class TestSlabBoundary:
@@ -1117,7 +1150,7 @@ class TestSlabBoundary:
 
         mapped = load_cube(ws / "cube")
         assert not mapped.mask[row].any() and mapped.mask.sum() == 132
-        models = cli._load_models(ws)
+        models = [load_model_bundle(ws / "runs" / run_id) for run_id in ("blup_2_0", "nn_4_0")]
         rows = EnsembleScorer(models).time_rows
         assert whole.mask.all()
         masked = [p.tobytes() for p in reference_series_products(mapped, rows)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -372,15 +373,17 @@ class TestFindAnalog:
 
     def test_distance_map_bytes(self):
         """The distance map is np.sqrt(np.sum((vectors - v0) ** 2, axis=-1))
-        to the bit, NaN pixels included, on a random field."""
+        to the bit, NaN pixels included, on random fields of an even and
+        an odd row count (whose last two-row chunk holds one row)."""
         rng = np.random.default_rng(7)
-        vectors = rng.standard_normal((10, 10, 64)) * rng.uniform(0.1, 10.0, 64)
-        vectors[3, 4] = np.nan
-        site = CandidateSite(rank=1, lat=20.2, lon=40.5, iy=2, ix=5, opportunity=0.5)
-        _, dist = find_analog(site, vectors, SPEC, rng.uniform(0.0, 0.8, (10, 10)))
-        expect = np.sqrt(np.sum((vectors - vectors[2, 5]) ** 2, axis=-1))
-        assert np.isnan(dist[3, 4]) and np.isfinite(expect).sum() == 99
-        np.testing.assert_array_equal(dist, expect)
+        for spec in (SPEC, dataclasses.replace(SPEC, n_lat=11, lat_max=21.0)):
+            vectors = rng.standard_normal(spec.shape + (64,)) * rng.uniform(0.1, 10.0, 64)
+            vectors[3, 4] = vectors[-1, -1] = np.nan
+            site = CandidateSite(rank=1, lat=20.2, lon=40.5, iy=2, ix=5, opportunity=0.5)
+            _, dist = find_analog(site, vectors, spec, rng.uniform(0.0, 0.8, spec.shape))
+            expect = np.sqrt(np.sum((vectors - vectors[2, 5]) ** 2, axis=-1))
+            assert np.isnan(dist[3, 4]) and np.isfinite(expect).sum() == dist.size - 2
+            np.testing.assert_array_equal(dist, expect)
 
     def test_validation(self):
         spec, vectors, ndvi, site = self.setup_world()
