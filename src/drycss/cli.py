@@ -300,6 +300,7 @@ def cmd_predict(out: Path, opts: dict) -> None:
     ids = read_json(meta_path, "runs metadata", lambda meta: json_names(meta["models"], "models"))
     if not ids:
         raise DataError(f"no model bundles under {runs_dir}: every training run failed")
+    check_distinct(ids, "model", meta_path)
     for run_id in ids:
         if not (runs_dir / run_id).is_dir():
             raise DataError(f"model bundle {runs_dir / run_id} listed in {meta_path} "

@@ -240,38 +240,31 @@ def hourglass_widths(n_features: int, latent_dim: int) -> list[int]:
     return widths
 
 
+def _stack(n_in: int, hidden, n_out: int, rng: np.random.Generator) -> list[DenseLayer]:
+    """Dense -> BN -> ReLU layers through the hidden widths, then a linear
+    layer to n_out, drawn from rng in that order."""
+    widths = [n_in, *hidden]
+    return ([DenseLayer(a, b, "relu", batch_norm=True, rng=rng)
+             for a, b in zip(widths, widths[1:])]
+            + [DenseLayer(widths[-1], n_out, "linear", batch_norm=False, rng=rng)])
+
+
 def build_autoencoder(n_features: int, latent_dim: int,
                       rng: np.random.Generator) -> tuple[DenseNet, int]:
     """Returns (net, n_encoder_layers); encoder ends at the latent layer."""
     if not 1 <= latent_dim <= n_features:
         raise ValueError(f"latent_dim {latent_dim} outside [1, {n_features}]")
     widths = hourglass_widths(n_features, latent_dim)
-    layers = []
-    prev = n_features
-    for w in widths:
-        layers.append(DenseLayer(prev, w, "relu", batch_norm=True, rng=rng))
-        prev = w
-    layers.append(DenseLayer(prev, latent_dim, "linear", batch_norm=False, rng=rng))
-    n_encoder = len(layers)
-    prev = latent_dim
-    for w in reversed(widths):
-        layers.append(DenseLayer(prev, w, "relu", batch_norm=True, rng=rng))
-        prev = w
-    layers.append(DenseLayer(prev, n_features, "linear", batch_norm=False, rng=rng))
-    return DenseNet(layers), n_encoder
+    encoder = _stack(n_features, widths, latent_dim, rng)
+    decoder = _stack(latent_dim, widths[::-1], n_features, rng)
+    return DenseNet(encoder + decoder), len(encoder)
 
 
 CLASSIFIER_HIDDEN = (64, 32)
 
 
 def build_classifier(latent_dim: int, rng: np.random.Generator) -> DenseNet:
-    layers = []
-    prev = latent_dim
-    for w in CLASSIFIER_HIDDEN:
-        layers.append(DenseLayer(prev, w, "relu", batch_norm=True, rng=rng))
-        prev = w
-    layers.append(DenseLayer(prev, 1, "linear", batch_norm=False, rng=rng))
-    return DenseNet(layers)
+    return DenseNet(_stack(latent_dim, CLASSIFIER_HIDDEN, 1, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +314,6 @@ def _block_dropout_augment(n_variables: int, block: int, params: TrainParams):
 @dataclass
 class AutoencoderModel:
     encoder: DenseNet
-    latent_dim: int
     trajectory: list[float] = field(repr=False, default_factory=list)
     final_loss: float = float("nan")
 
@@ -350,8 +342,8 @@ def train_autoencoder(X: np.ndarray, latent_dim: int, n_variables: int,
     trajectory = _train_net(net, X, X, params, rng, "mse", augment)
     clean = net.forward(X)
     final = float(np.mean((clean - X) ** 2))
-    return AutoencoderModel(encoder=DenseNet(net.layers[:n_encoder]), latent_dim=latent_dim,
-                            trajectory=trajectory, final_loss=final)
+    return AutoencoderModel(encoder=DenseNet(net.layers[:n_encoder]), trajectory=trajectory,
+                            final_loss=final)
 
 
 @dataclass

@@ -237,9 +237,8 @@ def train_one_run(selected: np.ndarray, selection: FrequencySelection,
 
     if kind == "blup":
         fitted = fit_blup(X[train_idx], y[train_idx], lam=settings.blup_lambda)
-        model = TrainedModel(kind="blup", size=size, repetition=repetition,
-                             seed=run_seed, selection=selection, norm=norm,
-                             blup=fitted)
+        model = TrainedModel(kind="blup", repetition=repetition, seed=run_seed,
+                             selection=selection, norm=norm, blup=fitted)
     elif kind == "nn":
         ae = train_autoencoder(X[train_idx], latent_dim=size,
                                n_variables=len(settings.variables),
@@ -248,9 +247,8 @@ def train_one_run(selected: np.ndarray, selection: FrequencySelection,
         clf = train_classifier(ae.encode(X[train_idx]), y[train_idx],
                                params=settings.train_params,
                                seed=derive_seed(run_seed, "classifier"))
-        model = TrainedModel(kind="nn", size=size, repetition=repetition,
-                             seed=run_seed, selection=selection, norm=norm,
-                             autoencoder=ae, classifier=clf)
+        model = TrainedModel(kind="nn", repetition=repetition, seed=run_seed,
+                             selection=selection, norm=norm, autoencoder=ae, classifier=clf)
     else:
         raise ValueError(f"unknown model kind: {kind!r}")
 

@@ -96,14 +96,18 @@ class FrequencySelection:
     """Per-variable retained bin indices, in ranking order."""
 
     variables: tuple[str, ...]
-    k: int
     bins: np.ndarray  # int [n_variables, k]
     n_steps: int
 
     def __post_init__(self):
-        if self.bins.shape != (len(self.variables), self.k):
+        if self.bins.ndim != 2 or len(self.bins) != len(self.variables):
             raise ValueError(f"bins shape {self.bins.shape} != "
-                             f"({len(self.variables)}, {self.k})")
+                             f"({len(self.variables)}, k)")
+
+    @property
+    def k(self) -> int:
+        """Retained bins per variable."""
+        return self.bins.shape[1]
 
 
 @dataclass(frozen=True)
@@ -137,8 +141,7 @@ def select_frequencies(mean_energy: np.ndarray, variables, k: int,
     if nb != n_bins(n_steps):
         raise ValueError(f"energy axis has {nb} bins, expected {n_bins(n_steps)}")
     order = np.argsort(-mean_energy, axis=-1, kind="stable")  # ties: lower bin first
-    return FrequencySelection(tuple(variables), k,
-                              np.ascontiguousarray(order[:, :k]), n_steps)
+    return FrequencySelection(tuple(variables), np.ascontiguousarray(order[:, :k]), n_steps)
 
 
 def union_bins(selections, n_variables: int) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -22,12 +22,12 @@ def fitted():
     sel = select_frequencies(bin_energies(coeffs, T).mean(axis=0), ("a", "b"), k, T)
     norm = fit_normalization(selected_coefficients(coeffs, sel))
     X = project(selected_coefficients(coeffs, sel), norm)
-    blup = TrainedModel(kind="blup", size=k, repetition=0, seed=1,
+    blup = TrainedModel(kind="blup", repetition=0, seed=1,
                         selection=sel, norm=norm,
                         blup=fit_blup(X, labels, lam=4.0))
     ae = train_autoencoder(X, 4, nv, TrainParams(epochs=15), seed=2)
     clf = train_classifier(ae.encode(X), labels, TrainParams(epochs=15), seed=3)
-    nn = TrainedModel(kind="nn", size=4, repetition=1, seed=2,
+    nn = TrainedModel(kind="nn", repetition=1, seed=2,
                       selection=sel, norm=norm, autoencoder=ae, classifier=clf)
     return coeffs, blup, nn
 
@@ -43,13 +43,13 @@ class TestTrainedModel:
     def test_validates_members(self, fitted):
         _, blup, nn = fitted
         with pytest.raises(ValueError, match="ridge"):
-            TrainedModel(kind="blup", size=2, repetition=0, seed=0,
+            TrainedModel(kind="blup", repetition=0, seed=0,
                          selection=blup.selection, norm=blup.norm)
         with pytest.raises(ValueError, match="autoencoder"):
-            TrainedModel(kind="nn", size=2, repetition=0, seed=0,
+            TrainedModel(kind="nn", repetition=0, seed=0,
                          selection=blup.selection, norm=blup.norm)
         with pytest.raises(ValueError, match="kind"):
-            TrainedModel(kind="tree", size=2, repetition=0, seed=0,
+            TrainedModel(kind="tree", repetition=0, seed=0,
                          selection=blup.selection, norm=blup.norm)
 
     def test_feature_width_checked(self, fitted):
@@ -62,9 +62,11 @@ class TestBlupBundle:
     def test_round_trip_scores_to_f32(self, fitted, tmp_path):
         coeffs, blup, _ = fitted
         save_model_bundle(blup, tmp_path / "m")
+        doc = json.loads((tmp_path / "m" / "model.json").read_text())
+        assert sorted(doc) == ["format", "intercept", "kind", "lambda", "repetition",
+                               "seed", "version"]
         back = load_model_bundle(tmp_path / "m")
-        assert (back.kind, back.size, back.repetition, back.seed) == \
-            ("blup", 4, 0, 1)
+        assert (back.model_id, back.seed) == ("blup_4_0", 1)
         assert back.blup.lam == 4.0
         assert back.blup.intercept == blup.blup.intercept
         # weights pass through float32 storage once
@@ -94,7 +96,7 @@ class TestNnBundle:
         coeffs, _, nn = fitted
         save_model_bundle(nn, tmp_path / "m")
         back = load_model_bundle(tmp_path / "m")
-        assert back.autoencoder.latent_dim == 4
+        assert back.model_id == "nn_4_1"
         assert back.classifier.net.topology() == nn.classifier.net.topology()
         np.testing.assert_allclose(back.score_coefficients(coeffs),
                                    nn.score_coefficients(coeffs),
@@ -115,7 +117,9 @@ class TestNnBundle:
         _, _, nn = fitted
         save_model_bundle(nn, tmp_path / "m")
         doc = json.loads((tmp_path / "m" / "model.json").read_text())
-        assert doc["version"] == 2
+        assert doc["version"] == 3
+        assert sorted(doc) == ["format", "kind", "repetition", "sections", "seed", "version"]
+        assert [sorted(s) for s in doc["sections"]] == [["name", "topology"]] * 2
         assert [s["name"] for s in doc["sections"]] == ["encoder", "classifier"]
         nets = (nn.autoencoder.encoder, nn.classifier.net)
         assert (tmp_path / "m" / "weights.f32").stat().st_size == \
@@ -188,7 +192,10 @@ class TestCorruption:
         clf = next(s for s in doc["sections"] if s["name"] == "classifier")
         clf["topology"][0]["batch_norm"] = False  # drops gamma and beta
         (p / "model.json").write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="topology does not match"):
+        n = sum(net.theta.size + net.state.size
+                for net in (nn.autoencoder.encoder, nn.classifier.net))
+        with pytest.raises(DataError, match=f"weights.f32: file holds {n} values, "
+                                            f"expected {n - 4 * 64} "):
             load_model_bundle(p)
 
 
@@ -209,9 +216,9 @@ class TestFeatureTables:
         coeffs, blup, _ = fitted
         self.save(blup, tmp_path)
         doc = json.loads((tmp_path / "m" / "features.json").read_text())
-        assert sorted(doc) == ["bins", "k", "mean_im", "mean_re", "n_steps",
+        assert sorted(doc) == ["bins", "mean_im", "mean_re", "n_steps",
                                "std_im", "std_re", "variables", "version"]
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         back = load_model_bundle(tmp_path / "m")
         sel, sel2 = blup.selection, back.selection
         assert (sel2.variables, sel2.k, sel2.n_steps) == (sel.variables, sel.k, sel.n_steps)
@@ -221,17 +228,19 @@ class TestFeatureTables:
                                       project(selected_coefficients(coeffs, sel), blup.norm))
 
     def test_rejects_unknown_version(self, fitted, tmp_path):
+        """Version 1 also stored k beside the bins."""
         path = self.save(fitted[1], tmp_path)
-        self.edit(path, version=99)
-        with pytest.raises(DataError, match="feature table version"):
-            load_model_bundle(path.parent)
+        for version in (99, 1):
+            self.edit(path, version=version)
+            with pytest.raises(DataError, match=f"feature table version {version} "):
+                load_model_bundle(path.parent)
 
     def test_rejects_damage(self, fitted, tmp_path):
         path = self.save(fitted[1], tmp_path)
         path.write_text("{not json")
         with pytest.raises(DataError, match="corrupt"):
             load_model_bundle(path.parent)
-        path.write_text(json.dumps({"version": 1, "variables": ["a"]}))
+        path.write_text(json.dumps({"version": 2, "variables": ["a"]}))
         with pytest.raises(DataError, match="malformed"):
             load_model_bundle(path.parent)
         path.write_text("[1, 2]")

@@ -18,7 +18,7 @@ from drycss.bundles import load_model_bundle, save_model_bundle
 from drycss.errors import NumericalError
 from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, content_digest, load_cube,
                          load_grids, save_cube, save_grids, series_products, sha256_file)
-from drycss.neural import ClassifierModel, build_classifier
+from drycss.neural import ClassifierModel, DenseLayer, DenseNet, build_classifier
 from drycss.opportunity import find_analog
 from drycss.pipeline import EnsembleScorer, load_samples
 from helpers import pixel_series, reference_series_products, rfft_ensemble_scores
@@ -524,13 +524,16 @@ class TestExitCodes:
             assert cli.main([stage, "--out", str(ws), "--force"]) == 0
 
     def test_version_1_model_bundle_is_2(self, workspace, tmp_path, capsys):
+        """Version 1 also held the decoder; version 2 stored each size
+        beside the arrays that give it."""
         ws = copy_workspace(workspace, tmp_path)
         path = ws / "runs" / "nn_4_0" / "model.json"
         doc = json.loads(path.read_text())
-        doc["version"] = 1  # the layout that also held the decoder
-        path.write_text(json.dumps(doc))
-        assert cli.main(["predict", "--out", str(ws), "--force"]) == 2
-        assert "unsupported model bundle format/version" in capsys.readouterr().err
+        for version in (1, 2):
+            doc["version"] = version
+            path.write_text(json.dumps(doc))
+            assert cli.main(["predict", "--out", str(ws), "--force"]) == 2
+            assert "unsupported model bundle format/version" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage, rel, change", [
         ("features", "cube/meta.json", lambda m: m["grid"].update(n_lat="abc")),
@@ -647,10 +650,10 @@ class TestExitCodes:
     @staticmethod
     def cut_to_one_bin(doc):
         doc.update({key: [row[:1] for row in doc[key]] for key in
-                    ("bins", "mean_re", "std_re", "mean_im", "std_im")}, k=1)
+                    ("bins", "mean_re", "std_re", "mean_im", "std_im")})
 
     @pytest.mark.parametrize("run_id, change, message", [
-        ("blup_2_0", cut_to_one_bin, "declares 92 weights, but"),
+        ("blup_2_0", cut_to_one_bin, "weights.f32: file holds 92 values, expected 46 "),
         ("nn_4_0", cut_to_one_bin, "do not chain from the 46 features"),
         ("nn_4_0", lambda doc: doc["bins"][0].__setitem__(0, doc["bins"][0][0] + 0.9),
          "bins must be JSON integers"),
@@ -675,12 +678,26 @@ class TestExitCodes:
         assert run(ws, "predict") == 2
         assert "do not chain" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("drop", ["size", "n_params", "topology"])
+    def test_classifier_of_two_outputs_is_2(self, workspace, tmp_path, capsys):
+        """Scoring reads one output; a head that makes two is refused,
+        not read at its first column."""
+        ws = copy_workspace(workspace, tmp_path)
+        bundle = ws / "runs" / "nn_4_0"
+        model = load_model_bundle(bundle)
+        layers = build_classifier(4, np.random.default_rng(0)).layers[:-1]
+        model.classifier = ClassifierModel(DenseNet(
+            layers + [DenseLayer(32, 2, "linear", batch_norm=False)]))
+        shutil.rmtree(bundle)
+        save_model_bundle(model, bundle)
+        assert run(ws, "predict") == 2
+        assert "to one output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop", ["seed", "name", "topology"])
     def test_malformed_model_metadata_is_2(self, workspace, tmp_path, capsys, drop):
         ws = copy_workspace(workspace, tmp_path)
         path = ws / "runs" / "nn_4_0" / "model.json"
         doc = json.loads(path.read_text())
-        del (doc if drop == "size" else doc["sections"][0])[drop]
+        del (doc if drop == "seed" else doc["sections"][0])[drop]
         path.write_text(json.dumps(doc))
         assert run(ws, "predict") == 2
         err = capsys.readouterr().err
@@ -688,11 +705,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("run_id, damage, message", [
         ("nn_4_0", lambda p: p.write_bytes(p.read_bytes()[:-4]), "weights.f32: file holds"),
+        ("blup_2_0", lambda p: p.write_bytes(p.read_bytes() + bytes(4)),
+         "weights.f32: file holds 93 values, expected 92 "),
         ("blup_2_0", lambda p: p.unlink(), "is missing data file weights.f32"),
-    ], ids=["truncated", "missing"])
+    ], ids=["truncated", "padded", "missing"])
     def test_damaged_weights_are_2(self, workspace, tmp_path, capsys, run_id, damage,
                                    message):
-        """The counts model.json declares fix the size weights.f32 is read at."""
+        """The feature tables and the topologies fix the size weights.f32
+        is read at: 23 variables x 2 bins x (re, im) for blup_2_0."""
         ws = copy_workspace(workspace, tmp_path)
         damage(ws / "runs" / run_id / "weights.f32")
         assert run(ws, "predict") == 2
@@ -728,6 +748,16 @@ class TestWorkspaceTables:
         assert run(ws, "predict") == 2
         err = capsys.readouterr().err
         assert "nn_4_0" in err and "listed in" in err and "rerun `drycss train`" in err
+
+    def test_repeated_listed_bundle_is_2(self, workspace, tmp_path, capsys):
+        """A model listed twice would count twice in the ensemble mean."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "runs" / "meta.json"
+        meta = json.loads(path.read_text())
+        meta["models"].append("nn_4_0")
+        path.write_text(json.dumps(meta))
+        assert run(ws, "predict") == 2
+        assert f"{path} repeats model nn_4_0" in capsys.readouterr().err
 
     def test_runs_meta_without_model_list_is_2(self, workspace, tmp_path, capsys):
         ws = copy_workspace(workspace, tmp_path)
@@ -919,8 +949,8 @@ class TestFractionalCounts:
     @pytest.mark.parametrize("stage, rel, change, name", [
         ("predict", "runs/blup_2_0/features.json", lambda d: d.update(n_steps=64.9),
          "n_steps in features.json"),
-        ("predict", "runs/nn_4_0/model.json", lambda d: d.update(size=4.5),
-         "size in model.json"),
+        ("predict", "runs/nn_4_0/model.json", lambda d: d.update(seed=4.5),
+         "seed in model.json"),
         ("features", "cube/meta.json", lambda d: d["grid"].update(n_lat=12.5),
          "n_lat: 12.5"),
         ("features", "cube/meta.json", lambda d: d["time"].update(n_steps=64.9),

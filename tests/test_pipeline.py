@@ -180,7 +180,7 @@ class TestTrainOneRun:
         assert not set(run.train_ids) & set(run.val_ids)
         assert run.scores.shape == (40,)
         assert run.metrics["val_r"] > 0.5
-        assert model.kind == "blup" and model.size == 4
+        assert model.kind == "blup" and model.selection.k == 4
 
     def test_selection_fit_on_training_split_only(self):
         series, labels, settings = make_training_problem()
@@ -198,7 +198,7 @@ class TestTrainOneRun:
     def test_nn_run_trains(self):
         series, labels, settings = make_training_problem()
         run, model = run_cell(series, labels, "nn", 4, 1, 7, settings)
-        assert model.autoencoder.latent_dim == 4
+        assert model.autoencoder.encoder.layers[-1].n_out == 4
         assert run.metrics["train_r"] > 0.5
 
     def test_fixed_lambda_and_loo(self):
@@ -458,12 +458,12 @@ def scorer_models(T: int, kinds: str, seed: int = 0):
     last = T // 2
 
     def tables(bins):
-        sel = FrequencySelection(VARIABLES[:3], len(bins[0]), np.array(bins), T)
+        sel = FrequencySelection(VARIABLES[:3], np.array(bins), T)
         return dict(selection=sel, norm=fit_normalization(selected_coefficients(coeffs, sel)))
 
     def blup(bins):
         width = 3 * len(bins[0]) * 2
-        return TrainedModel(kind="blup", size=len(bins[0]), repetition=0, seed=0,
+        return TrainedModel(kind="blup", repetition=0, seed=0,
                             blup=BlupModel(rng.normal(0, 0.05, width), 0.5, 1.0),
                             **tables(bins))
 
@@ -471,9 +471,8 @@ def scorer_models(T: int, kinds: str, seed: int = 0):
         net, n_encoder = build_autoencoder(3 * len(bins[0]) * 2, latent, rng)
         clf = build_classifier(latent, rng)
         clf.layers[-1].b += 2.0  # keep scores away from 0, where rtol means little
-        return TrainedModel(kind="nn", size=latent, repetition=0, seed=0,
-                            autoencoder=AutoencoderModel(DenseNet(net.layers[:n_encoder]),
-                                                         latent),
+        return TrainedModel(kind="nn", repetition=0, seed=0,
+                            autoencoder=AutoencoderModel(DenseNet(net.layers[:n_encoder])),
                             classifier=ClassifierModel(clf), **tables(bins))
 
     wide = [list(range(15)) + [last], [last] + list(range(1, 16)), list(range(16, 0, -1))]
