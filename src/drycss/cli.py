@@ -51,7 +51,7 @@ from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
 from .errors import (DataError, NumericalError, check_distinct, json_int, json_names,
                      read_json, read_table, write_json, write_table)
-from .grid import (GridSpec, TimeAxis, content_digest, f32_digest, load_cube, load_grids,
+from .grid import (GridSpec, TimeAxis, content_digest, f32_blocks, load_cube, load_grids,
                    load_ndvi, read_f32, read_meta, regrid_ndvi, save_cube, save_dir, save_grids,
                    save_ndvi, series_products, sha256_file)
 from .neural import TrainParams
@@ -241,15 +241,15 @@ def cmd_train(out: Path, opts: dict) -> None:
         feat_dir, "drycss-features", "feature", lambda meta: (
             TimeAxis.from_dict(meta["time"]), json_names(meta["variables"], "variables"),
             meta["digest"]))
-    try:
-        series = read_f32(feat_dir, "series", (len(samples), len(variables), time.n_steps))
-        if f32_digest({"series": series}) != digest:
+    shape = (len(samples), len(variables), time.n_steps)
+    try:  # the size check maps the file, the digest streams it, before any block is read
+        read_f32(feat_dir, "series", shape, mmap=True)
+        if content_digest(feat_dir, ["series.f32"]) != digest:
             raise DataError(f"{feat_dir / 'series.f32'} does not match the digest in "
                             f"{feat_dir / 'meta.json'}")
     except DataError as e:
         raise DataError(f"feature cache {e}; rerun `drycss features`") from None
-    n_steps = series.shape[-1]
-    bins, n_inputs = n_bins(n_steps), len(variables) * opts["nn_feature_bins"] * 2
+    bins, n_inputs = n_bins(time.n_steps), len(variables) * opts["nn_feature_bins"] * 2
     for key, value, limit, what in (
             ("blup_sizes", max(opts["blup_sizes"]), bins, "bins per variable"),
             ("nn_feature_bins", opts["nn_feature_bins"], bins, "bins per variable"),
@@ -263,13 +263,13 @@ def cmd_train(out: Path, opts: dict) -> None:
                          "samples to train on; a run needs at least 2")
     labels = np.array([s.label for s in samples])
     settings = GridSettings(
-        variables=variables, n_steps=n_steps,
+        variables=variables, n_steps=time.n_steps,
         holdout_fraction=opts["holdout_fraction"],
         nn_feature_bins=opts["nn_feature_bins"], blup_lambda=opts["blup_lambda"],
         train_params=TrainParams(learning_rate=opts["learning_rate"],
                                  epochs=opts["epochs"]))
     runs, models = run_training_grid(
-        series, labels, settings, blup_sizes=opts["blup_sizes"],
+        f32_blocks(feat_dir, "series", shape), labels, settings, blup_sizes=opts["blup_sizes"],
         nn_sizes=opts["nn_sizes"], repetitions=opts["repetitions"],
         root_seed=opts["seed"], jobs=opts["jobs"])
 

@@ -17,8 +17,8 @@ The digest (`content_digest` of the data files) makes meta.json change
 whenever the data does, so it can stand for the whole directory.
 
 Every array the workspace stores is written by `write_f32` and read by
-`read_f32`, which checks the file's size before reading it: these
-directories and `features/` through `save_dir`, model bundles directly.
+`read_f32` (`f32_blocks` after it), which checks the file's size first:
+these directories and `features/` through `save_dir`, model bundles directly.
 
 Writers refuse a directory that already holds a meta.json; `drycss
 --force` clears a stage's outputs before the stage writes them.
@@ -193,12 +193,6 @@ def _listing_digest(hashes) -> str:
     return hashlib.sha256("".join(f"{h}  {name}\n" for name, h in hashes).encode()).hexdigest()
 
 
-def f32_digest(arrays: dict[str, np.ndarray]) -> str:
-    """The digest save_dir records for these float32 arrays, hashed in memory."""
-    return _listing_digest((f"{name}.f32", hashlib.sha256(values).hexdigest())
-                           for name, values in arrays.items())
-
-
 def save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write each array through write_f32, then meta.json with the digest
     of those files; refuses an existing directory."""
@@ -231,6 +225,17 @@ def read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndar
                         f"expected {np.prod(shape)} for shape {tuple(shape)}")
     arr = np.memmap(f, dtype=_FLOAT32, mode="r") if mmap else np.fromfile(f, dtype=_FLOAT32)
     return arr.reshape(shape)
+
+
+def f32_blocks(path: Path, name: str, shape: tuple):
+    """Blocks [:, j] of a checked [n, J, m] path/<name>.f32, read into one reused buffer."""
+    buf = np.empty(shape[::2], dtype=_FLOAT32)
+    with open(path / f"{name}.f32", "rb") as f:  # a mapping's touched pages would count
+        for j in range(shape[1]):
+            for i, row in enumerate(buf):
+                f.seek((i * shape[1] + j) * row.nbytes)
+                f.readinto(row)
+            yield buf
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,7 @@ def holdout_split(n: int, fraction: float, rng: np.random.Generator
         raise ValueError("need at least 2 samples to split")
     n_val = validation_rows(n, fraction)
     perm = rng.permutation(n)
-    val = np.sort(perm[:n_val])
-    train = np.sort(perm[n_val:])
-    return train, val
+    return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
 def compute_run_metrics(scores: np.ndarray, labels: np.ndarray,
@@ -263,14 +261,8 @@ def train_one_run(selected: np.ndarray, selection: FrequencySelection,
 
 def enumerate_grid(blup_sizes, nn_sizes, repetitions) -> list[tuple[str, int, int]]:
     """Canonical run order: blup cells first, then nn, sizes then reps."""
-    cells = []
-    for size in blup_sizes:
-        for rep in range(repetitions):
-            cells.append(("blup", int(size), rep))
-    for size in nn_sizes:
-        for rep in range(repetitions):
-            cells.append(("nn", int(size), rep))
-    return cells
+    return [(kind, int(size), rep) for kind, sizes in (("blup", blup_sizes), ("nn", nn_sizes))
+            for size in sizes for rep in range(repetitions)]
 
 
 # worker context for forked training processes; set by run_training_grid
@@ -290,54 +282,55 @@ def _grid_worker(r: int):
         return run, None
 
 
-def run_training_grid(series: np.ndarray, labels: np.ndarray,
-                      settings: GridSettings,
+def run_training_grid(blocks, labels: np.ndarray, settings: GridSettings,
                       blup_sizes=DEFAULT_BLUP_SIZES, nn_sizes=DEFAULT_NN_SIZES,
                       repetitions: int = DEFAULT_REPETITIONS,
                       root_seed: int = 0, jobs: int = 1
                       ) -> tuple[list[TrainingRun], list[TrainedModel | None]]:
-    """Train every grid cell on the samples' series [n_samples,
-    n_variables, n_steps]; diverged runs are recorded, not fatal.
-
-    The full spectrum is never held. Every run's holdout split is drawn
-    first. One FFT pass over the samples, in order, adds each sample's
-    bin_energies row into the energy sum of every run that trains on
-    it, and each run ranks its bins from that sum over its n_train. A
-    second FFT pass keeps only the per-variable union of all runs'
-    bins, from which each run gathers its own.
+    """Train every grid cell on the samples' series, which `blocks` yields
+    per variable in settings.variables order, [n_samples, n_steps] each;
+    diverged runs are recorded, not fatal. After every run's holdout
+    split is drawn, one FFT per block gives the samples' bin_energies,
+    each run ranks the block's bins from the sum of its training rows
+    over n_train, and only the block's coefficients at the union of all
+    runs' bins are kept, from which each run gathers its own. A block is
+    dropped before the next is asked for, so `blocks` may refill one buffer.
     jobs > 1 fans cells out to forked worker processes; results come
     back to the parent which keeps canonical order, so outputs do not
     depend on the worker count.
     """
-    series, labels = np.asarray(series), np.asarray(labels, dtype=np.float64)
-    V, T, nb = len(settings.variables), settings.n_steps, n_bins(settings.n_steps)
-    if labels.ndim != 1 or series.shape != (labels.shape[0], V, T):
-        raise ValueError(f"series shaped {series.shape} do not match ({labels.shape[0]} "
-                         f"labels, {V} variables, {T} steps)")
+    labels = np.asarray(labels, dtype=np.float64)
+    V, T = len(settings.variables), settings.n_steps
     cells = [(kind, size, rep, derive_seed(root_seed, kind, size, rep))
              for kind, size, rep in enumerate_grid(blup_sizes, nn_sizes, repetitions)]
     splits = [holdout_split(len(labels), settings.holdout_fraction,
                             np.random.default_rng(derive_seed(run_seed, "split")))
               for *_, run_seed in cells]
+    ks = [size if kind == "blup" else settings.nn_feature_bins for kind, size, *_ in cells]
 
-    trains = np.zeros((len(cells), len(labels)), dtype=bool)
-    for r, (train_idx, _) in enumerate(splits):
-        trains[r, train_idx] = True
-    sums = np.zeros((len(cells), V, nb))
-    for i, x in enumerate(series):
-        e = bin_energies(dft_coefficients(x), T)
-        for r in np.flatnonzero(trains[:, i]):
-            sums[r] += e
-    selections = [select_frequencies(total / len(train_idx), settings.variables,
-                                     size if kind == "blup" else settings.nn_feature_bins, T)
-                  for (kind, size, *_), total, (train_idx, _) in zip(cells, sums, splits)]
-    del sums
-
-    unions, gathers = union_bins(selections, V)
-    flat = np.concatenate([v * nb + u for v, u in enumerate(unions)])
-    union = np.empty((len(series), flat.size), dtype=np.complex128)
-    for i, x in enumerate(series):
-        union[i] = dft_coefficients(x).reshape(-1)[flat]
+    ranked, union = [], []  # per variable: each run's selection, the union's coefficients
+    for block in blocks:
+        v = len(ranked)
+        if v == V:
+            raise ValueError(f"more than {V} series blocks for {V} variables")
+        if labels.ndim != 1 or np.shape(block) != (len(labels), T):
+            raise ValueError(f"series block {v} shaped {np.shape(block)} does not match "
+                             f"labels shaped {labels.shape} over {T} steps")
+        coeffs = dft_coefficients(block)
+        e = bin_energies(coeffs, T)
+        ranked.append([select_frequencies(e[train_idx].sum(axis=0)[None] / len(train_idx),
+                                          settings.variables[v:v + 1], k, T)
+                       for k, (train_idx, _) in zip(ks, splits)])
+        [bins], _ = union_bins(ranked[-1], 1)
+        union.append(coeffs[:, bins])
+        del block, coeffs, e
+    if len(ranked) != V:
+        raise ValueError(f"{len(ranked)} series blocks for {V} variables")
+    selections = [FrequencySelection(settings.variables,
+                                     np.concatenate([r[i].bins for r in ranked]), T)
+                  for i in range(len(cells))]
+    union = np.concatenate(union, axis=1)
+    _, gathers = union_bins(selections, V)
 
     global _GRID_CONTEXT
     _GRID_CONTEXT = {"cells": cells, "splits": splits, "selections": selections,

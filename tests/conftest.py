@@ -65,7 +65,7 @@ def build_pipeline(n_side, n_steps, counts, epochs, blup_sizes, nn_sizes,
 
     settings = GridSettings(variables=cube.variables, n_steps=n_steps,
                             train_params=TrainParams(epochs=epochs))
-    runs, models = run_training_grid(series, labels, settings,
+    runs, models = run_training_grid(series.swapaxes(0, 1), labels, settings,
                                      blup_sizes=blup_sizes, nn_sizes=nn_sizes,
                                      repetitions=repetitions,
                                      root_seed=seed, jobs=1)

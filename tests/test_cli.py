@@ -703,6 +703,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "malformed model metadata" in err and repr(drop) in err
 
+    @pytest.mark.parametrize("value", ["no", 1], ids=["string", "integer"])
+    def test_batch_norm_not_a_bool_is_2(self, workspace, tmp_path, capsys, value):
+        """A topology's batch_norm is a JSON bool: one that is truthy but
+        not true would load as batch norm on, and the weights fit."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "runs" / "nn_4_0" / "model.json"
+        doc = json.loads(path.read_text())
+        clf = next(s for s in doc["sections"] if s["name"] == "classifier")
+        clf["topology"][0]["batch_norm"] = value
+        path.write_text(json.dumps(doc))
+        assert run(ws, "predict") == 2
+        err = capsys.readouterr().err
+        assert "malformed model metadata" in err and f"batch_norm: {value!r}" in err
+
     @pytest.mark.parametrize("run_id, damage, message", [
         ("nn_4_0", lambda p: p.write_bytes(p.read_bytes()[:-4]), "weights.f32: file holds"),
         ("blup_2_0", lambda p: p.write_bytes(p.read_bytes() + bytes(4)),
@@ -866,6 +880,7 @@ class TestWorkspaceTables:
         err = capsys.readouterr().err
         assert "series.f32" in err and "rerun `drycss features`" in err
         assert message in err and "Traceback" not in err
+        assert not (ws / "runs").exists()  # refused before train writes
 
     def test_feature_variables_of_another_count_is_2(self, workspace, tmp_path, capsys):
         """The digest covers series.f32, not the names beside it in

@@ -8,7 +8,7 @@ import pytest
 from drycss.errors import DataError
 from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
                          TimeAxis, VARIABLES, block_regrid,
-                         content_digest, great_circle_km,
+                         content_digest, f32_blocks, great_circle_km,
                          load_cube, load_grids, load_ndvi, regrid_ndvi,
                          save_cube, save_dir, save_grids, save_ndvi, series_products,
                          sha256_file, summer_ndvi_mean)
@@ -469,6 +469,17 @@ class TestDigest:
                             ("features", ["series.f32"])):
             meta = json.loads((tmp_path / name / "meta.json").read_text())
             assert meta["digest"] == content_digest(tmp_path / name, files), name
+
+
+    def test_blocks_are_the_series_of_one_variable_each(self, tmp_path):
+        """f32_blocks reads a [samples, variables, steps] file one variable
+        at a time into one reused buffer: each block is series[:, j]."""
+        series = np.random.default_rng(3).standard_normal((5, 4, 7)).astype(np.float32)
+        save_dir(tmp_path / "features", {"format": "drycss-features"}, {"series": series})
+        blocks = [b.copy() for b in f32_blocks(tmp_path / "features", "series", series.shape)]
+        assert len(blocks) == 4
+        for j, block in enumerate(blocks):
+            np.testing.assert_array_equal(block, series[:, j])
 
 
 class TestGreatCircle:

@@ -184,8 +184,9 @@ class TestTrainOneRun:
 
     def test_selection_fit_on_training_split_only(self):
         series, labels, settings = make_training_problem()
-        runs, models = run_training_grid(series, labels, settings, blup_sizes=(3,),
-                                         nn_sizes=(), repetitions=1, root_seed=5)
+        runs, models = run_training_grid(series.swapaxes(0, 1), labels, settings,
+                                         blup_sizes=(3,), nn_sizes=(), repetitions=1,
+                                         root_seed=5)
         run, model = runs[0], models[0]
         train = dft_coefficients(series)[run.train_ids]
         sel = select_frequencies(bin_energies(train, settings.n_steps).mean(axis=0),
@@ -226,8 +227,9 @@ class TestTrainingGrid:
     def test_serial_matches_parallel(self, problem):
         series, labels, settings = problem
         kw = dict(blup_sizes=(2,), nn_sizes=(4,), repetitions=2, root_seed=3)
-        runs1, models1 = run_training_grid(series, labels, settings, jobs=1, **kw)
-        runs2, models2 = run_training_grid(series, labels, settings, jobs=3, **kw)
+        blocks = series.swapaxes(0, 1)
+        runs1, models1 = run_training_grid(blocks, labels, settings, jobs=1, **kw)
+        runs2, models2 = run_training_grid(blocks, labels, settings, jobs=3, **kw)
         assert [r.run_id for r in runs1] == [r.run_id for r in runs2] == \
             ["blup_2_0", "blup_2_1", "nn_4_0", "nn_4_1"]
         for a, b in zip(runs1, runs2):
@@ -250,7 +252,7 @@ class TestTrainingGrid:
         monkeypatch.setattr(pl, "train_one_run", flaky)
         series, labels, settings = problem
         with pytest.warns(UserWarning, match="diverged"):
-            runs, models = run_training_grid(series, labels, settings,
+            runs, models = run_training_grid(series.swapaxes(0, 1), labels, settings,
                                              blup_sizes=(2,), nn_sizes=(4,),
                                              repetitions=1, jobs=1)
         assert [r.failed for r in runs] == [False, True]
@@ -261,11 +263,21 @@ class TestTrainingGrid:
 
     def test_shape_mismatch(self, problem):
         series, labels, settings = problem
+        blocks = list(series.swapaxes(0, 1))
+        kw = dict(blup_sizes=(2,), nn_sizes=(), repetitions=1)
         with pytest.raises(ValueError, match="labels"):
-            run_training_grid(series, labels[:-1], settings)
-        for wrong in (series[:, :2], series[..., :-1], series[0]):
-            with pytest.raises(ValueError, match="variables"):
-                run_training_grid(wrong, labels, settings)
+            run_training_grid(blocks, labels[:-1], settings, **kw)
+        with pytest.raises(ValueError, match="2 series blocks for 3 variables"):
+            run_training_grid(blocks[:-1], labels, settings, **kw)
+        with pytest.raises(ValueError, match="more than 3 series blocks for 3 variables"):
+            run_training_grid(blocks + blocks[:1], labels, settings, **kw)
+        with pytest.raises(ValueError, match=r"block 1 shaped \(29, 32\)"):
+            run_training_grid([blocks[0], blocks[1][:-1], blocks[2]], labels, settings, **kw)
+        with pytest.raises(ValueError, match=r"block 2 shaped \(30, 31\)"):
+            run_training_grid(blocks[:2] + [blocks[2][:, :-1]], labels, settings, **kw)
+        for wrong in (series, series[0]):  # the [n, V, T] array, one sample's [V, T]
+            with pytest.raises(ValueError, match="block 0 shaped"):
+                run_training_grid(wrong, labels, settings, **kw)
 
 
 def written_bytes(runs, models, root) -> dict[str, bytes]:
@@ -280,8 +292,8 @@ def written_bytes(runs, models, root) -> dict[str, bytes]:
 
 
 class TestTrainingPlan:
-    """run_training_grid's two FFT passes, byte for byte against the
-    whole-spectrum path (helpers.reference_training_grid)."""
+    """run_training_grid's one FFT per variable block, byte for byte
+    against the whole-spectrum path (helpers.reference_training_grid)."""
 
     GRID = dict(blup_sizes=(2, 8), nn_sizes=(4, 2), repetitions=2, root_seed=4)
 
@@ -294,7 +306,8 @@ class TestTrainingPlan:
     @pytest.mark.parametrize("T", [32, 33])
     def test_matches_the_whole_spectrum_path(self, T, jobs, tmp_path):
         series, labels, settings = self.problem(T)
-        runs, models = run_training_grid(series, labels, settings, jobs=jobs, **self.GRID)
+        runs, models = run_training_grid(series.swapaxes(0, 1), labels, settings, jobs=jobs,
+                                         **self.GRID)
         expect = reference_training_grid(series, labels, settings, **self.GRID)
         got = written_bytes(runs, models, tmp_path / "grid")
         assert len(got) == 8 * 4 and not any(r.failed for r in runs)
@@ -315,8 +328,8 @@ class TestTrainingPlan:
         monkeypatch.setattr(pl, "train_one_run", flaky)
         series, labels, settings = self.problem(32)
         with pytest.warns(UserWarning, match="diverged"):
-            runs, models = run_training_grid(series, labels, settings, jobs=jobs,
-                                             **self.GRID)
+            runs, models = run_training_grid(series.swapaxes(0, 1), labels, settings,
+                                             jobs=jobs, **self.GRID)
         expect = reference_training_grid(series, labels, settings, **self.GRID)
         assert [r.run_id for r in runs if r.failed] == ["nn_4_1"]
         assert written_bytes(runs, models, tmp_path / "grid") == \
@@ -324,23 +337,27 @@ class TestTrainingPlan:
 
     def test_peak_memory_stays_under_the_series(self):
         """Desk-world shape (230 samples, 23 variables, 2920 steps,
-        float32) on desk-chain's grid: the traced peak of training, over
-        the series already held, stays under the series' own bytes. The
-        whole complex128 spectrum alone would be twice them."""
-        series = np.random.default_rng(0).standard_normal((230, 23, 2920), dtype=np.float32)
+        float32) on desk-chain's grid: the blocks are made one variable at
+        a time inside the trace, so the traced peak counts them, and it
+        stays under the whole series' bytes. The whole complex128 spectrum
+        alone would be twice them."""
+        shape = (230, 23, 2920)
         labels = np.linspace(0.0, 1.0, 230)
         settings = GridSettings(variables=VARIABLES, n_steps=2920,
                                 train_params=TrainParams(epochs=1))
+        blocks = (np.random.default_rng(v).standard_normal((230, 2920), dtype=np.float32)
+                  for v in range(23))
         tracemalloc.start()
         try:
-            runs, _ = run_training_grid(series, labels, settings,
+            runs, _ = run_training_grid(blocks, labels, settings,
                                         blup_sizes=(2, 4, 8, 16, 32, 64), nn_sizes=(4, 8),
                                         repetitions=3, root_seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(runs) == 24
-        assert peak < series.nbytes, f"peak {peak / 1e6:.1f} MB over the series"
+        series_bytes = np.prod(shape) * np.dtype(np.float32).itemsize
+        assert peak < series_bytes, f"peak {peak / 1e6:.1f} MB over the series"
 
 
 class TestAggregation:
@@ -375,7 +392,7 @@ class TestAggregation:
 class TestEnsembleAndCalibration:
     def test_ensemble_means_by_kind(self):
         series, labels, settings = make_training_problem(n=20)
-        runs, models = run_training_grid(series, labels, settings,
+        runs, models = run_training_grid(series.swapaxes(0, 1), labels, settings,
                                          blup_sizes=(2, 4), nn_sizes=(),
                                          repetitions=1, jobs=1)
         coeffs = dft_coefficients(series)
@@ -570,7 +587,7 @@ class TestPredictMap:
         labels = np.asarray(labels)
         settings = GridSettings(variables=VARIABLES, n_steps=64,
                                 train_params=TrainParams(epochs=20))
-        runs, models = run_training_grid(series, labels, settings,
+        runs, models = run_training_grid(series.swapaxes(0, 1), labels, settings,
                                          blup_sizes=(2,), nn_sizes=(4,),
                                          repetitions=1, root_seed=1, jobs=1)
         return cube, models
