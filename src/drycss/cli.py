@@ -22,7 +22,7 @@ that writes it) and the paths it writes (`makes`). From that table
    is named (exit 2, "rerun `drycss <stage>`");
 3. existing outputs are refused without --force (exit 2), and with it
    removed, and the stage's manifest record dropped, before it runs;
-4. the stage runs;
+4. the stage runs, and if it raises, what it wrote of its outputs is removed;
 5. its options, outputs and the stamps of its inputs go into the manifest.
 
 A stamp is the sha256 of a file, or of a directory's meta.json, which
@@ -51,9 +51,9 @@ from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
 from .errors import (DataError, NumericalError, check_distinct, json_int, json_names,
                      read_json, read_table, write_json, write_table)
-from .grid import (GridSpec, TimeAxis, content_digest, f32_blocks, load_cube, load_grids,
-                   load_ndvi, read_f32, read_meta, regrid_ndvi, save_cube, save_dir, save_grids,
-                   save_ndvi, series_products, sha256_file)
+from .grid import (GridSpec, TimeAxis, content_digest, load_cube, load_grids, load_ndvi,
+                   read_f32, read_meta, regrid_ndvi, save_cube, save_dir, save_grids, save_ndvi,
+                   series_products, sha256_file)
 from .neural import TrainParams
 from .opportunity import (AnalogMatch, CandidateSite, default_rules, extract_candidates,
                           filter_candidates, find_analog, join_attributes,
@@ -225,13 +225,12 @@ def cmd_synth(out: Path, opts: dict) -> None:
 def cmd_features(out: Path, opts: dict) -> None:
     cube = load_cube(out / "cube")
     samples = load_samples(out / "samples.csv")
-    series = sample_series(cube, samples)
     feat_dir = out / "features"
     save_dir(feat_dir, {"format": "drycss-features", "grid": cube.spec.to_dict(),
                         "time": cube.time.to_dict(), "variables": list(cube.variables)},
-             {"series": series})
-    print(f"features: {series.shape[0]} samples x {series.shape[1]} variables "
-          f"x {series.shape[2]} steps -> {feat_dir}")
+             zip(cube.variables, sample_series(cube, samples)))
+    print(f"features: {len(samples)} samples x {len(cube.variables)} variables "
+          f"x {cube.time.n_steps} steps -> {feat_dir}")
 
 
 def cmd_train(out: Path, opts: dict) -> None:
@@ -241,14 +240,11 @@ def cmd_train(out: Path, opts: dict) -> None:
         feat_dir, "drycss-features", "feature", lambda meta: (
             TimeAxis.from_dict(meta["time"]), json_names(meta["variables"], "variables"),
             meta["digest"]))
-    shape = (len(samples), len(variables), time.n_steps)
-    try:  # the size check maps the file, the digest streams it, before any block is read
-        read_f32(feat_dir, "series", shape, mmap=True)
-        if content_digest(feat_dir, ["series.f32"]) != digest:
-            raise DataError(f"{feat_dir / 'series.f32'} does not match the digest in "
-                            f"{feat_dir / 'meta.json'}")
-    except DataError as e:
-        raise DataError(f"feature cache {e}; rerun `drycss features`") from None
+    names = [f"{var}.f32" for var in variables]  # all hashed before the first block is read
+    lacking = [name for name in names if not (feat_dir / name).is_file()]
+    if lacking or content_digest(feat_dir, names) != digest:
+        problem = f"lacks {lacking[0]}" if lacking else "does not match the digest in its meta.json"
+        raise DataError(f"feature cache {feat_dir} {problem}; rerun `drycss features`")
     bins, n_inputs = n_bins(time.n_steps), len(variables) * opts["nn_feature_bins"] * 2
     for key, value, limit, what in (
             ("blup_sizes", max(opts["blup_sizes"]), bins, "bins per variable"),
@@ -268,10 +264,10 @@ def cmd_train(out: Path, opts: dict) -> None:
         nn_feature_bins=opts["nn_feature_bins"], blup_lambda=opts["blup_lambda"],
         train_params=TrainParams(learning_rate=opts["learning_rate"],
                                  epochs=opts["epochs"]))
+    blocks = (read_f32(feat_dir, var, (n, time.n_steps), mmap=True) for var in variables)
     runs, models = run_training_grid(
-        f32_blocks(feat_dir, "series", shape), labels, settings, blup_sizes=opts["blup_sizes"],
-        nn_sizes=opts["nn_sizes"], repetitions=opts["repetitions"],
-        root_seed=opts["seed"], jobs=opts["jobs"])
+        blocks, labels, settings, blup_sizes=opts["blup_sizes"], nn_sizes=opts["nn_sizes"],
+        repetitions=opts["repetitions"], root_seed=opts["seed"], jobs=opts["jobs"])
 
     runs_dir = out / "runs"
     for run, model in zip(runs, models):
@@ -681,6 +677,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _remove(out: Path, makes) -> None:
+    """Remove each of a stage's outputs that exists."""
+    for path in (out / rel for rel in makes):
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.exists():
+            path.unlink()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -702,13 +707,14 @@ def main(argv=None) -> int:
         for path in (out / rel for rel in stage.makes):
             if path.exists() and not args.force:
                 raise DataError(f"output already exists: {path} (rerun with --force)")
-            if path.is_dir():  # --force: nothing of an earlier run survives
-                shutil.rmtree(path)
-            elif path.exists():
-                path.unlink()
+        _remove(out, stage.makes)  # --force: nothing of an earlier run survives
         if records.pop(args.command, None) is not None:  # nor its record
             write_json(manifest_path, manifest)
-        stage.run(out, opts)
+        try:
+            stage.run(out, opts)
+        except BaseException:  # nor anything of a run that failed
+            _remove(out, stage.makes)
+            raise
         records[args.command] = {
             "completed_utc": datetime.now(timezone.utc).isoformat(),
             "config": opts, "artifacts": sorted(stage.makes), "inputs": inputs}

@@ -17,8 +17,9 @@ The digest (`content_digest` of the data files) makes meta.json change
 whenever the data does, so it can stand for the whole directory.
 
 Every array the workspace stores is written by `write_f32` and read by
-`read_f32` (`f32_blocks` after it), which checks the file's size first:
-these directories and `features/` through `save_dir`, model bundles directly.
+`read_f32`, which checks the file's size first: these directories and
+`features/` (one [samples, steps] file per variable) through `save_dir`,
+model bundles directly.
 
 Writers refuse a directory that already holds a meta.json; `drycss
 --force` clears a stage's outputs before the stage writes them.
@@ -193,14 +194,14 @@ def _listing_digest(hashes) -> str:
     return hashlib.sha256("".join(f"{h}  {name}\n" for name, h in hashes).encode()).hexdigest()
 
 
-def save_dir(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write each array through write_f32, then meta.json with the digest
-    of those files; refuses an existing directory."""
+def save_dir(path: str | Path, meta: dict, arrays) -> None:
+    """Write each (name, array) pair through write_f32 as it comes, then
+    meta.json with the digest of those files; refuses an existing directory."""
     path = Path(path)
     if (path / "meta.json").exists():
         raise DataError(f"directory already exists: {path}")
     path.mkdir(parents=True, exist_ok=True)
-    hashes = [(f"{name}.f32", write_f32(path, name, values)) for name, values in arrays.items()]
+    hashes = [(f"{name}.f32", write_f32(path, name, values)) for name, values in arrays]
     meta.update(version=1, digest=_listing_digest(hashes))
     write_json(path / "meta.json", meta)
 
@@ -225,17 +226,6 @@ def read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndar
                         f"expected {np.prod(shape)} for shape {tuple(shape)}")
     arr = np.memmap(f, dtype=_FLOAT32, mode="r") if mmap else np.fromfile(f, dtype=_FLOAT32)
     return arr.reshape(shape)
-
-
-def f32_blocks(path: Path, name: str, shape: tuple):
-    """Blocks [:, j] of a checked [n, J, m] path/<name>.f32, read into one reused buffer."""
-    buf = np.empty(shape[::2], dtype=_FLOAT32)
-    with open(path / f"{name}.f32", "rb") as f:  # a mapping's touched pages would count
-        for j in range(shape[1]):
-            for i, row in enumerate(buf):
-                f.seek((i * shape[1] + j) * row.nbytes)
-                f.readinto(row)
-            yield buf
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +291,7 @@ def save_cube(cube: ClimateCube, path: str | Path) -> None:
     values = {var: cube.values[var] for var in cube.variables}
     save_dir(path, {"format": "drycss-cube", "grid": cube.spec.to_dict(),
                     "time": cube.time.to_dict(), "variables": list(cube.variables)},
-             {**values, MASK: compute_valid_mask(values, cube.variables)})
+             [*values.items(), (MASK, compute_valid_mask(values, cube.variables))])
 
 
 def load_cube(path: str | Path) -> ClimateCube:
@@ -401,7 +391,7 @@ class NdviRaster:
 def save_ndvi(raster: NdviRaster, path: str | Path) -> None:
     save_dir(path, {"format": "drycss-ndvi", "grid": raster.spec.to_dict(),
                     "observations": [[o.year, o.doy] for o in raster.observations]},
-             {f"{o.year}_{o.doy}": o.values for o in raster.observations})
+             ((f"{o.year}_{o.doy}", o.values) for o in raster.observations))
 
 
 def load_ndvi(path: str | Path) -> NdviRaster:
@@ -513,7 +503,7 @@ def save_grids(path: str | Path, spec: GridSpec, grids: dict[str, np.ndarray]) -
             raise DataError(f"grid {name} shape {grids[name].shape} != {spec.shape}")
     save_dir(path, {"format": "drycss-grids", "grid": spec.to_dict(),
                     "names": sorted(grids)},
-             {name: grids[name] for name in sorted(grids)})
+             ((name, grids[name]) for name in sorted(grids)))
 
 
 def load_grids(path: str | Path) -> tuple[GridSpec, dict[str, np.ndarray]]:

@@ -77,19 +77,21 @@ def load_samples(path: str | Path) -> list[LabeledSample]:
     samples = read_table(path, "samples table", lambda r: LabeledSample(
         site_id=int(r["site_id"]), lat=float(r["lat"]), lon=float(r["lon"]),
         iy=int(r["iy"]), ix=int(r["ix"]), category=r["category"],
-        label=float(r["label"]), ndvi=float(r["ndvi"])))
+        label=json_finite(r["label"], "label"), ndvi=float(r["ndvi"])))
     if not samples:
         raise DataError(f"samples table is empty: {path}")
     check_distinct((s.site_id for s in samples), "site_id", path)
     return samples
 
 
-def sample_series(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray:
-    """Each sample's pixel series, [n_samples, n_variables, n_steps]
-    float32: the cube's own values, half the size of their spectra,
-    gathered per variable from SLAB_STEPS-step slabs of one lookup. A
-    sample off the grid, at a masked pixel or off the node nearest its
-    (lat, lon), or a non-finite value gathered, is a DataError naming it."""
+def sample_series(cube: ClimateCube, samples: list[LabeledSample]):
+    """Yield per variable, in cube order, the samples' pixel series
+    [n_samples, n_steps] as float32: the cube's own values, half the size
+    of their spectra, gathered from SLAB_STEPS-step slabs of one lookup
+    that is dropped before the block is yielded. A sample off the grid, at
+    a masked pixel or off the node nearest its (lat, lon) is a DataError
+    naming it before the first block; a non-finite value gathered is one
+    naming its variable and sample."""
     spec, T = cube.spec, cube.time.n_steps
     for s in samples:
         node, where = spec.nearest(s.lat, s.lon), f"sample {s.site_id} at ({s.lat}, {s.lon})"
@@ -100,17 +102,18 @@ def sample_series(cube: ClimateCube, samples: list[LabeledSample]) -> np.ndarray
         if node != (s.iy, s.ix):
             raise DataError(f"{where} lies nearest node {node}, not its ({s.iy}, {s.ix})")
     flat = [s.iy * spec.n_lon + s.ix for s in samples]
-    series = np.empty((len(samples), len(cube.variables), T), dtype=np.float32)
-    for vi, var in enumerate(cube.variables):
+    for var in cube.variables:
         values = cube.values[var].reshape(T, -1)
+        block = np.empty((len(samples), T), dtype=np.float32)
         for t0 in range(0, T, SLAB_STEPS):
-            series[:, vi, t0:t0 + SLAB_STEPS] = values[t0:t0 + SLAB_STEPS][:, flat].T
-        bad = np.flatnonzero(~np.isfinite(series[:, vi]).all(axis=1))
+            block[:, t0:t0 + SLAB_STEPS] = values[t0:t0 + SLAB_STEPS][:, flat].T
+        del values
+        bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
         if bad.size:
             s = samples[bad[0]]
             raise DataError(f"variable {var} is not finite at sample {s.site_id}, pixel "
                             f"({s.iy}, {s.ix}); rerun `drycss synth`")
-    return series
+        yield block
 
 
 # ---------------------------------------------------------------------------

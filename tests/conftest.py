@@ -34,7 +34,7 @@ class PipelineRun:
     degraded: np.ndarray
     summer: np.ndarray
     samples: list
-    series: np.ndarray  # float32, as the features stage stores them
+    series: np.ndarray  # float32 [samples, variables, steps], the features stage's blocks stacked
     labels: np.ndarray
     settings: GridSettings
     runs: list
@@ -60,7 +60,7 @@ def build_pipeline(n_side, n_steps, counts, epochs, blup_sizes, nn_sizes,
         spec, suit, summer, irrigated, degraded, counts=counts,
         seed=derive_seed(seed, "synth", "sites"))
 
-    series = sample_series(cube, samples)
+    series = np.stack(list(sample_series(cube, samples)), axis=1)
     labels = np.array([s.label for s in samples])
 
     settings = GridSettings(variables=cube.variables, n_steps=n_steps,

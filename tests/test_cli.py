@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,11 +17,12 @@ import drycss.cli as cli
 from drycss import opportunity
 from drycss.bundles import load_model_bundle, save_model_bundle
 from drycss.errors import NumericalError
-from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, content_digest, load_cube,
-                         load_grids, save_cube, save_grids, series_products, sha256_file)
+from drycss.grid import (SLAB_STEPS, VARIABLES, ClimateCube, GridSpec, TimeAxis,
+                         content_digest, load_cube, load_grids, save_cube, save_grids,
+                         series_products, sha256_file)
 from drycss.neural import ClassifierModel, DenseLayer, DenseNet, build_classifier
 from drycss.opportunity import find_analog
-from drycss.pipeline import EnsembleScorer, load_samples
+from drycss.pipeline import EnsembleScorer, LabeledSample, load_samples, save_samples
 from helpers import pixel_series, reference_series_products, rfft_ensemble_scores
 from test_desk import pixel_vectors
 
@@ -216,7 +218,7 @@ def workspace(tmp_path_factory):
 class TestChain:
     def test_artifacts_exist(self, workspace):
         for rel in ("cube/meta.json", "ndvi/meta.json", "samples.csv",
-                    "features/series.f32", "runs/metrics.csv",
+                    "features/d2m.f32", "features/tp.f32", "runs/metrics.csv",
                     "runs/blup_2_0/model.json", "runs/nn_4_0/model.json",
                     "maps/css/combined.f32", "calibration.json",
                     "reclassification.csv", "maps/opportunity/opportunity.f32",
@@ -232,7 +234,7 @@ class TestChain:
         listed = {"drycss-cube": lambda m: m["variables"] + ["mask"],
                   "drycss-ndvi": lambda m: [f"{y}_{d}" for y, d in m["observations"]],
                   "drycss-grids": lambda m: m["names"],
-                  "drycss-features": lambda m: ["series"]}
+                  "drycss-features": lambda m: m["variables"]}
         files = sorted(p.relative_to(workspace) for p in workspace.rglob("*") if p.is_file())
         assert [rel for rel in files
                 if rel.suffix not in (".json", ".csv", ".pgm", ".f32")] == []
@@ -592,7 +594,8 @@ class TestExitCodes:
         """A load reads the stored mask and scans no value, so a NaN written
         into one variable file at a valid pixel (a sample's) is refused
         where it is read: by the slab reader of `analogs` and `predict`
-        and by the gather of `features`."""
+        and by the gather of `features`, which has saved the first 20
+        variables' files when it meets tp. None of them leaves an output."""
         ws = copy_workspace(workspace, tmp_path)
         cube = load_cube(ws / "cube")
         s = load_samples(ws / "samples.csv")[0]
@@ -606,6 +609,24 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "variable tp" in err and "rerun `drycss synth`" in err, stage
             assert "Traceback" not in err
+            assert [rel for rel in cli.STAGES[stage].makes if (ws / rel).exists()] == []
+        assert not (ws / "features").exists()
+
+    def test_failed_stage_leaves_none_of_its_outputs(self, workspace, tmp_path, capsys):
+        """report writes its CSS heatmaps before it reads maps/opportunity,
+        so a cut opportunity.f32 fails it after it wrote some; they go with
+        the failure, and once the file is mended report runs without --force."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "maps" / "opportunity" / "opportunity.f32"
+        intact = path.read_bytes()
+        path.write_bytes(intact[:100])
+        assert run(ws, "report") == 2
+        assert f"{path}: file holds 25 values" in capsys.readouterr().err
+        assert not (ws / "report").exists()
+        path.write_bytes(intact)
+        assert cli.main(["report", "--out", str(ws)]) == 0
+        assert sorted(p.name for p in (ws / "report").iterdir()) == \
+            sorted(p.name for p in (workspace / "report").iterdir())
 
     @pytest.mark.parametrize("damage", ["nan", "cut"])
     def test_css_map_without_a_finite_sample_score_is_2(self, workspace, tmp_path, capsys,
@@ -734,17 +755,28 @@ class TestExitCodes:
         assert message in err and run_id in err and "Traceback" not in err
 
 
-def rewrite_series(change):
-    """A damage that rewrites features/series.f32, raw float32 [samples,
-    23 variables, 64 steps], as the raw bytes of change(series)."""
+def rewrite_block(change):
+    """A damage that rewrites one variable's features/<var>.f32, raw
+    float32 [samples, 64 steps], as the raw bytes of change(block)."""
     def damage(path):
-        change(np.fromfile(path, dtype="<f4").reshape(-1, 23, 64)).tofile(path)
+        change(np.fromfile(path, dtype="<f4").reshape(-1, 64)).tofile(path)
     return damage
 
 
-def one_nan(series):
-    series[1, 2, 3] = np.nan
-    return series
+def one_nan(block):
+    block[1, 3] = np.nan
+    return block
+
+
+def older_layout(path):
+    """features/ as written before one file per variable: every block
+    stacked into one series.f32 [samples, variables, steps]."""
+    meta = json.loads((path.parent / "meta.json").read_text())
+    files = [path.parent / f"{var}.f32" for var in meta["variables"]]
+    np.stack([np.fromfile(f, dtype="<f4").reshape(-1, 64) for f in files],
+             axis=1).tofile(path.parent / "series.f32")
+    for f in files:
+        f.unlink()
 
 
 class TestWorkspaceTables:
@@ -860,33 +892,33 @@ class TestWorkspaceTables:
         assert run(ws, "opportunity") == 0
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda path: path.rename(path.with_name("series.npy")),  # the older cache name
-         "is missing data file series.f32"),
-        (lambda path: path.write_bytes(path.read_bytes()[:-16]), "file holds"),
-        (lambda path: path.write_bytes(b""), "file holds 0 values"),
-        (rewrite_series(lambda s: s[:, :5]), "file holds"),
-        (rewrite_series(lambda s: s.astype(np.complex64)), "file holds"),
-        (rewrite_series(lambda s: s.astype(np.float64)), "file holds"),
-        (rewrite_series(one_nan), "does not match the digest"),
-        (rewrite_series(lambda s: s[::-1]), "does not match the digest"),  # same size
-    ], ids=["missing", "truncated", "empty", "wrong-shape", "complex64", "float64", "nan",
-            "reversed-rows"])
+        (lambda path: path.rename(path.with_suffix(".npy")), "lacks tp.f32"),
+        (older_layout, "lacks d2m.f32"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-16]), "does not match the digest"),
+        (lambda path: path.write_bytes(b""), "does not match the digest"),
+        (rewrite_block(lambda b: b[:, :5]), "does not match the digest"),
+        (rewrite_block(lambda b: b.astype(np.complex64)), "does not match the digest"),
+        (rewrite_block(lambda b: b.astype(np.float64)), "does not match the digest"),
+        (rewrite_block(one_nan), "does not match the digest"),
+        (rewrite_block(lambda b: b[::-1]), "does not match the digest"),  # same size
+    ], ids=["missing", "older-layout", "truncated", "empty", "wrong-shape", "complex64",
+            "float64", "nan", "reversed-rows"])
     def test_damaged_feature_cache_is_2(self, workspace, tmp_path, capsys, damage, message):
-        """A file of another size fails the read's size check; a same-size
-        edit fails the digest check."""
+        """Damage to one variable's file, tp.f32 (the 21st), or a features/
+        that holds only the older series.f32: a missing file is named, and
+        any other edit fails the digest, before train reads a block."""
         ws = copy_workspace(workspace, tmp_path)
-        damage(ws / "features" / "series.f32")
+        damage(ws / "features" / "tp.f32")
         assert run(ws, "train", *TRAIN_FLAGS) == 2
         err = capsys.readouterr().err
-        assert "series.f32" in err and "rerun `drycss features`" in err
-        assert message in err and "Traceback" not in err
+        assert f"feature cache {ws / 'features'} {message}" in err
+        assert "rerun `drycss features`" in err and "Traceback" not in err
         assert not (ws / "runs").exists()  # refused before train writes
 
     def test_feature_variables_of_another_count_is_2(self, workspace, tmp_path, capsys):
-        """The digest covers series.f32, not the names beside it in
-        features/meta.json; train reads the cache at the shape those names
-        give, so a list one name short finds a file of another size
-        (calibrate already refuses the edited stamp as newer than the runs)."""
+        """The digest covers the files that features/meta.json names, in
+        order, so a list one name short is refused by the digest (calibrate
+        already refuses the edited stamp as newer than the runs)."""
         ws = copy_workspace(workspace, tmp_path)
         path = ws / "features" / "meta.json"
         doc = json.loads(path.read_text())
@@ -894,9 +926,8 @@ class TestWorkspaceTables:
         path.write_text(json.dumps(doc))
         assert run(ws, "train", *TRAIN_FLAGS) == 2
         err = capsys.readouterr().err
-        # 22 samples x 64 steps, of 23 variables held and 22 named
-        assert "series.f32: file holds 32384 values, expected 30976" in err
-        assert "rerun `drycss features`" in err
+        assert "does not match the digest" in err and "rerun `drycss features`" in err
+        assert not (ws / "runs").exists()
 
     def test_repeated_sample_site_is_2(self, workspace, tmp_path, capsys):
         """report keys its rankings by site id; features, the first stage
@@ -910,6 +941,25 @@ class TestWorkspaceTables:
         assert run(ws, "features") == 2
         err = capsys.readouterr().err
         assert f"{path} repeats site_id {site}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_is_2(self, workspace, tmp_path, capsys, label):
+        """features, the first stage to read samples.csv, refuses a label
+        that is not finite, naming the file and line; train used to end
+        in a ValueError traceback from the ridge fit."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "samples.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[0].split(",")[6] == "label"
+        cells = lines[2].split(",")
+        cells[6] = label
+        lines[2] = ",".join(cells)  # the second row, line 3
+        path.write_text("".join(lines))
+        assert run(ws, "features") == 2
+        err = capsys.readouterr().err
+        assert f"malformed samples table {path}, line 3: bad or missing label: " \
+               f"{label!r} is not finite" in err and "Traceback" not in err
+        assert not (ws / "features").exists()
 
     def test_repeated_reclassification_site_is_2(self, workspace, tmp_path, capsys):
         ws = copy_workspace(workspace, tmp_path)
@@ -1146,7 +1196,8 @@ class TestGridSets:
 class TestStageArithmetic:
     def test_feature_digest_is_content_digest_of_the_cache(self, workspace):
         meta = json.loads((workspace / "features" / "meta.json").read_text())
-        assert meta["digest"] == content_digest(workspace / "features", ["series.f32"])
+        assert meta["digest"] == content_digest(workspace / "features",
+                                                [f"{var}.f32" for var in meta["variables"]])
 
     def test_reclassification_scores_match_the_css_map(self, workspace):
         """calibrate reads each kind's score at the sample's pixel of its
@@ -1161,6 +1212,32 @@ class TestStageArithmetic:
         for r, s in zip(rows, samples):
             for name, grid in css.items():
                 assert float(r[f"score_{name}"]) == float(grid[s.iy, s.ix]), (name, s.site_id)
+
+
+class TestFeatureGather:
+    def test_peak_memory_stays_well_under_the_series(self, tmp_path):
+        """`features` gathers and saves one variable's [samples, steps]
+        block at a time: on a 12x12 cube of 1,024 steps with a sample at
+        every pixel, the traced peak stays under a quarter of the whole
+        series' 13.6 MB (the cube's values are mapped, not traced)."""
+        spec = GridSpec(lat_min=20.0, lat_max=21.1, lon_min=40.0, lon_max=41.1,
+                        n_lat=12, n_lon=12)
+        taxis = TimeAxis(start="2020-01-01T00:00:00Z", step_hours=3.0, n_steps=1024)
+        rng = np.random.default_rng(5)
+        save_cube(ClimateCube(spec=spec, time=taxis, variables=VARIABLES, values={
+            var: rng.standard_normal((1024, 12, 12), dtype=np.float32) for var in VARIABLES}),
+            tmp_path / "cube")
+        save_samples([LabeledSample(i, *spec.node(iy, ix), iy, ix, "HiSuit-HiVeg", 1.0, 0.5)
+                      for i, (iy, ix) in enumerate(np.ndindex(spec.shape))],
+                     tmp_path / "samples.csv")
+        tracemalloc.start()
+        try:
+            assert cli.main(["features", "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        series_bytes = 144 * len(VARIABLES) * 1024 * 4
+        assert peak < series_bytes / 4, f"peak {peak / 1e6:.1f} MB of {series_bytes / 1e6:.1f} MB"
 
 
 class TestSlabBoundary:

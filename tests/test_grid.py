@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from drycss.errors import DataError
-from drycss.grid import (ClimateCube, GridSpec, NdviObservation, NdviRaster,
+from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, NdviObservation, NdviRaster,
                          TimeAxis, VARIABLES, block_regrid,
-                         content_digest, f32_blocks, great_circle_km,
+                         content_digest, great_circle_km,
                          load_cube, load_grids, load_ndvi, regrid_ndvi,
                          save_cube, save_dir, save_grids, save_ndvi, series_products,
                          sha256_file, summer_ndvi_mean)
@@ -199,8 +199,8 @@ class TestCubeIO:
     def test_mappings_live_only_while_read(self, tmp_path):
         """A loaded cube maps a variable's file per lookup and drops it with
         the array: none of the cube's files stays mapped after a load,
-        after series_products or after sample_series, and during the pass
-        at most `jobs` are mapped."""
+        after series_products, or while a block of sample_series is held,
+        and during the pass at most `jobs` are mapped."""
         maps = Path("/proc/self/maps")
         if not maps.exists():
             pytest.skip("no /proc/self/maps")
@@ -225,7 +225,8 @@ class TestCubeIO:
         assert mapped() == 0
         samples = [LabeledSample(i, *cube.spec.node(iy, ix), iy, ix, "c", 1.0, 0.5)
                    for i, (iy, ix) in enumerate([(0, 0), (2, 3), (3, 1)])]
-        assert sample_series(cube, samples).shape == (3, len(VARIABLES), 300)
+        held = [(block.shape, mapped()) for block in sample_series(cube, samples)]
+        assert held == [((3, 300), 0)] * len(VARIABLES)
         assert mapped() == 0
 
 
@@ -249,6 +250,23 @@ class TestExtractSeries:
                            variables=cube.variables, values=cube.values)
         with pytest.raises(DataError, match="masked"):
             extract_series(cube, *cube.spec.node(3, 3))
+
+    def test_sample_series_blocks_are_the_cube_at_the_samples(self, tmp_path):
+        """sample_series yields one fresh float32 [samples, steps] block per
+        variable, in cube order, across slab boundaries: each equals the
+        variable's values at the samples' pixels, in sample order."""
+        n_steps = SLAB_STEPS + 44
+        save_cube(small_cube(n_steps=n_steps, seed=4), tmp_path / "c")
+        cube = load_cube(tmp_path / "c")
+        nodes = [(3, 1), (0, 0), (2, 3), (0, 0)]
+        samples = [LabeledSample(i, *cube.spec.node(iy, ix), iy, ix, "c", 1.0, 0.5)
+                   for i, (iy, ix) in enumerate(nodes)]
+        blocks = list(sample_series(cube, samples))
+        assert len(blocks) == len(VARIABLES)
+        for var, block in zip(cube.variables, blocks):
+            assert block.dtype == np.float32 and block.shape == (len(nodes), n_steps)
+            for row, (iy, ix) in zip(block, nodes):
+                np.testing.assert_array_equal(row, cube.values[var][:, iy, ix])
 
     def test_series_products_match_extract_series(self, tmp_path):
         """Loads keep the raw values of invalid pixels, so only the mask
@@ -448,9 +466,10 @@ class TestDigest:
 
     def test_saved_digest_is_content_digest_of_the_written_files(self, tmp_path):
         """The digest is hashed from the buffers written; it must be the one
-        a read-back of the files gives, float64 grids included. A feature
-        directory's series, [samples, variables, steps], is the bytes of
-        the float32 array."""
+        a read-back of the files gives, float64 grids included. save_dir
+        takes (name, array) pairs as they come: a feature directory's
+        blocks, [samples, steps] each, are the bytes of the float32
+        arrays, listed in the order given."""
         cube = small_cube(seed=2)
         save_cube(cube, tmp_path / "cube")
         save_ndvi(TestNdvi().make_raster(), tmp_path / "ndvi")
@@ -458,28 +477,20 @@ class TestDigest:
                  "a": np.full(SPEC.shape, np.pi)}
         assert grids["a"].dtype == np.float64
         save_grids(tmp_path / "grids", SPEC, grids)
-        series = (np.arange(24.0).reshape(2, 4, 3) / 7.0).transpose(0, 2, 1)  # not C-ordered
-        save_dir(tmp_path / "features", {"format": "drycss-features"}, {"series": series})
-        assert (tmp_path / "features" / "series.f32").read_bytes() == \
-            series.astype("<f4").tobytes()
+        series = (np.arange(24.0).reshape(3, 4, 2) / 7.0).transpose(0, 2, 1)  # not C-ordered
+        names = ["tp", "d2m", "sp"]  # not sorted
+        save_dir(tmp_path / "features", {"format": "drycss-features"},
+                 zip(names, (block for block in series)))
+        for name, block in zip(names, series):
+            assert (tmp_path / "features" / f"{name}.f32").read_bytes() == \
+                block.astype("<f4").tobytes()
         for name, files in (("cube", [f"{v}.f32" for v in cube.variables] + ["mask.f32"]),
                             ("ndvi", ["2020_100.f32", "2020_140.f32",
                                       "2021_100.f32", "2021_140.f32"]),
                             ("grids", ["a.f32", "b.f32"]),
-                            ("features", ["series.f32"])):
+                            ("features", [f"{name}.f32" for name in names])):
             meta = json.loads((tmp_path / name / "meta.json").read_text())
             assert meta["digest"] == content_digest(tmp_path / name, files), name
-
-
-    def test_blocks_are_the_series_of_one_variable_each(self, tmp_path):
-        """f32_blocks reads a [samples, variables, steps] file one variable
-        at a time into one reused buffer: each block is series[:, j]."""
-        series = np.random.default_rng(3).standard_normal((5, 4, 7)).astype(np.float32)
-        save_dir(tmp_path / "features", {"format": "drycss-features"}, {"series": series})
-        blocks = [b.copy() for b in f32_blocks(tmp_path / "features", "series", series.shape)]
-        assert len(blocks) == 4
-        for j, block in enumerate(blocks):
-            np.testing.assert_array_equal(block, series[:, j])
 
 
 class TestGreatCircle:
