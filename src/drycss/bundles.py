@@ -20,9 +20,10 @@ model has one weight per feature, a network's weight count and latent
 width follow from its topology, so weights.f32 is read at exactly the
 length those give and a truncated or padded file fails loudly. Earlier
 bundle versions (1 held the decoder, 2 stored each size beside its
-arrays) are refused. A load checks that every bin is an integer below
-n_bins(n_steps), every normalization table is [V, k] of finite values
-with positive stds, every weight and solver scalar is finite, and a
+arrays) are refused. A load reads each leaf through the typed readers
+of `errors`, so a bin is an integer and a table cell or solver scalar a
+finite number, and checks that every bin lies below n_bins(n_steps),
+every table is [V, k] with positive stds, every weight is finite, and a
 network's layers chain from the V * k * 2 features the tables make to
 one output, so a hand-edited bundle fails here rather than in scoring.
 """
@@ -35,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .blup import BlupModel, predict_blup
-from .errors import DataError, json_finite, json_int, json_names, read_json, write_json
+from .errors import (DataError, json_finite, json_int, json_names, json_table, read_json,
+                     write_json)
 from .grid import read_f32, write_f32
 from .neural import AutoencoderModel, ClassifierModel, DenseNet
 from .spectral import FrequencySelection, NormalizationTable, feature_dim, n_bins, project
@@ -135,24 +137,20 @@ def load_model_bundle(path: str | Path) -> TrainedModel:
 
 def _feature_tables(feat, feat_path: Path) -> tuple[FrequencySelection, NormalizationTable]:
     """The frequency selection and normalization of a features.json document."""
-    if feat["version"] != FEATURE_DOC_VERSION:
+    if json_int(feat["version"], "version") != FEATURE_DOC_VERSION:
         raise DataError(f"unsupported feature table version {feat['version']!r} in {feat_path}")
-    bins = np.asarray(feat["bins"])
-    if bins.dtype.kind != "i":
-        raise DataError(f"{feat_path}: bins must be JSON integers, not {bins.dtype}")
     selection = FrequencySelection(
-        variables=json_names(feat["variables"], "variables"), bins=bins,
+        variables=json_names(feat["variables"], "variables"),
+        bins=json_table(feat["bins"], "bins", json_int),
         n_steps=json_int(feat["n_steps"], f"n_steps in {feat_path.name}"))
     limit = n_bins(selection.n_steps)
     if not np.all((selection.bins >= 0) & (selection.bins < limit)):
         raise DataError(f"{feat_path}: a bin lies outside [0, {limit})")
-    tables = {name: np.asarray(feat[name], dtype=np.float64) for name in _NORM_TABLES}
+    tables = {name: json_table(feat[name], name) for name in _NORM_TABLES}
     for name, table in tables.items():
         if table.shape != selection.bins.shape:
             raise DataError(f"{feat_path}: {name} is shaped {table.shape}, "
                             f"not {selection.bins.shape} like the bins")
-        if not np.all(np.isfinite(table)):
-            raise DataError(f"{feat_path}: {name} holds a non-finite value")
         if name.startswith("std") and not np.all(table > 0):
             raise DataError(f"{feat_path}: {name} holds a std that is not positive")
     return selection, NormalizationTable(**tables)
@@ -162,7 +160,7 @@ def _model(doc, path: Path) -> TrainedModel:
     """The bundle at path whose model.json holds doc, its weights read at
     the length its feature tables and topologies give."""
     doc_path = path / "model.json"
-    if (doc["format"], doc["version"]) != ("drycss-model", MODEL_DOC_VERSION):
+    if (doc["format"], json_int(doc["version"], "version")) != ("drycss-model", MODEL_DOC_VERSION):
         raise DataError(f"unsupported model bundle format/version in {doc_path}: "
                         f"{doc['format']!r} v{doc['version']!r}")
     kind = doc["kind"]
@@ -175,10 +173,7 @@ def _model(doc, path: Path) -> TrainedModel:
     nets = []
     if kind == "nn":
         sections = {s["name"]: s["topology"] for s in doc["sections"]}
-        for name in _SECTIONS:
-            if name not in sections:
-                raise DataError(f"model bundle missing section {name}: {path}")
-            nets.append(DenseNet.from_topology(sections[name]))
+        nets = [DenseNet.from_topology(sections[name]) for name in _SECTIONS]
         layers = nets[0].layers + nets[1].layers
         if [l.n_in for l in layers] + [1] != [width] + [l.n_out for l in layers]:
             raise DataError(f"the layer widths in {doc_path} do not chain from the "

@@ -50,7 +50,7 @@ import numpy as np
 from . import opportunity, pipeline, synth
 from .bundles import load_model_bundle, save_model_bundle
 from .errors import (DataError, NumericalError, check_distinct, json_int, json_names,
-                     read_json, read_table, write_json, write_table)
+                     json_number, json_str, read_json, read_table, write_json, write_table)
 from .grid import (GridSpec, TimeAxis, content_digest, load_cube, load_grids, load_ndvi,
                    read_f32, read_meta, regrid_ndvi, save_cube, save_dir, save_grids, save_ndvi,
                    series_products, sha256_file)
@@ -154,22 +154,28 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):  # a config list or a default: integers only
-        return tuple(json_int(v, "list item") for v in text)
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not parts:
+def _int_list(values) -> tuple[int, ...]:
+    """A flag's comma-separated integers, or a tuple of integers; not empty."""
+    if isinstance(values, str):
+        values = [int(p) for p in values.split(",") if p.strip()]
+    if not values:
         raise ValueError("empty list")
-    return tuple(int(p) for p in parts)
+    return tuple(values)
 
 
-def _shrinkage(value) -> str | float:
-    return value if value in ("auto", "loo") else float(value)
+def _shrinkage(value, number=float) -> str | float:
+    return value if value in ("auto", "loo") else number(value)
 
 
-# what each cast accepts, for the "bad value" error
-_EXPECTED = {int: "an integer", float: "a number",
-             _int_list: "comma-separated integers", _shrinkage: "auto, loo or a number"}
+# each cast's reader of a config value, one of the readers of workspace JSON,
+# and what both accept, for the "bad value" error; a list reader iterates the
+# value, so a string or an object yields strings, which json_int refuses
+_CONFIG_READERS = {
+    int: (json_int, "an integer"), float: (json_number, "a number"), str: (json_str, "a string"),
+    _int_list: (lambda value, key: _int_list(tuple(json_int(v, key) for v in value)),
+                "a list of integers, comma-separated in a flag"),
+    _shrinkage: (lambda value, key: _shrinkage(value, lambda v: json_number(v, key)),
+                 "auto, loo or a number")}
 
 
 def write_pgm(path: Path, values: np.ndarray) -> None:
@@ -240,10 +246,13 @@ def cmd_train(out: Path, opts: dict) -> None:
         feat_dir, "drycss-features", "feature", lambda meta: (
             TimeAxis.from_dict(meta["time"]), json_names(meta["variables"], "variables"),
             meta["digest"]))
-    names = [f"{var}.f32" for var in variables]  # all hashed before the first block is read
-    lacking = [name for name in names if not (feat_dir / name).is_file()]
+    n, fraction = len(samples), opts["holdout_fraction"]
+    names = [f"{var}.f32" for var in variables]  # float32 [n, steps], checked before any read
+    lacking = [name for name in names if not (feat_dir / name).is_file()
+               or (feat_dir / name).stat().st_size != 4 * n * time.n_steps]
     if lacking or content_digest(feat_dir, names) != digest:
-        problem = f"lacks {lacking[0]}" if lacking else "does not match the digest in its meta.json"
+        problem = (f"lacks {lacking[0]} of {n} x {time.n_steps} float32 values" if lacking
+                   else "does not match the digest in its meta.json")
         raise DataError(f"feature cache {feat_dir} {problem}; rerun `drycss features`")
     bins, n_inputs = n_bins(time.n_steps), len(variables) * opts["nn_feature_bins"] * 2
     for key, value, limit, what in (
@@ -252,7 +261,6 @@ def cmd_train(out: Path, opts: dict) -> None:
             ("nn_sizes", max(opts["nn_sizes"]), n_inputs, "network input features")):
         if value > limit:
             raise UsageError(f"train.{key}={value} exceeds {limit} {what}")
-    n, fraction = len(samples), opts["holdout_fraction"]
     n_train = n - validation_rows(n, fraction)
     if n_train < 2:
         raise UsageError(f"train.holdout_fraction={fraction} leaves {n_train} of {n} "
@@ -633,14 +641,10 @@ def _resolve(args, config: dict, stage: str) -> dict:
             value = os.environ.get(o.env, o.default) if o.env else o.default
         if value is not None or from_config and o.default is not None:
             try:
-                # config values as strictly as workspace JSON: no null where there is a
-                # default, no boolean for a number, a JSON integer for a count
-                if from_config and (value is None or type(value) is bool and o.cast is not str):
-                    raise ValueError
-                value = json_int(value, o.key) if from_config and o.cast is int else o.cast(value)
+                read, expected = _CONFIG_READERS[o.cast]
+                value = read(value, o.key) if from_config else o.cast(value)
             except (TypeError, ValueError):
-                expected = f" (expected {_EXPECTED[o.cast]})" if o.cast in _EXPECTED else ""
-                raise UsageError(f"bad value for {stage}.{o.key}: {value!r}{expected}")
+                raise UsageError(f"bad value for {stage}.{o.key}: {value!r} (expected {expected})")
             check, allowed = o.check
             if check is not None and not check(value):
                 raise UsageError(f"{stage}.{o.key}={value!r} out of range ({allowed})")

@@ -6,7 +6,9 @@ through `read_json`; every CSV table through `write_table` and
 `read_table`. A table cell holds a float as its repr, so it reads back
 bit-exactly, None as an empty cell, and anything else as its str. Both
 readers take the caller's parsing as `make` and name the file in every
-DataError they raise.
+DataError they raise. A `make` reads each JSON leaf through the `json_`
+reader of its type, which takes no bool for a number and no numeric
+string, and raises TypeError or ValueError naming any other leaf.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import csv
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 
 class DataError(Exception):
@@ -44,30 +48,50 @@ def read_json(path: str | Path, what: str, make=lambda doc: doc):
         raise DataError(f"malformed {what} {path}: bad or missing {e}") from None
 
 
-def json_int(value, name: str) -> int:
-    """A count read from JSON. Anything but a JSON integer (64.9, 64.0,
-    "64", true) is a ValueError naming it, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name}: {value!r} is not an integer")
+def _typed(value, name: str, types, what: str):
+    """value, if it is one of types; a bool only if bool is the type."""
+    if isinstance(value, bool) is not (types is bool) or not isinstance(value, types):
+        raise TypeError(f"{name}: {value!r} is not {what}")
     return value
 
 
+def json_int(value, name: str) -> int:
+    """A count: 64.9, 64.0, "64" and true are not, never truncated."""
+    return _typed(value, name, int, "an integer")
+
+
+def json_number(value, name: str) -> float:
+    """A number as a float, NaN and the infinities included."""
+    return float(_typed(value, name, (int, float), "a number"))
+
+
 def json_finite(value, name: str) -> float:
-    """A finite number read from JSON. NaN and the infinities, which
-    json reads from NaN and Infinity, are a ValueError naming it, as is
-    anything float rejects."""
-    number = float(value)
-    if not math.isfinite(number):
+    """A finite number as a float."""
+    if not math.isfinite(number := json_number(value, name)):
         raise ValueError(f"{name}: {value!r} is not finite")
     return number
 
 
+def json_str(value, name: str) -> str:
+    return _typed(value, name, str, "a string")
+
+
+def json_bool(value, name: str) -> bool:
+    return _typed(value, name, bool, "true or false")
+
+
 def json_names(value, name: str) -> tuple[str, ...]:
-    """A list of strings read from JSON, as a tuple; anything else is a
-    TypeError naming it."""
-    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-        raise TypeError(f"{name}: {value!r} is not a list of names")
-    return tuple(value)
+    """A list of strings, as a tuple."""
+    return tuple(json_str(v, name) for v in _typed(value, name, list, "a list of names"))
+
+
+def json_table(value, name: str, cell=json_finite) -> np.ndarray:
+    """A list of equally long non-empty lists, as the 2-D array of cell(v)
+    for each value v: finite numbers, or json_int's integers."""
+    if not (isinstance(value, list) and value and all(isinstance(row, list) for row in value)
+            and value[0] and all(len(row) == len(value[0]) for row in value)):
+        raise TypeError(f"{name}: not a list of equally long non-empty lists")
+    return np.array([[cell(v, name) for v in row] for row in value])
 
 
 def write_json(path: str | Path, doc) -> None:

@@ -45,7 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, json_int, json_names, read_json, write_json
+from .errors import (DataError, json_finite, json_int, json_names, json_str, json_table,
+                     read_json, write_json)
 
 # ERA5-Land surface variable codes carried by a cube, in canonical order.
 VARIABLES = (
@@ -63,6 +64,7 @@ _FLOAT32 = np.dtype("<f4")
 SLAB_STEPS = 256  # time steps per slab of series_products; fixed, not an option
 
 MASK = "mask"  # file stem of a cube's stored mask; reserved, so no variable's name
+META_VERSION = 1  # of every meta.json that save_dir writes
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +131,8 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(lat_min=float(d["lat_min"]), lat_max=float(d["lat_max"]),
-                   lon_min=float(d["lon_min"]), lon_max=float(d["lon_max"]),
+        return cls(**{key: json_finite(d[key], key) for key in
+                      ("lat_min", "lat_max", "lon_min", "lon_max")},
                    n_lat=json_int(d["n_lat"], "n_lat"), n_lon=json_int(d["n_lon"], "n_lon"))
 
 
@@ -157,19 +159,20 @@ class TimeAxis:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TimeAxis":
-        return cls(start=str(d["start"]), step_hours=float(d["step_hours"]),
-                   n_steps=json_int(d["n_steps"], "n_steps"))
+        return cls(start=json_str(d["start"], "start"), n_steps=json_int(d["n_steps"], "n_steps"),
+                   step_hours=json_finite(d["step_hours"], "step_hours"))
 
 
 def read_meta(path: Path, fmt: str, what: str, make):
     """(grid spec, make(meta)) of the meta.json of a cube, NDVI, grid or
-    feature directory, read through read_json; metadata of another format is a
-    DataError naming the file."""
+    feature directory, read through read_json; metadata of another format or
+    version is a DataError naming the file."""
     meta_path = path / "meta.json"
 
     def parse(meta):
-        if meta["format"] != fmt:
-            raise DataError(f"{meta_path} is not {what} metadata (format={meta['format']!r})")
+        if (meta["format"], json_int(meta["version"], "version")) != (fmt, META_VERSION):
+            raise DataError(f"{meta_path} is not {what} metadata of version {META_VERSION} "
+                            f"(format={meta['format']!r}, version={meta['version']!r})")
         return GridSpec.from_dict(meta["grid"]), make(meta)
     return read_json(meta_path, f"{what} metadata", parse)
 
@@ -202,7 +205,7 @@ def save_dir(path: str | Path, meta: dict, arrays) -> None:
         raise DataError(f"directory already exists: {path}")
     path.mkdir(parents=True, exist_ok=True)
     hashes = [(f"{name}.f32", write_f32(path, name, values)) for name, values in arrays]
-    meta.update(version=1, digest=_listing_digest(hashes))
+    meta.update(version=META_VERSION, digest=_listing_digest(hashes))
     write_json(path / "meta.json", meta)
 
 
@@ -396,8 +399,9 @@ def save_ndvi(raster: NdviRaster, path: str | Path) -> None:
 
 def load_ndvi(path: str | Path) -> NdviRaster:
     path = Path(path)
-    spec, dates = read_meta(path, "drycss-ndvi", "NDVI", lambda meta: [
-        (json_int(year, "year"), json_int(doy, "doy")) for year, doy in meta["observations"]])
+    spec, dates = read_meta(path, "drycss-ndvi", "NDVI", lambda meta: [  # [year, doy] pairs
+        (year, doy) for year, doy in
+        json_table(meta["observations"], "observations", json_int).tolist()])
     observations = [NdviObservation(year, doy, read_f32(path, f"{year}_{doy}", spec.shape))
                     for year, doy in dates]
     observations.sort(key=lambda o: (o.year, o.doy))

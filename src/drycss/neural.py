@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, json_int
+from .errors import NumericalError, json_bool, json_int
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
@@ -56,8 +56,6 @@ class DenseLayer:
                  batch_norm: bool = True, rng: np.random.Generator | None = None):
         if activation not in ("relu", "linear"):
             raise ValueError(f"unknown activation: {activation!r}")
-        if not isinstance(batch_norm, bool):  # a truthy "no" read from JSON is not on
-            raise ValueError(f"batch_norm: {batch_norm!r} is not true or false")
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
@@ -181,7 +179,8 @@ class DenseNet:
     @classmethod
     def from_topology(cls, topo: list[dict]) -> "DenseNet":
         return cls([DenseLayer(json_int(t["n_in"], "n_in"), json_int(t["n_out"], "n_out"),
-                               t["activation"], t["batch_norm"]) for t in topo])
+                               t["activation"], json_bool(t["batch_norm"], "batch_norm"))
+                    for t in topo])
 
 
 # ---------------------------------------------------------------------------

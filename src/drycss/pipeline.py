@@ -30,7 +30,7 @@ import numpy as np
 from .blup import fit_blup
 from .bundles import TrainedModel
 from .errors import (DataError, NumericalError, check_distinct, json_finite, json_int,
-                     read_table, write_json, write_table)
+                     json_number, read_table, write_json, write_table)
 from .grid import SLAB_STEPS, ClimateCube, series_products
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (FrequencySelection, bin_energies, dft_basis, dft_coefficients,
@@ -73,11 +73,17 @@ def save_samples(samples: list[LabeledSample], path: str | Path) -> None:
     write_table(path, [f.name for f in fields(LabeledSample)], map(astuple, samples))
 
 
+def _label(text: str) -> float:  # a samples.csv cell, so text, not a JSON number
+    if not np.isfinite(label := float(text)):
+        raise ValueError(f"label: {text!r} is not finite")
+    return label
+
+
 def load_samples(path: str | Path) -> list[LabeledSample]:
     samples = read_table(path, "samples table", lambda r: LabeledSample(
         site_id=int(r["site_id"]), lat=float(r["lat"]), lon=float(r["lon"]),
         iy=int(r["iy"]), ix=int(r["ix"]), category=r["category"],
-        label=json_finite(r["label"], "label"), ndvi=float(r["ndvi"])))
+        label=_label(r["label"]), ndvi=float(r["ndvi"])))
     if not samples:
         raise DataError(f"samples table is empty: {path}")
     check_distinct((s.site_id for s in samples), "site_id", path)
@@ -525,7 +531,7 @@ class Calibration:
     def from_dict(cls, d: dict) -> "Calibration":
         return cls(slope=json_finite(d["slope"], "slope"),
                    intercept=json_finite(d["intercept"], "intercept"),
-                   r2=float(d["r2"]), n=json_int(d["n"], "n"))
+                   r2=json_number(d["r2"], "r2"), n=json_int(d["n"], "n"))
 
 
 def fit_calibration(samples: list[LabeledSample], scores: np.ndarray) -> Calibration:

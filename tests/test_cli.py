@@ -16,13 +16,14 @@ import drycss
 import drycss.cli as cli
 from drycss import opportunity
 from drycss.bundles import load_model_bundle, save_model_bundle
-from drycss.errors import NumericalError
+from drycss.errors import DataError, NumericalError, read_json
 from drycss.grid import (SLAB_STEPS, VARIABLES, ClimateCube, GridSpec, TimeAxis,
-                         content_digest, load_cube, load_grids, save_cube, save_grids,
-                         series_products, sha256_file)
+                         content_digest, load_cube, load_grids, load_ndvi, save_cube,
+                         save_grids, series_products, sha256_file)
 from drycss.neural import ClassifierModel, DenseLayer, DenseNet, build_classifier
 from drycss.opportunity import find_analog
-from drycss.pipeline import EnsembleScorer, LabeledSample, load_samples, save_samples
+from drycss.pipeline import (Calibration, EnsembleScorer, LabeledSample, load_samples,
+                             save_samples)
 from helpers import pixel_series, reference_series_products, rfft_ensemble_scores
 from test_desk import pixel_vectors
 
@@ -78,7 +79,7 @@ class TestConfigPlumbing:
             cli._resolve(args, {"count": "soon"}, "candidates")
         with pytest.raises(cli.UsageError, match="out of range"):
             cli._resolve(args, {"count": 0}, "candidates")
-        for value in ("inf", "nan", "-1"):  # fit_blup takes a positive number
+        for value in (float("inf"), float("nan"), -1):  # fit_blup takes a positive number
             with pytest.raises(cli.UsageError, match="out of range"):
                 cli._resolve(args, {"blup_lambda": value}, "train")
 
@@ -167,12 +168,16 @@ class TestConfigPlumbing:
         ("train", "epochs", "5"), ("train", "blup_sizes", [2.7]),
         ("train", "blup_sizes", [2, True]), ("train", "learning_rate", True),
         ("train", "blup_lambda", False), ("predict", "jobs", None),
-        ("candidates", "min_spacing_km", None),
+        ("candidates", "min_spacing_km", None), ("candidates", "min_spacing_km", "9"),
+        ("train", "blup_lambda", "0.5"), ("train", "learning_rate", "0.01"),
+        ("candidates", "rules", 5), ("train", "blup_sizes", "2,4"), ("train", "blup_sizes", []),
     ])
     def test_config_value_is_cast_as_strictly_as_json(self, tmp_path, capsys, stage, key,
                                                        value):
         """A null used to skip the cast and end in a TypeError, and 2.9,
-        true and [2.7] were truncated to 2, 1 and (2,)."""
+        true and [2.7] were truncated to 2, 1 and (2,); a numeric string was
+        taken as a number, a number as a string, and [] ended in a traceback.
+        Config values go through the readers of workspace JSON."""
         p = tmp_path / "c.json"
         p.write_text(json.dumps({stage: {key: value}}))
         assert cli.main([stage, "--out", str(tmp_path / "ws"), "--config", str(p)]) == 1
@@ -552,6 +557,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "malformed" in err and rel in err
 
+    @pytest.mark.parametrize("stage, rel", [
+        ("features", "cube/meta.json"), ("opportunity", "ndvi/meta.json"),
+        ("calibrate", "maps/css/meta.json"), ("train", "features/meta.json")])
+    def test_directory_metadata_of_another_version_is_2(self, workspace, tmp_path, capsys,
+                                                        stage, rel):
+        """read_meta used to read no version, so a version 2 loaded as 1."""
+        ws = copy_workspace(workspace, tmp_path)
+        meta = json.loads((ws / rel).read_text())
+        meta["version"] = 2
+        (ws / rel).write_text(json.dumps(meta))
+        assert run(ws, stage, *(TRAIN_FLAGS if stage == "train" else [])) == 2
+        err = capsys.readouterr().err
+        assert f"{ws / rel} is not " in err and "metadata of version 1" in err
+
     @pytest.mark.parametrize("stage, rel", [("features", "cube/t2m.f32"),
                                             ("predict", "cube/t2m.f32"),
                                             ("opportunity", "ndvi/2020_100.f32")])
@@ -677,7 +696,7 @@ class TestExitCodes:
         ("blup_2_0", cut_to_one_bin, "weights.f32: file holds 92 values, expected 46 "),
         ("nn_4_0", cut_to_one_bin, "do not chain from the 46 features"),
         ("nn_4_0", lambda doc: doc["bins"][0].__setitem__(0, doc["bins"][0][0] + 0.9),
-         "bins must be JSON integers"),
+         "bad or missing bins: 0.9 is not an integer"),
     ], ids=["blup-weights", "encoder-width", "fractional-bin"])
     def test_bundle_disagreeing_with_its_feature_tables_is_2(
             self, workspace, tmp_path, capsys, run_id, change, message):
@@ -891,22 +910,25 @@ class TestWorkspaceTables:
         path.write_text(json.dumps(dict(json.loads(path.read_text()), r2=float("nan"))))
         assert run(ws, "opportunity") == 0
 
+    SIZE = "lacks tp.f32 of 22 x 64 float32 values"
+
     @pytest.mark.parametrize("damage, message", [
         (lambda path: path.rename(path.with_suffix(".npy")), "lacks tp.f32"),
         (older_layout, "lacks d2m.f32"),
-        (lambda path: path.write_bytes(path.read_bytes()[:-16]), "does not match the digest"),
-        (lambda path: path.write_bytes(b""), "does not match the digest"),
-        (rewrite_block(lambda b: b[:, :5]), "does not match the digest"),
-        (rewrite_block(lambda b: b.astype(np.complex64)), "does not match the digest"),
-        (rewrite_block(lambda b: b.astype(np.float64)), "does not match the digest"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-16]), SIZE),
+        (lambda path: path.write_bytes(b""), SIZE),
+        (rewrite_block(lambda b: b[:, :5]), SIZE),
+        (rewrite_block(lambda b: b.astype(np.complex64)), SIZE),
+        (rewrite_block(lambda b: b.astype(np.float64)), SIZE),
         (rewrite_block(one_nan), "does not match the digest"),
         (rewrite_block(lambda b: b[::-1]), "does not match the digest"),  # same size
     ], ids=["missing", "older-layout", "truncated", "empty", "wrong-shape", "complex64",
             "float64", "nan", "reversed-rows"])
     def test_damaged_feature_cache_is_2(self, workspace, tmp_path, capsys, damage, message):
         """Damage to one variable's file, tp.f32 (the 21st), or a features/
-        that holds only the older series.f32: a missing file is named, and
-        any other edit fails the digest, before train reads a block."""
+        that holds only the older series.f32: a missing file or one of
+        another size is named, and any other edit fails the digest, before
+        train reads a block."""
         ws = copy_workspace(workspace, tmp_path)
         damage(ws / "features" / "tp.f32")
         assert run(ws, "train", *TRAIN_FLAGS) == 2
@@ -927,6 +949,21 @@ class TestWorkspaceTables:
         assert run(ws, "train", *TRAIN_FLAGS) == 2
         err = capsys.readouterr().err
         assert "does not match the digest" in err and "rerun `drycss features`" in err
+        assert not (ws / "runs").exists()
+
+    def test_feature_steps_other_than_the_files_hold_is_2(self, workspace, tmp_path, capsys):
+        """A time axis in features/meta.json that its files do not hold
+        used to fail inside the block loop, without naming the stage to
+        rerun."""
+        ws = copy_workspace(workspace, tmp_path)
+        path = ws / "features" / "meta.json"
+        doc = json.loads(path.read_text())
+        doc["time"]["n_steps"] = 60
+        path.write_text(json.dumps(doc))
+        assert run(ws, "train", *TRAIN_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert (f"feature cache {ws / 'features'} lacks d2m.f32 of 22 x 60 float32 values; "
+                "rerun `drycss features`") in err
         assert not (ws / "runs").exists()
 
     def test_repeated_sample_site_is_2(self, workspace, tmp_path, capsys):
@@ -1008,8 +1045,9 @@ class TestWorkspaceTables:
 
 
 class TestFractionalCounts:
-    """A count in workspace metadata that is not an integer exits 2 naming
-    its file; int() used to truncate it and the stage went on."""
+    """A count or version in workspace metadata that is not an integer
+    exits 2 naming its file; int() used to truncate a count and the stage
+    went on, and a version of 3.0 loaded as 3."""
 
     @pytest.mark.parametrize("stage, rel, change, name", [
         ("predict", "runs/blup_2_0/features.json", lambda d: d.update(n_steps=64.9),
@@ -1022,11 +1060,15 @@ class TestFractionalCounts:
          "n_steps: 64.9"),
         ("opportunity", "ndvi/meta.json",
          lambda d: d["observations"][0].__setitem__(1, d["observations"][0][1] + 0.5),
-         "doy: "),
+         "observations: 40.5"),
         ("opportunity", "calibration.json", lambda d: d.update(n=64.9),
          "malformed calibration"),
+        ("predict", "runs/nn_4_0/model.json", lambda d: d.update(version=3.0), "version: 3.0"),
+        ("predict", "runs/nn_4_0/features.json", lambda d: d.update(version=2.0),
+         "version: 2.0"),
+        ("features", "cube/meta.json", lambda d: d.update(version=1.0), "version: 1.0"),
     ], ids=["bundle-features", "bundle-model", "grid", "time-axis", "ndvi-observation",
-            "calibration"])
+            "calibration", "model-version", "feature-table-version", "metadata-version"])
     def test_fractional_count_is_2(self, workspace, tmp_path, capsys, stage, rel,
                                    change, name):
         ws = copy_workspace(workspace, tmp_path)
@@ -1115,6 +1157,100 @@ class TestJsonDocuments:
         err = capsys.readouterr().err
         assert f"malformed rule 0 in {path}" in err and repr(field) in err
 
+    # one value of each JSON type: a number and a string, not a count, so
+    # that neither a float() nor an int() reading passes it
+    JSON_VALUES = {"null": None, "bool": True, "number": 0.5, "string": "0.5",
+                   "array": [], "object": {}}
+    # (document, path of a value in it): why no reader reads it
+    UNREAD = {
+        ("cube/meta.json", ("digest",)): "stamped by main as part of meta.json; ROADMAP item 8",
+        ("ndvi/meta.json", ("digest",)): "stamped by main as part of meta.json; ROADMAP item 8",
+        ("maps/css/meta.json", ("digest",)):
+            "stamped by main as part of meta.json; ROADMAP item 8",
+        ("runs/meta.json", ("digest",)): "stamped by main as part of meta.json; ROADMAP item 8",
+        ("calibration.json", ("category_means",)): "written for the reader of the workspace",
+    }
+
+    @staticmethod
+    def json_type(value):
+        return ("null" if value is None else "bool" if isinstance(value, bool)
+                else "number" if isinstance(value, (int, float))
+                else "string" if isinstance(value, str)
+                else "array" if isinstance(value, list) else "object")
+
+    @classmethod
+    def paths(cls, doc, path=()):
+        """The path of every value below the root of a JSON document,
+        containers as well as leaves."""
+        items = (doc.items() if isinstance(doc, dict)
+                 else enumerate(doc) if isinstance(doc, list) else ())
+        for key, value in items:
+            yield path + (key,)
+            yield from cls.paths(value, path + (key,))
+
+    def test_every_value_of_another_json_type_is_2(self, workspace, tmp_path):
+        """Each value of the ten documents that stages read, replaced by a
+        value of each other JSON type, is refused by the document's reader
+        with a DataError; float(), str() and np.asarray used to take a
+        boolean or a numeric string as a number, and any value as a string."""
+        ws = copy_workspace(workspace, tmp_path)
+        train_ws, predict_ws = tmp_path / "train", tmp_path / "predict"
+        shutil.copytree(ws / "features", train_ws / "features")
+        shutil.copy(ws / "samples.csv", train_ws)
+        for rel in ("cube", "runs"):
+            shutil.copytree(ws / rel, predict_ws / rel)
+        args = cli.build_parser().parse_args(["train", "--out", str(train_ws)] + TRAIN_FLAGS)
+        train_opts = cli._resolve(args, {}, "train")
+
+        def cleared(read, made):  # a reader that writes, its outputs removed after
+            def call():
+                try:
+                    read()
+                finally:
+                    shutil.rmtree(made, ignore_errors=True)
+            return call
+
+        readers = {  # document -> (workspace, its reader)
+            "cube/meta.json": (ws, lambda: load_cube(ws / "cube")),
+            "ndvi/meta.json": (ws, lambda: load_ndvi(ws / "ndvi")),
+            "maps/css/meta.json": (ws, lambda: load_grids(ws / "maps" / "css")),
+            "features/meta.json": (train_ws, cleared(
+                lambda: cli.cmd_train(train_ws, dict(train_opts)), train_ws / "runs")),
+            "runs/meta.json": (predict_ws, cleared(
+                lambda: cli.cmd_predict(predict_ws, {"jobs": 1}), predict_ws / "maps")),
+            "calibration.json": (ws, lambda: read_json(
+                ws / "calibration.json", "calibration", Calibration.from_dict)),
+            **{f"runs/{run_id}/{name}": (ws, lambda run_id=run_id: load_model_bundle(
+                ws / "runs" / run_id))
+               for run_id in ("blup_2_0", "nn_4_0") for name in ("model.json", "features.json")},
+        }
+        mutations, loaded = 0, []
+        for rel, (root, read) in readers.items():
+            path = root / rel
+            text = path.read_text()
+            read()  # the document as written loads
+            for where in self.paths(json.loads(text)):
+                if any((rel, where[:n]) in self.UNREAD for n in range(len(where) + 1)):
+                    continue
+                for kind, value in self.JSON_VALUES.items():
+                    doc = json.loads(text)
+                    parent = doc
+                    for key in where[:-1]:
+                        parent = parent[key]
+                    if self.json_type(parent[where[-1]]) == kind:
+                        continue
+                    parent[where[-1]] = value
+                    path.write_text(json.dumps(doc))
+                    mutations += 1
+                    try:
+                        read()
+                        loaded.append((rel, where, kind))
+                    except DataError:
+                        pass
+            path.write_text(text)
+        assert mutations > 400
+        assert not loaded, f"{len(loaded)} of {mutations} loaded: {loaded}"
+
     @pytest.mark.parametrize("flag", ["--rules", "--attributes"])
     def test_directory_in_place_of_a_file_is_2(self, workspace, tmp_path, capsys, flag):
         """read_json and read_table used to end in an IsADirectoryError."""
@@ -1151,7 +1287,7 @@ class TestNonFiniteRecords:
          "lambda in model.json: inf is not finite"),
         ("nn_4_0", "features.json",
          lambda p: edit_json(p, lambda d: d["mean_re"][0].__setitem__(0, float("nan"))),
-         "mean_re holds a non-finite value"),
+         "mean_re: nan is not finite"),
         ("blup_2_0", "features.json",
          lambda p: edit_json(p, lambda d: d["std_im"][1].__setitem__(0, 0.0)),
          "std_im holds a std that is not positive"),
