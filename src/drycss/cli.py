@@ -306,6 +306,9 @@ def cmd_predict(out: Path, opts: dict) -> None:
         raise DataError(f"no model bundles under {runs_dir}: every training run failed")
     check_distinct(ids, "model", meta_path)
     for run_id in ids:
+        if run_id in ("", "..") or Path(run_id).name != run_id:  # a path, or "."
+            raise DataError(f"{meta_path} lists {run_id!r}, not the name of a bundle "
+                            f"under {runs_dir}; rerun `drycss train`")
         if not (runs_dir / run_id).is_dir():
             raise DataError(f"model bundle {runs_dir / run_id} listed in {meta_path} "
                             "is missing; rerun `drycss train`")

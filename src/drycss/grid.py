@@ -28,8 +28,9 @@ The no-data sentinel is quiet NaN everywhere. A pixel is invalid when
 any variable contains NaN at any time step there. `save_cube` stores
 that mask, refusing an infinity by its variable; `load_cube` reads it
 and scans no value, and maps a variable's file afresh, read-only, at
-each lookup of `values[var]`: its pages leave the process with the
-array, but stay in the page cache, and every pass still reads them.
+each lookup of `values[var]`. A pass reads a variable through `slabs`,
+which releases each consumed slab's pages from the process: they stay
+in the page cache, so a pass keeps about one slab of the cube resident.
 Invalid pixels keep their stored values, so only the mask says which
 are valid; a NaN or infinity at a valid pixel fails where it is read.
 """
@@ -37,6 +38,7 @@ are valid; a NaN or infinity at a valid pixel fails where it is read.
 from __future__ import annotations
 
 import hashlib
+import mmap as _mmap
 import re
 from collections import UserDict
 from concurrent.futures import ThreadPoolExecutor
@@ -61,7 +63,7 @@ _GRID_NAME = re.compile(r"[A-Za-z0-9_.-]+")  # a grid set's grid names, and its 
 
 _FLOAT32 = np.dtype("<f4")
 
-SLAB_STEPS = 256  # time steps per slab of series_products; fixed, not an option
+SLAB_STEPS = 256  # time steps per slab of a cube pass (`slabs`); fixed, not an option
 
 MASK = "mask"  # file stem of a cube's stored mask; reserved, so no variable's name
 META_VERSION = 1  # of every meta.json that save_dir writes
@@ -219,7 +221,8 @@ def write_f32(path: Path, name: str, values: np.ndarray) -> str:
 
 def read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndarray:
     """path/<name>.f32 as a float32 array of the given shape; a missing file, or
-    one not a regular file of that size, is a DataError naming it, before any read."""
+    one not a regular file of that size, is a DataError naming it, before any read.
+    With mmap, the array is a read-only view of the file's own mmap.mmap."""
     f = path / f"{name}.f32"
     if not f.exists():
         raise DataError(f"{path} is missing data file {f.name}")
@@ -227,8 +230,11 @@ def read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndar
     if size != _FLOAT32.itemsize * np.prod(shape):
         raise DataError(f"{f}: file holds {size / _FLOAT32.itemsize:.12g} values, "
                         f"expected {np.prod(shape)} for shape {tuple(shape)}")
-    arr = np.memmap(f, dtype=_FLOAT32, mode="r") if mmap else np.fromfile(f, dtype=_FLOAT32)
-    return arr.reshape(shape)
+    if not mmap:
+        return np.fromfile(f, dtype=_FLOAT32).reshape(shape)
+    with open(f, "rb") as fd:  # the mapping outlives the descriptor, and lives with the array
+        mapping = _mmap.mmap(fd.fileno(), 0, access=_mmap.ACCESS_READ)
+    return np.frombuffer(mapping, dtype=_FLOAT32).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +243,8 @@ def read_f32(path: Path, name: str, shape: tuple, mmap: bool = False) -> np.ndar
 
 class _MappedValues(UserDict):
     """A cube directory's variables, code -> read_f32 arguments: a lookup checks
-    the file and maps it afresh, read-only, so its pages leave with the array."""
+    the file and maps it afresh, read-only; `slabs` releases the pages a pass
+    has read, and the mapping goes with the array."""
 
     def __getitem__(self, var: str) -> np.ndarray:
         return read_f32(*self.data[var], mmap=True)
@@ -311,19 +318,40 @@ def load_cube(path: str | Path) -> ClimateCube:
                        values=_MappedValues({var: (path, var, shape) for var in variables}))
 
 
+def slabs(values: np.ndarray):
+    """Yield (t0, values[t0:t0 + SLAB_STEPS]) along the time axis. When values
+    is a whole read_f32 mapping, the whole pages a consumed slab covered are
+    released (MADV_DONTNEED) before the next slab is cut: they stay in the page
+    cache, and a later read faults the same bytes back in. An in-memory array
+    is only cut."""
+    base = values.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    mapping = getattr(base, "obj", None)  # np.frombuffer holds a memoryview of it
+    if not (hasattr(_mmap, "MADV_DONTNEED") and isinstance(mapping, _mmap.mmap)
+            and values.nbytes == len(mapping)):
+        mapping = None
+    row, page = values.strides[0], _mmap.PAGESIZE
+    for t0 in range(0, len(values), SLAB_STEPS):
+        yield t0, values[t0:t0 + SLAB_STEPS]
+        if mapping is not None:  # from the page the slab began in to its last whole page
+            start, end = (t * row // page * page for t in (t0, min(t0 + SLAB_STEPS, len(values))))
+            mapping.madvise(_mmap.MADV_DONTNEED, start, end - start)
+
+
 def series_products(cube: ClimateCube, rows, jobs: int = 1):
     """Yield per variable, in cube order, rows[v] @ (its series [n_steps,
     n_valid] at the pixels the mask alone marks valid, row-major) as float64.
 
-    Each variable is read in contiguous SLAB_STEPS-step slabs of one
-    lookup of cube.values. Each slab is cast into one float64 buffer that
-    the variable's pass reuses: straight from the slab when the mask is
-    all-valid (synth's default world), otherwise from a copy compressed
-    to the valid columns. Its product goes into a second reused buffer,
-    and the slab products are summed in time order. `jobs` threads take
-    whole variables, `jobs` at a time as the consumer asks, so the bytes
-    do not depend on `jobs` and at most `jobs` variables are mapped at
-    once. A NaN or infinity at a valid pixel makes every product of its
+    Each variable is read through `slabs` of one lookup of cube.values,
+    so about one slab per worker stays resident. Each slab is cast into
+    one float64 buffer that the variable's pass reuses: straight from the
+    slab when the mask is all-valid (synth's default world), otherwise
+    from a copy compressed to the valid columns. Its product goes into a
+    second reused buffer, and the slab products are summed in time order.
+    `jobs` threads take whole variables, `jobs` at a time as the consumer
+    asks, so the bytes do not depend on `jobs` and at most `jobs`
+    variables are mapped at once. A NaN or infinity at a valid pixel makes every product of its
     column non-finite (inf * 0 is NaN), so the products are checked
     instead."""
     T = cube.time.n_steps
@@ -332,13 +360,11 @@ def series_products(cube: ClimateCube, rows, jobs: int = 1):
     every = n_valid == keep.size  # an all-valid slab needs no compress copy
 
     def product(var: str, r: np.ndarray) -> np.ndarray:
-        values = cube.values[var].reshape(T, -1)
         buf = np.empty((min(SLAB_STEPS, T), n_valid))
         part = np.empty((r.shape[0], n_valid))
         out = np.zeros((r.shape[0], n_valid))
         with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf are NaN
-            for t0 in range(0, T, SLAB_STEPS):
-                slab = values[t0:t0 + SLAB_STEPS]
+            for t0, slab in slabs(cube.values[var].reshape(T, -1)):
                 k = slab.shape[0]
                 np.copyto(buf[:k], slab if every else slab.compress(keep, axis=1))
                 out += np.matmul(r[:, t0:t0 + k], buf[:k], out=part)

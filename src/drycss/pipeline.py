@@ -31,7 +31,7 @@ from .blup import fit_blup
 from .bundles import TrainedModel
 from .errors import (DataError, NumericalError, check_distinct, json_finite, json_int,
                      json_number, read_table, write_json, write_table)
-from .grid import SLAB_STEPS, ClimateCube, series_products
+from .grid import ClimateCube, series_products, slabs
 from .neural import TrainParams, train_autoencoder, train_classifier
 from .spectral import (FrequencySelection, bin_energies, dft_basis, dft_coefficients,
                        fit_normalization, n_bins, project, select_frequencies, union_bins)
@@ -93,8 +93,8 @@ def load_samples(path: str | Path) -> list[LabeledSample]:
 def sample_series(cube: ClimateCube, samples: list[LabeledSample]):
     """Yield per variable, in cube order, the samples' pixel series
     [n_samples, n_steps] as float32: the cube's own values, half the size
-    of their spectra, gathered from SLAB_STEPS-step slabs of one lookup
-    that is dropped before the block is yielded. A sample off the grid, at
+    of their spectra, gathered through grid.slabs of one lookup that is
+    dropped before the block is yielded. A sample off the grid, at
     a masked pixel or off the node nearest its (lat, lon) is a DataError
     naming it before the first block; a non-finite value gathered is one
     naming its variable and sample."""
@@ -109,11 +109,10 @@ def sample_series(cube: ClimateCube, samples: list[LabeledSample]):
             raise DataError(f"{where} lies nearest node {node}, not its ({s.iy}, {s.ix})")
     flat = [s.iy * spec.n_lon + s.ix for s in samples]
     for var in cube.variables:
-        values = cube.values[var].reshape(T, -1)
         block = np.empty((len(samples), T), dtype=np.float32)
-        for t0 in range(0, T, SLAB_STEPS):
-            block[:, t0:t0 + SLAB_STEPS] = values[t0:t0 + SLAB_STEPS][:, flat].T
-        del values
+        for t0, slab in slabs(cube.values[var].reshape(T, -1)):
+            block[:, t0:t0 + len(slab)] = slab[:, flat].T
+        del slab  # a view: it would keep the mapping while the block is held
         bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
         if bad.size:
             s = samples[bad[0]]

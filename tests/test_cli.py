@@ -824,6 +824,21 @@ class TestWorkspaceTables:
         assert run(ws, "predict") == 2
         assert f"{path} repeats model nn_4_0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["../elsewhere", "../runs/nn_4_0", "nn_4_0/", ".", "..", ""])
+    def test_listed_bundle_not_a_plain_name_is_2(self, workspace, tmp_path, capsys, entry):
+        """A models entry is a bundle's name under runs/: a path would load
+        a bundle from elsewhere, or count one bundle twice."""
+        ws = copy_workspace(workspace, tmp_path)
+        shutil.copytree(ws / "runs" / "nn_4_0", ws / "elsewhere")
+        path = ws / "runs" / "meta.json"
+        meta = json.loads(path.read_text())
+        meta["models"] = [entry, "nn_4_0"]
+        path.write_text(json.dumps(meta))
+        assert run(ws, "predict") == 2
+        assert (f"{path} lists {entry!r}, not the name of a bundle under {ws / 'runs'}"
+                in capsys.readouterr().err)
+        assert not (ws / "maps" / "css").exists()
+
     def test_runs_meta_without_model_list_is_2(self, workspace, tmp_path, capsys):
         ws = copy_workspace(workspace, tmp_path)
         meta = json.loads((ws / "runs" / "meta.json").read_text())

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import mmap
+import re
+from collections import UserDict
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from drycss.grid import (SLAB_STEPS, ClimateCube, GridSpec, NdviObservation, Ndv
                          content_digest, great_circle_km,
                          load_cube, load_grids, load_ndvi, regrid_ndvi,
                          save_cube, save_dir, save_grids, save_ndvi, series_products,
-                         sha256_file, summer_ndvi_mean)
+                         sha256_file, slabs, summer_ndvi_mean)
 from drycss.pipeline import LabeledSample, sample_series
 from helpers import extract_series
 
@@ -126,7 +129,7 @@ class TestCubeIO:
         cube.values["t2m"][3, 1, 2] = np.nan
         save_cube(cube, tmp_path / "c")
         back = load_cube(tmp_path / "c")
-        assert isinstance(back.values["t2m"], np.memmap)
+        assert isinstance(back.values["t2m"].base.base.obj, mmap.mmap)  # np.frombuffer's memoryview
         assert not back.values["t2m"].flags.writeable
         assert not back.mask[1, 2]
         # other variables keep their raw values at the masked pixel
@@ -228,6 +231,93 @@ class TestCubeIO:
         held = [(block.shape, mapped()) for block in sample_series(cube, samples)]
         assert held == [((3, 300), 0)] * len(VARIABLES)
         assert mapped() == 0
+
+
+    @pytest.mark.parametrize("reader, jobs", [("series_products", 1), ("series_products", 2),
+                                              ("sample_series", 1)])
+    def test_a_pass_keeps_under_two_slabs_resident(self, tmp_path, reader, jobs):
+        """The resident pages of the cube's files (their mappings' Rss in
+        /proc/self/smaps), read at every slab a pass cuts, multiplies or
+        gathers, stay under two slabs per worker plus one page on variables
+        of eight slabs and 37 steps: a pass releases each slab it has read.
+        A slab here is 4 MiB, two of the 2 MiB folios the page cache may
+        hold a file in; a fault maps a whole folio, so a smaller slab could
+        show up to two folios beside it."""
+        smaps = Path("/proc/self/smaps")
+        if not smaps.exists():
+            pytest.skip("no /proc/self/smaps")
+        cube_dir, n, T, variables = tmp_path / "c", 64, 8 * SLAB_STEPS + 37, ("a", "b")
+        spec = GridSpec(lat_min=10.0, lat_max=16.3, lon_min=30.0, lon_max=36.3,
+                        n_lat=n, n_lon=n)
+        save_cube(ClimateCube(spec=spec, time=TimeAxis("2020-01-01T00:00:00Z", 3.0, T),
+                              variables=variables,
+                              values={v: np.zeros((T, n, n), np.float32) for v in variables}),
+                  cube_dir)
+
+        def resident_kb() -> int:
+            kb, ours = 0, False
+            for line in smaps.read_text().splitlines():
+                if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):  # a mapping's first line
+                    ours = str(cube_dir) in line and line.endswith(".f32")
+                elif ours and line.startswith("Rss:"):
+                    kb += int(line.split()[1])
+            return kb
+
+        class Probe(np.ndarray):  # reads the Rss after each index into the cube or the rows
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                seen.append(resident_kb())
+                return out
+
+        class Values(UserDict):  # the loaded cube's lookups, as Probes
+            def __getitem__(self, var):
+                return mapped[var].view(Probe)
+
+        cube = load_cube(cube_dir)
+        mapped, cube.values, seen = cube.values, Values(dict.fromkeys(variables)), []
+        if reader == "series_products":
+            rows = [np.ones((1, T)).view(Probe) for _ in variables]
+            assert len(list(series_products(cube, rows, jobs))) == len(variables)
+        else:
+            samples = [LabeledSample(i, *spec.node(iy, ix), iy, ix, "c", 1.0, 0.5)
+                       for i, (iy, ix) in enumerate([(0, 0), (31, 7), (63, 63)])]
+            assert len(list(sample_series(cube, samples))) == len(variables)
+        slab_kb = SLAB_STEPS * n * n * 4 // 1024
+        assert len(seen) >= 2 * 9 * len(variables) and max(seen) > 0
+        assert max(seen) < jobs * 2 * slab_kb + mmap.PAGESIZE // 1024, seen
+
+    def test_a_loaded_cube_reads_as_the_cube_in_memory(self, tmp_path):
+        """series_products at jobs 1 and 2 and the sample_series blocks give
+        the same bytes from a saved and loaded cube, whose pages are released
+        as the pass reads them, as from the cube in memory: all valid, and
+        with one masked pixel (the compress path). Two slabs and 37 steps of
+        1 KiB rows, so the last slab is partial and the file ends mid-page;
+        after a pass, the mapping still reads the file's bytes."""
+        n, T, variables = 16, 2 * SLAB_STEPS + 37, ("a", "b", "c")
+        assert T * n * n * 4 % mmap.PAGESIZE
+        spec = GridSpec(lat_min=10.0, lat_max=11.5, lon_min=30.0, lon_max=31.5,
+                        n_lat=n, n_lon=n)
+        taxis = TimeAxis("2020-01-01T00:00:00Z", 3.0, T)
+        rng = np.random.default_rng(5)
+        values = {v: rng.standard_normal((T, n, n)).astype(np.float32) for v in variables}
+        masked = {**values, "b": values["b"].copy()}
+        masked["b"][T - 1, 5, 7] = np.nan  # in the last, partial slab
+        rows = [rng.standard_normal((3, T)) for _ in variables]
+        samples = [LabeledSample(i, *spec.node(iy, ix), iy, ix, "c", 1.0, 0.5)
+                   for i, (iy, ix) in enumerate([(15, 15), (0, 0), (5, 6), (0, 0)])]
+        for name, vals in (("all-valid", values), ("masked", masked)):
+            memory = ClimateCube(spec=spec, time=taxis, variables=variables, values=vals)
+            save_cube(memory, tmp_path / name)
+            loaded = load_cube(tmp_path / name)
+            assert loaded.mask.sum() == n * n - (name == "masked")
+            for jobs in (1, 2):
+                assert ([p.tobytes() for p in series_products(loaded, rows, jobs)]
+                        == [p.tobytes() for p in series_products(memory, rows, jobs)])
+            assert ([b.tobytes() for b in sample_series(loaded, samples)]
+                    == [b.tobytes() for b in sample_series(memory, samples)])
+            held = loaded.values["b"].reshape(T, -1)
+            assert sum(len(slab) for _, slab in slabs(held)) == T
+            assert held.tobytes() == (tmp_path / name / "b.f32").read_bytes()
 
 
 class TestExtractSeries:
